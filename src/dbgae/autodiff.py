@@ -4,11 +4,6 @@ Operations build a computation record dynamically as they execute (each
 output tensor keeps references to its inputs and a closure computing the
 vector-Jacobian product); ``backward`` walks the record in reverse
 topological order and accumulates gradients additively across fan-out.
-
-The op set is exactly what the graph autoencoder needs: matmul, broadcast
-add/mul, scalar scale, ReLU / LeakyReLU / sigmoid / log, column concat,
-row/total reductions, gather/scatter over fixed row-index lists, masked
-row softmax, per-segment softmax, and a fused cross-entropy.
 """
 
 from __future__ import annotations
@@ -229,20 +224,6 @@ def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
     return _result(np.where(mask, a.value, slope * a.value), (a,), bwd, "leaky_relu")
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    v = a.value
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-
-    def bwd(g):
-        _accum(a, g * out * (1.0 - out))
-
-    return _result(out, (a,), bwd, "sigmoid")
-
-
 def log(a: Tensor) -> Tensor:
     av = a.value
 
@@ -347,15 +328,6 @@ def row_sum(a: Tensor) -> Tensor:
     return _result(a.value.sum(axis=1, keepdims=True), (a,), bwd, "row_sum")
 
 
-def sum_all(a: Tensor) -> Tensor:
-    shape = a.shape
-
-    def bwd(g):
-        _accum(a, np.broadcast_to(g, shape))
-
-    return _result(a.value.sum().reshape(1, 1), (a,), bwd, "sum_all")
-
-
 def mean_all(a: Tensor) -> Tensor:
     size = a.value.size
     if size == 0:
@@ -366,30 +338,6 @@ def mean_all(a: Tensor) -> Tensor:
         _accum(a, np.broadcast_to(g / size, shape))
 
     return _result(a.value.mean().reshape(1, 1), (a,), bwd, "mean_all")
-
-
-def softmax_rows(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Row-wise softmax; masked-out entries get probability exactly 0 and
-    contribute nothing to the normalization.  Fully masked rows are all-zero."""
-    v = a.value
-    if mask is None:
-        keep = np.ones(v.shape, dtype=bool)
-    else:
-        keep = np.asarray(mask, dtype=bool)
-        if keep.shape != v.shape:
-            raise DimensionError(f"softmax_rows: mask shape {keep.shape} != {v.shape}")
-    shifted = np.where(keep, v, -np.inf)
-    rowmax = shifted.max(axis=1, keepdims=True)
-    rowmax = np.where(np.isfinite(rowmax), rowmax, 0.0)
-    e = np.where(keep, np.exp(shifted - rowmax), 0.0)
-    denom = e.sum(axis=1, keepdims=True)
-    out = np.divide(e, denom, out=np.zeros_like(e), where=denom > 0)
-
-    def bwd(g):
-        inner = (g * out).sum(axis=1, keepdims=True)
-        _accum(a, out * (g - inner))
-
-    return _result(out, (a,), bwd, "softmax_rows")
 
 
 def segment_softmax(a: Tensor, idx) -> Tensor:

@@ -13,12 +13,12 @@ product inside each group.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import AmbiguityUndefinedError, ConfigError, ParseError, SchemaError
+from . import jsonl
+from .errors import AmbiguityUndefinedError, ConfigError, SchemaError
 
 # Class id reserved for instances whose correct label exists in no group.
 NULL_CLASS = -1
@@ -98,8 +98,8 @@ class GpllDataset:
                     raise SchemaError(f"instance {inst.instance_id} group mismatch")
                 if inst.features.shape != (self.feature_dim,):
                     raise SchemaError(
-                        f"instance {inst.instance_id} has feature dimension "
-                        f"{inst.features.shape[0]}, expected {self.feature_dim}"
+                        f"instance {inst.instance_id} has features of shape "
+                        f"{inst.features.shape}, expected dimension {self.feature_dim}"
                     )
                 if not np.all(np.isfinite(inst.features)):
                     raise SchemaError(f"instance {inst.instance_id} has non-finite features")
@@ -380,86 +380,58 @@ def generate_synthetic(config: GeneratorConfig) -> GpllDataset:
 # ---------------------------------------------------------------------------
 
 
-def save_dataset(ds: GpllDataset, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        header = {"num_classes": ds.num_classes, "feature_dim": ds.feature_dim}
-        if ds.provenance is not None:
-            header["provenance"] = ds.provenance
-        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
-        for group in ds.groups:
-            record = {
-                "group_id": group.group_id,
-                "instances": [
-                    {
-                        "id": inst.instance_id,
-                        "features": [float(x) for x in inst.features],
-                        **(
-                            {"true_class": int(inst.true_class)}
-                            if inst.true_class is not None
-                            else {}
-                        ),
-                    }
-                    for inst in group.instances
-                ],
-                "labels": [
-                    {"class_id": lab.class_id, "slot": lab.slot} for lab in group.labels
-                ],
+def _group_record(group: Group) -> dict:
+    return {
+        "group_id": group.group_id,
+        "instances": [
+            {
+                "id": inst.instance_id,
+                "features": inst.features.tolist(),
+                **({"true_class": int(inst.true_class)} if inst.true_class is not None else {}),
             }
-            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+            for inst in group.instances
+        ],
+        "labels": [{"class_id": lab.class_id, "slot": lab.slot} for lab in group.labels],
+    }
+
+
+def save_dataset(ds: GpllDataset, path):
+    header = {"num_classes": ds.num_classes, "feature_dim": ds.feature_dim}
+    if ds.provenance is not None:
+        header["provenance"] = ds.provenance
+    jsonl.write(path, header, (_group_record(g) for g in ds.groups))
 
 
 def load_dataset(path) -> GpllDataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError(f"{path}: empty file, missing header line")
+    header: dict = {}
+    groups: list[Group] = []
 
-    def parse(lineno: int) -> dict:
-        try:
-            obj = json.loads(lines[lineno])
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: line {lineno + 1}: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise ParseError(f"{path}: line {lineno + 1}: expected a JSON object")
-        return obj
+    def on_header(obj):
+        header.update(
+            num_classes=int(obj["num_classes"]),
+            feature_dim=int(obj["feature_dim"]),
+            provenance=obj.get("provenance"),
+        )
 
-    header = parse(0)
-    for key in ("num_classes", "feature_dim"):
-        if key not in header:
-            raise SchemaError(f"{path}: header missing '{key}'")
-    num_classes = int(header["num_classes"])
-    feature_dim = int(header["feature_dim"])
-
-    groups = []
-    for lineno in range(1, len(lines)):
-        if not lines[lineno].strip():
-            continue
-        rec = parse(lineno)
-        try:
-            group_id = int(rec["group_id"])
-            instances = [
-                Instance(
-                    instance_id=int(ir["id"]),
-                    group_id=group_id,
-                    features=np.asarray(ir["features"], dtype=np.float64),
-                    true_class=int(ir["true_class"]) if "true_class" in ir else None,
-                )
-                for ir in rec["instances"]
-            ]
-            labels = [
-                LabelOccurrence(class_id=int(lr["class_id"]), group_id=group_id, slot=int(lr["slot"]))
-                for lr in rec["labels"]
-            ]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: line {lineno + 1}: {exc!r}") from exc
+    def on_group(rec):
+        group_id = int(rec["group_id"])
+        instances = [
+            Instance(
+                instance_id=int(ir["id"]),
+                group_id=group_id,
+                features=np.asarray(ir["features"], dtype=np.float64),
+                true_class=int(ir["true_class"]) if "true_class" in ir else None,
+            )
+            for ir in rec["instances"]
+        ]
+        labels = [
+            LabelOccurrence(class_id=int(lr["class_id"]), group_id=group_id, slot=int(lr["slot"]))
+            for lr in rec["labels"]
+        ]
         groups.append(Group(group_id=group_id, instances=instances, labels=labels))
 
-    ds = GpllDataset(
-        groups=groups,
-        num_classes=num_classes,
-        feature_dim=feature_dim,
-        provenance=header.get("provenance"),
-    )
+    jsonl.read(path, on_header, on_group)
+    ds = GpllDataset(groups=groups, **header)
     ds.validate()
     return ds
 

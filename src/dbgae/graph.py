@@ -10,13 +10,13 @@ their within-link weights.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import jsonl
 from .data import GpllDataset
-from .errors import ConfigError, ParseError, SchemaError
+from .errors import ConfigError, SchemaError
 
 NOISE = -1
 _UNVISITED = -2
@@ -107,7 +107,6 @@ class WithinGraph:
     lab: np.ndarray
     weight: np.ndarray
     count: np.ndarray
-    omega: np.ndarray  # observation mask, 1 for every retained edge
 
 
 @dataclass
@@ -231,21 +230,12 @@ def within_weights(links: WithinLinks) -> WithinGraph:
     contradictory links gets weight exactly 1.
     """
     if len(links.inst) == 0:
-        empty = np.zeros(0)
-        return WithinGraph(
-            inst=links.inst, lab=links.lab, weight=empty, count=links.count, omega=empty.copy()
-        )
+        return WithinGraph(inst=links.inst, lab=links.lab, weight=np.zeros(0), count=links.count)
     sum_by_inst = np.bincount(links.inst, weights=links.count)
     sum_by_lab = np.bincount(links.lab, weights=links.count)
     denom = sum_by_inst[links.inst] + sum_by_lab[links.lab] - links.count
     weight = links.count / denom
-    return WithinGraph(
-        inst=links.inst,
-        lab=links.lab,
-        weight=weight,
-        count=links.count.copy(),
-        omega=np.ones(len(links.inst)),
-    )
+    return WithinGraph(inst=links.inst, lab=links.lab, weight=weight, count=links.count.copy())
 
 
 def homogeneous_neighbors(
@@ -258,10 +248,7 @@ def homogeneous_neighbors(
     n = len(features)
     if n == 0:
         return []
-    sq = np.einsum("ij,ij->i", features, features)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (features @ features.T)
-    np.maximum(d2, 0.0, out=d2)
-    close = d2 <= threshold * threshold
+    close = _neighbor_matrix(features, threshold)
     close &= groups[:, None] != groups[None, :]
     return [np.flatnonzero(close[i]) for i in range(n)]
 
@@ -341,137 +328,108 @@ def build_dual_graph(
 # ---------------------------------------------------------------------------
 
 
+def _graph_records(graph: DualBipartiteGraph):
+    offset = graph.num_instances
+    instances = zip(
+        graph.instance_ids.tolist(),
+        graph.instance_group.tolist(),
+        graph.instance_features.tolist(),
+    )
+    for i, (iid, g, x) in enumerate(instances):
+        yield {"node_id": i, "kind": "instance", "instance_id": iid, "group_id": g, "features": x}
+    labels = zip(graph.label_group.tolist(), graph.label_class.tolist(), graph.label_slot.tolist())
+    for j, (g, c, s) in enumerate(labels):
+        yield {"node_id": offset + j, "kind": "label", "group_id": g, "class_id": c, "slot": s}
+    yield {"section": "edges"}
+    w, x = graph.within, graph.cross
+    for src, dst, weight, c in zip(
+        w.inst.tolist(), (w.lab + offset).tolist(), w.weight.tolist(), w.count.tolist()
+    ):
+        yield {"src": src, "dst": dst, "w": weight, "kind": "within", "c": c}
+    for src, dst, weight, via in zip(
+        x.inst.tolist(), (x.lab + offset).tolist(), x.weight.tolist(), x.via.tolist()
+    ):
+        yield {"src": src, "dst": dst, "w": weight, "kind": "cross", "via": via}
+
+
 def save_graph(graph: DualBipartiteGraph, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        meta = {
-            "section": "nodes",
-            "num_instances": graph.num_instances,
-            "num_label_nodes": graph.num_label_nodes,
-            "num_classes": graph.num_classes,
-            "feature_dim": graph.feature_dim,
-        }
-        fh.write(json.dumps(meta, separators=(",", ":")) + "\n")
-        for i in range(graph.num_instances):
-            rec = {
-                "node_id": i,
-                "kind": "instance",
-                "instance_id": int(graph.instance_ids[i]),
-                "group_id": int(graph.instance_group[i]),
-                "features": [float(x) for x in graph.instance_features[i]],
-            }
-            fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
-        offset = graph.num_instances
-        for j in range(graph.num_label_nodes):
-            rec = {
-                "node_id": offset + j,
-                "kind": "label",
-                "group_id": int(graph.label_group[j]),
-                "class_id": int(graph.label_class[j]),
-                "slot": int(graph.label_slot[j]),
-            }
-            fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
-        fh.write(json.dumps({"section": "edges"}, separators=(",", ":")) + "\n")
-        w = graph.within
-        for k in range(len(w.inst)):
-            rec = {
-                "src": int(w.inst[k]),
-                "dst": offset + int(w.lab[k]),
-                "w": float(w.weight[k]),
-                "kind": "within",
-                "c": int(w.count[k]),
-            }
-            fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
-        x = graph.cross
-        for k in range(len(x.inst)):
-            rec = {
-                "src": int(x.inst[k]),
-                "dst": offset + int(x.lab[k]),
-                "w": float(x.weight[k]),
-                "kind": "cross",
-                "via": int(x.via[k]),
-            }
-            fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
+    meta = {
+        "section": "nodes",
+        "num_instances": graph.num_instances,
+        "num_label_nodes": graph.num_label_nodes,
+        "num_classes": graph.num_classes,
+        "feature_dim": graph.feature_dim,
+    }
+    jsonl.write(path, meta, _graph_records(graph))
 
 
 def load_graph(path) -> DualBipartiteGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError(f"{path}: empty file")
+    nodes: dict = {}  # node fields of DualBipartiteGraph, sized by the header
+    within: list[tuple] = []
+    cross: list[tuple] = []
+    in_edges = False
 
-    def parse(lineno: int) -> dict:
-        try:
-            return json.loads(lines[lineno])
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: line {lineno + 1}: {exc}") from exc
+    def on_meta(meta):
+        if meta.get("section") != "nodes":
+            raise SchemaError("first line must open the nodes section")
+        n, m = int(meta["num_instances"]), int(meta["num_label_nodes"])
+        nodes.update(
+            instance_ids=np.zeros(n, dtype=int),
+            instance_group=np.zeros(n, dtype=int),
+            instance_features=np.zeros((n, int(meta["feature_dim"]))),
+            label_group=np.zeros(m, dtype=int),
+            label_class=np.zeros(m, dtype=int),
+            label_slot=np.zeros(m, dtype=int),
+            num_classes=int(meta["num_classes"]),
+        )
 
-    meta = parse(0)
-    if meta.get("section") != "nodes":
-        raise SchemaError(f"{path}: first line must open the nodes section")
-    n, m = int(meta["num_instances"]), int(meta["num_label_nodes"])
-    num_classes, feature_dim = int(meta["num_classes"]), int(meta["feature_dim"])
-
-    inst_ids = np.zeros(n, dtype=int)
-    inst_group = np.zeros(n, dtype=int)
-    features = np.zeros((n, feature_dim))
-    lab_group = np.zeros(m, dtype=int)
-    lab_class = np.zeros(m, dtype=int)
-    lab_slot = np.zeros(m, dtype=int)
-    w_edges: list[tuple] = []
-    x_edges: list[tuple] = []
-    section = "nodes"
-    for lineno in range(1, len(lines)):
-        rec = parse(lineno)
+    def on_record(rec):
+        nonlocal in_edges
+        n, m = len(nodes["instance_ids"]), len(nodes["label_class"])
         if rec.get("section") == "edges":
-            section = "edges"
-            continue
-        try:
-            if section == "nodes":
-                nid = int(rec["node_id"])
-                if rec["kind"] == "instance":
-                    inst_ids[nid] = int(rec["instance_id"])
-                    inst_group[nid] = int(rec["group_id"])
-                    feats = np.asarray(rec["features"], dtype=np.float64)
-                    if feats.shape != (feature_dim,):
-                        raise SchemaError(
-                            f"{path}: line {lineno + 1}: feature dimension "
-                            f"{feats.shape[0]} != {feature_dim}"
-                        )
-                    features[nid] = feats
-                else:
-                    j = nid - n
-                    lab_group[j] = int(rec["group_id"])
-                    lab_class[j] = int(rec["class_id"])
-                    lab_slot[j] = int(rec["slot"])
-                    if not 0 <= lab_class[j] < num_classes:
-                        raise SchemaError(f"{path}: line {lineno + 1}: class_id out of range")
+            in_edges = True
+        elif in_edges:
+            src, dst = int(rec["src"]), int(rec["dst"]) - n
+            if not (0 <= src < n and 0 <= dst < m):
+                raise SchemaError("edge endpoint out of range")
+            if rec["kind"] == "within":
+                within.append((src, dst, float(rec["w"]), int(rec["c"])))
             else:
-                src, dst = int(rec["src"]), int(rec["dst"]) - n
-                if not (0 <= src < n and 0 <= dst < m):
-                    raise SchemaError(f"{path}: line {lineno + 1}: edge endpoint out of range")
-                if rec["kind"] == "within":
-                    w_edges.append((src, dst, float(rec["w"]), int(rec["c"])))
-                else:
-                    x_edges.append((src, dst, float(rec["w"]), int(rec["via"])))
-        except (KeyError, ValueError, IndexError) as exc:
-            raise ParseError(f"{path}: line {lineno + 1}: {exc!r}") from exc
+                cross.append((src, dst, float(rec["w"]), int(rec["via"])))
+        elif rec["kind"] == "instance":
+            i = int(rec["node_id"])
+            feats = np.asarray(rec["features"], dtype=np.float64)
+            dim = nodes["instance_features"].shape[1]
+            if not 0 <= i < n:
+                raise SchemaError("instance node_id out of range")
+            if feats.shape != (dim,):
+                raise SchemaError(f"features of shape {feats.shape}, expected dimension {dim}")
+            nodes["instance_ids"][i] = int(rec["instance_id"])
+            nodes["instance_group"][i] = int(rec["group_id"])
+            nodes["instance_features"][i] = feats
+        else:
+            j = int(rec["node_id"]) - n
+            cls = int(rec["class_id"])
+            if not 0 <= j < m:
+                raise SchemaError("label node_id out of range")
+            if not 0 <= cls < nodes["num_classes"]:
+                raise SchemaError("class_id out of range")
+            nodes["label_group"][j] = int(rec["group_id"])
+            nodes["label_class"][j] = cls
+            nodes["label_slot"][j] = int(rec["slot"])
+
+    jsonl.read(path, on_meta, on_record)
 
     def columns(rows, dtypes):
         if not rows:
             return [np.zeros(0, dtype=t) for t in dtypes]
         return [np.asarray(col, dtype=t) for col, t in zip(zip(*rows), dtypes)]
 
-    wi, wl, ww, wc = columns(w_edges, (int, int, float, int))
-    xi, xl, xw, xv = columns(x_edges, (int, int, float, int))
+    wi, wl, ww, wc = columns(within, (int, int, float, int))
+    xi, xl, xw, xv = columns(cross, (int, int, float, int))
     return DualBipartiteGraph(
-        instance_ids=inst_ids,
-        instance_group=inst_group,
-        instance_features=features,
-        label_group=lab_group,
-        label_class=lab_class,
-        label_slot=lab_slot,
-        num_classes=num_classes,
-        within=WithinGraph(inst=wi, lab=wl, weight=ww, count=wc, omega=np.ones(len(wi))),
+        **nodes,
+        within=WithinGraph(inst=wi, lab=wl, weight=ww, count=wc),
         cross=CrossGraph(inst=xi, lab=xl, weight=xw, via=xv),
     )
 
@@ -487,7 +445,7 @@ def graphs_equal(a: DualBipartiteGraph, b: DualBipartiteGraph) -> bool:
         and np.array_equal(a.label_slot, b.label_slot)
         and all(
             np.array_equal(getattr(a.within, f), getattr(b.within, f))
-            for f in ("inst", "lab", "weight", "count", "omega")
+            for f in ("inst", "lab", "weight", "count")
         )
         and all(
             np.array_equal(getattr(a.cross, f), getattr(b.cross, f))

@@ -14,13 +14,13 @@ instance's own candidate links).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import jsonl
 from .data import NULL_CLASS, GpllDataset
-from .errors import ParseError, SchemaError
+from .errors import SchemaError
 from .graph import DualBipartiteGraph, count_cooccurrence, dbscan
 from .model import RatingMatrix
 
@@ -52,9 +52,18 @@ def pool_labels(
     ``instance_vectors`` defaults to the raw instance features; pass learned
     embeddings to switch the cosine similarity basis.
     """
+    n, m = graph.num_instances, graph.num_label_nodes
     vectors = graph.instance_features if instance_vectors is None else instance_vectors
-    if vectors.shape[0] != graph.num_instances:
+    if vectors.shape[0] != n:
         raise SchemaError("instance_vectors row count does not match the graph")
+    if ratings.num_instances != n:
+        raise SchemaError(f"ratings cover {ratings.num_instances} instances, the graph has {n}")
+    if len(ratings) and (
+        min(ratings.src.min(), ratings.dst.min()) < 0
+        or ratings.src.max() >= n
+        or ratings.dst.max() >= m
+    ):
+        raise SchemaError(f"ratings reach rows outside the graph's {n} instances and {m} labels")
 
     via_by_edge: dict[tuple[int, int], int] = {
         (int(i), int(j)): int(v)
@@ -177,35 +186,32 @@ def baseline_pair_clustering(
 
 
 def save_predictions(predictions: list[Prediction], method: str, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"method": method}, separators=(",", ":")) + "\n")
-        for pred in predictions:
-            rec = {
-                "instance_id": pred.instance_id,
-                "predicted_class": pred.predicted_class,
-                "scores": {str(c): float(s) for c, s in sorted(pred.scores.items())},
-            }
-            fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
+    records = (
+        {
+            "instance_id": pred.instance_id,
+            "predicted_class": pred.predicted_class,
+            "scores": {str(c): float(s) for c, s in sorted(pred.scores.items())},
+        }
+        for pred in predictions
+    )
+    jsonl.write(path, {"method": method}, records)
 
 
 def load_predictions(path) -> tuple[str, list[Prediction]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError(f"{path}: empty file")
-    try:
-        header = json.loads(lines[0])
-        method = str(header["method"])
-        predictions = []
-        for lineno in range(1, len(lines)):
-            rec = json.loads(lines[lineno])
-            predictions.append(
-                Prediction(
-                    instance_id=int(rec["instance_id"]),
-                    predicted_class=int(rec["predicted_class"]),
-                    scores={int(c): float(s) for c, s in rec["scores"].items()},
-                )
+    header: dict = {}
+    predictions: list[Prediction] = []
+
+    def on_header(obj):
+        header["method"] = str(obj["method"])
+
+    def on_record(rec):
+        predictions.append(
+            Prediction(
+                instance_id=int(rec["instance_id"]),
+                predicted_class=int(rec["predicted_class"]),
+                scores={int(c): float(s) for c, s in rec["scores"].items()},
             )
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise ParseError(f"{path}: {exc!r}") from exc
-    return method, predictions
+        )
+
+    jsonl.read(path, on_header, on_record)
+    return header["method"], predictions

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
+from . import jsonl
 from .autodiff import RowIndex, Tensor
 from .errors import ConfigError, ParseError, SchemaError, TrainingError
 from .graph import DualBipartiteGraph
@@ -97,38 +98,68 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
+def _param_shapes(config: ModelConfig, feature_dim: int, num_classes: int) -> dict:
+    """Name -> shape of every trainable tensor, in initialization order."""
+    F = feature_dim + num_classes
+    H, E = config.gcn_hidden, config.dense_hidden
+    shapes = {}
+    for h in range(config.num_heads):
+        if config.per_path_weights:
+            shapes[f"W.{h}.within"] = (F, H)
+            shapes[f"W.{h}.cross"] = (F, H)
+        else:
+            shapes[f"W.{h}"] = (F, H)
+        shapes[f"Wa.{h}"] = (F, H)
+        shapes[f"a_self.{h}"] = (H, 1)
+        shapes[f"a_neigh.{h}"] = (H, 1)
+    shapes["Wf"] = (feature_dim, H)
+    shapes["Wn"] = (num_classes, H)
+    shapes["b"] = (1, H)
+    shapes["Wu"] = (3 * H, E)
+    shapes["Wv"] = (3 * H, E)
+    for r in range(len(config.rating_levels)):
+        shapes[f"Q.{r}"] = (E, E)
+    return shapes
+
+
 def init_params(config: ModelConfig, feature_dim: int, num_classes: int) -> ModelParams:
     """Seeded uniform Glorot initialization, drawn in a fixed name order."""
     config.validate()
     rng = np.random.default_rng(config.seed)
-    F = feature_dim + num_classes
-    H, E = config.gcn_hidden, config.dense_hidden
-    tensors: dict[str, Tensor] = {}
-    for h in range(config.num_heads):
-        if config.per_path_weights:
-            tensors[f"W.{h}.within"] = ad.parameter(_glorot(rng, F, H))
-            tensors[f"W.{h}.cross"] = ad.parameter(_glorot(rng, F, H))
-        else:
-            tensors[f"W.{h}"] = ad.parameter(_glorot(rng, F, H))
-        tensors[f"Wa.{h}"] = ad.parameter(_glorot(rng, F, H))
-        tensors[f"a_self.{h}"] = ad.parameter(_glorot(rng, H, 1))
-        tensors[f"a_neigh.{h}"] = ad.parameter(_glorot(rng, H, 1))
-    tensors["Wf"] = ad.parameter(_glorot(rng, feature_dim, H))
-    tensors["Wn"] = ad.parameter(_glorot(rng, num_classes, H))
-    tensors["b"] = ad.parameter(_glorot(rng, 1, H))
-    tensors["Wu"] = ad.parameter(_glorot(rng, 3 * H, E))
-    tensors["Wv"] = ad.parameter(_glorot(rng, 3 * H, E))
-    for r in range(len(config.rating_levels)):
-        tensors[f"Q.{r}"] = ad.parameter(_glorot(rng, E, E))
+    tensors = {
+        name: ad.parameter(_glorot(rng, *shape))
+        for name, shape in _param_shapes(config, feature_dim, num_classes).items()
+    }
     return ModelParams(
         tensors=tensors,
         num_heads=config.num_heads,
         feature_dim=feature_dim,
         num_classes=num_classes,
-        gcn_hidden=H,
-        dense_hidden=E,
+        gcn_hidden=config.gcn_hidden,
+        dense_hidden=config.dense_hidden,
         rating_levels=tuple(config.rating_levels),
     )
+
+
+def _check_checkpoint(params: ModelParams, config: ModelConfig, graph: DualBipartiteGraph):
+    """Raise TrainingError naming the first field or tensor of ``params`` that
+    does not fit ``config`` and ``graph``."""
+    expected = {
+        "feature_dim": graph.feature_dim,
+        "num_classes": graph.num_classes,
+        "num_heads": config.num_heads,
+        "gcn_hidden": config.gcn_hidden,
+        "dense_hidden": config.dense_hidden,
+        "rating_levels": tuple(float(x) for x in config.rating_levels),
+    }
+    for key, want in expected.items():
+        got = getattr(params, key)
+        if got != want:
+            raise TrainingError(f"checkpoint {key} {got} does not match {want}")
+    for name, shape in _param_shapes(config, graph.feature_dim, graph.num_classes).items():
+        got = params.tensors[name].shape if name in params.tensors else "missing"
+        if got != shape:
+            raise TrainingError(f"checkpoint tensor '{name}' is {got}, expected shape {shape}")
 
 
 def quantize_levels(weights: np.ndarray, levels) -> np.ndarray:
@@ -398,7 +429,7 @@ def decode(
         src=np.asarray(src, dtype=int),
         dst=np.asarray(dst, dtype=int),
         kind=np.asarray(kind),
-        levels=np.asarray(params.rating_levels),
+        levels=np.asarray(params.rating_levels, dtype=np.float64),
         probs=probs,
         m_hat=m_hat,
         num_instances=len(U),
@@ -448,9 +479,8 @@ def train(
     if prep.num_within == 0:
         raise TrainingError("graph has no observed within edges")
     if initial_params is not None:
+        _check_checkpoint(initial_params, config, graph)
         params = initial_params
-        if params.feature_dim != graph.feature_dim or params.num_classes != graph.num_classes:
-            raise TrainingError("checkpoint dimensions do not match the graph")
     else:
         params = init_params(config, graph.feature_dim, graph.num_classes)
     state = AdamState.for_params(params.tensors, lr=config.lr)
@@ -536,76 +566,75 @@ def load_params(path) -> ModelParams:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ParseError(f"{path}: {exc}") from exc
-    if payload.get("version") != _CHECKPOINT_VERSION:
-        raise SchemaError(f"{path}: unsupported checkpoint version {payload.get('version')}")
-    meta = payload["meta"]
-    tensors = {}
-    for name, rec in payload["tensors"].items():
-        shape = tuple(rec["shape"])
-        data = np.asarray(rec["data"], dtype=np.float64)
-        if data.size != shape[0] * shape[1]:
-            raise SchemaError(f"{path}: tensor '{name}' data does not match shape {shape}")
-        tensors[name] = ad.parameter(data.reshape(shape))
-    return ModelParams(
-        tensors=tensors,
-        num_heads=int(meta["num_heads"]),
-        feature_dim=int(meta["feature_dim"]),
-        num_classes=int(meta["num_classes"]),
-        gcn_hidden=int(meta["gcn_hidden"]),
-        dense_hidden=int(meta["dense_hidden"]),
-        rating_levels=tuple(meta["rating_levels"]),
-    )
+    where = "checkpoint"
+    try:
+        if payload.get("version") != _CHECKPOINT_VERSION:
+            raise SchemaError(f"{path}: unsupported checkpoint version {payload.get('version')}")
+        meta, records = payload["meta"], payload["tensors"]
+        where = "meta"
+        dims = {
+            key: int(meta[key])
+            for key in ("num_heads", "feature_dim", "num_classes", "gcn_hidden", "dense_hidden")
+        }
+        rating_levels = tuple(float(x) for x in meta["rating_levels"])
+        where = "tensors"
+        tensors = {}
+        for name, rec in records.items():
+            where = f"tensor '{name}'"
+            shape = tuple(int(x) for x in rec["shape"])
+            data = np.asarray(rec["data"], dtype=np.float64)
+            if len(shape) != 2 or data.shape != (shape[0] * shape[1],):
+                raise SchemaError(f"{path}: {where} data does not match shape {shape}")
+            tensors[name] = ad.parameter(data.reshape(shape))
+    except KeyError as exc:
+        raise SchemaError(f"{path}: {where} has no field {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: {where}: {exc!r}") from exc
+    return ModelParams(tensors=tensors, rating_levels=rating_levels, **dims)
 
 
 def save_ratings(ratings: RatingMatrix, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        header = {
-            "levels": [float(x) for x in ratings.levels],
-            "num_instances": ratings.num_instances,
-        }
-        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
-        offset = ratings.num_instances
-        for k in range(len(ratings.src)):
-            rec = {
-                "src": int(ratings.src[k]),
-                "dst": offset + int(ratings.dst[k]),
-                "kind": str(ratings.kind[k]),
-                "m_hat": float(ratings.m_hat[k]),
-                "p": [float(x) for x in ratings.probs[k]],
-            }
-            fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
+    header = {"levels": ratings.levels.tolist(), "num_instances": ratings.num_instances}
+    columns = zip(
+        ratings.src.tolist(),
+        (ratings.dst + ratings.num_instances).tolist(),
+        ratings.kind.tolist(),
+        ratings.m_hat.tolist(),
+        ratings.probs.tolist(),
+    )
+    records = (
+        {"src": src, "dst": dst, "kind": kind, "m_hat": m_hat, "p": p}
+        for src, dst, kind, m_hat, p in columns
+    )
+    jsonl.write(path, header, records)
 
 
 def load_ratings(path) -> RatingMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError(f"{path}: empty file")
-    try:
-        header = json.loads(lines[0])
-        levels = np.asarray(header["levels"], dtype=np.float64)
-        offset = int(header["num_instances"])
-        src, dst, kind, m_hat, probs = [], [], [], [], []
-        for lineno in range(1, len(lines)):
-            rec = json.loads(lines[lineno])
-            src.append(int(rec["src"]))
-            dst.append(int(rec["dst"]) - offset)
-            kind.append(str(rec["kind"]))
-            m_hat.append(float(rec["m_hat"]))
-            probs.append([float(x) for x in rec["p"]])
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise ParseError(f"{path}: {exc!r}") from exc
-    n_rows = len(src)
+    header: dict = {}
+    rows: list[tuple] = []
+
+    def on_header(obj):
+        header["levels"] = np.asarray([float(x) for x in obj["levels"]])
+        header["num_instances"] = int(obj["num_instances"])
+
+    def on_record(rec):
+        p = [float(x) for x in rec["p"]]
+        if len(p) != len(header["levels"]):
+            raise SchemaError(f"'p' has {len(p)} entries for {len(header['levels'])} levels")
+        dst = int(rec["dst"]) - header["num_instances"]
+        rows.append((int(rec["src"]), dst, str(rec["kind"]), float(rec["m_hat"]), p))
+
+    jsonl.read(path, on_header, on_record)
+    src, dst, kind, m_hat, probs = zip(*rows) if rows else ((),) * 5
     return RatingMatrix(
         src=np.asarray(src, dtype=int),
         dst=np.asarray(dst, dtype=int),
-        kind=np.asarray(kind),
-        levels=levels,
-        probs=np.asarray(probs, dtype=np.float64).reshape(n_rows, len(levels)),
+        kind=np.asarray(kind, dtype=str),
+        probs=np.asarray(probs, dtype=np.float64).reshape(len(rows), len(header["levels"])),
         m_hat=np.asarray(m_hat, dtype=np.float64),
-        num_instances=offset,
+        **header,
     )
 
 

@@ -1,0 +1,173 @@
+"""Artifact files across modules: the shared JSON Lines format (dataset,
+graph, ratings, predictions) and the parameter checkpoint."""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dbgae.data import GeneratorConfig, generate_synthetic, load_dataset, save_dataset
+from dbgae.errors import DbgaeError, ParseError, SchemaError
+from dbgae.graph import build_dual_graph, load_graph, save_graph
+from dbgae.inference import load_predictions, pool_labels, save_predictions
+from dbgae.model import ModelConfig, load_params, load_ratings, save_params, save_ratings, train
+
+LOADERS = {
+    "dataset": load_dataset,
+    "graph": load_graph,
+    "ratings": load_ratings,
+    "predictions": load_predictions,
+    "params": load_params,
+}
+
+
+def resave(kind, path, out):
+    if kind == "predictions":
+        method, predictions = load_predictions(path)
+        save_predictions(predictions, method, out)
+        return
+    savers = {
+        "dataset": save_dataset,
+        "graph": save_graph,
+        "ratings": save_ratings,
+        "params": save_params,
+    }
+    savers[kind](LOADERS[kind](path), out)
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """One small valid file of every artifact kind, with within and cross edges."""
+    ds = generate_synthetic(
+        GeneratorConfig(
+            num_classes=4,
+            feature_dim=3,
+            num_groups=8,
+            null_rate=0.2,
+            cross_rate=0.2,
+            distractor_rate=0.5,
+            separation=1.0,
+            noise_scale=0.05,
+            rng_seed=1,
+        )
+    )
+    graph = build_dual_graph(ds)
+    assert len(graph.within.inst) and len(graph.cross.inst)
+    result = train(graph, ModelConfig(gcn_hidden=4, dense_hidden=3, num_heads=1, epochs=2))
+    root = tmp_path_factory.mktemp("artifacts")
+    paths = {kind: root / f"{kind}.jsonl" for kind in LOADERS}
+    paths["params"] = root / "params.json"
+    save_dataset(ds, paths["dataset"])
+    save_graph(graph, paths["graph"])
+    save_ratings(result.ratings, paths["ratings"])
+    save_predictions(pool_labels(result.ratings, graph), "dbgae", paths["predictions"])
+    save_params(result.params, paths["params"])
+    return paths
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_save_load_save_is_byte_identical(artifacts, tmp_path, kind):
+    out = tmp_path / artifacts[kind].name
+    resave(kind, artifacts[kind], out)
+    assert out.read_bytes() == artifacts[kind].read_bytes()
+
+
+def _array(obj):
+    return [1, 2]
+
+
+def _drop(key):
+    def edit(obj):
+        del obj[key]
+        return obj
+
+    return edit
+
+
+def _short_p(obj):
+    obj["p"] = obj["p"][:-1]
+    return obj
+
+
+KINDS = ("dataset", "graph", "ratings", "predictions")  # the JSON Lines artifacts
+MALFORMED = [
+    # artifact, line to edit, edit of its decoded object, error, message fragment
+    *[pytest.param(k, 2, _array, ParseError, "line 2", id=f"{k}-array-line") for k in KINDS],
+    *[pytest.param(k, 1, _array, ParseError, "line 1", id=f"{k}-array-header") for k in KINDS],
+    *[
+        pytest.param(kind, 1, _drop(key), ParseError, "line 1", id=f"{kind}-no-{key}")
+        for kind, key in [
+            ("dataset", "feature_dim"),
+            ("graph", "num_instances"),
+            ("ratings", "levels"),
+            ("predictions", "method"),
+        ]
+    ],
+    pytest.param("ratings", 2, _short_p, SchemaError, "line 2", id="ratings-short-p"),
+    pytest.param("params", 1, _drop("meta"), SchemaError, "'meta'", id="params-no-meta"),
+    pytest.param("params", 1, _drop("tensors"), SchemaError, "'tensors'", id="params-no-tensors"),
+]
+
+
+@pytest.mark.parametrize("kind, lineno, edit, error, fragment", MALFORMED)
+def test_malformed_file_names_file_and_line(
+    artifacts, tmp_path, kind, lineno, edit, error, fragment
+):
+    lines = artifacts[kind].read_text(encoding="utf-8").splitlines()
+    lines[lineno - 1] = json.dumps(edit(json.loads(lines[lineno - 1])))
+    path = tmp_path / artifacts[kind].name
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(error) as info:
+        LOADERS[kind](path)
+    assert str(path) in str(info.value) and fragment in str(info.value)
+
+
+@pytest.mark.parametrize("field", ["shape", "data"])
+def test_checkpoint_tensor_without_field_names_it(artifacts, tmp_path, field):
+    payload = json.loads(artifacts["params"].read_text())
+    del payload["tensors"]["Wf"][field]
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(SchemaError, match=f"tensor 'Wf' has no field '{field}'"):
+        load_params(path)
+
+
+def _dicts(obj):
+    """Every non-empty dict nested in a decoded JSON value, outermost first."""
+    found = [obj] if isinstance(obj, dict) and obj else []
+    children = obj.values() if isinstance(obj, dict) else obj if isinstance(obj, list) else ()
+    for child in children:
+        found.extend(_dicts(child))
+    return found
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(LOADERS)),
+    line_pick=st.integers(0, 10**6),
+    mode=st.sampled_from(["truncate", "drop", "retype"]),
+    pick=st.integers(0, 10**6),
+    value=st.sampled_from([None, "x", 1.5, -1, [], {}, [[1]]]),
+)
+def test_only_package_errors_escape_loaders(artifacts, kind, line_pick, mode, pick, value):
+    lines = artifacts[kind].read_text(encoding="utf-8").splitlines()
+    k = line_pick % len(lines)
+    if mode == "truncate":
+        lines[k] = lines[k][: pick % len(lines[k])]
+    else:
+        obj = json.loads(lines[k])
+        dicts = _dicts(obj)
+        target = dicts[pick % len(dicts)]
+        key = sorted(target)[pick % len(target)]
+        if mode == "drop":
+            del target[key]
+        else:
+            target[key] = value
+        lines[k] = json.dumps(obj)
+    path = artifacts[kind].with_name(f"fuzzed_{artifacts[kind].name}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        LOADERS[kind](path)
+    except DbgaeError:
+        pass

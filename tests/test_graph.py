@@ -188,7 +188,6 @@ class TestCrossLinks:
             lab=lab.astype(int),
             weight=w.astype(float),
             count=np.ones(len(inst), dtype=int),
-            omega=np.ones(len(inst)),
         )
 
     def test_no_neighbors_no_cross_edges(self):

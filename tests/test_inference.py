@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dbgae.data import NULL_CLASS
+from dbgae.errors import SchemaError
 from dbgae.inference import (
     Prediction,
     _argmax_class,
@@ -46,6 +47,24 @@ class TestPooling:
         # ratings entirely behaves the same
         preds = pool_labels(ratings, graph)
         assert preds[0].predicted_class == NULL_CLASS
+
+    @pytest.mark.parametrize(
+        "rows, num_instances",
+        [
+            ([(0, 0, "within", 0.9)], 3),  # rated on a graph with 3 instances
+            ([(0, 22, "within", 0.9)], 1),  # label row 22 of a one-label graph
+            ([(-1, 0, "within", 0.9)], 1),
+        ],
+    )
+    def test_ratings_from_another_graph_are_schema_error(self, rows, num_instances):
+        graph = make_graph(
+            inst_feats=[[1.0, 0.0]], inst_group=[0], label_class=[0], label_group=[0],
+            within=[(0, 0, 1.0, 1)], num_classes=2,
+        )
+        ratings = make_ratings(graph, rows)
+        ratings.num_instances = num_instances
+        with pytest.raises(SchemaError, match="graph"):
+            pool_labels(ratings, graph)
 
     def test_within_contribution_thresholded(self):
         graph = make_graph(

@@ -59,7 +59,6 @@ def make_graph(
             lab=wl.astype(int),
             weight=ww.astype(float),
             count=wc.astype(int),
-            omega=np.ones(len(wi)),
         ),
         cross=CrossGraph(
             inst=xi.astype(int), lab=xl.astype(int), weight=xw.astype(float), via=xv.astype(int)
@@ -480,6 +479,27 @@ class TestCheckpointAndRatings:
         save_params(first.params, path)
         resumed = train(graph, small_config(epochs=10), initial_params=load_params(path))
         assert resumed.loss_trace[0] < first.loss_trace[0]
+
+    @pytest.mark.parametrize(
+        "override, field",
+        [
+            ({"num_heads": 2}, "num_heads"),
+            ({"gcn_hidden": 7}, "gcn_hidden"),
+            ({"dense_hidden": 5}, "dense_hidden"),
+            ({"rating_levels": (0.0, 0.5, 1.0)}, "rating_levels"),
+            ({"per_path_weights": True}, "W.0.within"),
+        ],
+    )
+    def test_checkpoint_that_does_not_fit_config_is_training_error(self, override, field):
+        graph = tiny_graph()
+        params = init_params(small_config(), graph.feature_dim, graph.num_classes)
+        with pytest.raises(TrainingError, match=field):
+            train(graph, small_config(**override), initial_params=params)
+
+    def test_checkpoint_for_other_graph_is_training_error(self):
+        params = init_params(small_config(), 3, 2)
+        with pytest.raises(TrainingError, match="feature_dim"):
+            train(tiny_graph(), small_config(), initial_params=params)
 
 
 class TestPerPathWeights:
