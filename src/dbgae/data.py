@@ -85,40 +85,50 @@ class GpllDataset:
 
     def validate(self):
         """Check structural invariants, raising SchemaError on violation."""
-        group_ids = [g.group_id for g in self.groups]
-        if sorted(group_ids) != list(range(len(self.groups))):
-            raise SchemaError("group ids must be dense in [0, K)")
-        seen_inst = set()
+        _check_group_ids(self.groups)
+        seen_inst: set[int] = set()
         for group in self.groups:
-            for inst in group.instances:
-                if inst.instance_id in seen_inst:
-                    raise SchemaError(f"duplicate instance id {inst.instance_id}")
-                seen_inst.add(inst.instance_id)
-                if inst.group_id != group.group_id:
-                    raise SchemaError(f"instance {inst.instance_id} group mismatch")
-                if inst.features.shape != (self.feature_dim,):
-                    raise SchemaError(
-                        f"instance {inst.instance_id} has features of shape "
-                        f"{inst.features.shape}, expected dimension {self.feature_dim}"
-                    )
-                if not np.all(np.isfinite(inst.features)):
-                    raise SchemaError(f"instance {inst.instance_id} has non-finite features")
-                if inst.true_class is not None and not (
-                    inst.true_class == NULL_CLASS or 0 <= inst.true_class < self.num_classes
-                ):
-                    raise SchemaError(
-                        f"instance {inst.instance_id} true_class {inst.true_class} out of range"
-                    )
-            slots = [lab.slot for lab in group.labels]
-            if sorted(slots) != list(range(len(group.labels))):
-                raise SchemaError(f"group {group.group_id} label slots not dense")
-            for lab in group.labels:
-                if lab.group_id != group.group_id:
-                    raise SchemaError(f"label in group {group.group_id} has wrong group_id")
-                if not 0 <= lab.class_id < self.num_classes:
-                    raise SchemaError(
-                        f"label class_id {lab.class_id} outside [0, {self.num_classes})"
-                    )
+            _validate_group(group, self.num_classes, self.feature_dim, seen_inst)
+
+
+def _check_group_ids(groups: list[Group]):
+    if sorted(g.group_id for g in groups) != list(range(len(groups))):
+        raise SchemaError("group ids must be dense in [0, K)")
+
+
+def _validate_group(group: Group, num_classes: int, feature_dim: int, seen_inst: set[int]):
+    """Check one group's invariants (adding its instance ids to ``seen_inst``);
+    the SchemaError message starts with the group id."""
+    try:
+        for inst in group.instances:
+            if inst.instance_id in seen_inst:
+                raise SchemaError(f"duplicate instance id {inst.instance_id}")
+            seen_inst.add(inst.instance_id)
+            if inst.group_id != group.group_id:
+                raise SchemaError(f"instance {inst.instance_id} group mismatch")
+            if inst.features.shape != (feature_dim,):
+                raise SchemaError(
+                    f"instance {inst.instance_id} has features of shape "
+                    f"{inst.features.shape}, expected dimension {feature_dim}"
+                )
+            if not np.all(np.isfinite(inst.features)):
+                raise SchemaError(f"instance {inst.instance_id} has non-finite features")
+            if inst.true_class is not None and not (
+                inst.true_class == NULL_CLASS or 0 <= inst.true_class < num_classes
+            ):
+                raise SchemaError(
+                    f"instance {inst.instance_id} true_class {inst.true_class} out of range"
+                )
+        slots = [lab.slot for lab in group.labels]
+        if sorted(slots) != list(range(len(group.labels))):
+            raise SchemaError("label slots not dense")
+        for lab in group.labels:
+            if lab.group_id != group.group_id:
+                raise SchemaError("label has wrong group_id")
+            if not 0 <= lab.class_id < num_classes:
+                raise SchemaError(f"label class_id {lab.class_id} outside [0, {num_classes})")
+    except SchemaError as exc:
+        raise SchemaError(f"group {group.group_id}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -405,6 +415,7 @@ def save_dataset(ds: GpllDataset, path):
 def load_dataset(path) -> GpllDataset:
     header: dict = {}
     groups: list[Group] = []
+    seen_inst: set[int] = set()
 
     def on_header(obj):
         header.update(
@@ -428,12 +439,16 @@ def load_dataset(path) -> GpllDataset:
             LabelOccurrence(class_id=int(lr["class_id"]), group_id=group_id, slot=int(lr["slot"]))
             for lr in rec["labels"]
         ]
-        groups.append(Group(group_id=group_id, instances=instances, labels=labels))
+        group = Group(group_id=group_id, instances=instances, labels=labels)
+        _validate_group(group, header["num_classes"], header["feature_dim"], seen_inst)
+        groups.append(group)
 
     jsonl.read(path, on_header, on_group)
-    ds = GpllDataset(groups=groups, **header)
-    ds.validate()
-    return ds
+    try:
+        _check_group_ids(groups)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
+    return GpllDataset(groups=groups, **header)
 
 
 def datasets_equal(a: GpllDataset, b: GpllDataset) -> bool:

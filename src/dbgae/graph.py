@@ -368,11 +368,14 @@ def load_graph(path) -> DualBipartiteGraph:
     within: list[tuple] = []
     cross: list[tuple] = []
     in_edges = False
+    seen = np.zeros(0, dtype=bool)  # per node_id: has its node line been read
 
     def on_meta(meta):
+        nonlocal seen
         if meta.get("section") != "nodes":
             raise SchemaError("first line must open the nodes section")
         n, m = int(meta["num_instances"]), int(meta["num_label_nodes"])
+        seen = np.zeros(n + m, dtype=bool)
         nodes.update(
             instance_ids=np.zeros(n, dtype=int),
             instance_group=np.zeros(n, dtype=int),
@@ -382,6 +385,11 @@ def load_graph(path) -> DualBipartiteGraph:
             label_slot=np.zeros(m, dtype=int),
             num_classes=int(meta["num_classes"]),
         )
+
+    def mark_seen(node_id):
+        if seen[node_id]:
+            raise SchemaError(f"duplicate node_id {node_id}")
+        seen[node_id] = True
 
     def on_record(rec):
         nonlocal in_edges
@@ -404,6 +412,7 @@ def load_graph(path) -> DualBipartiteGraph:
                 raise SchemaError("instance node_id out of range")
             if feats.shape != (dim,):
                 raise SchemaError(f"features of shape {feats.shape}, expected dimension {dim}")
+            mark_seen(i)
             nodes["instance_ids"][i] = int(rec["instance_id"])
             nodes["instance_group"][i] = int(rec["group_id"])
             nodes["instance_features"][i] = feats
@@ -414,11 +423,14 @@ def load_graph(path) -> DualBipartiteGraph:
                 raise SchemaError("label node_id out of range")
             if not 0 <= cls < nodes["num_classes"]:
                 raise SchemaError("class_id out of range")
+            mark_seen(n + j)
             nodes["label_group"][j] = int(rec["group_id"])
             nodes["label_class"][j] = cls
             nodes["label_slot"][j] = int(rec["slot"])
 
     jsonl.read(path, on_meta, on_record)
+    if not seen.all():
+        raise SchemaError(f"{path}: no node line for node_id {int(np.argmin(seen))}")
 
     def columns(rows, dtypes):
         if not rows:

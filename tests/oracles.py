@@ -2,7 +2,8 @@
 
 These deliberately take different algorithmic routes from the library:
 density clustering via explicit core-graph connected components, link
-weights via literal contradictory-link enumeration.
+weights via literal contradictory-link enumeration, message passing via a
+per-edge loop.
 """
 
 from __future__ import annotations
@@ -100,3 +101,23 @@ def within_weights_reference(
 def softmax_reference(values: np.ndarray) -> np.ndarray:
     e = np.exp(values - values.max())
     return e / e.sum()
+
+
+def propagate_reference(
+    t: np.ndarray, coef: np.ndarray, src: np.ndarray, dst: np.ndarray, g: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Message passing oracle via an explicit loop over edges.
+
+    Returns the forward ``out[dst_e] += coef_e * t[src_e]`` and, for an
+    upstream gradient ``g`` of ``out``, the gradients for ``t`` and ``coef``.
+    """
+    out = np.zeros_like(t)
+    grad_t = np.zeros_like(t)
+    grad_coef = np.zeros(len(src))
+    for e in range(len(src)):
+        s, d = src[e], dst[e]
+        for k in range(t.shape[1]):
+            out[d, k] += coef[e] * t[s, k]
+            grad_t[s, k] += coef[e] * g[d, k]
+            grad_coef[e] += g[d, k] * t[s, k]
+    return out, grad_t, grad_coef

@@ -123,6 +123,48 @@ def test_malformed_file_names_file_and_line(
     assert str(path) in str(info.value) and fragment in str(info.value)
 
 
+def _write_lines(path, lines):
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def test_graph_without_a_node_line_names_the_node(artifacts, tmp_path):
+    lines = artifacts["graph"].read_text(encoding="utf-8").splitlines()
+    assert json.loads(lines[2])["node_id"] == 1
+    path = _write_lines(tmp_path / "graph.jsonl", lines[:2] + lines[3:])
+    with pytest.raises(SchemaError, match="no node line for node_id 1$") as info:
+        load_graph(path)
+    assert str(path) in str(info.value)
+
+
+def test_graph_with_a_repeated_node_line_names_the_node(artifacts, tmp_path):
+    lines = artifacts["graph"].read_text(encoding="utf-8").splitlines()
+    path = _write_lines(tmp_path / "graph.jsonl", lines[:3] + [lines[2]] + lines[3:])
+    with pytest.raises(SchemaError, match="line 4: duplicate node_id 1$") as info:
+        load_graph(path)
+    assert str(path) in str(info.value)
+
+
+def test_dataset_class_out_of_range_names_file_line_and_group(artifacts, tmp_path):
+    lines = artifacts["dataset"].read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[3])
+    assert record["group_id"] == 2 and record["labels"]
+    record["labels"][0]["class_id"] = 99
+    lines[3] = json.dumps(record)
+    path = _write_lines(tmp_path / "dataset.jsonl", lines)
+    with pytest.raises(SchemaError) as info:
+        load_dataset(path)
+    assert str(info.value) == f"{path}: line 4: group 2: label class_id 99 outside [0, 4)"
+
+
+def test_dataset_with_group_ids_not_dense_names_the_file(artifacts, tmp_path):
+    lines = artifacts["dataset"].read_text(encoding="utf-8").splitlines()
+    path = _write_lines(tmp_path / "dataset.jsonl", lines[:3] + lines[4:])
+    with pytest.raises(SchemaError, match="group ids must be dense") as info:
+        load_dataset(path)
+    assert str(path) in str(info.value)
+
+
 @pytest.mark.parametrize("field", ["shape", "data"])
 def test_checkpoint_tensor_without_field_names_it(artifacts, tmp_path, field):
     payload = json.loads(artifacts["params"].read_text())

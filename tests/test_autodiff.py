@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from dbgae import autodiff as ad
 from dbgae.errors import AutodiffError, DimensionError
-from oracles import softmax_reference
+from oracles import propagate_reference, softmax_reference
 
 
 def finite_difference(loss_fn, param, coord, step=1e-6):
@@ -58,6 +58,11 @@ class TestForwardBasics:
             ad.matmul(ad.constant(np.zeros((2, 3))), ad.constant(np.zeros((2, 3))))
         with pytest.raises(DimensionError, match="add"):
             ad.add(ad.constant(np.zeros((2, 3))), ad.constant(np.zeros((2, 2))))
+        path = ad.DenseBlockPath([1], [0], 1, 1)
+        with pytest.raises(DimensionError, match="propagate"):
+            ad.propagate(ad.constant(np.ones((3, 2))), ad.constant([[1.0]]), path)
+        with pytest.raises(DimensionError, match="propagate"):
+            ad.propagate(ad.constant(np.ones((2, 2))), ad.constant([[1.0, 2.0]]), path)
 
 
 class TestBackwardBasics:
@@ -138,15 +143,14 @@ class TestPrimitiveGradients:
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10_000))
-    def test_gather_scatter(self, seed):
+    def test_gather_rows(self, seed):
         rng = np.random.default_rng(seed)
         X = ad.parameter(rng.standard_normal((5, 3)))
         idx = ad.RowIndex(rng.integers(0, 5, size=8))
-        seg = ad.RowIndex(rng.integers(0, 4, size=8))
+        weights = ad.constant(rng.standard_normal((8, 3)))
 
         def loss():
-            gathered = ad.gather_rows(X, idx)
-            return ad.mean_all(ad.scatter_rows(gathered, seg, 4))
+            return ad.mean_all(ad.mul(ad.gather_rows(X, idx), weights))
 
         check_all_coords(loss, {"X": X})
 
@@ -249,3 +253,76 @@ class TestGradCheck:
 
         report = ad.grad_check(loss, {"W1": W1, "W2": W2}, samples_per_param=30)
         assert report.max_rel_error < 1e-6
+
+
+KERNELS = (ad.DenseBlockPath, ad.SparsePath)
+
+
+@st.composite
+def bipartite_paths(draw):
+    """(num_left, num_right, src, dst) of a random bipartite path: duplicate
+    edges, isolated nodes, one-sided and empty paths all occur."""
+    n = draw(st.integers(0, 4))
+    m = draw(st.integers(0, 4))
+    edges = (
+        draw(
+            st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, m - 1), st.booleans()),
+                max_size=14,
+            )
+        )
+        if n and m
+        else []
+    )
+    src = [n + j if into_left else i for i, j, into_left in edges]
+    dst = [i if into_left else n + j for i, j, into_left in edges]
+    return n, m, np.array(src, dtype=int), np.array(dst, dtype=int)
+
+
+class TestPropagate:
+    @settings(max_examples=150, deadline=None)
+    @given(path=bipartite_paths(), width=st.integers(1, 4), seed=st.integers(0, 10_000))
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_kernels_match_per_edge_oracle(self, kernel, path, width, seed):
+        n, m, src, dst = path
+        rng = np.random.default_rng(seed)
+        t = rng.standard_normal((n + m, width))
+        g = rng.standard_normal((n + m, width))
+        coef = rng.standard_normal(len(src))
+        out_ref, grad_t_ref, grad_coef_ref = propagate_reference(t, coef, src, dst, g)
+        p = kernel(src, dst, n, m)
+        op = p.operator(coef)
+        np.testing.assert_allclose(p.apply(op, t), out_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(p.apply_transpose(op, g), grad_t_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(p.edge_dot(g, t), grad_coef_ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_grad_check(self, kernel):
+        rng = np.random.default_rng(8)
+        n, m = 3, 4
+        inst = np.array([0, 0, 1, 2, 2, 2])
+        lab = np.array([0, 3, 1, 1, 2, 2])  # (2, 2) twice
+        p = kernel(np.concatenate([lab + n, inst]), np.concatenate([inst, lab + n]), n, m)
+        T = ad.parameter(rng.standard_normal((n + m, 5)))
+        coef = ad.parameter(rng.standard_normal((len(p), 1)))
+        weights = ad.constant(rng.standard_normal((n + m, 5)))
+
+        def loss():
+            return ad.mean_all(ad.mul(ad.propagate(T, coef, p), weights))
+
+        report = ad.grad_check(loss, {"T": T, "coef": coef}, samples_per_param=64)
+        assert report.max_rel_error <= 1e-4
+        assert all(e.checked == min(64, size) for e, size in zip(report.entries, (35, 12)))
+
+    def test_constant_coefficients_get_no_gradient(self):
+        p = ad.SparsePath([1], [0], 1, 1)
+        T = ad.parameter(np.ones((2, 3)))
+        coef = ad.constant([[2.0]])
+        ad.backward(ad.mean_all(ad.propagate(T, coef, p)))
+        assert coef.grad is None
+        np.testing.assert_allclose(T.grad, [[0.0] * 3, [2.0 / 6] * 3])
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_edge_within_one_side_is_rejected(self, kernel):
+        with pytest.raises(DimensionError, match="left row and a right row"):
+            kernel([0], [1], 2, 1)

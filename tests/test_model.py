@@ -125,17 +125,18 @@ class TestQuantize:
 
 class TestPropagation:
     def test_single_edge_identity_transform_passes_feature(self):
-        # attention off, w=1, W=I: the message equals the neighbor feature
+        # attention off, w=1, W=I: a node's message sum is its neighbor's feature
         graph = tiny_graph(w=1.0)
         cfg = small_config(gcn_hidden=4, use_attention=False)  # 4 = d + C
         prep = prepare_graph(graph, cfg)
         params = init_params(cfg, graph.feature_dim, graph.num_classes)
         params["W.0"].value = np.eye(4)
-        messages = propagation_messages(prep, params, cfg, head=0)["within"]
-        # direction label -> instance carries the label one-hot block
-        np.testing.assert_allclose(messages.value[0], [0.0, 0.0, 1.0, 0.0])
-        # direction instance -> label carries the instance features
-        np.testing.assert_allclose(messages.value[1], [0.4, -0.2, 0.0, 0.0])
+        sums = propagation_messages(prep, params, cfg, head=0)["within"]
+        assert sums.shape == (prep.num_nodes, 4)
+        # row 0, the instance, receives the label one-hot block
+        np.testing.assert_allclose(sums.value[0], [0.0, 0.0, 1.0, 0.0])
+        # row 1, the label, receives the instance features
+        np.testing.assert_allclose(sums.value[1], [0.4, -0.2, 0.0, 0.0])
 
     def test_half_weight_scales_message(self):
         graph = tiny_graph(w=0.5)
@@ -143,8 +144,33 @@ class TestPropagation:
         prep = prepare_graph(graph, cfg)
         params = init_params(cfg, graph.feature_dim, graph.num_classes)
         params["W.0"].value = np.eye(4)
-        messages = propagation_messages(prep, params, cfg, head=0)["within"]
-        np.testing.assert_allclose(messages.value[0], [0.0, 0.0, 0.5, 0.0])
+        sums = propagation_messages(prep, params, cfg, head=0)["within"]
+        np.testing.assert_allclose(sums.value[0], [0.0, 0.0, 0.5, 0.0])
+
+    def test_messages_from_two_neighbors_add_up(self):
+        graph = make_graph(
+            inst_feats=[[0.4, -0.2]],
+            inst_group=[0],
+            label_class=[0, 1],
+            label_group=[0, 0],
+            within=[(0, 0, 0.5, 1), (0, 1, 0.25, 1)],
+            num_classes=2,
+        )
+        cfg = small_config(gcn_hidden=4, use_attention=False)
+        prep = prepare_graph(graph, cfg)
+        params = init_params(cfg, graph.feature_dim, graph.num_classes)
+        params["W.0"].value = np.eye(4)
+        sums = propagation_messages(prep, params, cfg, head=0)["within"].value
+        np.testing.assert_allclose(sums[0], [0.0, 0.0, 0.5, 0.25])
+        np.testing.assert_allclose(sums[1], [0.2, -0.1, 0.0, 0.0])
+        np.testing.assert_allclose(sums[2], [0.1, -0.05, 0.0, 0.0])
+
+    def test_path_without_edges_has_no_message_sums(self):
+        graph = tiny_graph()
+        cfg = small_config()
+        prep = prepare_graph(graph, cfg)
+        params = init_params(cfg, graph.feature_dim, graph.num_classes)
+        assert set(propagation_messages(prep, params, cfg, head=0)) == {"within"}
 
     def test_no_cross_edges_give_zero_cross_block(self):
         graph = tiny_graph()
@@ -153,6 +179,58 @@ class TestPropagation:
         params = init_params(cfg, graph.feature_dim, graph.num_classes)
         hidden = aggregate_paths(prep, params, cfg)
         np.testing.assert_array_equal(hidden["cross"].value, 0.0)
+
+    def test_no_edge_by_width_value_on_the_tape(self):
+        graph = make_graph(
+            inst_feats=[[0.2, 0.8, 0.1], [-0.5, 0.1, 0.0], [0.3, 0.3, -0.4]],
+            inst_group=[0, 1, 2],
+            label_class=[0, 1, 1],
+            label_group=[0, 1, 2],
+            within=[(0, 0, 1.0, 1), (1, 1, 0.5, 1), (2, 2, 0.5, 1), (2, 1, 0.5, 1)],
+            cross=[(0, 1, 0.5, 1), (1, 0, 0.7, 0)],
+            num_classes=2,
+        )
+        cfg = small_config(gcn_hidden=7, num_heads=2)
+        prep = prepare_graph(graph, cfg)
+        params = init_params(cfg, graph.feature_dim, graph.num_classes)
+        U, V = encode(prep, params, cfg)
+        within_src = ad.RowIndex(prep.decode_src.idx[: prep.num_within])
+        within_dst = ad.RowIndex(prep.decode_dst.idx[: prep.num_within])
+        loss = reconstruction_loss(
+            decode_logits(U, V, params, within_src, within_dst), prep.targets
+        )
+        forbidden = {(len(path.src), cfg.gcn_hidden) for path in prep.paths.values()}
+        assert forbidden == {(8, 7), (4, 7)} and prep.num_nodes == 6
+        shapes, stack, seen = [], [loss], {id(loss)}
+        while stack:
+            node = stack.pop()
+            shapes.append(node.shape)
+            for parent in node.parents:
+                if id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append(parent)
+        assert [shape for shape in forbidden if shape in shapes] == []
+        assert (prep.num_nodes, cfg.gcn_hidden) in shapes
+
+    def test_benchmark_graph_picks_dense_cross_and_sparse_within(self):
+        from dbgae.benchmark import (
+            benchmark_generator_config,
+            benchmark_graph_config,
+            benchmark_model_config,
+        )
+        from dbgae.data import generate_synthetic
+        from dbgae.graph import build_dual_graph
+
+        gc = benchmark_graph_config()
+        graph = build_dual_graph(
+            generate_synthetic(benchmark_generator_config(0)),
+            eps=gc.eps,
+            min_pts=gc.min_pts,
+            threshold=gc.threshold,
+        )
+        prep = prepare_graph(graph, benchmark_model_config(0))
+        assert isinstance(prep.paths["cross"].edges, ad.DenseBlockPath)
+        assert isinstance(prep.paths["within"].edges, ad.SparsePath)
 
 
 class TestAttention:
