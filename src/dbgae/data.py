@@ -409,7 +409,7 @@ def save_dataset(ds: GpllDataset, path):
     header = {"num_classes": ds.num_classes, "feature_dim": ds.feature_dim}
     if ds.provenance is not None:
         header["provenance"] = ds.provenance
-    jsonl.write(path, header, (_group_record(g) for g in ds.groups))
+    jsonl.write(path, header, jsonl.records(_group_record(g) for g in ds.groups))
 
 
 def load_dataset(path) -> GpllDataset:

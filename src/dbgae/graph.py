@@ -260,31 +260,24 @@ def cross_links(within: WithinGraph, neighbors: list[np.ndarray]) -> CrossGraph:
     keep the lowest-index donating neighbor.
     """
     n = len(neighbors)
-    edges_by_inst: list[np.ndarray] = [np.zeros(0, dtype=int) for _ in range(n)]
-    if len(within.inst):
-        order = np.argsort(within.inst, kind="stable")
-        bounds = np.searchsorted(within.inst[order], np.arange(n + 1))
-        for i in range(n):
-            edges_by_inst[i] = order[bounds[i] : bounds[i + 1]]
-
-    inst_parts, lab_parts, w_parts, via_parts = [], [], [], []
-    for i in range(n):
-        for j in neighbors[i]:
-            eids = edges_by_inst[j]
-            if len(eids) == 0:
-                continue
-            inst_parts.append(np.full(len(eids), i, dtype=int))
-            lab_parts.append(within.lab[eids])
-            w_parts.append(within.weight[eids])
-            via_parts.append(np.full(len(eids), j, dtype=int))
-    if not inst_parts:
+    # (instance, donor) pairs in instance order, then each donor's order
+    recipient = np.repeat(np.arange(n), np.fromiter(map(len, neighbors), dtype=int, count=n))
+    donor = np.concatenate(neighbors).astype(int) if n else np.zeros(0, dtype=int)
+    # a donor's within edges are one range of positions in ``order``
+    order = np.argsort(within.inst, kind="stable")
+    bounds = np.searchsorted(within.inst[order], np.arange(n + 1))
+    degree = np.diff(bounds)[donor]
+    pair = np.repeat(np.arange(len(donor)), degree)  # per candidate edge
+    rank = np.arange(len(pair)) - (np.cumsum(degree) - degree)[pair]  # within its pair
+    eids = order[bounds[donor][pair] + rank]
+    if len(eids) == 0:
         empty = np.zeros(0, dtype=int)
         return CrossGraph(inst=empty, lab=empty.copy(), weight=np.zeros(0), via=empty.copy())
 
-    inst = np.concatenate(inst_parts)
-    lab = np.concatenate(lab_parts)
-    weight = np.concatenate(w_parts)
-    via = np.concatenate(via_parts)
+    inst = recipient[pair]
+    lab = within.lab[eids]
+    weight = within.weight[eids]
+    via = donor[pair]
     order = np.lexsort((via, -weight, lab, inst))
     inst, lab, weight, via = inst[order], lab[order], weight[order], via[order]
     first = np.ones(len(inst), dtype=bool)
@@ -328,39 +321,53 @@ def build_dual_graph(
 # ---------------------------------------------------------------------------
 
 
-def _graph_records(graph: DualBipartiteGraph):
-    offset = graph.num_instances
-    instances = zip(
-        graph.instance_ids.tolist(),
-        graph.instance_group.tolist(),
-        graph.instance_features.tolist(),
-    )
-    for i, (iid, g, x) in enumerate(instances):
-        yield {"node_id": i, "kind": "instance", "instance_id": iid, "group_id": g, "features": x}
-    labels = zip(graph.label_group.tolist(), graph.label_class.tolist(), graph.label_slot.tolist())
-    for j, (g, c, s) in enumerate(labels):
-        yield {"node_id": offset + j, "kind": "label", "group_id": g, "class_id": c, "slot": s}
-    yield {"section": "edges"}
-    w, x = graph.within, graph.cross
-    for src, dst, weight, c in zip(
-        w.inst.tolist(), (w.lab + offset).tolist(), w.weight.tolist(), w.count.tolist()
-    ):
-        yield {"src": src, "dst": dst, "w": weight, "kind": "within", "c": c}
-    for src, dst, weight, via in zip(
-        x.inst.tolist(), (x.lab + offset).tolist(), x.weight.tolist(), x.via.tolist()
-    ):
-        yield {"src": src, "dst": dst, "w": weight, "kind": "cross", "via": via}
-
-
 def save_graph(graph: DualBipartiteGraph, path):
+    n, m = graph.num_instances, graph.num_label_nodes
+    w, x = graph.within, graph.cross
     meta = {
         "section": "nodes",
-        "num_instances": graph.num_instances,
-        "num_label_nodes": graph.num_label_nodes,
+        "num_instances": n,
+        "num_label_nodes": m,
         "num_classes": graph.num_classes,
         "feature_dim": graph.feature_dim,
     }
-    jsonl.write(path, meta, _graph_records(graph))
+    instances = {
+        "node_id": np.arange(n),
+        "kind": np.full(n, "instance"),
+        "instance_id": graph.instance_ids,
+        "group_id": graph.instance_group,
+        "features": graph.instance_features,
+    }
+    labels = {
+        "node_id": n + np.arange(m),
+        "kind": np.full(m, "label"),
+        "group_id": graph.label_group,
+        "class_id": graph.label_class,
+        "slot": graph.label_slot,
+    }
+    within = {
+        "src": w.inst,
+        "dst": w.lab + n,
+        "w": w.weight,
+        "kind": np.full(len(w.inst), "within"),
+        "c": w.count,
+    }
+    cross = {
+        "src": x.inst,
+        "dst": x.lab + n,
+        "w": x.weight,
+        "kind": np.full(len(x.inst), "cross"),
+        "via": x.via,
+    }
+    jsonl.write(
+        path,
+        meta,
+        jsonl.columns(instances),
+        jsonl.columns(labels),
+        jsonl.records([{"section": "edges"}]),
+        jsonl.columns(within),
+        jsonl.columns(cross),
+    )
 
 
 def load_graph(path) -> DualBipartiteGraph:
@@ -402,8 +409,10 @@ def load_graph(path) -> DualBipartiteGraph:
                 raise SchemaError("edge endpoint out of range")
             if rec["kind"] == "within":
                 within.append((src, dst, float(rec["w"]), int(rec["c"])))
-            else:
+            elif rec["kind"] == "cross":
                 cross.append((src, dst, float(rec["w"]), int(rec["via"])))
+            else:
+                raise SchemaError(f"unknown edge kind {rec['kind']!r}")
         elif rec["kind"] == "instance":
             i = int(rec["node_id"])
             feats = np.asarray(rec["features"], dtype=np.float64)
@@ -416,7 +425,7 @@ def load_graph(path) -> DualBipartiteGraph:
             nodes["instance_ids"][i] = int(rec["instance_id"])
             nodes["instance_group"][i] = int(rec["group_id"])
             nodes["instance_features"][i] = feats
-        else:
+        elif rec["kind"] == "label":
             j = int(rec["node_id"]) - n
             cls = int(rec["class_id"])
             if not 0 <= j < m:
@@ -427,6 +436,8 @@ def load_graph(path) -> DualBipartiteGraph:
             nodes["label_group"][j] = int(rec["group_id"])
             nodes["label_class"][j] = cls
             nodes["label_slot"][j] = int(rec["slot"])
+        else:
+            raise SchemaError(f"unknown node kind {rec['kind']!r}")
 
     jsonl.read(path, on_meta, on_record)
     if not seen.all():

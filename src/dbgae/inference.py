@@ -65,25 +65,36 @@ def pool_labels(
     ):
         raise SchemaError(f"ratings reach rows outside the graph's {n} instances and {m} labels")
 
-    via_by_edge: dict[tuple[int, int], int] = {
-        (int(i), int(j)): int(v)
-        for i, j, v in zip(graph.cross.inst, graph.cross.lab, graph.cross.via)
-    }
-    norms = np.linalg.norm(vectors, axis=1)
-    scores = np.zeros((graph.num_instances, graph.num_classes))
-    for k in range(len(ratings)):
-        i, j = int(ratings.src[k]), int(ratings.dst[k])
-        value = float(ratings.m_hat[k])
-        if ratings.kind[k] == "cross":
-            key = (i, j)
-            if key not in via_by_edge:
-                raise SchemaError(f"cross rating ({i}, {j}) has no matching graph edge")
-            v = via_by_edge[key]
-            denom = norms[i] * norms[v]
-            cosine = float(vectors[i] @ vectors[v] / denom) if denom > 0 else 0.0
-            value = value * cosine
-        contribution = max(0.0, value - tau)
-        scores[i, graph.label_class[j]] += contribution
+    src, dst = ratings.src.astype(int), ratings.dst.astype(int)
+    value = ratings.m_hat.astype(np.float64)
+    cross = np.flatnonzero(ratings.kind == "cross")
+    if len(cross):
+        # the donor of each cross rating's graph edge; a repeated edge keeps
+        # its last ``via``
+        keys = graph.cross.inst.astype(int) * m + graph.cross.lab
+        by_key = np.argsort(keys, kind="stable")
+        wanted = src[cross] * m + dst[cross]
+        pos = np.searchsorted(keys[by_key], wanted, side="right") - 1
+        found = pos >= 0
+        found[found] = keys[by_key[pos[found]]] == wanted[found]
+        if not found.all():
+            k = cross[np.argmin(found)]
+            raise SchemaError(f"cross rating ({src[k]}, {dst[k]}) has no matching graph edge")
+        via = graph.cross.via[by_key[pos]]
+        inst = src[cross]
+        # row dots by matmul, which rounds like the 1-D ``a @ b`` per row
+        dots = np.matmul(vectors[inst][:, None, :], vectors[via][:, :, None])[:, 0, 0]
+        norms = np.linalg.norm(vectors, axis=1)
+        denom = norms[inst] * norms[via]
+        cosine = np.zeros(len(cross))
+        np.divide(dots, denom, out=cosine, where=denom > 0)
+        value[cross] *= cosine
+    contribution = value - tau
+    contribution = np.where(contribution > 0.0, contribution, 0.0)  # max(0, ·), NaN to 0
+    # summed in rating order, as a per-rating ``+=`` would
+    c = graph.num_classes
+    cell = src * c + graph.label_class[dst]
+    scores = np.bincount(cell, weights=contribution, minlength=n * c).reshape(n, c)
 
     predictions = []
     for i in range(graph.num_instances):
@@ -194,7 +205,7 @@ def save_predictions(predictions: list[Prediction], method: str, path):
         }
         for pred in predictions
     )
-    jsonl.write(path, {"method": method}, records)
+    jsonl.write(path, {"method": method}, jsonl.records(records))
 
 
 def load_predictions(path) -> tuple[str, list[Prediction]]:

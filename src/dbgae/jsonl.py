@@ -6,11 +6,22 @@ ratings, predictions) uses this format.  Lines are compact JSON
 ignored.  Reading owns every way a file can be malformed, so a loader only
 converts objects: whatever a conversion raises surfaces as ``ParseError`` or
 ``SchemaError`` with the message prefixed by ``"{path}: line {n}: "``.
+
+Writing has two encoders that give the same bytes for the same values:
+``records`` dumps one dict per line (for records that are nested or vary in
+shape), ``columns`` encodes a table of numpy columns whole, in blocks of
+``ROW_BLOCK`` rows (for the per-edge files, where a per-record ``json.dumps``
+is most of the cost).  Both feed ``write``, which owns the file.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
+import uuid
+
+import numpy as np
 
 from .errors import ParseError, SchemaError
 
@@ -21,12 +32,99 @@ _SEPARATORS = (",", ":")
 _CONVERSION_ERRORS = (AttributeError, IndexError, KeyError, TypeError, ValueError)
 
 
-def write(path, header: dict, records):
-    """Write ``header`` and then each dict of the iterable ``records``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, separators=_SEPARATORS) + "\n")
-        for record in records:
-            fh.write(json.dumps(record, separators=_SEPARATORS) + "\n")
+# Rows encoded at once by ``columns`` (and records dumped per block).  Writing
+# the 93k-edge files of an 800-group run took the same time with blocks of
+# 256 to 4096 rows; 4096 raised the peak RSS of a 200-group pipeline run by
+# 2.6 MB over per-record writing, 1024 did not.
+ROW_BLOCK = 1024
+
+
+def write(path, header: dict, *parts):
+    """Write the ``header`` line, then the lines of each part in order.
+
+    A part is an iterable of non-empty line blocks, as ``records`` and
+    ``columns`` make them.  The lines go to a temporary file in the same directory that
+    replaces ``path`` only once every line is written, so a write that fails
+    partway leaves ``path`` as it was and no temporary file behind.
+    """
+    path = os.fspath(path)
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{uuid.uuid4().hex}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            fh.write(json.dumps(header, separators=_SEPARATORS) + "\n")
+            for block in itertools.chain.from_iterable(parts):
+                fh.write("\n".join(block) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
+def records(items):
+    """Line blocks of the dicts in ``items``, each dumped by ``json.dumps``."""
+    items = iter(items)
+    while block := [
+        json.dumps(record, separators=_SEPARATORS)
+        for record in itertools.islice(items, ROW_BLOCK)
+    ]:
+        yield block
+
+
+def _ints(values: np.ndarray) -> list[str]:
+    return list(map(str, values.tolist()))
+
+
+def _floats(values: np.ndarray) -> list[str]:
+    text = list(map(float.__repr__, values.tolist()))
+    for k in np.flatnonzero(~np.isfinite(values)).tolist():
+        text[k] = json.dumps(float(values[k]))  # NaN, Infinity, -Infinity
+    return text
+
+
+def _strings(values: np.ndarray) -> list[str]:
+    values = values.tolist()
+    encoded = {s: json.dumps(s) for s in set(values)}
+    return [encoded[s] for s in values]
+
+
+_ENCODERS = {"i": _ints, "f": _floats, "U": _strings}
+
+
+def columns(table: dict):
+    """Line blocks of a ``{key: array}`` table, one line per row.
+
+    Each column is a 1-D int, float or str array, or a 2-D one written as a
+    JSON list per row; all have the same number of rows.  A line holds the
+    keys in table order and equals ``json.dumps`` of the row's ``tolist()``
+    values with compact separators.
+    """
+    arrays = [np.asarray(col) for col in table.values()]
+    rows = len(arrays[0]) if arrays else 0
+    if any(len(a) != rows for a in arrays):
+        raise ValueError(f"columns of different lengths {[len(a) for a in arrays]}")
+    slots = []  # (encoder, 1-D column) per "%s" in the template
+    fields = []
+    for key, a in zip(table, arrays):
+        if a.dtype.kind not in _ENCODERS or a.ndim not in (1, 2):
+            raise TypeError(f"column {key!r}: cannot encode {a.ndim}-D {a.dtype} values")
+        encode = _ENCODERS[a.dtype.kind]
+        if a.ndim == 1:
+            slots.append((encode, a))
+            value = "%s"
+        else:
+            slots.extend((encode, a[:, k]) for k in range(a.shape[1]))
+            value = "[" + ",".join(["%s"] * a.shape[1]) + "]"
+        fields.append(json.dumps(key).replace("%", "%%") + ":" + value)
+    template = "{" + ",".join(fields) + "}"
+    for start in range(0, rows, ROW_BLOCK):
+        stop = min(start + ROW_BLOCK, rows)
+        encoded = [encode(col[start:stop]) for encode, col in slots]
+        if encoded:
+            yield [template % row for row in zip(*encoded)]
+        else:  # only zero-width 2-D columns
+            yield [template % ()] * (stop - start)
 
 
 def read(path, on_header, on_record):

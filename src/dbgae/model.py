@@ -624,18 +624,14 @@ def load_params(path) -> ModelParams:
 
 def save_ratings(ratings: RatingMatrix, path):
     header = {"levels": ratings.levels.tolist(), "num_instances": ratings.num_instances}
-    columns = zip(
-        ratings.src.tolist(),
-        (ratings.dst + ratings.num_instances).tolist(),
-        ratings.kind.tolist(),
-        ratings.m_hat.tolist(),
-        ratings.probs.tolist(),
-    )
-    records = (
-        {"src": src, "dst": dst, "kind": kind, "m_hat": m_hat, "p": p}
-        for src, dst, kind, m_hat, p in columns
-    )
-    jsonl.write(path, header, records)
+    table = {
+        "src": ratings.src,
+        "dst": ratings.dst + ratings.num_instances,
+        "kind": ratings.kind,
+        "m_hat": ratings.m_hat,
+        "p": ratings.probs,
+    }
+    jsonl.write(path, header, jsonl.columns(table))
 
 
 def load_ratings(path) -> RatingMatrix:
@@ -650,8 +646,10 @@ def load_ratings(path) -> RatingMatrix:
         p = [float(x) for x in rec["p"]]
         if len(p) != len(header["levels"]):
             raise SchemaError(f"'p' has {len(p)} entries for {len(header['levels'])} levels")
+        if rec["kind"] not in ("within", "cross"):
+            raise SchemaError(f"unknown rating kind {rec['kind']!r}")
         dst = int(rec["dst"]) - header["num_instances"]
-        rows.append((int(rec["src"]), dst, str(rec["kind"]), float(rec["m_hat"]), p))
+        rows.append((int(rec["src"]), dst, rec["kind"], float(rec["m_hat"]), p))
 
     jsonl.read(path, on_header, on_record)
     src, dst, kind, m_hat, probs = zip(*rows) if rows else ((),) * 5

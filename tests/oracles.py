@@ -3,12 +3,20 @@
 These deliberately take different algorithmic routes from the library:
 density clustering via explicit core-graph connected components, link
 weights via literal contradictory-link enumeration, message passing via a
-per-edge loop.
+per-edge loop.  The per-record JSON writer, the cross-link double loop and
+the per-rating pooling loop are the library's earlier implementations, kept
+as the references its whole-column versions must match exactly.
 """
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
+
+from dbgae.data import NULL_CLASS
+from dbgae.errors import SchemaError
+from dbgae.inference import Prediction
 
 
 def dbscan_reference(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
@@ -121,3 +129,130 @@ def propagate_reference(
             grad_t[s, k] += coef[e] * g[d, k]
             grad_coef[e] += g[d, k] * t[s, k]
     return out, grad_t, grad_coef
+
+
+def write_records_reference(path, header: dict, records) -> None:
+    """JSON Lines writer oracle: ``json.dumps`` per record, compact separators."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
+        for record in records:
+            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+
+
+def graph_records(graph):
+    """The graph file's records after its header, one dict per line."""
+    offset = graph.num_instances
+    instances = zip(
+        graph.instance_ids.tolist(),
+        graph.instance_group.tolist(),
+        graph.instance_features.tolist(),
+    )
+    for i, (iid, g, x) in enumerate(instances):
+        yield {"node_id": i, "kind": "instance", "instance_id": iid, "group_id": g, "features": x}
+    labels = zip(graph.label_group.tolist(), graph.label_class.tolist(), graph.label_slot.tolist())
+    for j, (g, c, s) in enumerate(labels):
+        yield {"node_id": offset + j, "kind": "label", "group_id": g, "class_id": c, "slot": s}
+    yield {"section": "edges"}
+    w, x = graph.within, graph.cross
+    for src, dst, weight, c in zip(
+        w.inst.tolist(), (w.lab + offset).tolist(), w.weight.tolist(), w.count.tolist()
+    ):
+        yield {"src": src, "dst": dst, "w": weight, "kind": "within", "c": c}
+    for src, dst, weight, via in zip(
+        x.inst.tolist(), (x.lab + offset).tolist(), x.weight.tolist(), x.via.tolist()
+    ):
+        yield {"src": src, "dst": dst, "w": weight, "kind": "cross", "via": via}
+
+
+def ratings_records(ratings):
+    """The ratings file's records after its header, one dict per line."""
+    columns = zip(
+        ratings.src.tolist(),
+        (ratings.dst + ratings.num_instances).tolist(),
+        ratings.kind.tolist(),
+        ratings.m_hat.tolist(),
+        ratings.probs.tolist(),
+    )
+    for src, dst, kind, m_hat, p in columns:
+        yield {"src": src, "dst": dst, "kind": kind, "m_hat": m_hat, "p": p}
+
+
+def table_records(table: dict) -> list[dict]:
+    """The rows of a ``{key: array}`` table as dicts of ``tolist()`` values."""
+    values = {key: np.asarray(col).tolist() for key, col in table.items()}
+    rows = len(next(iter(values.values()))) if values else 0
+    return [{key: col[r] for key, col in values.items()} for r in range(rows)]
+
+
+def cross_links_reference(within, neighbors):
+    """Cross-link oracle via a double loop over (instance, donor) pairs.
+
+    Returns ``(inst, lab, weight, via)`` in the library's order.
+    """
+    n = len(neighbors)
+    edges_by_inst = [np.zeros(0, dtype=int) for _ in range(n)]
+    if len(within.inst):
+        order = np.argsort(within.inst, kind="stable")
+        bounds = np.searchsorted(within.inst[order], np.arange(n + 1))
+        for i in range(n):
+            edges_by_inst[i] = order[bounds[i] : bounds[i + 1]]
+
+    inst_parts, lab_parts, w_parts, via_parts = [], [], [], []
+    for i in range(n):
+        for j in neighbors[i]:
+            eids = edges_by_inst[j]
+            if len(eids) == 0:
+                continue
+            inst_parts.append(np.full(len(eids), i, dtype=int))
+            lab_parts.append(within.lab[eids])
+            w_parts.append(within.weight[eids])
+            via_parts.append(np.full(len(eids), j, dtype=int))
+    if not inst_parts:
+        empty = np.zeros(0, dtype=int)
+        return empty, empty.copy(), np.zeros(0), empty.copy()
+
+    inst = np.concatenate(inst_parts)
+    lab = np.concatenate(lab_parts)
+    weight = np.concatenate(w_parts)
+    via = np.concatenate(via_parts)
+    order = np.lexsort((via, -weight, lab, inst))
+    inst, lab, weight, via = inst[order], lab[order], weight[order], via[order]
+    first = np.ones(len(inst), dtype=bool)
+    first[1:] = (inst[1:] != inst[:-1]) | (lab[1:] != lab[:-1])
+    return inst[first], lab[first], weight[first], via[first]
+
+
+def pool_labels_reference(ratings, graph, tau: float, vectors: np.ndarray) -> list:
+    """Pooling oracle via a loop over ratings with a dict of cross-edge donors.
+
+    Raises ``SchemaError`` naming the first cross rating without a graph edge.
+    """
+    via_by_edge = {
+        (int(i), int(j)): int(v)
+        for i, j, v in zip(graph.cross.inst, graph.cross.lab, graph.cross.via)
+    }
+    norms = np.linalg.norm(vectors, axis=1)
+    scores = np.zeros((graph.num_instances, graph.num_classes))
+    for k in range(len(ratings)):
+        i, j = int(ratings.src[k]), int(ratings.dst[k])
+        value = float(ratings.m_hat[k])
+        if ratings.kind[k] == "cross":
+            if (i, j) not in via_by_edge:
+                raise SchemaError(f"cross rating ({i}, {j}) has no matching graph edge")
+            v = via_by_edge[(i, j)]
+            denom = norms[i] * norms[v]
+            cosine = float(vectors[i] @ vectors[v] / denom) if denom > 0 else 0.0
+            value = value * cosine
+        scores[i, graph.label_class[j]] += max(0.0, value - tau)
+
+    predictions = []
+    for i in range(graph.num_instances):
+        positive = scores[i].size and scores[i].max() > 0.0
+        predictions.append(
+            Prediction(
+                instance_id=int(graph.instance_ids[i]),
+                predicted_class=int(np.argmax(scores[i])) if positive else NULL_CLASS,
+                scores={int(c): float(s) for c, s in enumerate(scores[i]) if s > 0},
+            )
+        )
+    return predictions

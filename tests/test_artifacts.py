@@ -2,16 +2,21 @@
 graph, ratings, predictions) and the parameter checkpoint."""
 
 import json
+import os
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dbgae import jsonl
 from dbgae.data import GeneratorConfig, generate_synthetic, load_dataset, save_dataset
 from dbgae.errors import DbgaeError, ParseError, SchemaError
 from dbgae.graph import build_dual_graph, load_graph, save_graph
 from dbgae.inference import load_predictions, pool_labels, save_predictions
 from dbgae.model import ModelConfig, load_params, load_ratings, save_params, save_ratings, train
+from oracles import graph_records, ratings_records, table_records, write_records_reference
 
 LOADERS = {
     "dataset": load_dataset,
@@ -165,6 +170,21 @@ def test_dataset_with_group_ids_not_dense_names_the_file(artifacts, tmp_path):
     assert str(path) in str(info.value)
 
 
+@pytest.mark.parametrize("kind", ["graph", "ratings"])
+def test_unknown_kind_names_file_line_and_kind(artifacts, tmp_path, kind):
+    lines = artifacts[kind].read_text(encoding="utf-8").splitlines()
+    k = next(k for k, line in enumerate(lines) if '"kind":"cross"' in line)
+    record = json.loads(lines[k])
+    record["kind"] = "bogus"
+    lines[k] = json.dumps(record)
+    path = _write_lines(tmp_path / artifacts[kind].name, lines)
+    loader = load_graph if kind == "graph" else load_ratings
+    noun = "edge" if kind == "graph" else "rating"
+    with pytest.raises(SchemaError) as info:
+        loader(path)
+    assert str(info.value) == f"{path}: line {k + 1}: unknown {noun} kind 'bogus'"
+
+
 @pytest.mark.parametrize("field", ["shape", "data"])
 def test_checkpoint_tensor_without_field_names_it(artifacts, tmp_path, field):
     payload = json.loads(artifacts["params"].read_text())
@@ -213,3 +233,99 @@ def test_only_package_errors_escape_loaders(artifacts, kind, line_pick, mode, pi
         LOADERS[kind](path)
     except DbgaeError:
         pass
+
+
+# -- writing ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["graph", "ratings"])
+def test_column_writer_matches_per_record_writer(artifacts, tmp_path, kind):
+    obj = LOADERS[kind](artifacts[kind])
+    records = graph_records(obj) if kind == "graph" else ratings_records(obj)
+    header = json.loads(artifacts[kind].read_text(encoding="utf-8").splitlines()[0])
+    write_records_reference(tmp_path / "records.jsonl", header, records)
+    assert artifacts[kind].read_bytes() == (tmp_path / "records.jsonl").read_bytes()
+
+
+# non-finite, signed zero, subnormal and extreme values of each float width
+_SPECIAL_FLOATS = {
+    bits: [float("nan"), float("inf"), -float("inf"), -0.0, 0.1, *extremes]
+    for bits, extremes in ((64, [5e-324, 1.5e-310, 1.7e308]), (32, [1e-45, 1e-40, 3.4e38]))
+}
+
+
+@st.composite
+def _columns(draw, rows):
+    kind = draw(st.sampled_from(["int64", "int32", "float64", "float32", "str", "2-D"]))
+    if kind.startswith("int"):
+        info = np.iinfo(kind)
+        values = st.integers(int(info.min), int(info.max))
+    elif kind == "str":
+        values = st.text(max_size=6)
+    else:
+        bits = 32 if kind == "float32" else 64
+        values = st.sampled_from(_SPECIAL_FLOATS[bits]) | st.floats(width=bits)
+    if kind == "2-D":
+        width = draw(st.integers(0, 3))
+        flat = draw(st.lists(values, min_size=rows * width, max_size=rows * width))
+        return np.asarray(flat, dtype=np.float64).reshape(rows, width)
+    return np.asarray(draw(st.lists(values, min_size=rows, max_size=rows)), dtype=kind)
+
+
+@st.composite
+def _tables(draw):
+    rows = draw(st.integers(0, 9))
+    keys = draw(st.lists(st.text(max_size=4), min_size=1, max_size=5, unique=True))
+    return {key: draw(_columns(rows)) for key in keys}
+
+
+@pytest.fixture(scope="module")
+def write_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("write")
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=_tables(), row_block=st.integers(1, 4))
+def test_column_encoder_matches_per_record_writer(write_dir, table, row_block):
+    header = {"rows": len(next(iter(table.values())))}
+    with mock.patch.object(jsonl, "ROW_BLOCK", row_block):
+        jsonl.write(write_dir / "columns.jsonl", header, jsonl.columns(table))
+    write_records_reference(write_dir / "records.jsonl", header, table_records(table))
+    written = (write_dir / "columns.jsonl").read_bytes()
+    assert written == (write_dir / "records.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "table, error",
+    [
+        ({"a": np.zeros(2), "b": np.zeros(3)}, ValueError),
+        ({"flag": np.array([True])}, TypeError),
+        ({"cube": np.zeros((1, 1, 1))}, TypeError),
+    ],
+    ids=["ragged", "bool", "3-D"],
+)
+def test_column_encoder_rejects_what_it_cannot_write(tmp_path, table, error):
+    with pytest.raises(error):
+        jsonl.write(tmp_path / "t.jsonl", {}, jsonl.columns(table))
+    assert os.listdir(tmp_path) == []
+
+
+def _failing_records():
+    yield {"a": 1}
+    yield {"a": object()}  # not JSON serialisable
+
+
+def test_failed_write_leaves_the_earlier_file_and_no_temporary(tmp_path):
+    path = tmp_path / "f.jsonl"
+    jsonl.write(path, {"v": 1}, jsonl.records([{"a": 0}]))
+    before = path.read_bytes()
+    with mock.patch.object(jsonl, "ROW_BLOCK", 1), pytest.raises(TypeError):
+        jsonl.write(path, {"v": 2}, jsonl.records(_failing_records()))
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["f.jsonl"]
+
+
+def test_failed_first_write_leaves_no_file(tmp_path):
+    with pytest.raises(TypeError):
+        jsonl.write(tmp_path / "f.jsonl", {}, jsonl.records(_failing_records()))
+    assert os.listdir(tmp_path) == []

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from dbgae.data import GeneratorConfig, generate_synthetic
 from dbgae.graph import (
+    WithinGraph,
     WithinLinks,
     build_dual_graph,
     count_cooccurrence,
@@ -16,7 +17,12 @@ from dbgae.graph import (
     save_graph,
     within_weights,
 )
-from oracles import dbscan_reference, same_partition, within_weights_reference
+from oracles import (
+    cross_links_reference,
+    dbscan_reference,
+    same_partition,
+    within_weights_reference,
+)
 from test_data import make_dataset
 
 
@@ -212,6 +218,45 @@ class TestCrossLinks:
         assert len(cross.inst) == 1
         assert cross.weight[0] == pytest.approx(0.7)
         assert cross.via[0] == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_double_loop_oracle(self, data):
+        n = data.draw(st.integers(0, 7), label="instances")
+        m = data.draw(st.integers(1, 5), label="labels")
+        pairs = data.draw(
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)), unique=True)
+            if n
+            else st.just([]),
+            label="within pairs",
+        )
+        # few distinct weights, so equal-weight donors are common
+        weights = data.draw(
+            st.lists(
+                st.sampled_from([0.25, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                min_size=len(pairs),
+                max_size=len(pairs),
+            ),
+            label="weights",
+        )
+        neighbors = [
+            np.asarray(
+                data.draw(st.lists(st.integers(0, n - 1), unique=True), label=f"donors of {i}"),
+                dtype=int,
+            )
+            for i in range(n)
+        ]
+        inst = np.asarray([i for i, _ in pairs], dtype=int)
+        lab = np.asarray([j for _, j in pairs], dtype=int)
+        within = WithinGraph(
+            inst=inst, lab=lab, weight=np.asarray(weights, dtype=float), count=np.ones_like(inst)
+        )
+        cross = cross_links(within, neighbors)
+        expected = cross_links_reference(within, neighbors)
+        for field, want in zip(("inst", "lab", "weight", "via"), expected):
+            got = getattr(cross, field)
+            assert got.dtype == want.dtype, field
+            np.testing.assert_array_equal(got, want, err_msg=field)
 
 
 class TestBuildDualGraph:

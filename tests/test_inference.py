@@ -15,6 +15,7 @@ from dbgae.inference import (
     save_predictions,
 )
 from dbgae.model import RatingMatrix
+from oracles import pool_labels_reference
 from test_data import make_dataset
 from test_model import make_graph
 
@@ -140,6 +141,82 @@ class TestPooling:
         preds = pool_labels(make_ratings(graph, [(0, 0, "within", 0.9)]), graph)
         assert [p.instance_id for p in preds] == [0, 1]
         assert preds[1].predicted_class == NULL_CLASS
+
+
+# exact values that give zero-norm rows and repeated cosines, mixed with any float
+_COORD = st.sampled_from([0.0, 1.0, -2.5]) | st.floats(-10.0, 10.0)
+
+
+class TestPoolingOracle:
+    def test_repeated_cross_edge_takes_its_last_donor(self):
+        graph = make_graph(
+            inst_feats=[[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+            inst_group=[0, 1, 2],
+            label_class=[0],
+            label_group=[1],
+            cross=[(0, 0, 1.0, 1), (0, 0, 1.0, 2)],
+            num_classes=1,
+        )
+        ratings = make_ratings(graph, [(0, 0, "cross", 1.0)])
+        # the donor is instance 2, orthogonal to instance 0: cosine 0, no score
+        assert pool_labels(ratings, graph, tau=0.0)[0].scores == {}
+        assert pool_labels_reference(ratings, graph, 0.0, graph.instance_features)[0].scores == {}
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_rating_loop(self, data):
+        n = data.draw(st.integers(1, 6), label="instances")
+        m = data.draw(st.integers(1, 5), label="labels")
+        num_classes = data.draw(st.integers(1, 4), label="classes")
+        dim = data.draw(st.integers(0, 20), label="feature dim")
+        feats = data.draw(st.lists(_COORD, min_size=n * dim, max_size=n * dim), label="features")
+        label_class = data.draw(st.lists(st.integers(0, num_classes - 1), min_size=m, max_size=m))
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, m - 1))
+        # a repeated edge, possible in a loaded graph, takes its last donor
+        cross = data.draw(st.lists(pair), label="cross edges")
+        graph = make_graph(
+            inst_feats=np.asarray(feats).reshape(n, dim),
+            inst_group=list(range(n)),
+            label_class=label_class,
+            label_group=[0] * m,
+            cross=[(i, j, 1.0, data.draw(st.integers(0, n - 1))) for i, j in cross],
+            num_classes=num_classes,
+        )
+        # ratings in any order, cross ones mostly on graph edges
+        rated = st.tuples(
+            st.sampled_from(cross) if cross else pair, st.just("cross")
+        ) | st.tuples(pair, st.sampled_from(["within", "cross"]))
+        rows = data.draw(st.lists(rated, max_size=12), label="ratings")
+        m_hat = data.draw(
+            st.lists(
+                st.floats(0.0, 1.0) | st.just(float("nan")), min_size=len(rows), max_size=len(rows)
+            ),
+            label="m_hat",
+        )
+        ratings = RatingMatrix(
+            src=np.asarray([i for (i, _), _ in rows], dtype=int),
+            dst=np.asarray([j for (_, j), _ in rows], dtype=int),
+            kind=np.asarray([kind for _, kind in rows], dtype=str),
+            levels=np.array([0.0, 1.0]),
+            probs=np.zeros((len(rows), 2)),
+            m_hat=np.asarray(m_hat, dtype=float),
+            num_instances=n,
+        )
+        tau = data.draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0), label="tau")
+        vectors = graph.instance_features
+        if data.draw(st.booleans(), label="learned vectors"):
+            width = data.draw(st.integers(1, 40))
+            vectors = np.asarray(
+                data.draw(st.lists(_COORD, min_size=n * width, max_size=n * width))
+            ).reshape(n, width)
+        try:
+            expected = pool_labels_reference(ratings, graph, tau, vectors)
+        except SchemaError as exc:
+            with pytest.raises(SchemaError) as info:
+                pool_labels(ratings, graph, tau, vectors)
+            assert str(info.value) == str(exc)
+            return
+        assert pool_labels(ratings, graph, tau, vectors) == expected
 
 
 class TestClusterVoting:

@@ -400,6 +400,23 @@ class TestDecode:
         probs = np.array([[0.5, 0.0, 0.0, 0.0, 0.5]])
         assert probs @ levels == pytest.approx(0.5)
 
+    def test_decode_returns_normalized_ratings(self):
+        graph = tiny_graph()
+        cfg = small_config(epochs=2)
+        result = train(graph, cfg)
+        from dbgae.model import decode
+
+        again = decode(
+            np.random.default_rng(0).standard_normal((1, cfg.dense_hidden)),
+            np.random.default_rng(1).standard_normal((1, cfg.dense_hidden)),
+            result.params,
+            np.array([0]),
+            np.array([0]),
+            np.array(["within"]),
+        )
+        assert again.probs.sum(axis=1) == pytest.approx(1.0, abs=1e-9)
+        assert 0.0 <= again.m_hat[0] <= 1.0
+
 
 class TestLoss:
     def test_probability_one_at_target_gives_zero_loss(self):
@@ -600,22 +617,3 @@ class TestPerPathWeights:
         )
         result = train(graph, small_config(epochs=5, per_path_weights=True))
         assert np.isfinite(result.loss_trace).all()
-
-
-class TestDecode:
-    def test_decode_returns_normalized_ratings(self):
-        graph = tiny_graph()
-        cfg = small_config(epochs=2)
-        result = train(graph, cfg)
-        from dbgae.model import decode
-
-        again = decode(
-            np.random.default_rng(0).standard_normal((1, cfg.dense_hidden)),
-            np.random.default_rng(1).standard_normal((1, cfg.dense_hidden)),
-            result.params,
-            np.array([0]),
-            np.array([0]),
-            np.array(["within"]),
-        )
-        assert again.probs.sum(axis=1) == pytest.approx(1.0, abs=1e-9)
-        assert 0.0 <= again.m_hat[0] <= 1.0
