@@ -224,15 +224,6 @@ def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
     return _result(np.where(mask, a.value, slope * a.value), (a,), bwd, "leaky_relu")
 
 
-def log(a: Tensor) -> Tensor:
-    av = a.value
-
-    def bwd(g):
-        _accum(a, g / av)
-
-    return _result(np.log(av), (a,), bwd, "log")
-
-
 def concat_cols(parts: list[Tensor]) -> Tensor:
     if not parts:
         raise DimensionError("concat_cols: needs at least one tensor")

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .data import GeneratorConfig, GpllDataset, generate_synthetic
 from .evaluation import MethodReport, evaluate
 from .graph import DualBipartiteGraph, build_dual_graph
@@ -83,11 +81,7 @@ def run_benchmark_seed(seed: int, variant: str = "full", cross_rate: float = 0.2
     predictions = {
         "dbgae": pool_labels(result.ratings, graph),
         "cluster_voting": baseline_cluster_voting(ds, eps=gc.eps, min_pts=gc.min_pts),
-        "pair_clustering": baseline_pair_clustering(ds, eps=gc.eps, min_pts=gc.min_pts),
+        "pair_clustering": baseline_pair_clustering(graph),
     }
     reports = {name: evaluate(preds, ds, name) for name, preds in predictions.items()}
     return BenchmarkRun(seed=seed, dataset=ds, graph=graph, train_result=result, reports=reports)
-
-
-def mean_metric(runs: list[BenchmarkRun], method: str, metric: str = "accuracy") -> float:
-    return float(np.mean([getattr(run.reports[method], metric) for run in runs]))

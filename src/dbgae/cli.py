@@ -8,7 +8,6 @@ keys can be overridden with repeated ``--set section.key=value`` flags.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
@@ -23,7 +22,7 @@ from .inference import (
     pool_labels,
     save_predictions,
 )
-from .model import load_params, load_ratings, save_params, save_ratings, train
+from .model import load_params, load_ratings, save_loss_trace, save_params, save_ratings, train
 from .pipeline import (
     RunConfig,
     SweepSpec,
@@ -84,11 +83,7 @@ def _cmd_train(args) -> int:
     save_params(result.params, args.out_params)
     save_ratings(result.ratings, args.out_ratings)
     if args.loss_trace:
-        with open(args.loss_trace, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "loss"])
-            for e, value in enumerate(result.loss_trace):
-                writer.writerow([e, f"{value:.10g}"])
+        save_loss_trace(result, args.loss_trace)
     print(
         f"trained {config.model.epochs} epochs, final loss {result.loss_trace[-1]:.6f}; "
         f"wrote {args.out_params} and {args.out_ratings}"
@@ -106,7 +101,7 @@ def _cmd_predict(args) -> int:
     elif args.method == "cluster_voting":
         predictions = baseline_cluster_voting(ds, eps=config.graph.eps, min_pts=config.graph.min_pts)
     else:
-        predictions = baseline_pair_clustering(ds, eps=config.graph.eps, min_pts=config.graph.min_pts)
+        predictions = baseline_pair_clustering(load_graph(args.graph))
     save_predictions(predictions, args.method, args.out)
     print(f"wrote {args.out}: {len(predictions)} predictions ({args.method})")
     return 0
@@ -237,6 +232,8 @@ def main(argv=None) -> int:
     if args.command == "predict" and args.method == "dbgae":
         if not args.ratings or not args.graph:
             parser.error("predict --method dbgae requires --ratings and --graph")
+    if args.command == "predict" and args.method == "pair_clustering" and not args.graph:
+        parser.error("predict --method pair_clustering requires --graph")
     try:
         return args.fn(args)
     except DbgaeError as exc:

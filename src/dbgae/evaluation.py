@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import jsonl
 from .data import NULL_CLASS, GpllDataset, class_ambiguity_ratios
 from .errors import EvalError
 from .inference import Prediction
@@ -217,10 +218,10 @@ def report_to_dict(report: EvalReport) -> dict:
 
 
 def save_report(report: EvalReport, text_path, json_path=None):
-    with open(text_path, "w", encoding="utf-8") as fh:
+    with jsonl.atomic_open(text_path) as fh:
         fh.write(render_report_text(report))
     if json_path is not None:
-        with open(json_path, "w", encoding="utf-8") as fh:
+        with jsonl.atomic_open(json_path) as fh:
             json.dump(report_to_dict(report), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
@@ -243,5 +244,5 @@ def curves_csv(report: EvalReport) -> str:
 
 
 def save_curves(report: EvalReport, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with jsonl.atomic_open(path) as fh:
         fh.write(curves_csv(report))

@@ -154,7 +154,23 @@ class DualBipartiteGraph:
         return onehot
 
 
-def _index_dataset(ds: GpllDataset):
+@dataclass
+class DatasetIndex:
+    """A dataset's node rows in the layout of ``DualBipartiteGraph``, plus
+    each group's instance rows and label rows."""
+
+    instance_ids: np.ndarray
+    instance_group: np.ndarray
+    instance_features: np.ndarray
+    label_group: np.ndarray
+    label_class: np.ndarray
+    label_slot: np.ndarray
+    num_classes: int
+    group_inst_rows: list[np.ndarray]
+    group_lab_rows: list[np.ndarray]
+
+
+def index_dataset(ds: GpllDataset) -> DatasetIndex:
     inst_ids, inst_group, feats = [], [], []
     lab_group, lab_class, lab_slot = [], [], []
     group_inst_rows, group_lab_rows = [], []
@@ -176,24 +192,24 @@ def _index_dataset(ds: GpllDataset):
     features = (
         np.asarray(feats, dtype=np.float64) if feats else np.zeros((0, ds.feature_dim))
     )
-    return (
-        np.asarray(inst_ids, dtype=int),
-        np.asarray(inst_group, dtype=int),
-        features,
-        np.asarray(lab_group, dtype=int),
-        np.asarray(lab_class, dtype=int),
-        np.asarray(lab_slot, dtype=int),
-        group_inst_rows,
-        group_lab_rows,
+    return DatasetIndex(
+        instance_ids=np.asarray(inst_ids, dtype=int),
+        instance_group=np.asarray(inst_group, dtype=int),
+        instance_features=features,
+        label_group=np.asarray(lab_group, dtype=int),
+        label_class=np.asarray(lab_class, dtype=int),
+        label_slot=np.asarray(lab_slot, dtype=int),
+        num_classes=ds.num_classes,
+        group_inst_rows=group_inst_rows,
+        group_lab_rows=group_lab_rows,
     )
 
 
-def count_cooccurrence(ds: GpllDataset, eps: float = 1.0, min_pts: int = 2) -> WithinLinks:
+def count_cooccurrence(index: DatasetIndex, eps: float = 1.0, min_pts: int = 2) -> WithinLinks:
     """Cluster all within-group link tuples [x_i ; onehot(l_j)] and assign
     each link the size of its cluster; noise links count themselves (1)."""
-    (_, _, features, _, lab_class, _, group_inst_rows, group_lab_rows) = _index_dataset(ds)
     inst_rows, lab_rows = [], []
-    for gi, gl in zip(group_inst_rows, group_lab_rows):
+    for gi, gl in zip(index.group_inst_rows, index.group_lab_rows):
         if len(gi) == 0 or len(gl) == 0:
             continue
         ii, ll = np.meshgrid(gi, gl, indexing="ij")
@@ -205,10 +221,11 @@ def count_cooccurrence(ds: GpllDataset, eps: float = 1.0, min_pts: int = 2) -> W
     inst = np.concatenate(inst_rows)
     lab = np.concatenate(lab_rows)
 
-    onehot = np.zeros((len(lab_class), ds.num_classes))
+    lab_class = index.label_class
+    onehot = np.zeros((len(lab_class), index.num_classes))
     if len(lab_class):
         onehot[np.arange(len(lab_class)), lab_class] = 1.0
-    tuples = np.hstack([features[inst], onehot[lab]])
+    tuples = np.hstack([index.instance_features[inst], onehot[lab]])
     assignment = dbscan(tuples, eps=eps, min_pts=min_pts)
     if assignment.num_clusters:
         count = np.where(
@@ -289,30 +306,19 @@ def build_dual_graph(
     ds: GpllDataset, eps: float = 1.0, min_pts: int = 2, threshold: float = 1.0
 ) -> DualBipartiteGraph:
     """Full construction: co-occurrence counts, within weights, cross links."""
-    (
-        inst_ids,
-        inst_group,
-        features,
-        lab_group,
-        lab_class,
-        lab_slot,
-        _,
-        _,
-    ) = _index_dataset(ds)
-    links = count_cooccurrence(ds, eps=eps, min_pts=min_pts)
-    within = within_weights(links)
-    neighbors = homogeneous_neighbors(features, inst_group, threshold)
-    cross = cross_links(within, neighbors)
+    index = index_dataset(ds)
+    within = within_weights(count_cooccurrence(index, eps=eps, min_pts=min_pts))
+    neighbors = homogeneous_neighbors(index.instance_features, index.instance_group, threshold)
     return DualBipartiteGraph(
-        instance_ids=inst_ids,
-        instance_group=inst_group,
-        instance_features=features,
-        label_group=lab_group,
-        label_class=lab_class,
-        label_slot=lab_slot,
-        num_classes=ds.num_classes,
+        instance_ids=index.instance_ids,
+        instance_group=index.instance_group,
+        instance_features=index.instance_features,
+        label_group=index.label_group,
+        label_class=index.label_class,
+        label_slot=index.label_slot,
+        num_classes=index.num_classes,
         within=within,
-        cross=cross,
+        cross=cross_links(within, neighbors),
     )
 
 

@@ -9,7 +9,7 @@ neighbor that induced the link.  An instance with no positive class score
 Two clustering baselines share the same prediction record: cluster voting
 (majority class over the label multisets of all groups a feature cluster
 touches) and pair clustering (largest co-occurrence count among the
-instance's own candidate links).
+instance's own candidate links, read from the built graph).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from . import jsonl
 from .data import NULL_CLASS, GpllDataset
 from .errors import SchemaError
-from .graph import DualBipartiteGraph, count_cooccurrence, dbscan
+from .graph import DualBipartiteGraph, dbscan
 from .model import RatingMatrix
 
 POOL_THRESHOLD = 0.5
@@ -150,17 +150,12 @@ def baseline_cluster_voting(
     return predictions
 
 
-def baseline_pair_clustering(
-    ds: GpllDataset, eps: float = 1.0, min_pts: int = 2
-) -> list[Prediction]:
+def baseline_pair_clustering(graph: DualBipartiteGraph) -> list[Prediction]:
     """Pick each instance's candidate link with the largest co-occurrence
-    cluster size; ties take the lowest label class id; no links predict null."""
-    links = count_cooccurrence(ds, eps=eps, min_pts=min_pts)
-    instances = list(ds.iter_instances())
-    label_classes = np.asarray(
-        [lab.class_id for group in ds.groups for lab in sorted(group.labels, key=lambda l: l.slot)],
-        dtype=int,
-    )
+    cluster size (the graph's within-edge counts); ties take the lowest label
+    class id; no links predict null."""
+    links = graph.within
+    label_classes = graph.label_class
 
     best_class = {}
     best_scores: dict[int, dict[int, float]] = {}
@@ -179,11 +174,11 @@ def baseline_pair_clustering(
             per[c] = max(per.get(c, 0.0), float(links.count[row]))
 
     predictions = []
-    for row, inst in enumerate(instances):
+    for row, instance_id in enumerate(graph.instance_ids.tolist()):
         cls = best_class.get(row, NULL_CLASS)
         predictions.append(
             Prediction(
-                instance_id=inst.instance_id,
+                instance_id=instance_id,
                 predicted_class=cls,
                 scores=best_scores.get(row, {}),
             )

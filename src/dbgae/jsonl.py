@@ -11,11 +11,13 @@ Writing has two encoders that give the same bytes for the same values:
 ``records`` dumps one dict per line (for records that are nested or vary in
 shape), ``columns`` encodes a table of numpy columns whole, in blocks of
 ``ROW_BLOCK`` rows (for the per-edge files, where a per-record ``json.dumps``
-is most of the cost).  Both feed ``write``, which owns the file.
+is most of the cost).  Both feed ``write``, which owns the file.  Every
+artifact writer, JSON Lines or not, opens its file through ``atomic_open``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import os
@@ -39,27 +41,38 @@ _CONVERSION_ERRORS = (AttributeError, IndexError, KeyError, TypeError, ValueErro
 ROW_BLOCK = 1024
 
 
-def write(path, header: dict, *parts):
-    """Write the ``header`` line, then the lines of each part in order.
+@contextlib.contextmanager
+def atomic_open(path):
+    """Open a text file for writing that replaces ``path`` only on a clean exit.
 
-    A part is an iterable of non-empty line blocks, as ``records`` and
-    ``columns`` make them.  The lines go to a temporary file in the same directory that
-    replaces ``path`` only once every line is written, so a write that fails
+    The text goes to a temporary file in the same directory, written as given
+    (UTF-8, no newline translation); ``os.replace`` puts it at ``path`` once
+    the ``with`` block ends without an exception, so a write that fails
     partway leaves ``path`` as it was and no temporary file behind.
     """
     path = os.fspath(path)
     directory, name = os.path.split(path)
     tmp = os.path.join(directory, f".{name}.{uuid.uuid4().hex}.tmp")
-    fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    fh = open(tmp, "x", encoding="utf-8", newline="")
     try:
         with fh:
-            fh.write(json.dumps(header, separators=_SEPARATORS) + "\n")
-            for block in itertools.chain.from_iterable(parts):
-                fh.write("\n".join(block) + "\n")
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)
         raise
+
+
+def write(path, header: dict, *parts):
+    """Write the ``header`` line, then the lines of each part in order.
+
+    A part is an iterable of non-empty line blocks, as ``records`` and
+    ``columns`` make them.  The file is written through ``atomic_open``.
+    """
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(header, separators=_SEPARATORS) + "\n")
+        for block in itertools.chain.from_iterable(parts):
+            fh.write("\n".join(block) + "\n")
 
 
 def records(items):

@@ -26,9 +26,10 @@ links are decoded but never contribute to the loss.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,7 +61,6 @@ class ModelConfig:
     use_cross_links: bool = True
     use_attention: bool = True
     use_dual_paths: bool = True  # off: single within path with uniform averaged weights
-    per_path_weights: bool = False  # distinct propagation transform per path per head
 
     def validate(self):
         if self.gcn_hidden < 1 or self.dense_hidden < 1:
@@ -115,11 +115,7 @@ def _param_shapes(config: ModelConfig, feature_dim: int, num_classes: int) -> di
     H, E = config.gcn_hidden, config.dense_hidden
     shapes = {}
     for h in range(config.num_heads):
-        if config.per_path_weights:
-            shapes[f"W.{h}.within"] = (F, H)
-            shapes[f"W.{h}.cross"] = (F, H)
-        else:
-            shapes[f"W.{h}"] = (F, H)
+        shapes[f"W.{h}"] = (F, H)
         shapes[f"Wa.{h}"] = (F, H)
         shapes[f"a_self.{h}"] = (H, 1)
         shapes[f"a_neigh.{h}"] = (H, 1)
@@ -329,20 +325,14 @@ def propagation_messages(
     prep: PreparedGraph, params: ModelParams, config: ModelConfig, head: int
 ) -> dict[str, Tensor]:
     """Per-node message sums of one head, for each path with edges: row d is
-    the sum over d's in-edges of (alpha_ij *) w_ij * W feat_src, one fused
-    ``ad.propagate`` per path."""
-    if not config.per_path_weights:
-        shared = ad.matmul(prep.node_feats, params[f"W.{head}"])
+    the sum over d's in-edges of (alpha_ij *) w_ij * W feat_src, with one
+    transform W shared by the paths and one fused ``ad.propagate`` per path."""
+    T = ad.matmul(prep.node_feats, params[f"W.{head}"])
     alphas = attention_coefficients(prep, params, head) if config.use_attention else None
     sums = {}
     for name, path in prep.paths.items():
         if len(path.src) == 0:
             continue
-        T = (
-            ad.matmul(prep.node_feats, params[f"W.{head}.{name}"])
-            if config.per_path_weights
-            else shared
-        )
         coef = ad.mul(alphas[name], path.weight) if alphas is not None else path.weight
         sums[name] = ad.propagate(T, coef, path.edges)
     return sums
@@ -395,7 +385,8 @@ def encode(prep: PreparedGraph, params: ModelParams, config: ModelConfig) -> tup
 def decode_logits(
     U: Tensor, V: Tensor, params: ModelParams, src: RowIndex, dst: RowIndex
 ) -> Tensor:
-    """Bilinear score u^T Q_r v per edge per rating level, shape (E, R)."""
+    """Bilinear score u^T Q_r v per edge per rating level, shape (E, R), on
+    the tape: the training loss is taken on these."""
     Ug = ad.gather_rows(U, src)
     Vg = ad.gather_rows(V, dst)
     cols = [
@@ -403,27 +394,6 @@ def decode_logits(
         for r in range(len(params.rating_levels))
     ]
     return ad.concat_cols(cols)
-
-
-def _decode_values(
-    U_val: np.ndarray,
-    V_val: np.ndarray,
-    params: ModelParams,
-    src: np.ndarray,
-    dst: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Plain-numpy decode: per-edge level distribution and expected weight."""
-    levels = np.asarray(params.rating_levels)
-    Ug, Vg = U_val[src], V_val[dst]
-    logits = np.stack(
-        [np.einsum("ek,ek->e", Ug @ params[f"Q.{r}"].value, Vg) for r in range(len(levels))],
-        axis=1,
-    )
-    logits -= logits.max(axis=1, keepdims=True)
-    probs = np.exp(logits)
-    probs /= probs.sum(axis=1, keepdims=True)
-    m_hat = np.clip(probs @ levels, levels[0], levels[-1])
-    return probs, m_hat
 
 
 @dataclass
@@ -450,15 +420,25 @@ def decode(
     dst: np.ndarray,
     kind: np.ndarray,
 ) -> RatingMatrix:
-    """Score the given edges with trained embeddings and parameters."""
-    probs, m_hat = _decode_values(U, V, params, np.asarray(src), np.asarray(dst))
+    """Score the given edges in plain numpy: the bilinear logits of
+    ``decode_logits``, softmax across levels, and the expected weight."""
+    src, dst = np.asarray(src, dtype=int), np.asarray(dst, dtype=int)
+    levels = np.asarray(params.rating_levels, dtype=np.float64)
+    Ug, Vg = U[src], V[dst]
+    logits = np.stack(
+        [np.einsum("ek,ek->e", Ug @ params[f"Q.{r}"].value, Vg) for r in range(len(levels))],
+        axis=1,
+    )
+    logits -= logits.max(axis=1, keepdims=True)
+    probs = np.exp(logits)
+    probs /= probs.sum(axis=1, keepdims=True)
     return RatingMatrix(
-        src=np.asarray(src, dtype=int),
-        dst=np.asarray(dst, dtype=int),
+        src=src,
+        dst=dst,
         kind=np.asarray(kind),
-        levels=np.asarray(params.rating_levels, dtype=np.float64),
+        levels=levels,
         probs=probs,
-        m_hat=m_hat,
+        m_hat=np.clip(probs @ levels, levels[0], levels[-1]),
         num_instances=len(U),
     )
 
@@ -480,11 +460,11 @@ def reconstruction_loss(logits_within: Tensor, targets: np.ndarray) -> Tensor:
 class TrainResult:
     params: ModelParams
     ratings: RatingMatrix
+    embeddings: np.ndarray  # (N, dense_hidden) instance embeddings U of ``ratings``
     loss_trace: np.ndarray
     prob_sum_err: np.ndarray  # per epoch: max |sum_r p - 1| over decoded edges
     mhat_min: np.ndarray
     mhat_max: np.ndarray
-    config: ModelConfig = field(repr=False, default=None)
 
 
 def train(
@@ -495,8 +475,9 @@ def train(
     """Full-graph gradient descent with Adam for ``config.epochs`` epochs.
 
     Deterministic given the config seed; returns final parameters, decoded
-    ratings for every within and cross edge, the per-epoch loss trace and
-    per-epoch decoder-normalization diagnostics.  Pass ``initial_params``
+    ratings for every within and cross edge with the instance embeddings
+    they were decoded from, the per-epoch loss trace and per-epoch
+    decoder-normalization diagnostics.  Pass ``initial_params``
     (e.g. a loaded checkpoint) to resume training instead of reinitializing.
     """
     from .optim import AdamState, adam_step
@@ -511,6 +492,11 @@ def train(
     else:
         params = init_params(config, graph.feature_dim, graph.num_classes)
     state = AdamState.for_params(params.tensors, lr=config.lr)
+
+    def rate(U: Tensor, V: Tensor) -> RatingMatrix:
+        return decode(
+            U.value, V.value, params, prep.decode_src.idx, prep.decode_dst.idx, prep.decode_kind
+        )
 
     within_src = RowIndex(prep.decode_src.idx[: prep.num_within])
     within_dst = RowIndex(prep.decode_dst.idx[: prep.num_within])
@@ -533,12 +519,10 @@ def train(
         last_finite = value
         loss_trace[epoch] = value
 
-        probs, m_hat = _decode_values(
-            U.value, V.value, params, prep.decode_src.idx, prep.decode_dst.idx
-        )
-        prob_sum_err[epoch] = float(np.abs(probs.sum(axis=1) - 1.0).max())
-        mhat_min[epoch] = float(m_hat.min())
-        mhat_max[epoch] = float(m_hat.max())
+        ratings = rate(U, V)
+        prob_sum_err[epoch] = float(np.abs(ratings.probs.sum(axis=1) - 1.0).max())
+        mhat_min[epoch] = float(ratings.m_hat.min())
+        mhat_max[epoch] = float(ratings.m_hat.max())
 
         ad.backward(loss)
         try:
@@ -548,17 +532,14 @@ def train(
         ad.zero_grads(params.tensors.values())
 
     U, V = encode(prep, params, config)
-    ratings = decode(
-        U.value, V.value, params, prep.decode_src.idx, prep.decode_dst.idx, prep.decode_kind
-    )
     return TrainResult(
         params=params,
-        ratings=ratings,
+        ratings=rate(U, V),
+        embeddings=U.value,
         loss_trace=loss_trace,
         prob_sum_err=prob_sum_err,
         mhat_min=mhat_min,
         mhat_max=mhat_max,
-        config=config,
     )
 
 
@@ -585,7 +566,7 @@ def save_params(params: ModelParams, path):
             for name, t in params.tensors.items()
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with jsonl.atomic_open(path) as fh:
         json.dump(payload, fh, separators=(",", ":"))
 
 
@@ -632,6 +613,23 @@ def save_ratings(ratings: RatingMatrix, path):
         "p": ratings.probs,
     }
     jsonl.write(path, header, jsonl.columns(table))
+
+
+def save_loss_trace(result: TrainResult, path):
+    """Per-epoch CSV: loss and the decoder-normalization diagnostics."""
+    with jsonl.atomic_open(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["epoch", "loss", "prob_sum_err", "m_hat_min", "m_hat_max"])
+        for e in range(len(result.loss_trace)):
+            writer.writerow(
+                [
+                    e,
+                    f"{result.loss_trace[e]:.10g}",
+                    f"{result.prob_sum_err[e]:.3e}",
+                    f"{result.mhat_min[e]:.6g}",
+                    f"{result.mhat_max[e]:.6g}",
+                ]
+            )
 
 
 def load_ratings(path) -> RatingMatrix:

@@ -14,6 +14,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
+from . import jsonl
 from .data import GeneratorConfig, generate_synthetic, save_dataset
 from .errors import ConfigError, DbgaeError, PipelineError
 from .evaluation import DEFAULT_FREQUENCY_EDGES, EvalReport, build_report, save_curves, save_report
@@ -25,7 +26,7 @@ from .inference import (
     pool_labels,
     save_predictions,
 )
-from .model import ModelConfig, save_params, save_ratings, train
+from .model import ModelConfig, save_loss_trace, save_params, save_ratings, train
 
 DBGAE_METHOD = "dbgae"
 BASELINE_METHODS = ("cluster_voting", "pair_clustering")
@@ -161,7 +162,7 @@ def load_config(path) -> RunConfig:
 
 
 def save_config(config: RunConfig, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with jsonl.atomic_open(path) as fh:
         json.dump(config_to_dict(config), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -278,28 +279,12 @@ def run_pipeline(config: RunConfig, out_dir=None) -> tuple[EvalReport, PipelineA
     result = stage("train", lambda: train(graph, resolved.model))
     stage("train", lambda: save_params(result.params, paths.params))
     stage("train", lambda: save_ratings(result.ratings, paths.ratings))
-
-    def write_trace():
-        with open(paths.loss_trace, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "loss", "prob_sum_err", "m_hat_min", "m_hat_max"])
-            for e in range(len(result.loss_trace)):
-                writer.writerow(
-                    [
-                        e,
-                        f"{result.loss_trace[e]:.10g}",
-                        f"{result.prob_sum_err[e]:.3e}",
-                        f"{result.mhat_min[e]:.6g}",
-                        f"{result.mhat_max[e]:.6g}",
-                    ]
-                )
-
-    stage("train", write_trace)
+    stage("train", lambda: save_loss_trace(result, paths.loss_trace))
 
     predictions = {}
 
     def predict_dbgae():
-        vectors = None if resolved.inference.cosine_on_raw else _embed_instances(graph, result)
+        vectors = None if resolved.inference.cosine_on_raw else result.embeddings
         return pool_labels(
             result.ratings, graph, tau=resolved.inference.tau, instance_vectors=vectors
         )
@@ -309,12 +294,7 @@ def run_pipeline(config: RunConfig, out_dir=None) -> tuple[EvalReport, PipelineA
         "predict",
         lambda: baseline_cluster_voting(ds, eps=resolved.graph.eps, min_pts=resolved.graph.min_pts),
     )
-    predictions["pair_clustering"] = stage(
-        "predict",
-        lambda: baseline_pair_clustering(
-            ds, eps=resolved.graph.eps, min_pts=resolved.graph.min_pts
-        ),
-    )
+    predictions["pair_clustering"] = stage("predict", lambda: baseline_pair_clustering(graph))
     for method, preds in predictions.items():
         stage("predict", lambda m=method, p=preds: save_predictions(p, m, paths.predictions[m]))
 
@@ -330,14 +310,6 @@ def run_pipeline(config: RunConfig, out_dir=None) -> tuple[EvalReport, PipelineA
     stage("evaluate", lambda: save_report(report, paths.report_text, paths.report_json))
     stage("evaluate", lambda: save_curves(report, paths.curves))
     return report, paths
-
-
-def _embed_instances(graph, train_result):
-    from .model import encode, prepare_graph
-
-    prep = prepare_graph(graph, train_result.config)
-    U, _ = encode(prep, train_result.params, train_result.config)
-    return U.value
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Artifact files across modules: the shared JSON Lines format (dataset,
-graph, ratings, predictions) and the parameter checkpoint."""
+graph, ratings, predictions), the parameter checkpoint, and the atomic
+writes every artifact writer shares."""
 
+import errno
 import json
 import os
 from unittest import mock
@@ -13,9 +15,19 @@ from hypothesis import strategies as st
 from dbgae import jsonl
 from dbgae.data import GeneratorConfig, generate_synthetic, load_dataset, save_dataset
 from dbgae.errors import DbgaeError, ParseError, SchemaError
+from dbgae.evaluation import build_report, save_curves, save_report
 from dbgae.graph import build_dual_graph, load_graph, save_graph
 from dbgae.inference import load_predictions, pool_labels, save_predictions
-from dbgae.model import ModelConfig, load_params, load_ratings, save_params, save_ratings, train
+from dbgae.model import (
+    ModelConfig,
+    load_params,
+    load_ratings,
+    save_loss_trace,
+    save_params,
+    save_ratings,
+    train,
+)
+from dbgae.pipeline import RunConfig, save_config
 from oracles import graph_records, ratings_records, table_records, write_records_reference
 
 LOADERS = {
@@ -42,8 +54,8 @@ def resave(kind, path, out):
 
 
 @pytest.fixture(scope="module")
-def artifacts(tmp_path_factory):
-    """One small valid file of every artifact kind, with within and cross edges."""
+def small_run():
+    """A small dataset, its graph (within and cross edges) and a 2-epoch training."""
     ds = generate_synthetic(
         GeneratorConfig(
             num_classes=4,
@@ -60,6 +72,13 @@ def artifacts(tmp_path_factory):
     graph = build_dual_graph(ds)
     assert len(graph.within.inst) and len(graph.cross.inst)
     result = train(graph, ModelConfig(gcn_hidden=4, dense_hidden=3, num_heads=1, epochs=2))
+    return ds, graph, result
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory, small_run):
+    """One small valid file of every artifact kind, with within and cross edges."""
+    ds, graph, result = small_run
     root = tmp_path_factory.mktemp("artifacts")
     paths = {kind: root / f"{kind}.jsonl" for kind in LOADERS}
     paths["params"] = root / "params.json"
@@ -315,14 +334,50 @@ def _failing_records():
     yield {"a": object()}  # not JSON serialisable
 
 
-def test_failed_write_leaves_the_earlier_file_and_no_temporary(tmp_path):
-    path = tmp_path / "f.jsonl"
-    jsonl.write(path, {"v": 1}, jsonl.records([{"a": 0}]))
+class _DiskFull:
+    """A file that takes half of the first text written to it, then fails as
+    a full disk would."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, text):
+        self._fh.write(text[: len(text) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _writer(name, small_run):
+    ds, graph, result = small_run
+    report = build_report({"dbgae": pool_labels(result.ratings, graph)}, ds)
+    return {
+        "jsonl": lambda path: jsonl.write(path, {"v": 1}, jsonl.records([{"a": 0}])),
+        "params": lambda path: save_params(result.params, path),
+        "config": lambda path: save_config(RunConfig(), path),
+        "report": lambda path: save_report(report, path),
+        "curves": lambda path: save_curves(report, path),
+        "loss_trace": lambda path: save_loss_trace(result, path),
+    }[name]
+
+
+@pytest.mark.parametrize("writer", ["jsonl", "params", "config", "report", "curves", "loss_trace"])
+def test_failed_write_leaves_the_earlier_file_and_no_temporary(small_run, tmp_path, writer):
+    write = _writer(writer, small_run)
+    path = tmp_path / "f"
+    write(path)
     before = path.read_bytes()
-    with mock.patch.object(jsonl, "ROW_BLOCK", 1), pytest.raises(TypeError):
-        jsonl.write(path, {"v": 2}, jsonl.records(_failing_records()))
+    disk_full = mock.patch.object(
+        jsonl, "open", lambda *args, **kwargs: _DiskFull(open(*args, **kwargs)), create=True
+    )
+    with disk_full, pytest.raises(OSError):
+        write(path)
     assert path.read_bytes() == before
-    assert os.listdir(tmp_path) == ["f.jsonl"]
+    assert os.listdir(tmp_path) == ["f"]
 
 
 def test_failed_first_write_leaves_no_file(tmp_path):

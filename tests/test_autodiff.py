@@ -131,13 +131,14 @@ class TestPrimitiveGradients:
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10_000))
-    def test_log_concat_rowsum(self, seed):
+    def test_concat_rowsum(self, seed):
         rng = np.random.default_rng(seed)
         X = ad.parameter(rng.uniform(0.5, 3.0, size=(3, 2)))
         Y = ad.parameter(rng.uniform(0.5, 3.0, size=(3, 3)))
+        weights = ad.constant(rng.standard_normal((3, 5)))
 
         def loss():
-            return ad.mean_all(ad.row_sum(ad.concat_cols([ad.log(X), Y])))
+            return ad.mean_all(ad.row_sum(ad.mul(ad.concat_cols([X, Y]), weights)))
 
         check_all_coords(loss, {"X": X, "Y": Y})
 

@@ -13,6 +13,7 @@ from dbgae.graph import (
     dbscan,
     graphs_equal,
     homogeneous_neighbors,
+    index_dataset,
     load_graph,
     save_graph,
     within_weights,
@@ -84,12 +85,12 @@ class TestCooccurrence:
                 features=np.array([1.0, 2.0]),
                 true_class=0,
             )
-        links = count_cooccurrence(ds, eps=1.0, min_pts=2)
+        links = count_cooccurrence(index_dataset(ds), eps=1.0, min_pts=2)
         assert links.count.tolist() == [3, 3, 3]
 
     def test_unique_pair_is_noise_with_count_one(self):
         ds = make_dataset([([0], [1])], num_classes=2)
-        links = count_cooccurrence(ds, eps=1.0, min_pts=2)
+        links = count_cooccurrence(index_dataset(ds), eps=1.0, min_pts=2)
         assert links.count.tolist() == [1]
 
     def test_one_hot_blocks_separate_label_classes(self):
@@ -103,7 +104,7 @@ class TestCooccurrence:
                 features=feats,
                 true_class=0,
             )
-        links = count_cooccurrence(ds, eps=1.0, min_pts=2)
+        links = count_cooccurrence(index_dataset(ds), eps=1.0, min_pts=2)
         assert links.count.tolist() == [1, 1]
 
 

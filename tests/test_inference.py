@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from dbgae.data import NULL_CLASS
 from dbgae.errors import SchemaError
+from dbgae.graph import build_dual_graph
 from dbgae.inference import (
     Prediction,
     _argmax_class,
@@ -280,17 +281,18 @@ class TestPairClustering:
                 features=shared,
                 true_class=1,
             )
-        preds = {p.instance_id: p for p in baseline_pair_clustering(ds, eps=1.0, min_pts=2)}
+        graph = build_dual_graph(ds, eps=1.0, min_pts=2)
+        preds = {p.instance_id: p for p in baseline_pair_clustering(graph)}
         assert preds[0].predicted_class == 1
 
     def test_all_noise_ties_break_to_lowest_class(self):
         ds = make_dataset([([0], [2, 1])], num_classes=3)
-        preds = baseline_pair_clustering(ds, eps=1.0, min_pts=2)
+        preds = baseline_pair_clustering(build_dual_graph(ds, eps=1.0, min_pts=2))
         assert preds[0].predicted_class == 1
 
     def test_no_labels_predicts_null(self):
         ds = make_dataset([([0], [])], num_classes=1)
-        preds = baseline_pair_clustering(ds, eps=1.0, min_pts=2)
+        preds = baseline_pair_clustering(build_dual_graph(ds, eps=1.0, min_pts=2))
         assert preds[0].predicted_class == NULL_CLASS
 
 

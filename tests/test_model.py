@@ -582,7 +582,6 @@ class TestCheckpointAndRatings:
             ({"gcn_hidden": 7}, "gcn_hidden"),
             ({"dense_hidden": 5}, "dense_hidden"),
             ({"rating_levels": (0.0, 0.5, 1.0)}, "rating_levels"),
-            ({"per_path_weights": True}, "W.0.within"),
         ],
     )
     def test_checkpoint_that_does_not_fit_config_is_training_error(self, override, field):
@@ -595,25 +594,3 @@ class TestCheckpointAndRatings:
         params = init_params(small_config(), 3, 2)
         with pytest.raises(TrainingError, match="feature_dim"):
             train(tiny_graph(), small_config(), initial_params=params)
-
-
-class TestPerPathWeights:
-    def test_distinct_transform_per_path(self):
-        cfg = small_config(per_path_weights=True)
-        params = init_params(cfg, 3, 2)
-        assert "W.0.within" in params.tensors
-        assert "W.0.cross" in params.tensors
-        assert "W.0" not in params.tensors
-
-    def test_trains_with_per_path_weights(self):
-        graph = make_graph(
-            inst_feats=[[0.2, 0.8], [-0.5, 0.1]],
-            inst_group=[0, 1],
-            label_class=[0, 1],
-            label_group=[0, 1],
-            within=[(0, 0, 1.0, 1), (1, 1, 0.5, 1)],
-            cross=[(0, 1, 0.5, 1)],
-            num_classes=2,
-        )
-        result = train(graph, small_config(epochs=5, per_path_weights=True))
-        assert np.isfinite(result.loss_trace).all()

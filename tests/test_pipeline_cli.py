@@ -1,7 +1,10 @@
 import json
+from unittest import mock
 
 import pytest
 
+from dbgae import graph as graph_module
+from dbgae import model as model_module
 from dbgae.cli import main
 from dbgae.data import datasets_equal, load_dataset
 from dbgae.errors import ConfigError
@@ -147,8 +150,23 @@ class TestPipeline:
         data = config_to_dict(small_config())
         data["inference"] = {"cosine_on_raw": False}
         config = config_from_dict(data)
-        report, _ = run_pipeline(config, out_dir=tmp_path / "run")
+        prepare = mock.Mock(wraps=model_module.prepare_graph)
+        encode = mock.Mock(wraps=model_module.encode)
+        with mock.patch("dbgae.model.prepare_graph", prepare), mock.patch(
+            "dbgae.model.encode", encode
+        ):
+            report, _ = run_pipeline(config, out_dir=tmp_path / "run")
         assert any(m.method == "dbgae" for m in report.methods)
+        # the embeddings are those training decoded its final ratings from
+        assert prepare.call_count == 1
+        assert encode.call_count == config.model.epochs + 1
+
+    def test_one_link_tuple_clustering_per_run(self, tmp_path):
+        dbscan = mock.Mock(wraps=graph_module.dbscan)
+        with mock.patch("dbgae.graph.dbscan", dbscan), mock.patch("dbgae.inference.dbscan", dbscan):
+            run_pipeline(small_config(), out_dir=tmp_path / "run")
+        # link tuples while building the graph, instances for cluster voting
+        assert dbscan.call_count == 2
 
 
 class TestSweep:
@@ -255,6 +273,33 @@ class TestCli:
         assert report.exists() and curves.exists()
         out = capsys.readouterr().out
         assert "dbgae" in out and "cluster_voting" in out
+
+    def test_train_loss_trace_is_the_pipeline_trace(self, tmp_path):
+        from dbgae.pipeline import save_config
+
+        config = small_config()
+        _, paths = run_pipeline(config, out_dir=tmp_path / "run")
+        cfg_path = tmp_path / "config.json"
+        save_config(config, cfg_path)
+        trace = tmp_path / "trace.csv"
+        args = ["train", "--config", str(cfg_path), "--graph", str(paths.graph)]
+        args += ["--out-params", str(tmp_path / "params.json")]
+        args += ["--out-ratings", str(tmp_path / "ratings.jsonl"), "--loss-trace", str(trace)]
+        assert main(args) == 0
+        lines = trace.read_text().splitlines()
+        assert lines[0] == "epoch,loss,prob_sum_err,m_hat_min,m_hat_max"
+        assert len(lines) == 1 + config.model.epochs
+        assert trace.read_bytes() == paths.loss_trace.read_bytes()
+
+    def test_pair_clustering_predict_reads_the_graph(self, tmp_path):
+        _, paths = run_pipeline(small_config(), out_dir=tmp_path / "run")
+        args = ["predict", "--method", "pair_clustering", "--dataset", str(paths.dataset)]
+        out = tmp_path / "pred.jsonl"
+        with pytest.raises(SystemExit):
+            main(args + ["--out", str(out)])
+        assert main(args + ["--graph", str(paths.graph), "--out", str(out)]) == 0
+        pipeline_pred = paths.predictions["pair_clustering"]
+        assert out.read_bytes() == pipeline_pred.read_bytes()
 
     def test_pipeline_subcommand_with_overrides(self, tmp_path):
         args = ["pipeline", "--seed", "7", "--out-dir", str(tmp_path / "run")]
