@@ -4,6 +4,9 @@ Operations build a computation record dynamically as they execute (each
 output tensor keeps references to its inputs and a closure computing the
 vector-Jacobian product); ``backward`` walks the record in reverse
 topological order and accumulates gradients additively across fan-out.
+``backward`` consumes the record: once a node's closure has run, the node
+drops its gradient, closure and inputs, so the record is freed as the walk
+goes and only the leaves keep gradients.
 """
 
 from __future__ import annotations
@@ -77,8 +80,18 @@ def _accum(t: Tensor, g):
     t.grad = np.array(g, dtype=np.float64) if t.grad is None else t.grad + g
 
 
+def _consumed(g):
+    """Closure of a node whose own closure ``backward`` has already run."""
+    raise AutodiffError("backward: graph already consumed by an earlier backward")
+
+
 def backward(loss: Tensor):
-    """Accumulate d(loss)/d(tensor) into every reachable tensor's grad slot."""
+    """Accumulate d(loss)/d(tensor) into every reachable leaf's grad slot.
+
+    Consumes the graph: each interior node drops its gradient, closure and
+    inputs once its closure has run, and a second ``backward`` through any of
+    them raises ``AutodiffError``.
+    """
     if loss.shape != (1, 1):
         raise AutodiffError(f"backward requires a scalar loss, got shape {loss.shape}")
     topo: list[Tensor] = []
@@ -91,15 +104,21 @@ def backward(loss: Tensor):
             continue
         if id(node) in seen:
             continue
+        if node.backward_fn is _consumed:
+            _consumed(None)  # fail before any gradient is written
         seen.add(id(node))
         stack.append((node, True))
         for p in node.parents:
             if id(p) not in seen:
                 stack.append((p, False))
     loss.grad = np.ones((1, 1))
-    for node in reversed(topo):
-        if node.backward_fn is not None and node.grad is not None:
+    while topo:
+        node = topo.pop()
+        if node.backward_fn is None:
+            continue
+        if node.grad is not None:
             node.backward_fn(node.grad)
+        node.grad, node.backward_fn, node.parents = None, _consumed, ()
 
 
 def zero_grads(tensors):
@@ -429,25 +448,26 @@ def propagate(t: Tensor, coef: Tensor, path: DenseBlockPath | SparsePath) -> Ten
     """Fused message passing: ``out[d] = sum over edges e with dst_e = d of
     coef_e * t[src_e]``.
 
-    One tape node per call, holding only node-sized values (and, for dense
-    paths, the coefficient blocks); no per-edge row of width ``t.cols`` is
-    kept.  Backward is the transposed propagation for ``t`` (g-SpMM) and the
-    per-edge row dot ``<g[dst_e], t[src_e]>`` for ``coef`` (g-SDDMM).
+    One tape node per call, holding only the coefficient vector and ``t``'s
+    value: no per-edge row of width ``t.cols`` and no coefficient block is
+    kept.  Backward rebuilds the operator from the coefficients (the same
+    ``np.bincount``, so the same floats; gradient checkpointing of one op)
+    and takes the transposed propagation for ``t`` (g-SpMM) and the per-edge
+    row dot ``<g[dst_e], t[src_e]>`` for ``coef`` (g-SDDMM).
     """
     if t.rows != path.num_nodes:
         raise DimensionError(f"propagate: {t.rows} rows for a path over {path.num_nodes} nodes")
     if coef.shape != (len(path), 1):
         raise DimensionError(f"propagate: coefficients {coef.shape} for {len(path)} edges")
-    tv = t.value
-    op = path.operator(coef.value[:, 0])
+    tv, cv = t.value, coef.value[:, 0]
 
     def bwd(g):
         if t.requires_grad:
-            _accum(t, path.apply_transpose(op, g))
+            _accum(t, path.apply_transpose(path.operator(cv), g))
         if coef.requires_grad:
             _accum(coef, path.edge_dot(g, tv).reshape(-1, 1))
 
-    return _result(path.apply(op, tv), (t, coef), bwd, "propagate")
+    return _result(path.apply(path.operator(cv), tv), (t, coef), bwd, "propagate")
 
 
 def row_sum(a: Tensor) -> Tensor:

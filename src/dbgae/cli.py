@@ -93,13 +93,14 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     config = _resolve_config(args)
-    ds = load_dataset(args.dataset)
     if args.method == "dbgae":
         graph = load_graph(args.graph)
         ratings = load_ratings(args.ratings)
         predictions = pool_labels(ratings, graph, tau=config.inference.tau)
     elif args.method == "cluster_voting":
-        predictions = baseline_cluster_voting(ds, eps=config.graph.eps, min_pts=config.graph.min_pts)
+        predictions = baseline_cluster_voting(
+            load_dataset(args.dataset), eps=config.graph.eps, min_pts=config.graph.min_pts
+        )
     else:
         predictions = baseline_pair_clustering(load_graph(args.graph))
     save_predictions(predictions, args.method, args.out)
@@ -199,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["dbgae", "cluster_voting", "pair_clustering"], default="dbgae")
     p.add_argument("--ratings")
     p.add_argument("--graph")
-    p.add_argument("--dataset", required=True)
+    p.add_argument("--dataset", help="dataset file, read by --method cluster_voting only")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_predict)
 
@@ -234,6 +235,8 @@ def main(argv=None) -> int:
             parser.error("predict --method dbgae requires --ratings and --graph")
     if args.command == "predict" and args.method == "pair_clustering" and not args.graph:
         parser.error("predict --method pair_clustering requires --graph")
+    if args.command == "predict" and args.method == "cluster_voting" and not args.dataset:
+        parser.error("predict --method cluster_voting requires --dataset")
     try:
         return args.fn(args)
     except DbgaeError as exc:

@@ -378,8 +378,8 @@ def save_graph(graph: DualBipartiteGraph, path):
 
 def load_graph(path) -> DualBipartiteGraph:
     nodes: dict = {}  # node fields of DualBipartiteGraph, sized by the header
-    within: list[tuple] = []
-    cross: list[tuple] = []
+    edge_fields = ((int, ()), (int, ()), (float, ()), (int, ()))  # src, dst, w, c or via
+    within, cross = jsonl.Blocks(*edge_fields), jsonl.Blocks(*edge_fields)
     in_edges = False
     seen = np.zeros(0, dtype=bool)  # per node_id: has its node line been read
 
@@ -414,9 +414,9 @@ def load_graph(path) -> DualBipartiteGraph:
             if not (0 <= src < n and 0 <= dst < m):
                 raise SchemaError("edge endpoint out of range")
             if rec["kind"] == "within":
-                within.append((src, dst, float(rec["w"]), int(rec["c"])))
+                within.add(src, dst, float(rec["w"]), int(rec["c"]))
             elif rec["kind"] == "cross":
-                cross.append((src, dst, float(rec["w"]), int(rec["via"])))
+                cross.add(src, dst, float(rec["w"]), int(rec["via"]))
             else:
                 raise SchemaError(f"unknown edge kind {rec['kind']!r}")
         elif rec["kind"] == "instance":
@@ -448,14 +448,8 @@ def load_graph(path) -> DualBipartiteGraph:
     jsonl.read(path, on_meta, on_record)
     if not seen.all():
         raise SchemaError(f"{path}: no node line for node_id {int(np.argmin(seen))}")
-
-    def columns(rows, dtypes):
-        if not rows:
-            return [np.zeros(0, dtype=t) for t in dtypes]
-        return [np.asarray(col, dtype=t) for col, t in zip(zip(*rows), dtypes)]
-
-    wi, wl, ww, wc = columns(within, (int, int, float, int))
-    xi, xl, xw, xv = columns(cross, (int, int, float, int))
+    wi, wl, ww, wc = within.arrays()
+    xi, xl, xw, xv = cross.arrays()
     return DualBipartiteGraph(
         **nodes,
         within=WithinGraph(inst=wi, lab=wl, weight=ww, count=wc),

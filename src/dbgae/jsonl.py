@@ -13,6 +13,10 @@ shape), ``columns`` encodes a table of numpy columns whole, in blocks of
 ``ROW_BLOCK`` rows (for the per-edge files, where a per-record ``json.dumps``
 is most of the cost).  Both feed ``write``, which owns the file.  Every
 artifact writer, JSON Lines or not, opens its file through ``atomic_open``.
+
+Reading is per line (``read``); a loader of a per-edge file gathers its
+converted rows in ``Blocks``, which turns every ``ROW_BLOCK`` rows into numpy
+columns, so no Python object per row outlives its block.
 """
 
 from __future__ import annotations
@@ -34,10 +38,11 @@ _SEPARATORS = (",", ":")
 _CONVERSION_ERRORS = (AttributeError, IndexError, KeyError, TypeError, ValueError)
 
 
-# Rows encoded at once by ``columns`` (and records dumped per block).  Writing
-# the 93k-edge files of an 800-group run took the same time with blocks of
-# 256 to 4096 rows; 4096 raised the peak RSS of a 200-group pipeline run by
-# 2.6 MB over per-record writing, 1024 did not.
+# Rows encoded at once by ``columns`` (and records dumped, and rows gathered
+# by ``Blocks``, per block).  Writing the 93k-edge files of an 800-group run
+# took the same time with blocks of 256 to 4096 rows; 4096 raised the peak
+# RSS of a 200-group pipeline run by 2.6 MB over per-record writing, 1024
+# did not.
 ROW_BLOCK = 1024
 
 
@@ -165,3 +170,39 @@ def read(path, on_header, on_record):
             convert = on_record
     if convert is on_header:
         raise ParseError(f"{path}: empty file, missing header line")
+
+
+class Blocks:
+    """Rows of fixed-type fields gathered into numpy columns, one block of
+    ``ROW_BLOCK`` rows at a time.
+
+    ``fields`` gives each field's dtype and the shape of one row's value
+    (``()`` for a scalar, ``(k,)`` for a list of ``k`` numbers).  ``add``
+    takes one row's values, converted and checked by the caller; ``arrays``
+    returns one array per field, ``(rows, *shape)``, the blocks joined.
+    """
+
+    def __init__(self, *fields):
+        self._fields = fields
+        self._rows: list[tuple] = []
+        self._blocks: list[list[np.ndarray]] = []
+
+    def add(self, *row):
+        self._rows.append(row)
+        if len(self._rows) >= ROW_BLOCK:
+            self._flush()
+
+    def _flush(self):
+        rows, self._rows = self._rows, []
+        if rows:
+            self._blocks.append(
+                [
+                    np.asarray(col, dtype=dtype).reshape(len(rows), *shape)
+                    for col, (dtype, shape) in zip(zip(*rows), self._fields)
+                ]
+            )
+
+    def arrays(self) -> list[np.ndarray]:
+        self._flush()
+        empty = [np.zeros((0, *shape), dtype=dtype) for dtype, shape in self._fields]
+        return [np.concatenate(parts) for parts in zip(empty, *self._blocks)]

@@ -16,7 +16,11 @@ one of two kernels per path from its density, the share of instance-label
 pairs that are linked: at ``DENSE_BLOCK_MIN_DENSITY`` or above, dense
 n x m coefficient blocks and BLAS matmuls (``DenseBlockPath``); below it,
 flattened ``np.bincount`` over the edge list (``SparsePath``).  The choice
-depends only on the graph, so runs stay reproducible.
+depends only on the graph, so runs stay reproducible.  The tape never holds
+the dense blocks: ``propagate`` keeps the per-edge coefficients and its
+backward rebuilds the blocks from them.  ``train`` runs each epoch in its own
+call and ``autodiff.backward`` consumes the tape, so one epoch's tape is
+freed before the next one is built.
 
 Decoder: bilinear score per discrete likelihood level, softmax across
 levels; the refined link weight is the expectation over levels.  Training
@@ -29,6 +33,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -505,18 +510,20 @@ def train(
     prob_sum_err = np.zeros(config.epochs)
     mhat_min = np.zeros(config.epochs)
     mhat_max = np.zeros(config.epochs)
-    last_finite = None
-    for epoch in range(config.epochs):
+
+    def step(epoch: int):
+        """One epoch; its tape is local, consumed by ``backward`` and gone on
+        return, so no two epochs' tapes are ever alive at once."""
         U, V = encode(prep, params, config)
-        logits = decode_logits(U, V, params, within_src, within_dst)
-        loss = reconstruction_loss(logits, prep.targets)
+        loss = reconstruction_loss(
+            decode_logits(U, V, params, within_src, within_dst), prep.targets
+        )
         value = float(loss.value[0, 0])
         if not np.isfinite(value):
             raise TrainingError(
                 f"non-finite loss at epoch {epoch}"
-                + (f", last finite loss {last_finite:.6f}" if last_finite is not None else "")
+                + (f", last finite loss {loss_trace[epoch - 1]:.6f}" if epoch else "")
             )
-        last_finite = value
         loss_trace[epoch] = value
 
         ratings = rate(U, V)
@@ -530,6 +537,9 @@ def train(
         except TrainingError as exc:
             raise TrainingError(f"epoch {epoch}: {exc}") from exc
         ad.zero_grads(params.tensors.values())
+
+    for epoch in range(config.epochs):
+        step(epoch)
 
     U, V = encode(prep, params, config)
     return TrainResult(
@@ -632,33 +642,43 @@ def save_loss_trace(result: TrainResult, path):
             )
 
 
+# Largest |m_hat - clip(p @ levels)| a ratings file may hold: the saved m_hat
+# is that expectation, and summing it in another order moves it by a few ulps.
+M_HAT_TOLERANCE = 1e-9
+
+
 def load_ratings(path) -> RatingMatrix:
     header: dict = {}
-    rows: list[tuple] = []
+    levels: list[float] = []
+    rows = None  # src, dst, kind, m_hat and p per rating
 
     def on_header(obj):
+        nonlocal rows
         header["levels"] = np.asarray([float(x) for x in obj["levels"]])
         header["num_instances"] = int(obj["num_instances"])
+        levels.extend(header["levels"].tolist())
+        rows = jsonl.Blocks((int, ()), (int, ()), (str, ()), (float, ()), (float, (len(levels),)))
 
     def on_record(rec):
         p = [float(x) for x in rec["p"]]
-        if len(p) != len(header["levels"]):
-            raise SchemaError(f"'p' has {len(p)} entries for {len(header['levels'])} levels")
+        if len(p) != len(levels):
+            raise SchemaError(f"'p' has {len(p)} entries for {len(levels)} levels")
         if rec["kind"] not in ("within", "cross"):
             raise SchemaError(f"unknown rating kind {rec['kind']!r}")
+        m_hat = float(rec["m_hat"])
+        if math.isnan(m_hat):
+            raise SchemaError("m_hat is NaN")
+        if not levels[0] <= m_hat <= levels[-1]:
+            raise SchemaError(f"m_hat {m_hat!r} outside [{levels[0]!r}, {levels[-1]!r}]")
+        expected = min(max(sum(map(operator.mul, p, levels)), levels[0]), levels[-1])
+        if not abs(m_hat - expected) <= M_HAT_TOLERANCE:  # NaN in p fails too
+            raise SchemaError(f"m_hat {m_hat!r} differs from clip(p @ levels) = {expected!r}")
         dst = int(rec["dst"]) - header["num_instances"]
-        rows.append((int(rec["src"]), dst, rec["kind"], float(rec["m_hat"]), p))
+        rows.add(int(rec["src"]), dst, rec["kind"], m_hat, p)
 
     jsonl.read(path, on_header, on_record)
-    src, dst, kind, m_hat, probs = zip(*rows) if rows else ((),) * 5
-    return RatingMatrix(
-        src=np.asarray(src, dtype=int),
-        dst=np.asarray(dst, dtype=int),
-        kind=np.asarray(kind, dtype=str),
-        probs=np.asarray(probs, dtype=np.float64).reshape(len(rows), len(header["levels"])),
-        m_hat=np.asarray(m_hat, dtype=np.float64),
-        **header,
-    )
+    src, dst, kind, m_hat, probs = rows.arrays()
+    return RatingMatrix(src=src, dst=dst, kind=kind, probs=probs, m_hat=m_hat, **header)
 
 
 def ratings_equal(a: RatingMatrix, b: RatingMatrix) -> bool:

@@ -373,16 +373,26 @@ def run_sweep(spec: SweepSpec, base: RunConfig, out_dir) -> list[SweepRow]:
                         f1=method_report.macro_f1,
                     )
                 )
-    with open(out_root / "sweep.csv", "w", encoding="utf-8", newline="") as fh:
+    save_sweep(rows, out_root / "sweep.csv")
+    if failures:
+        save_sweep_errors(failures, out_root / "sweep_errors.csv")
+    return rows
+
+
+def save_sweep(rows: list[SweepRow], path):
+    """One ``value,replicate,method,accuracy,f1`` row per method of each run."""
+    with jsonl.atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["value", "replicate", "method", "accuracy", "f1"])
         for row in rows:
             writer.writerow(
                 [row.value, row.replicate, row.method, f"{row.accuracy:.6f}", f"{row.f1:.6f}"]
             )
-    if failures:
-        with open(out_root / "sweep_errors.csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["value", "replicate", "error"])
-            writer.writerows(failures)
-    return rows
+
+
+def save_sweep_errors(failures: list[tuple], path):
+    """One ``value,replicate,error`` row per sweep run that raised."""
+    with jsonl.atomic_open(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["value", "replicate", "error"])
+        writer.writerows(failures)

@@ -16,18 +16,28 @@ from dbgae import jsonl
 from dbgae.data import GeneratorConfig, generate_synthetic, load_dataset, save_dataset
 from dbgae.errors import DbgaeError, ParseError, SchemaError
 from dbgae.evaluation import build_report, save_curves, save_report
-from dbgae.graph import build_dual_graph, load_graph, save_graph
+from dbgae.graph import (
+    CrossGraph,
+    DualBipartiteGraph,
+    WithinGraph,
+    build_dual_graph,
+    graphs_equal,
+    load_graph,
+    save_graph,
+)
 from dbgae.inference import load_predictions, pool_labels, save_predictions
 from dbgae.model import (
     ModelConfig,
+    RatingMatrix,
     load_params,
     load_ratings,
+    ratings_equal,
     save_loss_trace,
     save_params,
     save_ratings,
     train,
 )
-from dbgae.pipeline import RunConfig, save_config
+from dbgae.pipeline import RunConfig, SweepRow, save_config, save_sweep, save_sweep_errors
 from oracles import graph_records, ratings_records, table_records, write_records_reference
 
 LOADERS = {
@@ -204,6 +214,40 @@ def test_unknown_kind_names_file_line_and_kind(artifacts, tmp_path, kind):
     assert str(info.value) == f"{path}: line {k + 1}: unknown {noun} kind 'bogus'"
 
 
+def _m_hat(shift):
+    def edit(obj):
+        obj["m_hat"] = shift(obj["m_hat"])
+        return obj
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_m_hat(lambda m: float("nan")), "m_hat is NaN"),
+        (_m_hat(lambda m: 1.5), "m_hat 1.5 outside [0.0, 1.0]"),
+        (_m_hat(lambda m: -0.25), "m_hat -0.25 outside [0.0, 1.0]"),
+        (_m_hat(lambda m: m + 1e-6 if m < 0.5 else m - 1e-6), "differs from clip(p @ levels) = "),
+    ],
+    ids=["nan", "above", "below", "off-by-1e-6"],
+)
+def test_ratings_m_hat_that_contradicts_p_names_file_and_line(artifacts, tmp_path, edit, message):
+    lines = artifacts["ratings"].read_text(encoding="utf-8").splitlines()
+    lines[1] = json.dumps(edit(json.loads(lines[1])))
+    path = _write_lines(tmp_path / "ratings.jsonl", lines)
+    with pytest.raises(SchemaError) as info:
+        load_ratings(path)
+    assert str(info.value).startswith(f"{path}: line 2: ") and message in str(info.value)
+
+
+def test_ratings_m_hat_within_tolerance_loads(artifacts, tmp_path):
+    lines = artifacts["ratings"].read_text(encoding="utf-8").splitlines()
+    edit = _m_hat(lambda m: m + 1e-12 if m < 0.5 else m - 1e-12)
+    lines[1] = json.dumps(edit(json.loads(lines[1])))
+    assert len(load_ratings(_write_lines(tmp_path / "ratings.jsonl", lines))) == len(lines) - 1
+
+
 @pytest.mark.parametrize("field", ["shape", "data"])
 def test_checkpoint_tensor_without_field_names_it(artifacts, tmp_path, field):
     payload = json.loads(artifacts["params"].read_text())
@@ -252,6 +296,78 @@ def test_only_package_errors_escape_loaders(artifacts, kind, line_pick, mode, pi
         LOADERS[kind](path)
     except DbgaeError:
         pass
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _graphs(draw):
+    """Small graphs whose within and cross sections are each often empty."""
+    n, m = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    dim, classes = draw(st.integers(0, 2)), draw(st.integers(1, 3))
+    ints = st.integers(-(2**40), 2**40)
+
+    def column(values, size):
+        return draw(st.lists(values, min_size=size, max_size=size))
+
+    def edges():
+        size = draw(st.integers(0, 7)) if n and m else 0
+        return (
+            np.asarray(column(st.integers(0, max(n - 1, 0)), size), dtype=int),
+            np.asarray(column(st.integers(0, max(m - 1, 0)), size), dtype=int),
+            np.asarray(column(_finite, size), dtype=float),
+            np.asarray(column(ints, size), dtype=int),
+        )
+
+    return DualBipartiteGraph(
+        instance_ids=np.asarray(column(ints, n), dtype=int),
+        instance_group=np.asarray(column(ints, n), dtype=int),
+        instance_features=np.asarray(column(_finite, n * dim), dtype=float).reshape(n, dim),
+        label_group=np.asarray(column(ints, m), dtype=int),
+        label_class=np.asarray(column(st.integers(0, classes - 1), m), dtype=int),
+        label_slot=np.asarray(column(ints, m), dtype=int),
+        num_classes=classes,
+        within=WithinGraph(*edges()),
+        cross=CrossGraph(*edges()),
+    )
+
+
+@st.composite
+def _ratings(draw):
+    levels = np.asarray(sorted(draw(st.sets(st.floats(0.0, 1.0), min_size=2, max_size=4))))
+    n, m, rows = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(0, 7))
+
+    def column(values, size=rows):
+        return draw(st.lists(values, min_size=size, max_size=size))
+
+    probs = np.asarray(column(st.floats(0.0, 1.0), rows * len(levels))).reshape(rows, len(levels))
+    return RatingMatrix(
+        src=np.asarray(column(st.integers(0, n - 1)), dtype=int),
+        dst=np.asarray(column(st.integers(0, m - 1)), dtype=int),
+        kind=np.asarray(column(st.sampled_from(["within", "cross"])), dtype=str),
+        levels=levels,
+        probs=probs,
+        m_hat=np.clip(probs @ levels, levels[0], levels[-1]),
+        num_instances=n,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(["graph", "ratings"]), row_block=st.integers(1, 4))
+def test_loaders_round_trip_across_row_blocks(write_dir, data, kind, row_block):
+    obj = data.draw(_graphs() if kind == "graph" else _ratings())
+    save, load, equal = {
+        "graph": (save_graph, load_graph, graphs_equal),
+        "ratings": (save_ratings, load_ratings, ratings_equal),
+    }[kind]
+    path, again = write_dir / f"{kind}.jsonl", write_dir / f"{kind}_again.jsonl"
+    with mock.patch.object(jsonl, "ROW_BLOCK", row_block):
+        save(obj, path)
+        loaded = load(path)
+        save(loaded, again)
+    assert equal(obj, loaded)
+    assert again.read_bytes() == path.read_bytes()
 
 
 # -- writing ------------------------------------------------------------------
@@ -362,10 +478,15 @@ def _writer(name, small_run):
         "report": lambda path: save_report(report, path),
         "curves": lambda path: save_curves(report, path),
         "loss_trace": lambda path: save_loss_trace(result, path),
+        "sweep": lambda path: save_sweep([SweepRow(0.2, 0, "dbgae", 0.5, 0.25)], path),
+        "sweep_errors": lambda path: save_sweep_errors([(0.2, 0, "no within edges")], path),
     }[name]
 
 
-@pytest.mark.parametrize("writer", ["jsonl", "params", "config", "report", "curves", "loss_trace"])
+@pytest.mark.parametrize(
+    "writer",
+    ["jsonl", "params", "config", "report", "curves", "loss_trace", "sweep", "sweep_errors"],
+)
 def test_failed_write_leaves_the_earlier_file_and_no_temporary(small_run, tmp_path, writer):
     write = _writer(writer, small_run)
     path = tmp_path / "f"

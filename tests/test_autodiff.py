@@ -91,6 +91,46 @@ class TestBackwardBasics:
         with pytest.raises(AutodiffError, match="scalar"):
             ad.backward(ad.scale(w, 1.0))
 
+    @staticmethod
+    def _two_layer_loss():
+        rng = np.random.default_rng(4)
+        W1 = ad.parameter(rng.standard_normal((3, 4)))
+        W2 = ad.parameter(rng.standard_normal((4, 2)))
+        x = ad.constant(rng.standard_normal((5, 3)))
+        hidden = ad.relu(ad.matmul(x, W1))
+        loss = ad.mean_all(ad.mul(ad.matmul(hidden, W2), ad.matmul(hidden, W2)))
+        return loss, hidden, (W1, W2), x
+
+    def test_backward_consumes_the_graph(self):
+        loss, _, params, x = self._two_layer_loss()
+        interior, stack = [], [loss]
+        while stack:
+            node = stack.pop()
+            if node.parents:
+                interior.append(node)
+            stack.extend(node.parents)
+        ad.backward(loss)
+        assert interior and all(node.parents == () for node in interior)
+        assert [node.grad for node in interior if node.grad is not None] == []
+        assert [node for node in interior if getattr(node.backward_fn, "__closure__", None)] == []
+        assert all(p.grad is not None and p.grad.shape == p.shape for p in params)
+        assert x.grad is None
+
+    def test_second_backward_raises_and_leaves_gradients_alone(self):
+        loss, hidden, params, x = self._two_layer_loss()
+        ad.backward(loss)
+        grads = [p.grad.copy() for p in params]
+        with pytest.raises(AutodiffError, match="consumed"):
+            ad.backward(loss)
+        # a new loss through a consumed node fails before its fresh branch
+        # writes any gradient
+        fresh = ad.mean_all(ad.matmul(x, params[0]))
+        for loss in (ad.add(ad.mean_all(hidden), fresh), ad.add(fresh, ad.mean_all(hidden))):
+            with pytest.raises(AutodiffError, match="consumed"):
+                ad.backward(loss)
+        for p, g in zip(params, grads):
+            np.testing.assert_array_equal(p.grad, g)
+
 
 def _bounded_array(rng, shape, low=-2.0, high=2.0, away_from_zero=0.0):
     arr = rng.uniform(low, high, size=shape)

@@ -212,6 +212,57 @@ class TestPropagation:
         assert [shape for shape in forbidden if shape in shapes] == []
         assert (prep.num_nodes, cfg.gcn_hidden) in shapes
 
+    def test_no_coefficient_block_reachable_from_a_propagate_closure(self):
+        graph = make_graph(
+            inst_feats=[[0.2, 0.8, 0.1], [-0.5, 0.1, 0.0], [0.3, 0.3, -0.4]],
+            inst_group=[0, 1, 2],
+            label_class=[0, 1, 1, 0],
+            label_group=[0, 1, 2, 2],
+            within=[(0, 0, 1.0, 1), (1, 1, 0.5, 1), (2, 2, 0.5, 1), (2, 3, 0.5, 1)],
+            cross=[(0, 1, 0.5, 1), (1, 0, 0.7, 0), (2, 0, 0.7, 0)],
+            num_classes=2,
+        )
+        cfg = small_config(gcn_hidden=7, num_heads=2)
+        prep = prepare_graph(graph, cfg)
+        assert isinstance(prep.paths["cross"].edges, ad.DenseBlockPath)
+        params = init_params(cfg, graph.feature_dim, graph.num_classes)
+        U, V = encode(prep, params, cfg)
+        blocks = {(3, 4), (4, 3)}  # n x m and m x n
+        closures, shapes = [], set()
+        stack, seen = [U, V], set()
+        while stack:
+            node = stack.pop()
+            if node.op == "propagate":
+                closures.append(node.backward_fn)
+            for parent in node.parents:
+                if id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append(parent)
+        assert len(closures) == 2 * cfg.num_heads
+        # Everything a closure reaches: its cells, the tensors in them with
+        # their values, inputs and closures, and the kernel's fields.
+        stack, seen = [cell.cell_contents for f in closures for cell in f.__closure__], set()
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, np.ndarray):
+                shapes.add(obj.shape)
+                stack.append(obj.base)
+            elif isinstance(obj, ad.Tensor):
+                stack.extend([obj.value, obj.grad, obj.backward_fn, *obj.parents])
+            elif callable(obj) and getattr(obj, "__closure__", None):
+                stack.extend(cell.cell_contents for cell in obj.__closure__)
+            elif isinstance(obj, (tuple, list)):
+                stack.extend(obj)
+            elif isinstance(obj, dict):
+                stack.extend(obj.values())
+            elif isinstance(obj, (ad.DenseBlockPath, ad.SparsePath)):
+                stack.extend(vars(obj).values())
+        assert (prep.num_nodes, cfg.gcn_hidden) in shapes
+        assert shapes & blocks == set()
+
     def test_benchmark_graph_picks_dense_cross_and_sparse_within(self):
         from dbgae.benchmark import (
             benchmark_generator_config,
@@ -463,6 +514,39 @@ class TestTrain:
         assert result.prob_sum_err.max() <= 1e-9
         assert result.mhat_min.min() >= 0.0
         assert result.mhat_max.max() <= 1.0
+
+    def test_no_tape_survives_into_the_next_epoch(self, monkeypatch):
+        import gc
+
+        from dbgae import model
+
+        def live_tape_nodes():  # op outputs, as opposed to parameters and constants
+            return sum(
+                1
+                for obj in gc.get_objects()
+                if isinstance(obj, ad.Tensor) and obj.op not in ("param", "const")
+            )
+
+        live_at_encode = []
+        real_encode = model.encode
+
+        def encode_counting(*args):
+            live_at_encode.append(live_tape_nodes())
+            return real_encode(*args)
+
+        monkeypatch.setattr(model, "encode", encode_counting)
+        graph = make_graph(
+            inst_feats=[[0.2, 0.8], [-0.5, 0.1]],
+            inst_group=[0, 1],
+            label_class=[0, 1],
+            label_group=[0, 1],
+            within=[(0, 0, 1.0, 1), (1, 1, 0.5, 1)],
+            cross=[(0, 1, 0.5, 1)],
+            num_classes=2,
+        )
+        before = live_tape_nodes()  # what other tests may have left alive
+        train(graph, small_config(epochs=3))
+        assert live_at_encode == [before] * 4  # three epochs and the final encode
 
     def test_no_within_edges_raises(self):
         graph = make_graph(

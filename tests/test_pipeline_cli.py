@@ -301,6 +301,26 @@ class TestCli:
         pipeline_pred = paths.predictions["pair_clustering"]
         assert out.read_bytes() == pipeline_pred.read_bytes()
 
+    def test_predict_reads_the_dataset_only_for_cluster_voting(self, tmp_path):
+        _, paths = run_pipeline(small_config(), out_dir=tmp_path / "run")
+        missing = str(tmp_path / "no_such_dataset.jsonl")
+        inputs = {
+            "dbgae": ["--ratings", str(paths.ratings), "--graph", str(paths.graph)],
+            "pair_clustering": ["--graph", str(paths.graph)],
+        }
+        for method, args in inputs.items():
+            out = tmp_path / f"pred_{method}.jsonl"
+            for dataset in ([], ["--dataset", missing]):
+                argv = ["predict", "--method", method, *args, *dataset, "--out", str(out)]
+                assert main(argv) == 0
+                assert out.read_bytes() == paths.predictions[method].read_bytes()
+        out = tmp_path / "pred_cluster_voting.jsonl"
+        with pytest.raises(SystemExit):
+            main(["predict", "--method", "cluster_voting", "--out", str(out)])
+        args = ["predict", "--method", "cluster_voting", "--dataset", str(paths.dataset)]
+        assert main(args + ["--out", str(out)]) == 0
+        assert out.read_bytes() == paths.predictions["cluster_voting"].read_bytes()
+
     def test_pipeline_subcommand_with_overrides(self, tmp_path):
         args = ["pipeline", "--seed", "7", "--out-dir", str(tmp_path / "run")]
         for section, body in SMALL_OVERRIDES.items():
