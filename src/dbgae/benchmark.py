@@ -11,25 +11,15 @@ spaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .data import GeneratorConfig, GpllDataset, generate_synthetic
-from .evaluation import MethodReport, evaluate
-from .graph import DualBipartiteGraph, build_dual_graph
-from .inference import baseline_cluster_voting, baseline_pair_clustering, pool_labels
-from .model import ModelConfig, TrainResult, train
-from .pipeline import GraphConfig
+from .data import GeneratorConfig
+from .model import ModelConfig
+from .pipeline import GraphConfig, RunConfig, RunResult, execute
 
 BENCHMARK_SEEDS = (0, 1, 2, 3, 4)
-BENCHMARK_DISTRACTOR_RATE = 0.3
 
 
-def benchmark_generator_config(
-    seed: int,
-    cross_rate: float = 0.2,
-    distractor_rate: float = BENCHMARK_DISTRACTOR_RATE,
-) -> GeneratorConfig:
-    config = GeneratorConfig(
+def benchmark_generator_config(seed: int, cross_rate: float = 0.2) -> GeneratorConfig:
+    return GeneratorConfig(
         num_classes=20,
         feature_dim=32,
         num_groups=200,
@@ -41,10 +31,9 @@ def benchmark_generator_config(
         noise_scale=0.08,
         null_rate=0.2,
         cross_rate=cross_rate,
-        distractor_rate=distractor_rate,
+        distractor_rate=0.3,
         rng_seed=seed,
     )
-    return config
 
 
 def benchmark_graph_config() -> GraphConfig:
@@ -63,25 +52,18 @@ def benchmark_model_config(seed: int, variant: str = "full") -> ModelConfig:
     return config.with_variant(variant)
 
 
-@dataclass
-class BenchmarkRun:
-    seed: int
-    dataset: GpllDataset
-    graph: DualBipartiteGraph
-    train_result: TrainResult
-    reports: dict[str, MethodReport]
+def run_benchmark_seed(seed: int, variant: str = "full", cross_rate: float = 0.2) -> RunResult:
+    """One benchmark run through ``pipeline.execute``.
 
-
-def run_benchmark_seed(seed: int, variant: str = "full", cross_rate: float = 0.2) -> BenchmarkRun:
-    """One full benchmark run: generate, build, train, predict all methods."""
-    ds = generate_synthetic(benchmark_generator_config(seed, cross_rate=cross_rate))
-    gc = benchmark_graph_config()
-    graph = build_dual_graph(ds, eps=gc.eps, min_pts=gc.min_pts, threshold=gc.threshold)
-    result = train(graph, benchmark_model_config(seed, variant=variant))
-    predictions = {
-        "dbgae": pool_labels(result.ratings, graph),
-        "cluster_voting": baseline_cluster_voting(ds, eps=gc.eps, min_pts=gc.min_pts),
-        "pair_clustering": baseline_pair_clustering(graph),
-    }
-    reports = {name: evaluate(preds, ds, name) for name, preds in predictions.items()}
-    return BenchmarkRun(seed=seed, dataset=ds, graph=graph, train_result=result, reports=reports)
+    The generator and model seeds are ``seed`` itself, not derived from it
+    as ``RunConfig.resolved`` would, so the benchmark datasets and initial
+    parameters stay those the acceptance thresholds were set on.
+    """
+    return execute(
+        RunConfig(
+            seed=seed,
+            generator=benchmark_generator_config(seed, cross_rate=cross_rate),
+            graph=benchmark_graph_config(),
+            model=benchmark_model_config(seed, variant=variant),
+        )
+    )

@@ -12,7 +12,7 @@ import json
 import sys
 
 from .data import dataset_stats, generate_synthetic, load_dataset, save_dataset
-from .errors import DbgaeError
+from .errors import ConfigError, DbgaeError
 from .evaluation import build_report, save_curves, save_report
 from .graph import build_dual_graph, load_graph, save_graph
 from .inference import (
@@ -36,16 +36,13 @@ from .pipeline import (
 
 
 def _resolve_config(args) -> RunConfig:
-    if getattr(args, "config", None):
-        data = config_to_dict(load_config(args.config))
-    else:
-        data = config_to_dict(RunConfig())
-    for override in getattr(args, "set", None) or []:
+    data = config_to_dict(load_config(args.config) if args.config else RunConfig())
+    for override in args.set or []:
         key, _, value = override.partition("=")
         if not _:
             raise DbgaeError(f"--set expects key=value, got '{override}'")
         data = apply_override(data, key.strip(), value.strip())
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         data["seed"] = args.seed
     if getattr(args, "out_dir", None) is not None:
         data["out_dir"] = args.out_dir
@@ -65,8 +62,9 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_build_graph(args) -> int:
+    gc = _resolve_config(args).graph
     ds = load_dataset(getattr(args, "in"))
-    graph = build_dual_graph(ds, eps=args.eps, min_pts=args.min_pts, threshold=args.threshold)
+    graph = build_dual_graph(ds, eps=gc.eps, min_pts=gc.min_pts, threshold=gc.threshold)
     save_graph(graph, args.out)
     print(
         f"wrote {args.out}: {graph.num_instances} instances, {graph.num_label_nodes} label "
@@ -94,6 +92,11 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     config = _resolve_config(args)
     if args.method == "dbgae":
+        if not config.inference.cosine_on_raw:
+            raise ConfigError(
+                "inference.cosine_on_raw=false pools over the learned embeddings, which "
+                "predict cannot rebuild from --ratings and --graph; use dbgae pipeline"
+            )
         graph = load_graph(args.graph)
         ratings = load_ratings(args.ratings)
         predictions = pool_labels(ratings, graph, tau=config.inference.tau)
@@ -178,12 +181,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_generate)
 
-    p = sub.add_parser("build-graph", help="construct the dual bipartite graph")
+    p = sub.add_parser("build-graph", help="construct the dual bipartite graph (config.graph)")
+    _add_config_flags(p)
     p.add_argument("--in", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--eps", type=float, default=1.0)
-    p.add_argument("--min-pts", type=int, default=2)
-    p.add_argument("--threshold", type=float, default=1.0)
     p.set_defaults(fn=_cmd_build_graph)
 
     p = sub.add_parser("train", help="train the autoencoder on a graph")

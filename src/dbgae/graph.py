@@ -355,14 +355,14 @@ def save_graph(graph: DualBipartiteGraph, path):
         "src": w.inst,
         "dst": w.lab + n,
         "w": w.weight,
-        "kind": np.full(len(w.inst), "within"),
+        "kind": np.broadcast_to("within", len(w.inst)),
         "c": w.count,
     }
     cross = {
         "src": x.inst,
         "dst": x.lab + n,
         "w": x.weight,
-        "kind": np.full(len(x.inst), "cross"),
+        "kind": np.broadcast_to("cross", len(x.inst)),
         "via": x.via,
     }
     jsonl.write(
@@ -416,7 +416,10 @@ def load_graph(path) -> DualBipartiteGraph:
             if rec["kind"] == "within":
                 within.add(src, dst, float(rec["w"]), int(rec["c"]))
             elif rec["kind"] == "cross":
-                cross.add(src, dst, float(rec["w"]), int(rec["via"]))
+                via = int(rec["via"])
+                if not 0 <= via < n:
+                    raise SchemaError(f"cross edge via {via} out of range [0, {n})")
+                cross.add(src, dst, float(rec["w"]), via)
             else:
                 raise SchemaError(f"unknown edge kind {rec['kind']!r}")
         elif rec["kind"] == "instance":

@@ -5,12 +5,13 @@ ratings, predictions) uses this format.  Lines are compact JSON
 (``separators=(",", ":")``), UTF-8, ending in ``"\\n"``; blank lines are
 ignored.  Reading owns every way a file can be malformed, so a loader only
 converts objects: whatever a conversion raises surfaces as ``ParseError`` or
-``SchemaError`` with the message prefixed by ``"{path}: line {n}: "``.
+``SchemaError`` with the message prefixed by ``"{path}: line {n}: "``.  An
+integer that int64 cannot hold is a ``ParseError`` of its line.
 
 Writing has two encoders that give the same bytes for the same values:
 ``records`` dumps one dict per line (for records that are nested or vary in
-shape), ``columns`` encodes a table of numpy columns whole, in blocks of
-``ROW_BLOCK`` rows (for the per-edge files, where a per-record ``json.dumps``
+shape), ``columns`` encodes a table of numpy columns whole, in blocks of at most
+``ROW_BLOCK`` rows and ``BLOCK_VALUES`` values (for the per-edge files, where a per-record ``json.dumps``
 is most of the cost).  Both feed ``write``, which owns the file.  Every
 artifact writer, JSON Lines or not, opens its file through ``atomic_open``.
 
@@ -38,12 +39,31 @@ _SEPARATORS = (",", ":")
 _CONVERSION_ERRORS = (AttributeError, IndexError, KeyError, TypeError, ValueError)
 
 
+def _int64(text: str) -> int:
+    """An integer literal as ``int``; ``ValueError`` if int64 cannot hold it."""
+    value = int(text)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"integer {text} does not fit in 64 bits")
+    return value
+
+
+# Every integer a loader reads ends up in an int64 array, so the decoder
+# rejects larger ones on their own line rather than at a later conversion.
+_DECODER = json.JSONDecoder(parse_int=_int64)
+
 # Rows encoded at once by ``columns`` (and records dumped, and rows gathered
 # by ``Blocks``, per block).  Writing the 93k-edge files of an 800-group run
 # took the same time with blocks of 256 to 4096 rows; 4096 raised the peak
 # RSS of a 200-group pipeline run by 2.6 MB over per-record writing, 1024
 # did not.
 ROW_BLOCK = 1024
+# Values ``columns`` encodes at once, so a wide table takes shorter blocks.
+# The pipeline writes every artifact after evaluate, on top of everything
+# the run holds.  At 800 groups, 1024 rows of the 36-value instance nodes
+# held 4.7 MB of strings (tracemalloc); with 2048 values a block,
+# ``save_graph`` peaks at 1.1 MB and ``save_ratings`` at 1.0 MB, 1-3% slower
+# than with 8192.
+BLOCK_VALUES = 2048
 
 
 @contextlib.contextmanager
@@ -136,8 +156,9 @@ def columns(table: dict):
             value = "[" + ",".join(["%s"] * a.shape[1]) + "]"
         fields.append(json.dumps(key).replace("%", "%%") + ":" + value)
     template = "{" + ",".join(fields) + "}"
-    for start in range(0, rows, ROW_BLOCK):
-        stop = min(start + ROW_BLOCK, rows)
+    step = max(1, min(ROW_BLOCK, BLOCK_VALUES // max(len(slots), 1)))
+    for start in range(0, rows, step):
+        stop = min(start + step, rows)
         encoded = [encode(col[start:stop]) for encode, col in slots]
         if encoded:
             yield [template % row for row in zip(*encoded)]
@@ -154,7 +175,7 @@ def read(path, on_header, on_record):
             if not raw.strip():
                 continue
             try:
-                obj = json.loads(raw.decode("utf-8"))
+                obj = _DECODER.decode(raw.decode("utf-8"))
             except ValueError as exc:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from exc
             if not isinstance(obj, dict):

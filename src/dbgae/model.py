@@ -673,8 +673,10 @@ def load_ratings(path) -> RatingMatrix:
         expected = min(max(sum(map(operator.mul, p, levels)), levels[0]), levels[-1])
         if not abs(m_hat - expected) <= M_HAT_TOLERANCE:  # NaN in p fails too
             raise SchemaError(f"m_hat {m_hat!r} differs from clip(p @ levels) = {expected!r}")
-        dst = int(rec["dst"]) - header["num_instances"]
-        rows.add(int(rec["src"]), dst, rec["kind"], m_hat, p)
+        src, dst = int(rec["src"]), int(rec["dst"]) - header["num_instances"]
+        if not (0 <= src < header["num_instances"] and dst >= 0):
+            raise SchemaError("rating endpoint out of range")
+        rows.add(src, dst, rec["kind"], m_hat, p)
 
     jsonl.read(path, on_header, on_record)
     src, dst, kind, m_hat, probs = rows.arrays()

@@ -1,9 +1,10 @@
 """End-to-end pipeline: generate, build graph, train, predict, evaluate.
 
-A run is driven by one nested config with a single global seed; the
-generator and model seeds are derived from it, every artifact is written
-into the run directory, and the resolved config is emitted alongside the
-results so any run can be reproduced from its own output directory.
+``execute`` runs the stages in memory.  ``run_pipeline`` drives it from one
+nested config with a single global seed (the generator and model seeds are
+derived from it) and writes every artifact into the run directory, the
+resolved config among them, so any run can be reproduced from its own
+output directory.
 """
 
 from __future__ import annotations
@@ -15,18 +16,19 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import jsonl
-from .data import GeneratorConfig, generate_synthetic, save_dataset
+from .data import GeneratorConfig, GpllDataset, generate_synthetic, save_dataset
 from .errors import ConfigError, DbgaeError, PipelineError
 from .evaluation import DEFAULT_FREQUENCY_EDGES, EvalReport, build_report, save_curves, save_report
-from .graph import build_dual_graph, save_graph
+from .graph import DualBipartiteGraph, build_dual_graph, save_graph
 from .inference import (
     POOL_THRESHOLD,
+    Prediction,
     baseline_cluster_voting,
     baseline_pair_clustering,
     pool_labels,
     save_predictions,
 )
-from .model import ModelConfig, save_loss_trace, save_params, save_ratings, train
+from .model import ModelConfig, TrainResult, save_loss_trace, save_params, save_ratings, train
 
 DBGAE_METHOD = "dbgae"
 BASELINE_METHODS = ("cluster_voting", "pair_clustering")
@@ -243,62 +245,50 @@ def _artifact_paths(out_dir: Path) -> PipelineArtifacts:
     )
 
 
-def run_pipeline(config: RunConfig, out_dir=None) -> tuple[EvalReport, PipelineArtifacts]:
-    """Execute every stage, writing all intermediate artifacts.
+@dataclass
+class RunResult:
+    """What one run computes, in memory."""
 
-    Raises PipelineError naming the failing stage.
+    config: RunConfig  # as executed: section seeds set
+    dataset: GpllDataset
+    graph: DualBipartiteGraph
+    train_result: TrainResult
+    predictions: dict[str, list[Prediction]]
+    report: EvalReport
+
+
+def _stage(name, fn):
+    try:
+        return fn()
+    except (DbgaeError, OSError) as exc:
+        raise PipelineError(name, str(exc)) from exc
+
+
+def execute(resolved: RunConfig) -> RunResult:
+    """Generate, build the graph, train, predict with every method, evaluate.
+
+    ``resolved`` is taken as given: its generator and model sections carry
+    the seeds used (``RunConfig.resolved`` derives them from the global
+    seed).  Nothing is written.  Raises PipelineError naming the failing
+    stage.
     """
-    config.validate()
-    resolved = config.resolved()
-    paths = _artifact_paths(Path(out_dir if out_dir is not None else resolved.out_dir))
-    paths.out_dir.mkdir(parents=True, exist_ok=True)
-    save_config(resolved, paths.resolved_config)
-
-    def stage(name, fn):
-        try:
-            return fn()
-        except DbgaeError as exc:
-            raise PipelineError(name, str(exc)) from exc
-        except OSError as exc:
-            raise PipelineError(name, str(exc)) from exc
-
-    ds = stage("generate", lambda: generate_synthetic(resolved.generator))
-    stage("generate", lambda: save_dataset(ds, paths.dataset))
-
-    graph = stage(
+    gc, ic = resolved.graph, resolved.inference
+    ds = _stage("generate", lambda: generate_synthetic(resolved.generator))
+    graph = _stage(
         "build-graph",
-        lambda: build_dual_graph(
-            ds,
-            eps=resolved.graph.eps,
-            min_pts=resolved.graph.min_pts,
-            threshold=resolved.graph.threshold,
-        ),
+        lambda: build_dual_graph(ds, eps=gc.eps, min_pts=gc.min_pts, threshold=gc.threshold),
     )
-    stage("build-graph", lambda: save_graph(graph, paths.graph))
-
-    result = stage("train", lambda: train(graph, resolved.model))
-    stage("train", lambda: save_params(result.params, paths.params))
-    stage("train", lambda: save_ratings(result.ratings, paths.ratings))
-    stage("train", lambda: save_loss_trace(result, paths.loss_trace))
-
-    predictions = {}
-
-    def predict_dbgae():
-        vectors = None if resolved.inference.cosine_on_raw else result.embeddings
-        return pool_labels(
-            result.ratings, graph, tau=resolved.inference.tau, instance_vectors=vectors
-        )
-
-    predictions[DBGAE_METHOD] = stage("predict", predict_dbgae)
-    predictions["cluster_voting"] = stage(
+    result = _stage("train", lambda: train(graph, resolved.model))
+    vectors = None if ic.cosine_on_raw else result.embeddings
+    predictions = _stage(
         "predict",
-        lambda: baseline_cluster_voting(ds, eps=resolved.graph.eps, min_pts=resolved.graph.min_pts),
+        lambda: {
+            DBGAE_METHOD: pool_labels(result.ratings, graph, tau=ic.tau, instance_vectors=vectors),
+            "cluster_voting": baseline_cluster_voting(ds, eps=gc.eps, min_pts=gc.min_pts),
+            "pair_clustering": baseline_pair_clustering(graph),
+        },
     )
-    predictions["pair_clustering"] = stage("predict", lambda: baseline_pair_clustering(graph))
-    for method, preds in predictions.items():
-        stage("predict", lambda m=method, p=preds: save_predictions(p, m, paths.predictions[m]))
-
-    report = stage(
+    report = _stage(
         "evaluate",
         lambda: build_report(
             predictions,
@@ -307,9 +297,38 @@ def run_pipeline(config: RunConfig, out_dir=None) -> tuple[EvalReport, PipelineA
             frequency_edges=resolved.evaluation.frequency_edges,
         ),
     )
-    stage("evaluate", lambda: save_report(report, paths.report_text, paths.report_json))
-    stage("evaluate", lambda: save_curves(report, paths.curves))
-    return report, paths
+    return RunResult(resolved, ds, graph, result, predictions, report)
+
+
+def _write_artifacts(run: RunResult, paths: PipelineArtifacts):
+    result = run.train_result
+    save_dataset(run.dataset, paths.dataset)
+    save_graph(run.graph, paths.graph)
+    save_params(result.params, paths.params)
+    save_ratings(result.ratings, paths.ratings)
+    save_loss_trace(result, paths.loss_trace)
+    for method, predictions in run.predictions.items():
+        save_predictions(predictions, method, paths.predictions[method])
+    save_report(run.report, paths.report_text, paths.report_json)
+    save_curves(run.report, paths.curves)
+
+
+def run_pipeline(config: RunConfig, out_dir=None) -> tuple[EvalReport, PipelineArtifacts]:
+    """Resolve ``config``, ``execute`` it, then write every artifact.
+
+    ``resolved_config.json`` is written before the first stage, everything
+    else once evaluate has finished, so a failed stage leaves only that
+    file.  Raises PipelineError naming the failing stage ("write" for the
+    artifacts).
+    """
+    config.validate()
+    resolved = config.resolved()
+    paths = _artifact_paths(Path(out_dir if out_dir is not None else resolved.out_dir))
+    paths.out_dir.mkdir(parents=True, exist_ok=True)
+    save_config(resolved, paths.resolved_config)
+    run = execute(resolved)
+    _stage("write", lambda: _write_artifacts(run, paths))
+    return run.report, paths
 
 
 # ---------------------------------------------------------------------------

@@ -93,11 +93,15 @@ def cross_heavy_runs():
 
 
 def mean_acc(runs, method="dbgae"):
-    return float(np.mean([r.reports[method].accuracy for r in runs]))
+    return float(
+        np.mean([m.accuracy for r in runs for m in r.report.methods if m.method == method])
+    )
 
 
 def mean_f1(runs, method="dbgae"):
-    return float(np.mean([r.reports[method].macro_f1 for r in runs]))
+    return float(
+        np.mean([m.macro_f1 for r in runs for m in r.report.methods if m.method == method])
+    )
 
 
 def pooled_bin_accuracy(runs, method_predictions, low_cut=0.2, high_cut=0.6):
@@ -217,7 +221,7 @@ def test_c4_benchmark_margins(benchmark_runs):
     for run in runs:
         stats = dataset_stats(run.dataset)
         assert 0.4 <= stats.mean_ambiguity <= 0.6, (
-            f"seed {run.seed}: mean ambiguity {stats.mean_ambiguity:.3f} outside [0.4, 0.6]"
+            f"seed {run.config.seed}: mean ambiguity {stats.mean_ambiguity:.3f} outside [0.4, 0.6]"
         )
     acc = {m: mean_acc(runs, m) for m in ("dbgae", "cluster_voting", "pair_clustering")}
     f1 = {m: mean_f1(runs, m) for m in ("dbgae", "cluster_voting", "pair_clustering")}

@@ -119,6 +119,14 @@ def _drop(key):
     return edit
 
 
+def _set(key, value):
+    def edit(obj):
+        obj[key] = value
+        return obj
+
+    return edit
+
+
 def _short_p(obj):
     obj["p"] = obj["p"][:-1]
     return obj
@@ -138,7 +146,12 @@ MALFORMED = [
             ("predictions", "method"),
         ]
     ],
+    *[  # line 84 is the first cross edge
+        pytest.param("graph", 84, _set("via", via), SchemaError, "line 84", id=f"graph-via-{via}")
+        for via in (-1, 10**6)
+    ],
     pytest.param("ratings", 2, _short_p, SchemaError, "line 2", id="ratings-short-p"),
+    pytest.param("ratings", 2, _set("src", -1), SchemaError, "line 2", id="ratings-src--1"),
     pytest.param("params", 1, _drop("meta"), SchemaError, "'meta'", id="params-no-meta"),
     pytest.param("params", 1, _drop("tensors"), SchemaError, "'tensors'", id="params-no-tensors"),
 ]
@@ -273,7 +286,7 @@ def _dicts(obj):
     line_pick=st.integers(0, 10**6),
     mode=st.sampled_from(["truncate", "drop", "retype"]),
     pick=st.integers(0, 10**6),
-    value=st.sampled_from([None, "x", 1.5, -1, [], {}, [[1]]]),
+    value=st.sampled_from([None, "x", 1.5, -1, 10**30, [], {}, [[1]]]),
 )
 def test_only_package_errors_escape_loaders(artifacts, kind, line_pick, mode, pick, value):
     lines = artifacts[kind].read_text(encoding="utf-8").splitlines()
@@ -311,13 +324,13 @@ def _graphs(draw):
     def column(values, size):
         return draw(st.lists(values, min_size=size, max_size=size))
 
-    def edges():
+    def edges(counts_or_vias):
         size = draw(st.integers(0, 7)) if n and m else 0
         return (
             np.asarray(column(st.integers(0, max(n - 1, 0)), size), dtype=int),
             np.asarray(column(st.integers(0, max(m - 1, 0)), size), dtype=int),
             np.asarray(column(_finite, size), dtype=float),
-            np.asarray(column(ints, size), dtype=int),
+            np.asarray(column(counts_or_vias, size), dtype=int),
         )
 
     return DualBipartiteGraph(
@@ -328,8 +341,8 @@ def _graphs(draw):
         label_class=np.asarray(column(st.integers(0, classes - 1), m), dtype=int),
         label_slot=np.asarray(column(ints, m), dtype=int),
         num_classes=classes,
-        within=WithinGraph(*edges()),
-        cross=CrossGraph(*edges()),
+        within=WithinGraph(*edges(ints)),
+        cross=CrossGraph(*edges(st.integers(0, max(n - 1, 0)))),
     )
 
 
@@ -354,15 +367,20 @@ def _ratings(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), kind=st.sampled_from(["graph", "ratings"]), row_block=st.integers(1, 4))
-def test_loaders_round_trip_across_row_blocks(write_dir, data, kind, row_block):
+@given(
+    data=st.data(),
+    kind=st.sampled_from(["graph", "ratings"]),
+    row_block=st.integers(1, 4),
+    block_values=st.integers(1, 24),
+)
+def test_loaders_round_trip_across_row_blocks(write_dir, data, kind, row_block, block_values):
     obj = data.draw(_graphs() if kind == "graph" else _ratings())
     save, load, equal = {
         "graph": (save_graph, load_graph, graphs_equal),
         "ratings": (save_ratings, load_ratings, ratings_equal),
     }[kind]
     path, again = write_dir / f"{kind}.jsonl", write_dir / f"{kind}_again.jsonl"
-    with mock.patch.object(jsonl, "ROW_BLOCK", row_block):
+    with mock.patch.multiple(jsonl, ROW_BLOCK=row_block, BLOCK_VALUES=block_values):
         save(obj, path)
         loaded = load(path)
         save(loaded, again)

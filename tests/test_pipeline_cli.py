@@ -1,4 +1,6 @@
 import json
+import runpy
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -7,7 +9,7 @@ from dbgae import graph as graph_module
 from dbgae import model as model_module
 from dbgae.cli import main
 from dbgae.data import datasets_equal, load_dataset
-from dbgae.errors import ConfigError
+from dbgae.errors import ConfigError, PipelineError, TrainingError
 from dbgae.graph import graphs_equal, load_graph
 from dbgae.model import load_ratings, ratings_equal
 from dbgae.pipeline import (
@@ -161,6 +163,13 @@ class TestPipeline:
         assert prepare.call_count == 1
         assert encode.call_count == config.model.epochs + 1
 
+    def test_failed_stage_leaves_only_the_resolved_config(self, tmp_path):
+        failing = mock.Mock(side_effect=TrainingError("no supervision"))
+        with mock.patch("dbgae.pipeline.train", failing):
+            with pytest.raises(PipelineError, match="stage 'train': no supervision"):
+                run_pipeline(small_config(), out_dir=tmp_path / "run")
+        assert [p.name for p in (tmp_path / "run").iterdir()] == ["resolved_config.json"]
+
     def test_one_link_tuple_clustering_per_run(self, tmp_path):
         dbscan = mock.Mock(wraps=graph_module.dbscan)
         with mock.patch("dbgae.graph.dbscan", dbscan), mock.patch("dbgae.inference.dbscan", dbscan):
@@ -192,7 +201,11 @@ class TestCli:
         cfg_path = tmp_path / "config.json"
         from dbgae.pipeline import save_config
 
-        save_config(small_config(), cfg_path)
+        data = config_to_dict(small_config())
+        data["graph"] = {**data["graph"], "min_pts": 3, "threshold": 0.5}  # not the defaults
+        config = config_from_dict(data)
+        save_config(config, cfg_path)
+        _, paths = run_pipeline(config, out_dir=tmp_path / "run")
         ds = tmp_path / "ds.jsonl"
         graph = tmp_path / "graph.jsonl"
         params = tmp_path / "params.json"
@@ -203,7 +216,9 @@ class TestCli:
         curves = tmp_path / "curves.csv"
 
         assert main(["generate", "--config", str(cfg_path), "--out", str(ds)]) == 0
-        assert main(["build-graph", "--in", str(ds), "--out", str(graph)]) == 0
+        argv = ["build-graph", "--config", str(cfg_path), "--in", str(ds), "--out", str(graph)]
+        assert main(argv) == 0
+        assert graph.read_bytes() == paths.graph.read_bytes()
         assert (
             main(
                 [
@@ -242,6 +257,8 @@ class TestCli:
             main(
                 [
                     "predict",
+                    "--config",
+                    str(cfg_path),
                     "--method",
                     "cluster_voting",
                     "--dataset",
@@ -271,8 +288,20 @@ class TestCli:
             == 0
         )
         assert report.exists() and curves.exists()
+        assert ds.read_bytes() == paths.dataset.read_bytes()
+        assert ratings.read_bytes() == paths.ratings.read_bytes()
+        assert pred.read_bytes() == paths.predictions["dbgae"].read_bytes()
+        assert pred_cv.read_bytes() == paths.predictions["cluster_voting"].read_bytes()
         out = capsys.readouterr().out
         assert "dbgae" in out and "cluster_voting" in out
+
+    def test_predict_refuses_pooling_over_embeddings(self, tmp_path, capsys):
+        _, paths = run_pipeline(small_config(), out_dir=tmp_path / "run")
+        argv = ["predict", "--ratings", str(paths.ratings), "--graph", str(paths.graph)]
+        argv += ["--set", "inference.cosine_on_raw=false", "--out", str(tmp_path / "pred.jsonl")]
+        assert main(argv) == 1
+        assert "inference.cosine_on_raw" in capsys.readouterr().err
+        assert not (tmp_path / "pred.jsonl").exists()
 
     def test_train_loss_trace_is_the_pipeline_trace(self, tmp_path):
         from dbgae.pipeline import save_config
@@ -354,3 +383,26 @@ class TestCli:
         )
         assert rc == 0
         assert (tmp_path / "sweep" / "sweep.csv").exists()
+
+
+class TestScripts:
+    def test_run_benchmark_writes_rows_and_means_per_variant(self, tmp_path):
+        from dataclasses import replace
+
+        from dbgae import benchmark
+
+        script = runpy.run_path(str(Path(__file__).parents[1] / "scripts" / "run_benchmark.py"))
+        config = benchmark.benchmark_model_config
+
+        def two_epochs(seed, variant="full"):
+            return replace(config(seed, variant), epochs=2)
+
+        out = tmp_path / "benchmark.csv"
+        with mock.patch("dbgae.benchmark.benchmark_model_config", two_epochs):
+            argv = ["--seeds", "0", "--variants", "full,no_cross", "--out", str(out)]
+            assert script["main"](argv) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "variant,seed,method,accuracy,f1"
+        assert len(lines) == 1 + 2 * 3 + 2 * 3  # header, variant x method runs, then means
+        means = [line.split(",")[:2] for line in lines[7:]]
+        assert means == [["full", "mean"]] * 3 + [["no_cross", "mean"]] * 3
