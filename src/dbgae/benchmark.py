@@ -6,10 +6,13 @@ background (null) and a fifth with displaced labels, distractor pressure
 tuned so the mean ambiguity ratio lands between 0.4 and 0.6.  Feature
 scales are chosen so the distance conventions eps = 1 / threshold = 1
 separate same-class from cross-class pairs, mirroring unit-scale embedding
-spaces.
+spaces.  The generator and graph sections are the config defaults; the
+model is a smaller one than the default.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 from .data import GeneratorConfig
 from .model import ModelConfig
@@ -19,25 +22,11 @@ BENCHMARK_SEEDS = (0, 1, 2, 3, 4)
 
 
 def benchmark_generator_config(seed: int, cross_rate: float = 0.2) -> GeneratorConfig:
-    return GeneratorConfig(
-        num_classes=20,
-        feature_dim=32,
-        num_groups=200,
-        min_instances=1,
-        max_instances=2,
-        min_labels=0,
-        max_labels=10,
-        separation=1.0,
-        noise_scale=0.08,
-        null_rate=0.2,
-        cross_rate=cross_rate,
-        distractor_rate=0.3,
-        rng_seed=seed,
-    )
+    return replace(GeneratorConfig(), rng_seed=seed, cross_rate=cross_rate)
 
 
 def benchmark_graph_config() -> GraphConfig:
-    return GraphConfig(eps=1.0, min_pts=2, threshold=1.0)
+    return GraphConfig()
 
 
 def benchmark_model_config(seed: int, variant: str = "full") -> ModelConfig:

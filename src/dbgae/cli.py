@@ -12,7 +12,7 @@ import json
 import sys
 
 from .data import dataset_stats, generate_synthetic, load_dataset, save_dataset
-from .errors import ConfigError, DbgaeError
+from .errors import DbgaeError
 from .evaluation import build_report, save_curves, save_report
 from .graph import build_dual_graph, load_graph, save_graph
 from .inference import (
@@ -92,11 +92,6 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     config = _resolve_config(args)
     if args.method == "dbgae":
-        if not config.inference.cosine_on_raw:
-            raise ConfigError(
-                "inference.cosine_on_raw=false pools over the learned embeddings, which "
-                "predict cannot rebuild from --ratings and --graph; use dbgae pipeline"
-            )
         graph = load_graph(args.graph)
         ratings = load_ratings(args.ratings)
         predictions = pool_labels(ratings, graph, tau=config.inference.tau)

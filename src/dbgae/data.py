@@ -139,20 +139,22 @@ class GeneratorConfig:
     (no label anywhere); ``cross_rate`` the fraction whose label occurrence is
     displaced into another group; ``distractor_rate`` the mean number of extra
     labels per group that match no instance in it.
+
+    The defaults are the reference benchmark's (``dbgae.benchmark``).
     """
 
     num_classes: int = 20
     feature_dim: int = 32
-    num_groups: int = 100
-    min_instances: int = 2
-    max_instances: int = 3
+    num_groups: int = 200
+    min_instances: int = 1
+    max_instances: int = 2
     min_labels: int = 0
-    max_labels: int = 16
-    separation: float = 6.0
-    noise_scale: float = 1.0
-    null_rate: float = 0.0
-    cross_rate: float = 0.0
-    distractor_rate: float = 0.0
+    max_labels: int = 10
+    separation: float = 1.0
+    noise_scale: float = 0.08
+    null_rate: float = 0.2
+    cross_rate: float = 0.2
+    distractor_rate: float = 0.3
     rng_seed: int = 0
 
     def validate(self):

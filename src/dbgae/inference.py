@@ -42,20 +42,11 @@ def _argmax_class(scores: np.ndarray) -> int:
 
 
 def pool_labels(
-    ratings: RatingMatrix,
-    graph: DualBipartiteGraph,
-    tau: float = POOL_THRESHOLD,
-    instance_vectors: np.ndarray | None = None,
+    ratings: RatingMatrix, graph: DualBipartiteGraph, tau: float = POOL_THRESHOLD
 ) -> list[Prediction]:
-    """Per-instance class pooling over refined link weights.
-
-    ``instance_vectors`` defaults to the raw instance features; pass learned
-    embeddings to switch the cosine similarity basis.
-    """
+    """Per-instance class pooling over refined link weights, with the cross
+    links' cosine similarity taken over the raw instance features."""
     n, m = graph.num_instances, graph.num_label_nodes
-    vectors = graph.instance_features if instance_vectors is None else instance_vectors
-    if vectors.shape[0] != n:
-        raise SchemaError("instance_vectors row count does not match the graph")
     if ratings.num_instances != n:
         raise SchemaError(f"ratings cover {ratings.num_instances} instances, the graph has {n}")
     if len(ratings) and (
@@ -82,8 +73,15 @@ def pool_labels(
             raise SchemaError(f"cross rating ({src[k]}, {dst[k]}) has no matching graph edge")
         via = graph.cross.via[by_key[pos]]
         inst = src[cross]
-        # row dots by matmul, which rounds like the 1-D ``a @ b`` per row
-        dots = np.matmul(vectors[inst][:, None, :], vectors[via][:, :, None])[:, 0, 0]
+        vectors = graph.instance_features
+        # row dots by matmul, which rounds like the 1-D ``a @ b`` per row;
+        # a block of rows at a time, so no gathered copy of every rating's
+        # feature rows is alive at once
+        dots = np.empty(len(cross))
+        for start in range(0, len(cross), jsonl.ROW_BLOCK):
+            rows = slice(start, start + jsonl.ROW_BLOCK)
+            a, b = vectors[inst[rows]], vectors[via[rows]]
+            dots[rows] = np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
         norms = np.linalg.norm(vectors, axis=1)
         denom = norms[inst] * norms[via]
         cosine = np.zeros(len(cross))

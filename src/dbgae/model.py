@@ -33,8 +33,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -224,10 +223,11 @@ class PreparedGraph:
     paths: dict[str, _Path]
     num_nodes: int
     num_instances: int
-    decode_src: RowIndex
-    decode_dst: RowIndex
+    within_src: RowIndex  # the loss's edges: every within edge
+    within_dst: RowIndex
+    decode_src: np.ndarray  # the rated edges: within, then cross if the model uses them
+    decode_dst: np.ndarray
     decode_kind: np.ndarray
-    num_within: int
     targets: np.ndarray
     loss_weights: np.ndarray
 
@@ -270,17 +270,6 @@ def prepare_graph(graph: DualBipartiteGraph, config: ModelConfig) -> PreparedGra
         "cross": _directed(x.inst[keep], x.lab[keep], x.weight[keep], n, m, "cross"),
     }
 
-    if include_cross:
-        decode_src = np.concatenate([w.inst, graph.cross.inst])
-        decode_dst = np.concatenate([w.lab, graph.cross.lab])
-        decode_kind = np.concatenate(
-            [np.full(len(w.inst), "within"), np.full(len(graph.cross.inst), "cross")]
-        )
-    else:
-        decode_src = w.inst.copy()
-        decode_dst = w.lab.copy()
-        decode_kind = np.full(len(w.inst), "within")
-
     return PreparedGraph(
         node_feats=ad.constant(feats),
         x=ad.constant(graph.instance_features),
@@ -290,10 +279,13 @@ def prepare_graph(graph: DualBipartiteGraph, config: ModelConfig) -> PreparedGra
         paths=paths,
         num_nodes=n + m,
         num_instances=n,
-        decode_src=RowIndex(decode_src),
-        decode_dst=RowIndex(decode_dst),
-        decode_kind=decode_kind,
-        num_within=len(w.inst),
+        within_src=RowIndex(w.inst),
+        within_dst=RowIndex(w.lab),
+        decode_src=np.concatenate([w.inst, x.inst[keep]]),
+        decode_dst=np.concatenate([w.lab, x.lab[keep]]),
+        decode_kind=np.concatenate(
+            [np.full(len(w.inst), "within"), np.full(len(x.inst[keep]), "cross")]
+        ),
         targets=quantize_levels(within_weight, config.rating_levels),
         loss_weights=within_weight,
     )
@@ -403,15 +395,22 @@ def decode_logits(
 
 @dataclass
 class RatingMatrix:
-    """Per-edge categorical distribution over rating levels and its mean."""
+    """Per-edge categorical distribution over rating levels.
+
+    ``m_hat``, the refined link weight, is derived: the expectation of each
+    row's distribution, clipped to the level range.
+    """
 
     src: np.ndarray  # instance row
     dst: np.ndarray  # label row
     kind: np.ndarray  # "within" | "cross"
     levels: np.ndarray
     probs: np.ndarray  # (E, R)
-    m_hat: np.ndarray  # (E,)
     num_instances: int
+    m_hat: np.ndarray = field(init=False)  # (E,)
+
+    def __post_init__(self):
+        self.m_hat = np.clip(self.probs @ self.levels, self.levels[0], self.levels[-1])
 
     def __len__(self):
         return len(self.src)
@@ -443,7 +442,6 @@ def decode(
         kind=np.asarray(kind),
         levels=levels,
         probs=probs,
-        m_hat=np.clip(probs @ levels, levels[0], levels[-1]),
         num_instances=len(U),
     )
 
@@ -465,7 +463,6 @@ def reconstruction_loss(logits_within: Tensor, targets: np.ndarray) -> Tensor:
 class TrainResult:
     params: ModelParams
     ratings: RatingMatrix
-    embeddings: np.ndarray  # (N, dense_hidden) instance embeddings U of ``ratings``
     loss_trace: np.ndarray
     prob_sum_err: np.ndarray  # per epoch: max |sum_r p - 1| over decoded edges
     mhat_min: np.ndarray
@@ -480,16 +477,15 @@ def train(
     """Full-graph gradient descent with Adam for ``config.epochs`` epochs.
 
     Deterministic given the config seed; returns final parameters, decoded
-    ratings for every within and cross edge with the instance embeddings
-    they were decoded from, the per-epoch loss trace and per-epoch
-    decoder-normalization diagnostics.  Pass ``initial_params``
+    ratings for every within and cross edge, the per-epoch loss trace and
+    per-epoch decoder-normalization diagnostics.  Pass ``initial_params``
     (e.g. a loaded checkpoint) to resume training instead of reinitializing.
     """
     from .optim import AdamState, adam_step
 
     config.validate()
     prep = prepare_graph(graph, config)
-    if prep.num_within == 0:
+    if len(prep.within_src) == 0:
         raise TrainingError("graph has no observed within edges")
     if initial_params is not None:
         _check_checkpoint(initial_params, config, graph)
@@ -499,12 +495,7 @@ def train(
     state = AdamState.for_params(params.tensors, lr=config.lr)
 
     def rate(U: Tensor, V: Tensor) -> RatingMatrix:
-        return decode(
-            U.value, V.value, params, prep.decode_src.idx, prep.decode_dst.idx, prep.decode_kind
-        )
-
-    within_src = RowIndex(prep.decode_src.idx[: prep.num_within])
-    within_dst = RowIndex(prep.decode_dst.idx[: prep.num_within])
+        return decode(U.value, V.value, params, prep.decode_src, prep.decode_dst, prep.decode_kind)
 
     loss_trace = np.zeros(config.epochs)
     prob_sum_err = np.zeros(config.epochs)
@@ -516,7 +507,7 @@ def train(
         return, so no two epochs' tapes are ever alive at once."""
         U, V = encode(prep, params, config)
         loss = reconstruction_loss(
-            decode_logits(U, V, params, within_src, within_dst), prep.targets
+            decode_logits(U, V, params, prep.within_src, prep.within_dst), prep.targets
         )
         value = float(loss.value[0, 0])
         if not np.isfinite(value):
@@ -545,7 +536,6 @@ def train(
     return TrainResult(
         params=params,
         ratings=rate(U, V),
-        embeddings=U.value,
         loss_trace=loss_trace,
         prob_sum_err=prob_sum_err,
         mhat_min=mhat_min,
@@ -619,7 +609,6 @@ def save_ratings(ratings: RatingMatrix, path):
         "src": ratings.src,
         "dst": ratings.dst + ratings.num_instances,
         "kind": ratings.kind,
-        "m_hat": ratings.m_hat,
         "p": ratings.probs,
     }
     jsonl.write(path, header, jsonl.columns(table))
@@ -642,45 +631,35 @@ def save_loss_trace(result: TrainResult, path):
             )
 
 
-# Largest |m_hat - clip(p @ levels)| a ratings file may hold: the saved m_hat
-# is that expectation, and summing it in another order moves it by a few ulps.
-M_HAT_TOLERANCE = 1e-9
-
-
 def load_ratings(path) -> RatingMatrix:
     header: dict = {}
     levels: list[float] = []
-    rows = None  # src, dst, kind, m_hat and p per rating
+    rows = None  # src, dst, kind and p per rating
 
     def on_header(obj):
         nonlocal rows
         header["levels"] = np.asarray([float(x) for x in obj["levels"]])
         header["num_instances"] = int(obj["num_instances"])
         levels.extend(header["levels"].tolist())
-        rows = jsonl.Blocks((int, ()), (int, ()), (str, ()), (float, ()), (float, (len(levels),)))
+        rows = jsonl.Blocks((int, ()), (int, ()), (str, ()), (float, (len(levels),)))
 
     def on_record(rec):
         p = [float(x) for x in rec["p"]]
         if len(p) != len(levels):
             raise SchemaError(f"'p' has {len(p)} entries for {len(levels)} levels")
+        for x in p:
+            if not 0.0 <= x <= 1.0:  # NaN fails too
+                raise SchemaError(f"'p' entry {x!r} outside [0, 1]")
         if rec["kind"] not in ("within", "cross"):
             raise SchemaError(f"unknown rating kind {rec['kind']!r}")
-        m_hat = float(rec["m_hat"])
-        if math.isnan(m_hat):
-            raise SchemaError("m_hat is NaN")
-        if not levels[0] <= m_hat <= levels[-1]:
-            raise SchemaError(f"m_hat {m_hat!r} outside [{levels[0]!r}, {levels[-1]!r}]")
-        expected = min(max(sum(map(operator.mul, p, levels)), levels[0]), levels[-1])
-        if not abs(m_hat - expected) <= M_HAT_TOLERANCE:  # NaN in p fails too
-            raise SchemaError(f"m_hat {m_hat!r} differs from clip(p @ levels) = {expected!r}")
         src, dst = int(rec["src"]), int(rec["dst"]) - header["num_instances"]
         if not (0 <= src < header["num_instances"] and dst >= 0):
             raise SchemaError("rating endpoint out of range")
-        rows.add(src, dst, rec["kind"], m_hat, p)
+        rows.add(src, dst, rec["kind"], p)
 
     jsonl.read(path, on_header, on_record)
-    src, dst, kind, m_hat, probs = rows.arrays()
-    return RatingMatrix(src=src, dst=dst, kind=kind, probs=probs, m_hat=m_hat, **header)
+    src, dst, kind, probs = rows.arrays()
+    return RatingMatrix(src=src, dst=dst, kind=kind, probs=probs, **header)
 
 
 def ratings_equal(a: RatingMatrix, b: RatingMatrix) -> bool:
@@ -691,5 +670,4 @@ def ratings_equal(a: RatingMatrix, b: RatingMatrix) -> bool:
         and np.array_equal(a.kind, b.kind)
         and np.array_equal(a.levels, b.levels)
         and np.array_equal(a.probs, b.probs)
-        and np.array_equal(a.m_hat, b.m_hat)
     )

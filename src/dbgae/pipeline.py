@@ -52,7 +52,6 @@ class GraphConfig:
 @dataclass(frozen=True)
 class InferenceConfig:
     tau: float = POOL_THRESHOLD
-    cosine_on_raw: bool = True  # False: cosine over learned instance embeddings
 
     def validate(self):
         if not 0 <= self.tau <= 1:
@@ -272,18 +271,17 @@ def execute(resolved: RunConfig) -> RunResult:
     seed).  Nothing is written.  Raises PipelineError naming the failing
     stage.
     """
-    gc, ic = resolved.graph, resolved.inference
+    gc = resolved.graph
     ds = _stage("generate", lambda: generate_synthetic(resolved.generator))
     graph = _stage(
         "build-graph",
         lambda: build_dual_graph(ds, eps=gc.eps, min_pts=gc.min_pts, threshold=gc.threshold),
     )
     result = _stage("train", lambda: train(graph, resolved.model))
-    vectors = None if ic.cosine_on_raw else result.embeddings
     predictions = _stage(
         "predict",
         lambda: {
-            DBGAE_METHOD: pool_labels(result.ratings, graph, tau=ic.tau, instance_vectors=vectors),
+            DBGAE_METHOD: pool_labels(result.ratings, graph, tau=resolved.inference.tau),
             "cluster_voting": baseline_cluster_voting(ds, eps=gc.eps, min_pts=gc.min_pts),
             "pair_clustering": baseline_pair_clustering(graph),
         },

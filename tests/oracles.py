@@ -170,11 +170,10 @@ def ratings_records(ratings):
         ratings.src.tolist(),
         (ratings.dst + ratings.num_instances).tolist(),
         ratings.kind.tolist(),
-        ratings.m_hat.tolist(),
         ratings.probs.tolist(),
     )
-    for src, dst, kind, m_hat, p in columns:
-        yield {"src": src, "dst": dst, "kind": kind, "m_hat": m_hat, "p": p}
+    for src, dst, kind, p in columns:
+        yield {"src": src, "dst": dst, "kind": kind, "p": p}
 
 
 def table_records(table: dict) -> list[dict]:
@@ -222,7 +221,7 @@ def cross_links_reference(within, neighbors):
     return inst[first], lab[first], weight[first], via[first]
 
 
-def pool_labels_reference(ratings, graph, tau: float, vectors: np.ndarray) -> list:
+def pool_labels_reference(ratings, graph, tau: float) -> list:
     """Pooling oracle via a loop over ratings with a dict of cross-edge donors.
 
     Raises ``SchemaError`` naming the first cross rating without a graph edge.
@@ -231,6 +230,7 @@ def pool_labels_reference(ratings, graph, tau: float, vectors: np.ndarray) -> li
         (int(i), int(j)): int(v)
         for i, j, v in zip(graph.cross.inst, graph.cross.lab, graph.cross.via)
     }
+    vectors = graph.instance_features
     norms = np.linalg.norm(vectors, axis=1)
     scores = np.zeros((graph.num_instances, graph.num_classes))
     for k in range(len(ratings)):

@@ -71,6 +71,8 @@ def small_run():
             num_classes=4,
             feature_dim=3,
             num_groups=8,
+            min_instances=2,
+            max_instances=3,
             null_rate=0.2,
             cross_rate=0.2,
             distractor_rate=0.5,
@@ -227,38 +229,31 @@ def test_unknown_kind_names_file_line_and_kind(artifacts, tmp_path, kind):
     assert str(info.value) == f"{path}: line {k + 1}: unknown {noun} kind 'bogus'"
 
 
-def _m_hat(shift):
-    def edit(obj):
-        obj["m_hat"] = shift(obj["m_hat"])
-        return obj
-
-    return edit
-
-
-@pytest.mark.parametrize(
-    "edit, message",
-    [
-        (_m_hat(lambda m: float("nan")), "m_hat is NaN"),
-        (_m_hat(lambda m: 1.5), "m_hat 1.5 outside [0.0, 1.0]"),
-        (_m_hat(lambda m: -0.25), "m_hat -0.25 outside [0.0, 1.0]"),
-        (_m_hat(lambda m: m + 1e-6 if m < 0.5 else m - 1e-6), "differs from clip(p @ levels) = "),
-    ],
-    ids=["nan", "above", "below", "off-by-1e-6"],
-)
-def test_ratings_m_hat_that_contradicts_p_names_file_and_line(artifacts, tmp_path, edit, message):
+@pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5], ids=["nan", "below", "above"])
+def test_ratings_p_entry_outside_unit_interval_names_file_and_line(artifacts, tmp_path, bad):
     lines = artifacts["ratings"].read_text(encoding="utf-8").splitlines()
-    lines[1] = json.dumps(edit(json.loads(lines[1])))
+    record = json.loads(lines[1])
+    record["p"][-1] = bad
+    lines[1] = json.dumps(record)
     path = _write_lines(tmp_path / "ratings.jsonl", lines)
     with pytest.raises(SchemaError) as info:
         load_ratings(path)
-    assert str(info.value).startswith(f"{path}: line 2: ") and message in str(info.value)
+    assert str(info.value) == f"{path}: line 2: 'p' entry {bad!r} outside [0, 1]"
 
 
-def test_ratings_m_hat_within_tolerance_loads(artifacts, tmp_path):
+def test_ratings_file_with_m_hat_column_loads(artifacts, small_run, tmp_path):
+    # the older format also wrote m_hat, between kind and p; the key is ignored
+    ratings = small_run[2].ratings
     lines = artifacts["ratings"].read_text(encoding="utf-8").splitlines()
-    edit = _m_hat(lambda m: m + 1e-12 if m < 0.5 else m - 1e-12)
-    lines[1] = json.dumps(edit(json.loads(lines[1])))
-    assert len(load_ratings(_write_lines(tmp_path / "ratings.jsonl", lines))) == len(lines) - 1
+    older = lines[:1]
+    for line, m_hat in zip(lines[1:], ratings.m_hat.tolist()):
+        record = json.loads(line)
+        record = {**{k: record[k] for k in ("src", "dst", "kind")}, "m_hat": m_hat, "p": record["p"]}
+        older.append(json.dumps(record, separators=(",", ":")))
+    assert '"m_hat":' in older[1] and '"m_hat":' not in lines[1]
+    loaded = load_ratings(_write_lines(tmp_path / "ratings.jsonl", older))
+    assert ratings_equal(loaded, ratings)
+    np.testing.assert_array_equal(loaded.m_hat, ratings.m_hat)
 
 
 @pytest.mark.parametrize("field", ["shape", "data"])
@@ -361,7 +356,6 @@ def _ratings(draw):
         kind=np.asarray(column(st.sampled_from(["within", "cross"])), dtype=str),
         levels=levels,
         probs=probs,
-        m_hat=np.clip(probs @ levels, levels[0], levels[-1]),
         num_instances=n,
     )
 

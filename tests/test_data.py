@@ -87,7 +87,13 @@ class TestGenerate:
 
     def test_full_null_rate_leaves_no_true_class_labeled(self):
         cfg = GeneratorConfig(
-            num_classes=4, num_groups=10, min_instances=1, max_instances=2, null_rate=1.0
+            num_classes=4,
+            num_groups=10,
+            min_instances=1,
+            max_instances=2,
+            null_rate=1.0,
+            cross_rate=0.0,
+            distractor_rate=0.0,
         )
         ds = generate_synthetic(cfg)
         for inst in ds.iter_instances():
@@ -108,6 +114,7 @@ class TestGenerate:
             max_instances=2,
             null_rate=0.2,
             cross_rate=0.2,
+            distractor_rate=0.0,
             rng_seed=11,
         )
         ds = generate_synthetic(cfg)
@@ -127,19 +134,28 @@ class TestGenerate:
         assert abs(cross / total - 0.2) <= 0.03
 
     def test_null_fraction_tracks_requested_rate(self):
-        cfg = GeneratorConfig(num_classes=20, num_groups=200, null_rate=0.21, rng_seed=5)
+        cfg = GeneratorConfig(
+            num_classes=20,
+            num_groups=200,
+            min_instances=2,
+            max_instances=3,
+            null_rate=0.21,
+            cross_rate=0.0,
+            distractor_rate=0.0,
+            rng_seed=5,
+        )
         stats = dataset_stats(generate_synthetic(cfg))
         assert abs(stats.null_fraction - 0.21) <= 0.03
 
     def test_empty_dataset(self):
-        ds = generate_synthetic(GeneratorConfig(num_groups=0))
+        ds = generate_synthetic(GeneratorConfig(num_groups=0, cross_rate=0.0))
         assert ds.groups == []
         assert ds.num_instances == 0
 
 
 class TestSerialization:
     def test_round_trip_empty(self, tmp_path):
-        ds = generate_synthetic(GeneratorConfig(num_groups=0))
+        ds = generate_synthetic(GeneratorConfig(num_groups=0, cross_rate=0.0))
         path = tmp_path / "ds.jsonl"
         save_dataset(ds, path)
         assert datasets_equal(ds, load_dataset(path))
@@ -239,6 +255,9 @@ class TestAmbiguityRatio:
             num_groups=10,
             min_instances=1,
             max_instances=2,
+            max_labels=16,
+            null_rate=0.0,
+            cross_rate=0.0,
             distractor_rate=distractor,
             rng_seed=seed,
         )

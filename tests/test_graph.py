@@ -275,7 +275,9 @@ class TestBuildDualGraph:
             max_instances=2,
             separation=1.0,
             noise_scale=0.05,
+            null_rate=0.0,
             cross_rate=0.3,
+            distractor_rate=0.0,
             rng_seed=1,
         )
         ds = generate_synthetic(cfg)
@@ -305,7 +307,9 @@ class TestBuildDualGraph:
                 num_groups=30,
                 separation=1.0,
                 noise_scale=0.05,
+                null_rate=0.0,
                 cross_rate=0.2,
+                distractor_rate=0.0,
                 min_instances=1,
                 max_instances=2,
                 rng_seed=2,
@@ -325,7 +329,9 @@ class TestBuildDualGraph:
                 num_groups=30,
                 separation=1.0,
                 noise_scale=0.05,
+                null_rate=0.0,
                 cross_rate=0.2,
+                distractor_rate=0.0,
                 min_instances=1,
                 max_instances=2,
                 rng_seed=3,
@@ -338,7 +344,8 @@ class TestBuildDualGraph:
     def test_deterministic(self):
         ds = generate_synthetic(
             GeneratorConfig(num_classes=6, num_groups=25, cross_rate=0.2, rng_seed=5,
-                            separation=1.0, noise_scale=0.05)
+                            separation=1.0, noise_scale=0.05, min_instances=2,
+                            max_instances=3, null_rate=0.0, distractor_rate=0.0)
         )
         assert graphs_equal(build_dual_graph(ds), build_dual_graph(ds))
 
@@ -347,6 +354,9 @@ class TestBuildDualGraph:
             GeneratorConfig(
                 num_classes=6,
                 num_groups=25,
+                min_instances=2,
+                max_instances=3,
+                null_rate=0.0,
                 cross_rate=0.2,
                 distractor_rate=0.5,
                 separation=1.0,

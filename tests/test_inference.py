@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dbgae import jsonl
 from dbgae.data import NULL_CLASS
 from dbgae.errors import SchemaError
 from dbgae.graph import build_dual_graph
@@ -22,18 +25,16 @@ from test_model import make_graph
 
 
 def make_ratings(graph, rows):
-    """rows: list of (src, dst, kind, m_hat)."""
-    src, dst, kind, m_hat = (np.asarray(x) for x in zip(*rows))
-    levels = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-    probs = np.zeros((len(rows), 5))
-    probs[:, -1] = 1.0  # placeholder distribution; pooling uses m_hat only
+    """rows: list of (src, dst, kind, m_hat).  Levels (0, 1) with
+    p = [1 - m, m] give each rating exactly that m_hat."""
+    src, dst, kind, m_hat = zip(*rows) if rows else ((), (), (), ())
+    m_hat = np.asarray(m_hat, dtype=float)
     return RatingMatrix(
-        src=src.astype(int),
-        dst=dst.astype(int),
-        kind=kind.astype(str),
-        levels=levels,
-        probs=probs,
-        m_hat=m_hat.astype(float),
+        src=np.asarray(src, dtype=int),
+        dst=np.asarray(dst, dtype=int),
+        kind=np.asarray(kind, dtype=str),
+        levels=np.array([0.0, 1.0]),
+        probs=np.stack([1.0 - m_hat, m_hat], axis=1),
         num_instances=graph.num_instances,
     )
 
@@ -161,7 +162,7 @@ class TestPoolingOracle:
         ratings = make_ratings(graph, [(0, 0, "cross", 1.0)])
         # the donor is instance 2, orthogonal to instance 0: cosine 0, no score
         assert pool_labels(ratings, graph, tau=0.0)[0].scores == {}
-        assert pool_labels_reference(ratings, graph, 0.0, graph.instance_features)[0].scores == {}
+        assert pool_labels_reference(ratings, graph, 0.0)[0].scores == {}
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -194,30 +195,19 @@ class TestPoolingOracle:
             ),
             label="m_hat",
         )
-        ratings = RatingMatrix(
-            src=np.asarray([i for (i, _), _ in rows], dtype=int),
-            dst=np.asarray([j for (_, j), _ in rows], dtype=int),
-            kind=np.asarray([kind for _, kind in rows], dtype=str),
-            levels=np.array([0.0, 1.0]),
-            probs=np.zeros((len(rows), 2)),
-            m_hat=np.asarray(m_hat, dtype=float),
-            num_instances=n,
-        )
+        ratings = make_ratings(graph, [(i, j, kind, m) for ((i, j), kind), m in zip(rows, m_hat)])
         tau = data.draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0), label="tau")
-        vectors = graph.instance_features
-        if data.draw(st.booleans(), label="learned vectors"):
-            width = data.draw(st.integers(1, 40))
-            vectors = np.asarray(
-                data.draw(st.lists(_COORD, min_size=n * width, max_size=n * width))
-            ).reshape(n, width)
+        # cross row dots are taken a block of rows at a time
+        row_block = data.draw(st.integers(1, 4), label="row block")
         try:
-            expected = pool_labels_reference(ratings, graph, tau, vectors)
+            expected = pool_labels_reference(ratings, graph, tau)
         except SchemaError as exc:
             with pytest.raises(SchemaError) as info:
-                pool_labels(ratings, graph, tau, vectors)
+                pool_labels(ratings, graph, tau)
             assert str(info.value) == str(exc)
             return
-        assert pool_labels(ratings, graph, tau, vectors) == expected
+        with mock.patch.object(jsonl, "ROW_BLOCK", row_block):
+            assert pool_labels(ratings, graph, tau) == expected
 
 
 class TestClusterVoting:

@@ -194,10 +194,8 @@ class TestPropagation:
         prep = prepare_graph(graph, cfg)
         params = init_params(cfg, graph.feature_dim, graph.num_classes)
         U, V = encode(prep, params, cfg)
-        within_src = ad.RowIndex(prep.decode_src.idx[: prep.num_within])
-        within_dst = ad.RowIndex(prep.decode_dst.idx[: prep.num_within])
         loss = reconstruction_loss(
-            decode_logits(U, V, params, within_src, within_dst), prep.targets
+            decode_logits(U, V, params, prep.within_src, prep.within_dst), prep.targets
         )
         forbidden = {(len(path.src), cfg.gcn_hidden) for path in prep.paths.values()}
         assert forbidden == {(8, 7), (4, 7)} and prep.num_nodes == 6
@@ -439,7 +437,9 @@ class TestDecode:
         result = train(graph, small_config(epochs=1))
         # zero Q gives uniform rows only before training; check decode directly
         U, V = encode(prep, params, cfg)
-        logits = decode_logits(U, V, params, prep.decode_src, prep.decode_dst)
+        logits = decode_logits(
+            U, V, params, ad.RowIndex(prep.decode_src), ad.RowIndex(prep.decode_dst)
+        )
         probs = np.exp(logits.value - logits.value.max(axis=1, keepdims=True))
         probs /= probs.sum(axis=1, keepdims=True)
         np.testing.assert_allclose(probs, 0.2, atol=1e-12)

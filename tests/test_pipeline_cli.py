@@ -3,15 +3,15 @@ import runpy
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from dbgae import graph as graph_module
-from dbgae import model as model_module
 from dbgae.cli import main
-from dbgae.data import datasets_equal, load_dataset
+from dbgae.data import datasets_equal, generate_synthetic, load_dataset
 from dbgae.errors import ConfigError, PipelineError, TrainingError
-from dbgae.graph import graphs_equal, load_graph
-from dbgae.model import load_ratings, ratings_equal
+from dbgae.graph import build_dual_graph, graphs_equal, load_graph
+from dbgae.model import load_ratings, quantize_levels, ratings_equal
 from dbgae.pipeline import (
     RunConfig,
     SweepSpec,
@@ -69,11 +69,23 @@ class TestConfig:
             config_from_dict({"generator": {"bogus": 1}})
         with pytest.raises(ConfigError, match="unknown"):
             config_from_dict({"not_a_section": {}})
+        # removed: the cross links' cosine over learned embeddings
+        with pytest.raises(ConfigError, match=r"unknown keys in 'inference': \['cosine_on_raw'\]"):
+            config_from_dict({"inference": {"cosine_on_raw": False}})
 
     def test_every_field_has_a_default(self):
         config = config_from_dict({})
         assert config.model.gcn_hidden == 1000
         assert config.generator.num_classes == 20
+
+    def test_default_graph_has_cross_edges_and_several_target_levels(self):
+        config = RunConfig().resolved()
+        gc = config.graph
+        ds = generate_synthetic(config.generator)
+        graph = build_dual_graph(ds, eps=gc.eps, min_pts=gc.min_pts, threshold=gc.threshold)
+        targets = quantize_levels(graph.within.weight, config.model.rating_levels)
+        assert len(graph.cross.inst) > 0
+        assert len(np.unique(targets)) >= 2
 
     def test_override_dotted_path(self):
         data = config_to_dict(RunConfig())
@@ -147,21 +159,6 @@ class TestPipeline:
         assert graphs_equal(graph, load_graph(paths.graph))
         ratings = load_ratings(paths.ratings)
         assert ratings_equal(ratings, load_ratings(paths.ratings))
-
-    def test_cosine_over_learned_embeddings(self, tmp_path):
-        data = config_to_dict(small_config())
-        data["inference"] = {"cosine_on_raw": False}
-        config = config_from_dict(data)
-        prepare = mock.Mock(wraps=model_module.prepare_graph)
-        encode = mock.Mock(wraps=model_module.encode)
-        with mock.patch("dbgae.model.prepare_graph", prepare), mock.patch(
-            "dbgae.model.encode", encode
-        ):
-            report, _ = run_pipeline(config, out_dir=tmp_path / "run")
-        assert any(m.method == "dbgae" for m in report.methods)
-        # the embeddings are those training decoded its final ratings from
-        assert prepare.call_count == 1
-        assert encode.call_count == config.model.epochs + 1
 
     def test_failed_stage_leaves_only_the_resolved_config(self, tmp_path):
         failing = mock.Mock(side_effect=TrainingError("no supervision"))
@@ -294,14 +291,6 @@ class TestCli:
         assert pred_cv.read_bytes() == paths.predictions["cluster_voting"].read_bytes()
         out = capsys.readouterr().out
         assert "dbgae" in out and "cluster_voting" in out
-
-    def test_predict_refuses_pooling_over_embeddings(self, tmp_path, capsys):
-        _, paths = run_pipeline(small_config(), out_dir=tmp_path / "run")
-        argv = ["predict", "--ratings", str(paths.ratings), "--graph", str(paths.graph)]
-        argv += ["--set", "inference.cosine_on_raw=false", "--out", str(tmp_path / "pred.jsonl")]
-        assert main(argv) == 1
-        assert "inference.cosine_on_raw" in capsys.readouterr().err
-        assert not (tmp_path / "pred.jsonl").exists()
 
     def test_train_loss_trace_is_the_pipeline_trace(self, tmp_path):
         from dbgae.pipeline import save_config
