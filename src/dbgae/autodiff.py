@@ -320,10 +320,10 @@ class _BipartiteEdges:
     """Directed edges ``src -> dst`` between the first ``num_left`` rows
     ("left") and the next ``num_right`` rows ("right") of a node table.
 
-    Base of the two propagation kernels below.  A kernel turns per-edge
-    coefficients into a linear operator (``operator``), applies it and its
-    transpose to node rows (``apply``, ``apply_transpose``) and takes the
-    per-edge row dot ``<g[dst_e], t[src_e]>`` (``edge_dot``).
+    Base of the two propagation kernels below.  A kernel applies the linear
+    operator that per-edge coefficients define, and its transpose, to node
+    rows (``apply``, ``apply_transpose``) and takes the per-edge row dot
+    ``<g[dst_e], t[src_e]>`` (``edge_dot``).
     """
 
     def __init__(self, src, dst, num_left: int, num_right: int):
@@ -348,11 +348,12 @@ class _BipartiteEdges:
 class DenseBlockPath(_BipartiteEdges):
     """Propagation through the two dense coefficient blocks of a bipartite path.
 
-    ``operator`` builds the left<-right block (num_left x num_right) and the
-    right<-left block (num_right x num_left) with one ``np.bincount`` each
-    (duplicate edges add up); applying them is two BLAS matmuls.  Costs
-    O(num_left * num_right * width) whatever the edge count, so it pays only
-    on dense paths.
+    ``apply`` and ``apply_transpose`` build the left<-right block
+    (num_left x num_right) and the right<-left block (num_right x num_left)
+    one at a time, each with one ``np.bincount`` (duplicate edges add up),
+    apply it with one BLAS matmul into the output rows and drop it before
+    building the other.  Costs O(num_left * num_right * width) whatever the
+    edge count, so it pays only on dense paths.
     """
 
     def __init__(self, src, dst, num_left: int, num_right: int):
@@ -365,25 +366,31 @@ class DenseBlockPath(_BipartiteEdges):
         self.left_flat = self.dst[self.left_edges] * m + (self.src[self.left_edges] - n)
         self.right_flat = (self.dst[self.right_edges] - n) * n + self.src[self.right_edges]
 
-    def operator(self, coef: np.ndarray):
+    def _to_left(self, coef: np.ndarray) -> np.ndarray:
         n, m = self.num_left, self.num_right
-        to_left = np.bincount(
+        return np.bincount(
             self.left_flat, weights=coef[self.left_edges], minlength=n * m
         ).reshape(n, m)
-        to_right = np.bincount(
+
+    def _to_right(self, coef: np.ndarray) -> np.ndarray:
+        n, m = self.num_left, self.num_right
+        return np.bincount(
             self.right_flat, weights=coef[self.right_edges], minlength=m * n
         ).reshape(m, n)
-        return to_left, to_right
 
-    def apply(self, op, t: np.ndarray) -> np.ndarray:
-        to_left, to_right = op
+    def apply(self, coef: np.ndarray, t: np.ndarray) -> np.ndarray:
         n = self.num_left
-        return np.concatenate([to_left @ t[n:], to_right @ t[:n]])
+        out = np.empty((self.num_nodes, t.shape[1]))
+        np.matmul(self._to_left(coef), t[n:], out=out[:n])
+        np.matmul(self._to_right(coef), t[:n], out=out[n:])
+        return out
 
-    def apply_transpose(self, op, g: np.ndarray) -> np.ndarray:
-        to_left, to_right = op
+    def apply_transpose(self, coef: np.ndarray, g: np.ndarray) -> np.ndarray:
         n = self.num_left
-        return np.concatenate([to_right.T @ g[n:], to_left.T @ g[:n]])
+        out = np.empty((self.num_nodes, g.shape[1]))
+        np.matmul(self._to_right(coef).T, g[n:], out=out[:n])
+        np.matmul(self._to_left(coef).T, g[:n], out=out[n:])
+        return out
 
     def edge_dot(self, g: np.ndarray, t: np.ndarray) -> np.ndarray:
         n = self.num_left
@@ -418,24 +425,21 @@ class SparsePath(_BipartiteEdges):
             )
         return self._per_width[width]
 
-    def operator(self, coef: np.ndarray):
-        return coef[:, None]
-
-    def _gather_scale_sum(self, values, rows_from, flat_into, buf, op) -> np.ndarray:
+    def _gather_scale_sum(self, values, rows_from, flat_into, buf, coef) -> np.ndarray:
         np.take(values, rows_from, axis=0, out=buf)
-        buf *= op
+        buf *= coef[:, None]
         width = values.shape[1]
         return np.bincount(
             flat_into, weights=buf.reshape(-1), minlength=self.num_nodes * width
         ).reshape(self.num_nodes, width)
 
-    def apply(self, op, t: np.ndarray) -> np.ndarray:
+    def apply(self, coef: np.ndarray, t: np.ndarray) -> np.ndarray:
         _, flat_dst, buf, _ = self._for_width(t.shape[1])
-        return self._gather_scale_sum(t, self.src, flat_dst, buf, op)
+        return self._gather_scale_sum(t, self.src, flat_dst, buf, coef)
 
-    def apply_transpose(self, op, g: np.ndarray) -> np.ndarray:
+    def apply_transpose(self, coef: np.ndarray, g: np.ndarray) -> np.ndarray:
         flat_src, _, buf, _ = self._for_width(g.shape[1])
-        return self._gather_scale_sum(g, self.dst, flat_src, buf, op)
+        return self._gather_scale_sum(g, self.dst, flat_src, buf, coef)
 
     def edge_dot(self, g: np.ndarray, t: np.ndarray) -> np.ndarray:
         _, _, g_rows, t_rows = self._for_width(g.shape[1])
@@ -450,10 +454,10 @@ def propagate(t: Tensor, coef: Tensor, path: DenseBlockPath | SparsePath) -> Ten
 
     One tape node per call, holding only the coefficient vector and ``t``'s
     value: no per-edge row of width ``t.cols`` and no coefficient block is
-    kept.  Backward rebuilds the operator from the coefficients (the same
-    ``np.bincount``, so the same floats; gradient checkpointing of one op)
-    and takes the transposed propagation for ``t`` (g-SpMM) and the per-edge
-    row dot ``<g[dst_e], t[src_e]>`` for ``coef`` (g-SDDMM).
+    kept.  Backward applies the transposed operator, rebuilt from the
+    coefficients by the same ``np.bincount`` (so the same floats; gradient
+    checkpointing of one op), for ``t`` (g-SpMM) and takes the per-edge row
+    dot ``<g[dst_e], t[src_e]>`` for ``coef`` (g-SDDMM).
     """
     if t.rows != path.num_nodes:
         raise DimensionError(f"propagate: {t.rows} rows for a path over {path.num_nodes} nodes")
@@ -463,11 +467,11 @@ def propagate(t: Tensor, coef: Tensor, path: DenseBlockPath | SparsePath) -> Ten
 
     def bwd(g):
         if t.requires_grad:
-            _accum(t, path.apply_transpose(path.operator(cv), g))
+            _accum(t, path.apply_transpose(cv, g))
         if coef.requires_grad:
             _accum(coef, path.edge_dot(g, tv).reshape(-1, 1))
 
-    return _result(path.apply(path.operator(cv), tv), (t, coef), bwd, "propagate")
+    return _result(path.apply(cv, tv), (t, coef), bwd, "propagate")
 
 
 def row_sum(a: Tensor) -> Tensor:
@@ -518,6 +522,50 @@ def segment_softmax(a: Tensor, idx) -> Tensor:
         _accum(a, (s * (gs - inner[ri.segment_of])).reshape(-1, 1))
 
     return _result(out, (a,), bwd, "segment_softmax")
+
+
+def edge_attention(s_dst: Tensor, s_src: Tensor, dst, src, slope: float) -> Tensor:
+    """Per-edge attention ``softmax over e with dst_e = d of
+    leaky_relu(s_dst[dst_e] + s_src[src_e])``, as one op.
+
+    The arithmetic, order included, of ``gather_rows`` of both score columns,
+    ``add``, ``leaky_relu`` and ``segment_softmax`` over ``dst``, so values
+    and gradients are those of that chain; the chain's four intermediate
+    per-edge columns are neither kept nor put on the tape.  Backward keeps
+    only the coefficients and the LeakyReLU sign mask.
+    """
+    dst, src = _as_rowindex(dst), _as_rowindex(src)
+    if s_dst.cols != 1 or s_src.cols != 1:
+        raise DimensionError(
+            f"edge_attention: expected column vectors, got {s_dst.shape} and {s_src.shape}"
+        )
+    if len(dst) != len(src):
+        raise DimensionError(f"edge_attention: {len(dst)} targets for {len(src)} sources")
+    for ri, scores in ((dst, s_dst), (src, s_src)):
+        if len(ri) and (ri.idx.min() < 0 or ri.idx.max() >= scores.rows):
+            raise DimensionError(f"edge_attention: index out of range for {scores.rows} rows")
+    if len(dst) == 0:
+        return _result(np.zeros((0, 1)), (s_dst, s_src), lambda g: None, "edge_attention")
+    x = s_dst.value[dst.idx] + s_src.value[src.idx]
+    mask = x > 0.0
+    _trace_signs(mask)
+    v = np.where(mask, x, slope * x)[:, 0]
+    del x
+    seg_max = dst.segment_reduce(v, np.maximum)
+    e = np.exp(v - seg_max[dst.segment_of])
+    seg_sum = dst.segment_reduce(e, np.add)
+    out = (e / seg_sum[dst.segment_of]).reshape(-1, 1)
+    dst_rows, src_rows = s_dst.rows, s_src.rows
+
+    def bwd(g):
+        gs = g[:, 0]
+        s = out[:, 0]
+        inner = dst.segment_reduce(s * gs, np.add)
+        g_scores = (s * (gs - inner[dst.segment_of])).reshape(-1, 1) * np.where(mask, 1.0, slope)
+        _accum(s_dst, dst.sum_into(g_scores, dst_rows))
+        _accum(s_src, src.sum_into(g_scores, src_rows))
+
+    return _result(out, (s_dst, s_src), bwd, "edge_attention")
 
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:

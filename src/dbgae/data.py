@@ -486,19 +486,27 @@ def _link_tables(ds: GpllDataset) -> tuple[dict[int, int], dict[int, int]]:
     Candidate links are all within-group instance x label pairs.  A wrong
     link touches a class through its instance side or its label side; a
     link touching both sides with the same class would be correct, so each
-    wrong link is counted once per touched class.
+    wrong link is counted once per touched class.  Only classes with a
+    nonzero count are keys.
+
+    Counted from per-group class histograms: a group with ``a_c`` instances
+    and ``b_c`` labels of class c (``a_all`` and ``b_all`` in all) has
+    ``a_c * b_c`` correct links of c, and
+    ``a_c * (b_all - b_c) + b_c * (a_all - a_c)`` wrong links touch c.
     """
-    s_t: dict[int, int] = {}
-    s_f: dict[int, int] = {}
-    for group in ds.groups:
-        for inst in group.instances:
-            ic = inst.true_class
-            for lab in group.labels:
-                if ic == lab.class_id:
-                    s_t[ic] = s_t.get(ic, 0) + 1
-                else:
-                    s_f[ic] = s_f.get(ic, 0) + 1
-                    s_f[lab.class_id] = s_f.get(lab.class_id, 0) + 1
+    width = ds.num_classes + 1  # column 0 holds NULL_CLASS
+    inst_key, lab_key = [], []
+    for g, group in enumerate(ds.groups):
+        inst_key.extend(g * width + inst.true_class + 1 for inst in group.instances)
+        lab_key.extend(g * width + lab.class_id + 1 for lab in group.labels)
+    size = len(ds.groups) * width
+    a = np.bincount(np.asarray(inst_key, dtype=np.int64), minlength=size).reshape(-1, width)
+    b = np.bincount(np.asarray(lab_key, dtype=np.int64), minlength=size).reshape(-1, width)
+    correct = (a * b).sum(axis=0)
+    a_all, b_all = a.sum(axis=1, keepdims=True), b.sum(axis=1, keepdims=True)
+    wrong = (a * (b_all - b) + b * (a_all - a)).sum(axis=0)
+    s_t = {c - 1: int(n) for c, n in enumerate(correct) if n}
+    s_f = {c - 1: int(n) for c, n in enumerate(wrong) if n}
     return s_t, s_f
 
 

@@ -75,18 +75,26 @@ class ModelConfig:
             raise ConfigError("epochs must be >= 1")
         if self.lr <= 0:
             raise ConfigError("lr must be > 0")
-        levels = self.rating_levels
-        if len(levels) < 2:
-            raise ConfigError("rating_levels needs at least two levels")
-        if any(b <= a for a, b in zip(levels, levels[1:])):
-            raise ConfigError("rating_levels must be strictly increasing")
-        if levels[0] < 0 or levels[-1] > 1:
-            raise ConfigError("rating_levels must lie within [0, 1]")
+        problem = _levels_problem(self.rating_levels)
+        if problem:
+            raise ConfigError(f"rating_levels {problem}")
 
     def with_variant(self, name: str) -> "ModelConfig":
         if name not in VARIANTS:
             raise ConfigError(f"unknown variant '{name}', expected one of {sorted(VARIANTS)}")
         return replace(self, **VARIANTS[name])
+
+
+def _levels_problem(levels) -> str | None:
+    """Why ``levels`` cannot be rating levels, or None: they must be at
+    least two, strictly increasing and within [0, 1] (so never NaN)."""
+    if len(levels) < 2:
+        return "needs at least two levels"
+    if not all(0 <= x <= 1 for x in levels):
+        return "must lie within [0, 1]"
+    if not all(b > a for a, b in zip(levels, levels[1:])):
+        return "must be strictly increasing"
+    return None
 
 
 @dataclass
@@ -300,22 +308,16 @@ def attention_coefficients(
     prep: PreparedGraph, params: ModelParams, head: int
 ) -> dict[str, Tensor]:
     """Per-edge attention, softmax-normalized over each node's neighborhood
-    separately per path.  Nodes with no neighbors on a path contribute no
-    coefficients (empty, never NaN)."""
+    separately per path, one fused ``ad.edge_attention`` per path.  Nodes
+    with no neighbors on a path contribute no coefficients (empty, never
+    NaN)."""
     A = ad.matmul(prep.node_feats, params[f"Wa.{head}"])
     s_self = ad.matmul(A, params[f"a_self.{head}"])
     s_neigh = ad.matmul(A, params[f"a_neigh.{head}"])
-    coeffs = {}
-    for name, path in prep.paths.items():
-        if len(path.src) == 0:
-            coeffs[name] = ad.constant(np.zeros((0, 1)))
-            continue
-        e = ad.leaky_relu(
-            ad.add(ad.gather_rows(s_self, path.dst), ad.gather_rows(s_neigh, path.src)),
-            ATTENTION_SLOPE,
-        )
-        coeffs[name] = ad.segment_softmax(e, path.dst)
-    return coeffs
+    return {
+        name: ad.edge_attention(s_self, s_neigh, path.dst, path.src, ATTENTION_SLOPE)
+        for name, path in prep.paths.items()
+    }
 
 
 def propagation_messages(
@@ -416,6 +418,15 @@ class RatingMatrix:
         return len(self.src)
 
 
+# Edges ``decode`` scores at once; per block it gathers two rows of width
+# dense_hidden per edge.  On the 91,543 edges of benchmark seed 0 at 800
+# groups (dense_hidden 8, one BLAS thread, 2-core Xeon VM), 2048 to 16384
+# edges a block took 21-29 ms a call against 29 ms for all edges at once,
+# and the tracemalloc peak fell from 15.7 to 5.3-6.0 MiB, which is mostly
+# the result itself (probs and m_hat, 4.4 MiB).
+DECODE_BLOCK = 4096
+
+
 def decode(
     U: np.ndarray,
     V: np.ndarray,
@@ -425,17 +436,24 @@ def decode(
     kind: np.ndarray,
 ) -> RatingMatrix:
     """Score the given edges in plain numpy: the bilinear logits of
-    ``decode_logits``, softmax across levels, and the expected weight."""
+    ``decode_logits``, softmax across levels, and the expected weight.
+
+    ``U @ Q_r`` is taken once per level; the edges' rows of it and of ``V``
+    are gathered ``DECODE_BLOCK`` edges at a time, straight into the
+    preallocated probability rows."""
     src, dst = np.asarray(src, dtype=int), np.asarray(dst, dtype=int)
     levels = np.asarray(params.rating_levels, dtype=np.float64)
-    Ug, Vg = U[src], V[dst]
-    logits = np.stack(
-        [np.einsum("ek,ek->e", Ug @ params[f"Q.{r}"].value, Vg) for r in range(len(levels))],
-        axis=1,
-    )
-    logits -= logits.max(axis=1, keepdims=True)
-    probs = np.exp(logits)
-    probs /= probs.sum(axis=1, keepdims=True)
+    UQ = [U @ params[f"Q.{r}"].value for r in range(len(levels))]
+    probs = np.empty((len(src), len(levels)))
+    for lo in range(0, len(src), DECODE_BLOCK):
+        block = slice(lo, lo + DECODE_BLOCK)
+        Vg = V[dst[block]]
+        logits = probs[block]
+        for r, uq in enumerate(UQ):
+            logits[:, r] = np.einsum("ek,ek->e", uq[src[block]], Vg)
+        logits -= logits.max(axis=1, keepdims=True)
+        np.exp(logits, out=logits)
+        logits /= logits.sum(axis=1, keepdims=True)
     return RatingMatrix(
         src=src,
         dst=dst,
@@ -639,6 +657,9 @@ def load_ratings(path) -> RatingMatrix:
     def on_header(obj):
         nonlocal rows
         header["levels"] = np.asarray([float(x) for x in obj["levels"]])
+        problem = _levels_problem(header["levels"])
+        if problem:
+            raise SchemaError(f"levels {header['levels'].tolist()} {problem}")
         header["num_instances"] = int(obj["num_instances"])
         levels.extend(header["levels"].tolist())
         rows = jsonl.Blocks((int, ()), (int, ()), (str, ()), (float, (len(levels),)))

@@ -3,9 +3,10 @@
 These deliberately take different algorithmic routes from the library:
 density clustering via explicit core-graph connected components, link
 weights via literal contradictory-link enumeration, message passing via a
-per-edge loop.  The per-record JSON writer, the cross-link double loop and
-the per-rating pooling loop are the library's earlier implementations, kept
-as the references its whole-column versions must match exactly.
+per-edge loop.  The per-record JSON writer, the cross-link double loop,
+the per-rating pooling loop and the per-link count loop are the library's
+earlier implementations, kept as the references its whole-column versions
+must match exactly.
 """
 
 from __future__ import annotations
@@ -65,6 +66,23 @@ def dbscan_reference(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray
         if reachable:
             labels[i] = min(reachable)
     return labels
+
+
+def link_tables_reference(ds) -> tuple[dict[int, int], dict[int, int]]:
+    """Link-count oracle via a loop over every within-group (instance, label)
+    pair: (correct links per class, wrong links touching each class)."""
+    s_t: dict[int, int] = {}
+    s_f: dict[int, int] = {}
+    for group in ds.groups:
+        for inst in group.instances:
+            ic = inst.true_class
+            for lab in group.labels:
+                if ic == lab.class_id:
+                    s_t[ic] = s_t.get(ic, 0) + 1
+                else:
+                    s_f[ic] = s_f.get(ic, 0) + 1
+                    s_f[lab.class_id] = s_f.get(lab.class_id, 0) + 1
+    return s_t, s_f
 
 
 def same_partition(a: np.ndarray, b: np.ndarray) -> bool:

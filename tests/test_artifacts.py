@@ -152,6 +152,15 @@ MALFORMED = [
         pytest.param("graph", 84, _set("via", via), SchemaError, "line 84", id=f"graph-via-{via}")
         for via in (-1, 10**6)
     ],
+    *[
+        pytest.param("ratings", 1, _set("levels", levels), SchemaError, "line 1: levels", id=name)
+        for name, levels in [
+            ("ratings-levels-above-1", [0.0, 2.0]),
+            ("ratings-levels-decreasing", [1.0, 0.0]),
+            ("ratings-levels-single", [0.5]),
+            ("ratings-levels-nan", [0.0, float("nan"), 1.0]),
+        ]
+    ],
     pytest.param("ratings", 2, _short_p, SchemaError, "line 2", id="ratings-short-p"),
     pytest.param("ratings", 2, _set("src", -1), SchemaError, "line 2", id="ratings-src--1"),
     pytest.param("params", 1, _drop("meta"), SchemaError, "'meta'", id="params-no-meta"),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -332,9 +334,8 @@ class TestPropagate:
         coef = rng.standard_normal(len(src))
         out_ref, grad_t_ref, grad_coef_ref = propagate_reference(t, coef, src, dst, g)
         p = kernel(src, dst, n, m)
-        op = p.operator(coef)
-        np.testing.assert_allclose(p.apply(op, t), out_ref, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(p.apply_transpose(op, g), grad_t_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(p.apply(coef, t), out_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(p.apply_transpose(coef, g), grad_t_ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(p.edge_dot(g, t), grad_coef_ref, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("kernel", KERNELS)
@@ -363,7 +364,91 @@ class TestPropagate:
         assert coef.grad is None
         np.testing.assert_allclose(T.grad, [[0.0] * 3, [2.0 / 6] * 3])
 
+    def test_dense_kernel_holds_one_block_at_a_time(self):
+        rng = np.random.default_rng(9)
+        n, m, width = 200, 150, 4
+        pairs = rng.choice(n * m, size=n * m // 10, replace=False)
+        inst, lab = pairs // m, pairs % m
+        src, dst = np.concatenate([lab + n, inst]), np.concatenate([inst, lab + n])
+        p = ad.DenseBlockPath(src, dst, n, m)
+        coef = rng.standard_normal(len(p))
+        t = rng.standard_normal((n + m, width))
+        # One coefficient block, the output rows, and the block's share of
+        # the coefficients gathered for its np.bincount.
+        bound = n * m * 8 + (n + m) * width * 8 + len(p) * 8
+        for apply in (p.apply, p.apply_transpose):
+            tracemalloc.start()
+            try:
+                apply(coef, t)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound, f"{apply.__name__}: peak {peak} bytes over {bound}"
+
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_edge_within_one_side_is_rejected(self, kernel):
         with pytest.raises(DimensionError, match="left row and a right row"):
             kernel([0], [1], 2, 1)
+
+
+def _attention_chain(s_dst, s_src, dst, src, slope):
+    """The unfused reference: gather both score columns, add, LeakyReLU,
+    softmax per target."""
+    e = ad.leaky_relu(ad.add(ad.gather_rows(s_dst, dst), ad.gather_rows(s_src, src)), slope)
+    return ad.segment_softmax(e, dst)
+
+
+class TestEdgeAttention:
+    @settings(max_examples=200, deadline=None)
+    @given(path=bipartite_paths(), seed=st.integers(0, 10_000), on_grid=st.booleans())
+    def test_equals_the_unfused_chain_bit_for_bit(self, path, seed, on_grid):
+        n, m, src, dst = path
+        rng = np.random.default_rng(seed)
+        # On a half-integer grid, pre-activations hit 0 and segment maxima tie.
+        scores = (
+            rng.integers(-2, 3, size=(n + m, 2)) / 2.0
+            if on_grid
+            else rng.standard_normal((n + m, 2))
+        )
+        upstream = ad.constant(rng.standard_normal((1, len(src))))
+        dst_rows, src_rows = ad.RowIndex(dst), ad.RowIndex(src)
+        results = []
+        for op in (ad.edge_attention, _attention_chain):
+            s_dst, s_src = ad.parameter(scores[:, :1].copy()), ad.parameter(scores[:, 1:].copy())
+            alpha = op(s_dst, s_src, dst_rows, src_rows, 0.2)
+            ad.backward(ad.matmul(upstream, alpha))  # alpha's gradient is upstream.T
+            results.append((alpha.value, ad.grad_or_zeros(s_dst), ad.grad_or_zeros(s_src)))
+        fused, chain = results
+        assert fused[0].shape == (len(src), 1)
+        for a, b in zip(fused, chain):
+            assert np.array_equal(a, b)
+
+    def test_grad_check_skips_the_kink(self):
+        n, m = 2, 3
+        inst = np.array([0, 0, 1, 1, 1])
+        lab = np.array([0, 1, 0, 1, 2])
+        dst = ad.RowIndex(np.concatenate([inst, lab + n]))
+        src = ad.RowIndex(np.concatenate([lab + n, inst]))
+        rng = np.random.default_rng(10)
+        s_dst = ad.parameter(rng.uniform(0.5, 1.5, size=(n + m, 1)))
+        s_src = ad.parameter(rng.uniform(0.5, 1.5, size=(n + m, 1)))
+        # Edge 0 (label node row n -> instance row 0) has pre-activation 0.
+        s_dst.value[0, 0], s_src.value[n, 0] = 0.25, -0.25
+        weights = ad.constant(rng.standard_normal((len(dst), 1)))
+
+        def loss():
+            return ad.mean_all(ad.mul(ad.edge_attention(s_dst, s_src, dst, src, 0.2), weights))
+
+        report = ad.grad_check(loss, {"s_dst": s_dst, "s_src": s_src}, samples_per_param=n + m)
+        assert [e.skipped for e in report.entries] == [1, 1]
+        assert [e.checked for e in report.entries] == [n + m - 1] * 2
+        assert report.max_rel_error <= 1e-6
+
+    def test_score_columns_and_indices_are_checked(self):
+        col, wide = ad.constant(np.zeros((3, 1))), ad.constant(np.zeros((3, 2)))
+        with pytest.raises(DimensionError, match="column vectors"):
+            ad.edge_attention(col, wide, [0], [1], 0.2)
+        with pytest.raises(DimensionError, match="2 targets for 1 sources"):
+            ad.edge_attention(col, col, [0, 1], [1], 0.2)
+        with pytest.raises(DimensionError, match="out of range"):
+            ad.edge_attention(col, col, [3], [1], 0.2)

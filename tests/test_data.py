@@ -12,6 +12,7 @@ from dbgae.data import (
     Group,
     Instance,
     LabelOccurrence,
+    _link_tables,
     ambiguity_ratio,
     class_ambiguity_ratios,
     dataset_stats,
@@ -21,6 +22,7 @@ from dbgae.data import (
     save_dataset,
 )
 from dbgae.errors import AmbiguityUndefinedError, ConfigError, ParseError, SchemaError
+from oracles import link_tables_reference
 
 
 def make_dataset(group_specs, num_classes, feature_dim=2):
@@ -262,18 +264,39 @@ class TestAmbiguityRatio:
             rng_seed=seed,
         )
         ds = generate_synthetic(cfg)
-        s_t, s_f = {}, {}
-        for group in ds.groups:
-            for inst in group.instances:
-                for lab in group.labels:
-                    if inst.true_class == lab.class_id:
-                        s_t[lab.class_id] = s_t.get(lab.class_id, 0) + 1
-                    else:
-                        s_f[inst.true_class] = s_f.get(inst.true_class, 0) + 1
-                        s_f[lab.class_id] = s_f.get(lab.class_id, 0) + 1
+        _, s_f = link_tables_reference(ds)
         for c, ratio in class_ambiguity_ratios(ds).items():
             assert 0.0 <= ratio <= 1.0
             assert (ratio == 0.0) == (s_f.get(c, 0) == 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        specs=st.lists(
+            st.tuples(
+                st.lists(st.integers(NULL_CLASS, 3), max_size=4),
+                st.lists(st.integers(0, 3), max_size=4),
+            ),
+            max_size=6,
+        ),
+        seed=st.integers(0, 10_000),
+        null_rate=st.floats(0.0, 0.5),
+        distractor=st.floats(0.0, 2.0),
+    )
+    def test_link_tables_match_per_link_loop(self, specs, seed, null_rate, distractor):
+        cfg = GeneratorConfig(
+            num_classes=6,
+            feature_dim=2,
+            num_groups=8,
+            min_instances=1,
+            max_instances=3,
+            max_labels=8,
+            null_rate=null_rate,
+            cross_rate=0.2,
+            distractor_rate=distractor,
+            rng_seed=seed,
+        )
+        for ds in (make_dataset(specs, num_classes=4), generate_synthetic(cfg)):
+            assert _link_tables(ds) == link_tables_reference(ds)
 
 
 class TestDatasetStats:

@@ -1,8 +1,12 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dbgae import graph
 from dbgae.data import GeneratorConfig, generate_synthetic
 from dbgae.graph import (
     WithinGraph,
@@ -58,11 +62,13 @@ class TestDbscan:
         dim=st.integers(1, 3),
         eps=st.floats(0.1, 2.0),
         min_pts=st.integers(1, 4),
+        block_values=st.sampled_from([1, 7, 30, 1 << 16]),
     )
-    def test_matches_reference_partition(self, seed, n, dim, eps, min_pts):
+    def test_matches_reference_partition(self, seed, n, dim, eps, min_pts, block_values):
         rng = np.random.default_rng(seed)
         points = rng.uniform(-3, 3, size=(n, dim))
-        ours = dbscan(points, eps=eps, min_pts=min_pts)
+        with mock.patch.object(graph, "RADIUS_BLOCK_VALUES", block_values):
+            ours = dbscan(points, eps=eps, min_pts=min_pts)
         assert same_partition(ours.labels, dbscan_reference(points, eps, min_pts))
 
     def test_sizes_account_for_every_point(self):
@@ -168,12 +174,18 @@ class TestHomogeneousNeighbors:
         assert nbrs[0].tolist() == [1]
 
     @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 10_000), n=st.integers(1, 20), thr=st.floats(0.1, 3.0))
-    def test_matches_brute_force_pair_scan(self, seed, n, thr):
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(1, 20),
+        thr=st.floats(0.1, 3.0),
+        block_values=st.sampled_from([1, 7, 30, 1 << 16]),
+    )
+    def test_matches_brute_force_pair_scan(self, seed, n, thr, block_values):
         rng = np.random.default_rng(seed)
         feats = rng.uniform(-2, 2, size=(n, 2))
         groups = rng.integers(0, 4, size=n)
-        nbrs = homogeneous_neighbors(feats, groups, threshold=thr)
+        with mock.patch.object(graph, "RADIUS_BLOCK_VALUES", block_values):
+            nbrs = homogeneous_neighbors(feats, groups, threshold=thr)
         for i in range(n):
             expected = [
                 j
@@ -183,6 +195,35 @@ class TestHomogeneousNeighbors:
                 and np.linalg.norm(feats[i] - feats[j]) <= thr
             ]
             assert nbrs[i].tolist() == expected
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRadiusSearchMemory:
+    """Neither search builds an n x n matrix: each peaks below a quarter of
+    one n x n float64 matrix."""
+
+    n = 1500
+
+    def _points(self):
+        rng = np.random.default_rng(11)
+        return rng.uniform(0, 10, size=(self.n, 4)), rng.integers(0, 300, size=self.n)
+
+    def test_dbscan(self):
+        points, _ = self._points()
+        assert _traced_peak(lambda: dbscan(points, eps=1.0, min_pts=3)) < self.n**2 * 8 / 4
+
+    def test_homogeneous_neighbors(self):
+        points, groups = self._points()
+        peak = _traced_peak(lambda: homogeneous_neighbors(points, groups, threshold=1.0))
+        assert peak < self.n**2 * 8 / 4
 
 
 class TestCrossLinks:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,8 @@ class TestModelConfig:
     def test_rejects_levels_outside_unit_interval(self):
         with pytest.raises(ConfigError, match="within"):
             ModelConfig(rating_levels=(0.0, 1.5)).validate()
+        with pytest.raises(ConfigError, match="within"):
+            ModelConfig(rating_levels=(0.0, float("nan"), 1.0)).validate()
 
     def test_variants(self):
         assert not ModelConfig().with_variant("no_cross").use_cross_links
@@ -467,6 +471,28 @@ class TestDecode:
         )
         assert again.probs.sum(axis=1) == pytest.approx(1.0, abs=1e-9)
         assert 0.0 <= again.m_hat[0] <= 1.0
+
+    def test_decode_holds_its_result_and_one_block_of_edges(self):
+        from dbgae.model import DECODE_BLOCK, decode
+
+        n, m, edges, k = 50, 30, 40_000, 16
+        cfg = small_config(dense_hidden=k)
+        params = init_params(cfg, 2, 3)
+        levels = len(cfg.rating_levels)
+        rng = np.random.default_rng(12)
+        U, V = rng.standard_normal((n, k)), rng.standard_normal((m, k))
+        src, dst = rng.integers(0, n, size=edges), rng.integers(0, m, size=edges)
+        kind = np.full(edges, "within")
+        tracemalloc.start()
+        try:
+            ratings = decode(U, V, params, src, dst, kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        result = ratings.probs.nbytes + 2 * ratings.m_hat.nbytes  # m_hat and its matmul
+        products = levels * n * k * 8  # U @ Q_r per level
+        block = DECODE_BLOCK * (2 * k + levels) * 8  # gathered rows and row reductions
+        assert peak <= result + products + block
 
 
 class TestLoss:
