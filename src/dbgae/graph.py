@@ -10,6 +10,7 @@ their within-link weights.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -399,11 +400,11 @@ def save_graph(graph: DualBipartiteGraph, path):
     jsonl.write(
         path,
         meta,
-        jsonl.columns(instances),
-        jsonl.columns(labels),
+        jsonl.Columns(instances),
+        jsonl.Columns(labels),
         jsonl.records([{"section": "edges"}]),
-        jsonl.columns(within),
-        jsonl.columns(cross),
+        jsonl.Columns(within),
+        jsonl.Columns(cross),
     )
 
 
@@ -413,17 +414,26 @@ def load_graph(path) -> DualBipartiteGraph:
     within, cross = jsonl.Blocks(*edge_fields), jsonl.Blocks(*edge_fields)
     in_edges = False
     seen = np.zeros(0, dtype=bool)  # per node_id: has its node line been read
+    size = os.path.getsize(path)
 
     def on_meta(meta):
         nonlocal seen
         if meta.get("section") != "nodes":
             raise SchemaError("first line must open the nodes section")
         n, m = int(meta["num_instances"]), int(meta["num_label_nodes"])
+        dim = int(meta["feature_dim"])
+        # Every node has a line and every feature value at least one byte,
+        # so sizes beyond the file's are rejected before anything is sized.
+        if n + m > size or n * dim > size:
+            raise SchemaError(
+                f"num_instances {n}, num_label_nodes {m} and feature_dim {dim} "
+                f"need more than the file's {size} bytes"
+            )
         seen = np.zeros(n + m, dtype=bool)
         nodes.update(
             instance_ids=np.zeros(n, dtype=int),
             instance_group=np.zeros(n, dtype=int),
-            instance_features=np.zeros((n, int(meta["feature_dim"]))),
+            instance_features=np.zeros((n, dim)),
             label_group=np.zeros(m, dtype=int),
             label_class=np.zeros(m, dtype=int),
             label_slot=np.zeros(m, dtype=int),

@@ -10,10 +10,14 @@ integer that int64 cannot hold is a ``ParseError`` of its line.
 
 Writing has two encoders that give the same bytes for the same values:
 ``records`` dumps one dict per line (for records that are nested or vary in
-shape), ``columns`` encodes a table of numpy columns whole, in blocks of at most
-``ROW_BLOCK`` rows and ``BLOCK_VALUES`` values (for the per-edge files, where a per-record ``json.dumps``
-is most of the cost).  Both feed ``write``, which owns the file.  Every
-artifact writer, JSON Lines or not, opens its file through ``atomic_open``.
+shape), ``Columns`` encodes a table of numpy columns whole, in blocks of at
+most ``ROW_BLOCK`` rows and ``BLOCK_VALUES`` values (for the per-edge files,
+where a per-record ``json.dumps`` is most of the cost).  Both feed ``write``,
+which owns the file.  When a file's columns span more than one block and the
+platform has ``os.fork``, ``write`` encodes the second half of them in a
+forked process, so the float text of the per-edge files is made on two cores;
+the bytes are those of a serial write.  Every artifact writer, JSON Lines or
+not, opens its file through ``atomic_open``.
 
 Reading is per line (``read``); a loader of a per-edge file gathers its
 converted rows in ``Blocks``, which turns every ``ROW_BLOCK`` rows into numpy
@@ -26,6 +30,9 @@ import contextlib
 import itertools
 import json
 import os
+import shutil
+import signal
+import traceback
 import uuid
 
 import numpy as np
@@ -51,13 +58,13 @@ def _int64(text: str) -> int:
 # rejects larger ones on their own line rather than at a later conversion.
 _DECODER = json.JSONDecoder(parse_int=_int64)
 
-# Rows encoded at once by ``columns`` (and records dumped, and rows gathered
+# Rows encoded at once by ``Columns`` (and records dumped, and rows gathered
 # by ``Blocks``, per block).  Writing the 93k-edge files of an 800-group run
 # took the same time with blocks of 256 to 4096 rows; 4096 raised the peak
 # RSS of a 200-group pipeline run by 2.6 MB over per-record writing, 1024
 # did not.
 ROW_BLOCK = 1024
-# Values ``columns`` encodes at once, so a wide table takes shorter blocks.
+# Values ``Columns`` encodes at once, so a wide table takes shorter blocks.
 # The pipeline writes every artifact after evaluate, on top of everything
 # the run holds.  At 800 groups, 1024 rows of the 36-value instance nodes
 # held 4.7 MB of strings (tracemalloc); with 2048 values a block,
@@ -92,12 +99,95 @@ def write(path, header: dict, *parts):
     """Write the ``header`` line, then the lines of each part in order.
 
     A part is an iterable of non-empty line blocks, as ``records`` and
-    ``columns`` make them.  The file is written through ``atomic_open``.
+    ``Columns`` make them.  The file is written through ``atomic_open``.
+    When the ``Columns`` parts span more than one block and ``os.fork``
+    exists, the blocks from the one nearest the middle of their values on,
+    and every part after them, are encoded in a forked process (see
+    ``_write_split``), so a part must do nothing but yield its lines; the
+    bytes are those of a serial write.
     """
     with atomic_open(path) as fh:
         fh.write(json.dumps(header, separators=_SEPARATORS) + "\n")
-        for block in itertools.chain.from_iterable(parts):
-            fh.write("\n".join(block) + "\n")
+        halves = _halves(parts) if hasattr(os, "fork") else None
+        if halves is None:
+            _write_parts(fh, parts)
+        else:
+            _write_split(path, fh, *halves)
+
+
+def _write_parts(fh, parts):
+    for block in itertools.chain.from_iterable(parts):
+        fh.write("\n".join(block) + "\n")
+
+
+def _halves(parts):
+    """``parts`` cut at the block boundary of their ``Columns`` parts nearest
+    the middle of the values those hold, as (head, tail) part lists; ``None``
+    when the columns span at most one block."""
+    blocks = [  # (part index, block index) and values per block of every Columns part
+        ((i, b), values)
+        for i, part in enumerate(parts)
+        if isinstance(part, Columns)
+        for b, values in enumerate(part.block_values())
+    ]
+    if len(blocks) < 2:
+        return None
+    before = list(itertools.accumulate(values for _, values in blocks[:-1]))
+    total = before[-1] + blocks[-1][1]
+    k = min(range(len(before)), key=lambda k: abs(2 * before[k] - total))
+    i, b = blocks[k + 1][0]  # the first block of the tail
+    return [*parts[:i], parts[i].blocks(0, b)], [parts[i].blocks(b), *parts[i + 1 :]]
+
+
+def _write_split(path, fh, head, tail):
+    """Write ``head`` into ``fh`` while a forked encoder writes ``tail`` into
+    a sibling file, then append that file to ``fh`` and delete it.
+
+    The caller reaps the encoder in every case, killing it first if its own
+    half or the wait raised; an encoder that fails raises ``OSError``
+    naming ``path``, so ``atomic_open`` leaves the target as it was.
+    """
+    fh.flush()  # the encoder inherits the buffer: nothing in it may be written twice
+    tail_path = os.path.splitext(fh.name)[0] + ".tail.tmp"
+    try:
+        with open(tail_path, "x", encoding="utf-8", newline="") as tail_fh:
+            pid = os.fork()
+            if pid == 0:
+                _encode_and_exit(tail_fh, tail)
+        status = None
+        try:
+            _write_parts(fh, head)
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        finally:
+            if status is None:  # the caller's half, or its wait, raised
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        if status != 0:
+            raise OSError(f"{path}: the encoder process exited with status {status}")
+        fh.flush()
+        with open(tail_path, "rb") as tail_fh:
+            shutil.copyfileobj(tail_fh, fh.buffer)  # in bounded chunks
+    finally:
+        os.remove(tail_path)
+
+
+def _encode_and_exit(fh, parts):
+    """The forked encoder: write ``parts`` into ``fh`` and leave the process
+    by ``os._exit``, never returning into the caller's code.
+
+    Encoding makes no BLAS call, which a child of a process with BLAS
+    threads must not make.  Whatever it raises is printed straight to file
+    descriptor 2 (no inherited buffer is flushed) and ends it with status 1.
+    """
+    status = 1
+    try:
+        _write_parts(fh, parts)
+        fh.close()
+        status = 0
+    except BaseException:  # the process ends here either way
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(status)
 
 
 def records(items):
@@ -115,7 +205,7 @@ def _ints(values: np.ndarray) -> list[str]:
 
 
 def _floats(values: np.ndarray) -> list[str]:
-    text = list(map(float.__repr__, values.tolist()))
+    text = list(map(repr, values.tolist()))
     for k in np.flatnonzero(~np.isfinite(values)).tolist():
         text[k] = json.dumps(float(values[k]))  # NaN, Infinity, -Infinity
     return text
@@ -130,40 +220,58 @@ def _strings(values: np.ndarray) -> list[str]:
 _ENCODERS = {"i": _ints, "f": _floats, "U": _strings}
 
 
-def columns(table: dict):
+class Columns:
     """Line blocks of a ``{key: array}`` table, one line per row.
 
     Each column is a 1-D int, float or str array, or a 2-D one written as a
     JSON list per row; all have the same number of rows.  A line holds the
     keys in table order and equals ``json.dumps`` of the row's ``tolist()``
-    values with compact separators.
+    values with compact separators.  Iterating yields every block;
+    ``blocks(start, stop)`` yields a range of them.
     """
-    arrays = [np.asarray(col) for col in table.values()]
-    rows = len(arrays[0]) if arrays else 0
-    if any(len(a) != rows for a in arrays):
-        raise ValueError(f"columns of different lengths {[len(a) for a in arrays]}")
-    slots = []  # (encoder, 1-D column) per "%s" in the template
-    fields = []
-    for key, a in zip(table, arrays):
-        if a.dtype.kind not in _ENCODERS or a.ndim not in (1, 2):
-            raise TypeError(f"column {key!r}: cannot encode {a.ndim}-D {a.dtype} values")
-        encode = _ENCODERS[a.dtype.kind]
-        if a.ndim == 1:
-            slots.append((encode, a))
-            value = "%s"
-        else:
-            slots.extend((encode, a[:, k]) for k in range(a.shape[1]))
-            value = "[" + ",".join(["%s"] * a.shape[1]) + "]"
-        fields.append(json.dumps(key).replace("%", "%%") + ":" + value)
-    template = "{" + ",".join(fields) + "}"
-    step = max(1, min(ROW_BLOCK, BLOCK_VALUES // max(len(slots), 1)))
-    for start in range(0, rows, step):
-        stop = min(start + step, rows)
-        encoded = [encode(col[start:stop]) for encode, col in slots]
-        if encoded:
-            yield [template % row for row in zip(*encoded)]
-        else:  # only zero-width 2-D columns
-            yield [template % ()] * (stop - start)
+
+    def __init__(self, table: dict):
+        arrays = [np.asarray(col) for col in table.values()]
+        self.rows = len(arrays[0]) if arrays else 0
+        if any(len(a) != self.rows for a in arrays):
+            raise ValueError(f"columns of different lengths {[len(a) for a in arrays]}")
+        self._slots = []  # (encoder, 1-D column) per "%s" in the template
+        fields = []
+        for key, a in zip(table, arrays):
+            if a.dtype.kind not in _ENCODERS or a.ndim not in (1, 2):
+                raise TypeError(f"column {key!r}: cannot encode {a.ndim}-D {a.dtype} values")
+            encode = _ENCODERS[a.dtype.kind]
+            if a.ndim == 1:
+                self._slots.append((encode, a))
+                value = "%s"
+            else:
+                self._slots.extend((encode, a[:, k]) for k in range(a.shape[1]))
+                value = "[" + ",".join(["%s"] * a.shape[1]) + "]"
+            fields.append(json.dumps(key).replace("%", "%%") + ":" + value)
+        self._template = "{" + ",".join(fields) + "}"
+        self._step = max(1, min(ROW_BLOCK, BLOCK_VALUES // max(len(self._slots), 1)))
+
+    def block_values(self) -> list[int]:
+        """Values encoded per block (rows per block for a zero-width table)."""
+        width = max(len(self._slots), 1)
+        return [
+            (min(start + self._step, self.rows) - start) * width
+            for start in range(0, self.rows, self._step)
+        ]
+
+    def __iter__(self):
+        return self.blocks()
+
+    def blocks(self, start=0, stop=None):
+        """Line blocks ``start`` up to ``stop`` (to the last when ``None``)."""
+        end = self.rows if stop is None else min(stop * self._step, self.rows)
+        for first in range(start * self._step, end, self._step):
+            last = min(first + self._step, self.rows)
+            encoded = [encode(col[first:last]) for encode, col in self._slots]
+            if encoded:
+                yield [self._template % row for row in zip(*encoded)]
+            else:  # only zero-width 2-D columns
+                yield [self._template % ()] * (last - first)
 
 
 def read(path, on_header, on_record):

@@ -418,13 +418,15 @@ class RatingMatrix:
         return len(self.src)
 
 
-# Edges ``decode`` scores at once; per block it gathers two rows of width
-# dense_hidden per edge.  On the 91,543 edges of benchmark seed 0 at 800
-# groups (dense_hidden 8, one BLAS thread, 2-core Xeon VM), 2048 to 16384
-# edges a block took 21-29 ms a call against 29 ms for all edges at once,
-# and the tracemalloc peak fell from 15.7 to 5.3-6.0 MiB, which is mostly
-# the result itself (probs and m_hat, 4.4 MiB).
-DECODE_BLOCK = 4096
+# Edges ``decode`` scores at once; per block it gathers a row of ``U @ Q``
+# (levels x dense_hidden values) and one of ``V`` (dense_hidden) per edge.
+# On 93,000 edges at 800 groups (dense_hidden 8, one BLAS thread, 2-core
+# Xeon VM) 1024 and 2048 edges a block both took 26-28 ms a call, against
+# 35-39 ms for the per-level gathers this replaced (4096 edges a block), and
+# the tracemalloc peak stayed 6.1-6.2 MiB, mostly the result itself.  With
+# 1024 a block holds 0.4 MB, less than the per-level gathers did; with 2048
+# the peak RSS of a 200-group run rose by 0.26 MB.
+DECODE_BLOCK = 1024
 
 
 def decode(
@@ -438,19 +440,18 @@ def decode(
     """Score the given edges in plain numpy: the bilinear logits of
     ``decode_logits``, softmax across levels, and the expected weight.
 
-    ``U @ Q_r`` is taken once per level; the edges' rows of it and of ``V``
-    are gathered ``DECODE_BLOCK`` edges at a time, straight into the
-    preallocated probability rows."""
+    ``U @ [Q_0|…|Q_{R-1}]`` is taken once; the edges' rows of it and of
+    ``V`` are gathered ``DECODE_BLOCK`` edges at a time, and one ``einsum``
+    writes a block's logits straight into the preallocated probability rows."""
     src, dst = np.asarray(src, dtype=int), np.asarray(dst, dtype=int)
     levels = np.asarray(params.rating_levels, dtype=np.float64)
-    UQ = [U @ params[f"Q.{r}"].value for r in range(len(levels))]
+    Q = np.hstack([params[f"Q.{r}"].value for r in range(len(levels))])
+    UQ = (U @ Q).reshape(len(U), len(levels), -1)
     probs = np.empty((len(src), len(levels)))
     for lo in range(0, len(src), DECODE_BLOCK):
         block = slice(lo, lo + DECODE_BLOCK)
-        Vg = V[dst[block]]
         logits = probs[block]
-        for r, uq in enumerate(UQ):
-            logits[:, r] = np.einsum("ek,ek->e", uq[src[block]], Vg)
+        np.einsum("erk,ek->er", UQ[src[block]], V[dst[block]], out=logits)
         logits -= logits.max(axis=1, keepdims=True)
         np.exp(logits, out=logits)
         logits /= logits.sum(axis=1, keepdims=True)
@@ -629,7 +630,7 @@ def save_ratings(ratings: RatingMatrix, path):
         "kind": ratings.kind,
         "p": ratings.probs,
     }
-    jsonl.write(path, header, jsonl.columns(table))
+    jsonl.write(path, header, jsonl.Columns(table))
 
 
 def save_loss_trace(result: TrainResult, path):

@@ -149,6 +149,16 @@ def propagate_reference(
     return out, grad_t, grad_coef
 
 
+def decode_probs_reference(U, V, Q, src, dst) -> np.ndarray:
+    """Decoder oracle: per level ``r``, the row dots of ``(U @ Q[r])[src]``
+    with ``V[dst]``, then a row softmax, in the decoder's order of operations."""
+    logits = np.stack([np.einsum("ek,ek->e", (U @ q)[src], V[dst]) for q in Q], axis=1)
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return logits
+
+
 def write_records_reference(path, header: dict, records) -> None:
     """JSON Lines writer oracle: ``json.dumps`` per record, compact separators."""
     with open(path, "w", encoding="utf-8") as fh:

@@ -2,9 +2,11 @@
 graph, ratings, predictions), the parameter checkpoint, and the atomic
 writes every artifact writer shares."""
 
+import contextlib
 import errno
 import json
 import os
+import time
 from unittest import mock
 
 import numpy as np
@@ -159,6 +161,13 @@ MALFORMED = [
             ("ratings-levels-decreasing", [1.0, 0.0]),
             ("ratings-levels-single", [0.5]),
             ("ratings-levels-nan", [0.0, float("nan"), 1.0]),
+        ]
+    ],
+    *[  # sizes no file of this length can hold, rejected before allocating
+        pytest.param("graph", 1, _set(key, 10**12), SchemaError, "line 1: num_instances", id=name)
+        for name, key in [
+            ("graph-num-instances-huge", "num_instances"),
+            ("graph-feature-dim-huge", "feature_dim"),
         ]
     ],
     pytest.param("ratings", 2, _short_p, SchemaError, "line 2", id="ratings-short-p"),
@@ -417,7 +426,7 @@ def _columns(draw, rows):
         info = np.iinfo(kind)
         values = st.integers(int(info.min), int(info.max))
     elif kind == "str":
-        values = st.text(max_size=6)
+        values = st.text(max_size=6) | st.sampled_from(['"', '\\"', "é", "日本語", "%s", "\n"])
     else:
         bits = 32 if kind == "float32" else 64
         values = st.sampled_from(_SPECIAL_FLOATS[bits]) | st.floats(width=bits)
@@ -445,7 +454,7 @@ def write_dir(tmp_path_factory):
 def test_column_encoder_matches_per_record_writer(write_dir, table, row_block):
     header = {"rows": len(next(iter(table.values())))}
     with mock.patch.object(jsonl, "ROW_BLOCK", row_block):
-        jsonl.write(write_dir / "columns.jsonl", header, jsonl.columns(table))
+        jsonl.write(write_dir / "columns.jsonl", header, jsonl.Columns(table))
     write_records_reference(write_dir / "records.jsonl", header, table_records(table))
     written = (write_dir / "columns.jsonl").read_bytes()
     assert written == (write_dir / "records.jsonl").read_bytes()
@@ -462,8 +471,113 @@ def test_column_encoder_matches_per_record_writer(write_dir, table, row_block):
 )
 def test_column_encoder_rejects_what_it_cannot_write(tmp_path, table, error):
     with pytest.raises(error):
-        jsonl.write(tmp_path / "t.jsonl", {}, jsonl.columns(table))
+        jsonl.write(tmp_path / "t.jsonl", {}, jsonl.Columns(table))
     assert os.listdir(tmp_path) == []
+
+
+@contextlib.contextmanager
+def _without_fork():
+    """A platform without ``os.fork``."""
+    fork = os.fork
+    del os.fork
+    try:
+        yield
+    finally:
+        os.fork = fork
+
+
+_PARTS = st.lists(
+    st.one_of(
+        _tables(),
+        st.just({}),
+        st.lists(st.fixed_dictionaries({"section": st.text(max_size=3)}), max_size=3),
+    ),
+    max_size=4,
+)
+
+
+def _encoded(part):
+    return jsonl.Columns(part) if isinstance(part, dict) else jsonl.records(part)
+
+
+@settings(max_examples=150, deadline=None)
+@given(parts=_PARTS, row_block=st.integers(1, 3))
+def test_split_write_matches_serial_write(write_dir, parts, row_block):
+    """Tables (int, float with NaN and infinities, quoted and non-ASCII str,
+    2-D with zero width, empty) and records parts, in any order, give the
+    serial bytes when the columns' second half is encoded in a forked process."""
+    header = {"parts": len(parts)}
+    with mock.patch.object(jsonl, "ROW_BLOCK", row_block):
+        blocks = sum(len(_encoded(p).block_values()) for p in parts if isinstance(p, dict))
+        with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            jsonl.write(write_dir / "split.jsonl", header, *map(_encoded, parts))
+        with _without_fork():
+            jsonl.write(write_dir / "serial.jsonl", header, *map(_encoded, parts))
+    assert fork.call_count == (blocks > 1)
+    split = (write_dir / "split.jsonl").read_bytes()
+    assert split == (write_dir / "serial.jsonl").read_bytes()
+    records = [r for p in parts for r in (table_records(p) if isinstance(p, dict) else p)]
+    write_records_reference(write_dir / "records.jsonl", header, records)
+    assert split == (write_dir / "records.jsonl").read_bytes()
+    assert not [name for name in os.listdir(write_dir) if name.endswith(".tmp")]
+
+
+_TABLE = {"i": np.arange(40), "x": np.linspace(0.0, 1.0, 40)}
+
+
+@pytest.mark.parametrize(
+    "where, raised, seen",
+    [
+        ("encoder", ValueError, OSError),
+        ("caller", ValueError, ValueError),
+        ("caller", KeyboardInterrupt, KeyboardInterrupt),
+    ],
+    ids=["encoder", "caller", "caller-interrupt"],
+)
+def test_failed_split_write_leaves_the_earlier_file_and_no_process(
+    tmp_path, where, raised, seen
+):
+    path = tmp_path / "f.jsonl"
+    jsonl.write(path, {}, jsonl.Columns(_TABLE))
+    before = path.read_bytes()
+    caller, floats = os.getpid(), jsonl._ENCODERS["f"]
+    slept = []
+
+    def failing_floats(values):
+        if (os.getpid() == caller) == (where == "caller"):
+            raise raised("injected")
+        if where == "caller" and not slept:  # the encoder outlives the test unless killed
+            slept.append(True)
+            time.sleep(60)
+        return floats(values)
+
+    start = time.monotonic()
+    with mock.patch.dict(jsonl._ENCODERS, f=failing_floats), mock.patch.object(
+        jsonl, "ROW_BLOCK", 4
+    ):
+        with pytest.raises(seen) as info:
+            jsonl.write(path, {}, jsonl.Columns(_TABLE))
+    assert time.monotonic() - start < 30
+    if where == "encoder":
+        assert str(path) in str(info.value)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["f.jsonl"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [
+        lambda: [jsonl.records([{"a": k} for k in range(5)])],
+        lambda: [jsonl.Columns({"a": np.arange(4)}), jsonl.records([{"b": 0}, {"b": 1}])],
+    ],
+    ids=["records-only", "one-block"],
+)
+def test_write_without_two_column_blocks_does_not_fork(tmp_path, parts):
+    with mock.patch.object(jsonl, "ROW_BLOCK", 4), mock.patch.object(os, "fork") as fork:
+        jsonl.write(tmp_path / "f.jsonl", {}, *parts())
+    fork.assert_not_called()
 
 
 def _failing_records():

@@ -472,6 +472,20 @@ class TestDecode:
         assert again.probs.sum(axis=1) == pytest.approx(1.0, abs=1e-9)
         assert 0.0 <= again.m_hat[0] <= 1.0
 
+    @pytest.mark.parametrize("k, levels, edges", [(1, 2, 5), (8, 5, 3000), (13, 3, 2500)])
+    def test_decode_equals_per_level_dots_bit_for_bit(self, k, levels, edges):
+        from dbgae.model import decode
+        from oracles import decode_probs_reference
+
+        cfg = small_config(dense_hidden=k, rating_levels=tuple(np.linspace(0, 1, levels)))
+        params = init_params(cfg, 2, 3)
+        rng = np.random.default_rng(k)
+        U, V = rng.standard_normal((40, k)), rng.standard_normal((30, k))
+        src, dst = rng.integers(0, 40, size=edges), rng.integers(0, 30, size=edges)
+        ratings = decode(U, V, params, src, dst, np.full(edges, "cross"))
+        Q = [params[f"Q.{r}"].value for r in range(levels)]
+        assert np.array_equal(ratings.probs, decode_probs_reference(U, V, Q, src, dst))
+
     def test_decode_holds_its_result_and_one_block_of_edges(self):
         from dbgae.model import DECODE_BLOCK, decode
 
@@ -490,8 +504,8 @@ class TestDecode:
         finally:
             tracemalloc.stop()
         result = ratings.probs.nbytes + 2 * ratings.m_hat.nbytes  # m_hat and its matmul
-        products = levels * n * k * 8  # U @ Q_r per level
-        block = DECODE_BLOCK * (2 * k + levels) * 8  # gathered rows and row reductions
+        products = levels * n * k * 8  # U @ [Q_0|...|Q_{R-1}]
+        block = DECODE_BLOCK * (levels + 1) * k * 8  # gathered rows of U @ Q and of V
         assert peak <= result + products + block
 
 
