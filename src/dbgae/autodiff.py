@@ -233,16 +233,6 @@ def relu(a: Tensor) -> Tensor:
     return _result(np.where(mask, a.value, 0.0), (a,), bwd, "relu")
 
 
-def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
-    mask = a.value > 0.0
-    _trace_signs(mask)
-
-    def bwd(g):
-        _accum(a, g * np.where(mask, 1.0, slope))
-
-    return _result(np.where(mask, a.value, slope * a.value), (a,), bwd, "leaky_relu")
-
-
 def concat_cols(parts: list[Tensor]) -> Tensor:
     if not parts:
         raise DimensionError("concat_cols: needs at least one tensor")
@@ -300,8 +290,46 @@ class RowIndex:
         return ufunc.reduceat(values[self.order], self.starts)
 
 
-def _as_rowindex(idx) -> RowIndex:
-    return idx if isinstance(idx, RowIndex) else RowIndex(idx)
+def _swap_halves(a: np.ndarray) -> np.ndarray:
+    half = len(a) // 2
+    return np.concatenate([a[half:], a[:half]])
+
+
+class MirroredRowIndex:
+    """The row index of ``base``'s list with its two halves swapped, read
+    through ``base`` instead of stored: ``idx`` is built when read, and
+    ``sum_into`` sums the values, halves swapped, with ``base``'s sort.
+
+    A bipartite path's directed edges are its undirected pairs twice,
+    targets ``[inst | lab + n]`` and sources ``[lab + n | inst]``, so the
+    sources are the targets mirrored.  No row occurs in both halves, so each
+    row's values are summed in the order a ``RowIndex`` of the swapped list
+    would sum them: the same floats.
+    """
+
+    __slots__ = ("base",)
+
+    def __init__(self, base: RowIndex):
+        half = len(base) // 2
+        if len(base) % 2 or (half and base.idx[:half].max() >= base.idx[half:].min()):
+            raise DimensionError(
+                "mirrored index: the first half's rows must all lie below the second half's"
+            )
+        self.base = base
+
+    def __len__(self):
+        return len(self.base)
+
+    @property
+    def idx(self) -> np.ndarray:
+        return _swap_halves(self.base.idx)
+
+    def sum_into(self, values: np.ndarray, num_rows: int) -> np.ndarray:
+        return self.base.sum_into(_swap_halves(values), num_rows)
+
+
+def _as_rowindex(idx) -> RowIndex | MirroredRowIndex:
+    return idx if isinstance(idx, (RowIndex, MirroredRowIndex)) else RowIndex(idx)
 
 
 def gather_rows(a: Tensor, idx) -> Tensor:
@@ -323,26 +351,28 @@ class _BipartiteEdges:
     Base of the two propagation kernels below.  A kernel applies the linear
     operator that per-edge coefficients define, and its transpose, to node
     rows (``apply``, ``apply_transpose``) and takes the per-edge row dot
-    ``<g[dst_e], t[src_e]>`` (``edge_dot``).
+    ``<g[dst_e], t[src_e]>`` (``edge_dot``).  The edge list is checked here
+    and handed to ``_index``, which keeps what its kernel needs of it.
     """
 
     def __init__(self, src, dst, num_left: int, num_right: int):
-        self.src = np.asarray(src, dtype=np.intp).ravel()
-        self.dst = np.asarray(dst, dtype=np.intp).ravel()
+        src = np.asarray(src, dtype=np.intp).ravel()
+        dst = np.asarray(dst, dtype=np.intp).ravel()
         self.num_left, self.num_right = int(num_left), int(num_right)
         self.num_nodes = self.num_left + self.num_right
-        if len(self.src) != len(self.dst):
-            raise DimensionError(f"propagate: {len(self.src)} sources for {len(self.dst)} targets")
-        if len(self.src) and (
-            min(self.src.min(), self.dst.min()) < 0
-            or max(self.src.max(), self.dst.max()) >= self.num_nodes
+        if len(src) != len(dst):
+            raise DimensionError(f"propagate: {len(src)} sources for {len(dst)} targets")
+        if len(src) and (
+            min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= self.num_nodes
         ):
             raise DimensionError(f"propagate: edge endpoint outside {self.num_nodes} rows")
-        if np.any((self.src < self.num_left) == (self.dst < self.num_left)):
+        if np.any((src < self.num_left) == (dst < self.num_left)):
             raise DimensionError("propagate: every edge must join a left row and a right row")
+        self.num_edges = len(src)
+        self._index(src, dst)
 
     def __len__(self):
-        return len(self.src)
+        return self.num_edges
 
 
 class DenseBlockPath(_BipartiteEdges):
@@ -354,17 +384,22 @@ class DenseBlockPath(_BipartiteEdges):
     apply it with one BLAS matmul into the output rows and drop it before
     building the other.  Costs O(num_left * num_right * width) whatever the
     edge count, so it pays only on dense paths.
+
+    Only the flat position of each edge in its block is kept.  When the
+    edges into left rows come first, as in a path's mirrored list, the two
+    blocks' edges are the two halves of the list, taken as slices.
     """
 
-    def __init__(self, src, dst, num_left: int, num_right: int):
-        super().__init__(src, dst, num_left, num_right)
+    def _index(self, src, dst):
         n, m = self.num_left, self.num_right
-        into_left = self.dst < n
-        self.left_edges = np.flatnonzero(into_left)
-        self.right_edges = np.flatnonzero(~into_left)
-        # Flat positions of each edge in its block.
-        self.left_flat = self.dst[self.left_edges] * m + (self.src[self.left_edges] - n)
-        self.right_flat = (self.dst[self.right_edges] - n) * n + self.src[self.right_edges]
+        into_left = dst < n
+        k = int(np.count_nonzero(into_left))
+        if into_left[:k].all():
+            self.left_edges, self.right_edges = slice(0, k), slice(k, None)
+        else:
+            self.left_edges, self.right_edges = np.flatnonzero(into_left), np.flatnonzero(~into_left)
+        self.left_flat = dst[self.left_edges] * m + (src[self.left_edges] - n)
+        self.right_flat = (dst[self.right_edges] - n) * n + src[self.right_edges]
 
     def _to_left(self, coef: np.ndarray) -> np.ndarray:
         n, m = self.num_left, self.num_right
@@ -409,8 +444,8 @@ class SparsePath(_BipartiteEdges):
     allocating fresh per-edge arrays halved the kernel's time.
     """
 
-    def __init__(self, src, dst, num_left: int, num_right: int):
-        super().__init__(src, dst, num_left, num_right)
+    def _index(self, src, dst):
+        self.src, self.dst = src, dst
         self._per_width: dict[int, tuple] = {}
 
     def _for_width(self, width: int):
@@ -448,30 +483,43 @@ class SparsePath(_BipartiteEdges):
         return (g_rows[:, None, :] @ t_rows[:, :, None]).reshape(-1)
 
 
-def propagate(t: Tensor, coef: Tensor, path: DenseBlockPath | SparsePath) -> Tensor:
+def propagate(
+    t: Tensor, coef: Tensor, path: DenseBlockPath | SparsePath, weight: np.ndarray | None = None
+) -> Tensor:
     """Fused message passing: ``out[d] = sum over edges e with dst_e = d of
-    coef_e * t[src_e]``.
+    coef_e * weight_e * t[src_e]``, where ``weight`` is a constant
+    (edges, 1) column, or 1 when None.
 
-    One tape node per call, holding only the coefficient vector and ``t``'s
-    value: no per-edge row of width ``t.cols`` and no coefficient block is
-    kept.  Backward applies the transposed operator, rebuilt from the
-    coefficients by the same ``np.bincount`` (so the same floats; gradient
-    checkpointing of one op), for ``t`` (g-SpMM) and takes the per-edge row
-    dot ``<g[dst_e], t[src_e]>`` for ``coef`` (g-SDDMM).
+    One tape node per call, holding only ``coef``, ``weight`` and ``t``'s
+    values: no per-edge row of width ``t.cols``, no coefficient block and
+    not the product ``coef * weight``, which forward and backward each form
+    with the same multiply.  Backward applies the transposed operator,
+    rebuilt from the coefficients by the same ``np.bincount`` (so the same
+    floats; gradient checkpointing of one op), for ``t`` (g-SpMM) and takes
+    the per-edge row dot ``<g[dst_e], t[src_e]>``, times ``weight_e``, for
+    ``coef`` (g-SDDMM).
     """
     if t.rows != path.num_nodes:
         raise DimensionError(f"propagate: {t.rows} rows for a path over {path.num_nodes} nodes")
     if coef.shape != (len(path), 1):
         raise DimensionError(f"propagate: coefficients {coef.shape} for {len(path)} edges")
-    tv, cv = t.value, coef.value[:, 0]
+    if weight is not None and weight.shape != (len(path), 1):
+        raise DimensionError(f"propagate: weights {weight.shape} for {len(path)} edges")
+    tv = t.value
+
+    def coefficients():
+        return coef.value[:, 0] if weight is None else coef.value[:, 0] * weight[:, 0]
 
     def bwd(g):
         if t.requires_grad:
-            _accum(t, path.apply_transpose(cv, g))
+            _accum(t, path.apply_transpose(coefficients(), g))
         if coef.requires_grad:
-            _accum(coef, path.edge_dot(g, tv).reshape(-1, 1))
+            g_coef = path.edge_dot(g, tv)
+            if weight is not None:
+                g_coef *= weight[:, 0]
+            _accum(coef, g_coef.reshape(-1, 1))
 
-    return _result(path.apply(cv, tv), (t, coef), bwd, "propagate")
+    return _result(path.apply(coefficients(), tv), (t, coef), bwd, "propagate")
 
 
 def row_sum(a: Tensor) -> Tensor:
@@ -495,44 +543,16 @@ def mean_all(a: Tensor) -> Tensor:
     return _result(a.value.mean().reshape(1, 1), (a,), bwd, "mean_all")
 
 
-def segment_softmax(a: Tensor, idx) -> Tensor:
-    """Softmax of a column vector within segments given by ``idx``.
-
-    Each row of ``a`` belongs to segment ``idx[row]``; probabilities are
-    normalized over rows sharing a segment.  Used for masked graph
-    attention, where a segment is one node's neighborhood on one path.
-    """
-    ri = _as_rowindex(idx)
-    if a.cols != 1:
-        raise DimensionError(f"segment_softmax: expected a column vector, got {a.shape}")
-    if len(ri) != a.rows:
-        raise DimensionError(f"segment_softmax: {len(ri)} indices for {a.rows} rows")
-    v = a.value[:, 0]
-    if len(ri) == 0:
-        return _result(a.value.copy(), (a,), lambda g: None, "segment_softmax")
-    seg_max = ri.segment_reduce(v, np.maximum)
-    e = np.exp(v - seg_max[ri.segment_of])
-    seg_sum = ri.segment_reduce(e, np.add)
-    out = (e / seg_sum[ri.segment_of]).reshape(-1, 1)
-
-    def bwd(g):
-        gs = g[:, 0]
-        s = out[:, 0]
-        inner = ri.segment_reduce(s * gs, np.add)
-        _accum(a, (s * (gs - inner[ri.segment_of])).reshape(-1, 1))
-
-    return _result(out, (a,), bwd, "segment_softmax")
-
-
 def edge_attention(s_dst: Tensor, s_src: Tensor, dst, src, slope: float) -> Tensor:
     """Per-edge attention ``softmax over e with dst_e = d of
     leaky_relu(s_dst[dst_e] + s_src[src_e])``, as one op.
 
-    The arithmetic, order included, of ``gather_rows`` of both score columns,
-    ``add``, ``leaky_relu`` and ``segment_softmax`` over ``dst``, so values
+    The arithmetic, order included, of the unfused chain (gather both score
+    columns, add, LeakyReLU, softmax over each target's edges), so values
     and gradients are those of that chain; the chain's four intermediate
     per-edge columns are neither kept nor put on the tape.  Backward keeps
-    only the coefficients and the LeakyReLU sign mask.
+    only the coefficients and the LeakyReLU sign mask.  ``src`` may be a
+    ``MirroredRowIndex`` of ``dst``, as for a path's edges.
     """
     dst, src = _as_rowindex(dst), _as_rowindex(src)
     if s_dst.cols != 1 or s_src.cols != 1:
@@ -541,12 +561,14 @@ def edge_attention(s_dst: Tensor, s_src: Tensor, dst, src, slope: float) -> Tens
         )
     if len(dst) != len(src):
         raise DimensionError(f"edge_attention: {len(dst)} targets for {len(src)} sources")
-    for ri, scores in ((dst, s_dst), (src, s_src)):
-        if len(ri) and (ri.idx.min() < 0 or ri.idx.max() >= scores.rows):
-            raise DimensionError(f"edge_attention: index out of range for {scores.rows} rows")
     if len(dst) == 0:
         return _result(np.zeros((0, 1)), (s_dst, s_src), lambda g: None, "edge_attention")
-    x = s_dst.value[dst.idx] + s_src.value[src.idx]
+    dst_idx, src_idx = dst.idx, src.idx
+    for idx, scores in ((dst_idx, s_dst), (src_idx, s_src)):
+        if idx.min() < 0 or idx.max() >= scores.rows:
+            raise DimensionError(f"edge_attention: index out of range for {scores.rows} rows")
+    x = s_dst.value[dst_idx] + s_src.value[src_idx]
+    del src_idx
     mask = x > 0.0
     _trace_signs(mask)
     v = np.where(mask, x, slope * x)[:, 0]
@@ -613,9 +635,6 @@ class GradCheckReport:
     @property
     def max_rel_error(self) -> float:
         return max((e.max_rel_error for e in self.entries), default=0.0)
-
-    def passes(self, tolerance: float) -> bool:
-        return self.max_rel_error <= tolerance
 
 
 def grad_check(

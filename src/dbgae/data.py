@@ -530,6 +530,18 @@ def class_ambiguity_ratios(ds: GpllDataset) -> dict[int, float]:
     return {c: 1.0 - s_t.get(c, 0) / (s_t.get(c, 0) + s_f.get(c, 0)) for c in sorted(classes)}
 
 
+def class_frequencies(ds: GpllDataset) -> dict[int, int]:
+    """Per class: the groups that hold an instance of the class and a label
+    of it (its ground-truth co-occurrence frequency)."""
+    frequency = {c: 0 for c in range(ds.num_classes)}
+    for group in ds.groups:
+        inst_classes = {inst.true_class for inst in group.instances}
+        label_classes = {lab.class_id for lab in group.labels}
+        for c in inst_classes & label_classes:
+            frequency[c] += 1
+    return frequency
+
+
 @dataclass
 class DatasetStats:
     num_groups: int
@@ -560,13 +572,7 @@ def dataset_stats(ds: GpllDataset) -> DatasetStats:
     total = ds.num_instances
     nulls = sum(1 for inst in ds.iter_instances() if inst.true_class == NULL_CLASS)
 
-    frequency = {c: 0 for c in range(ds.num_classes)}
-    for group in ds.groups:
-        inst_classes = {inst.true_class for inst in group.instances}
-        label_classes = {lab.class_id for lab in group.labels}
-        for c in inst_classes & label_classes:
-            frequency[c] += 1
-
+    frequency = class_frequencies(ds)
     ambiguity = class_ambiguity_ratios(ds)
     histogram = [0] * 10
     for ratio in ambiguity.values():

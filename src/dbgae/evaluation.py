@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jsonl
-from .data import NULL_CLASS, GpllDataset, class_ambiguity_ratios
+from .data import NULL_CLASS, GpllDataset, class_ambiguity_ratios, class_frequencies
 from .errors import EvalError
 from .inference import Prediction
 
@@ -75,25 +75,19 @@ def _accuracy_f1(pairs: list[tuple[int, int]]) -> tuple[float, float, dict[int, 
     return correct / len(pairs), macro, per_class
 
 
-def _class_frequencies(ds: GpllDataset) -> dict[int, int]:
-    freq = {c: 0 for c in range(ds.num_classes)}
-    freq[NULL_CLASS] = 0
-    for group in ds.groups:
-        inst_classes = {inst.true_class for inst in group.instances}
-        label_classes = {lab.class_id for lab in group.labels}
-        for c in inst_classes & label_classes:
-            freq[c] += 1
-    return freq
-
-
 def evaluate(
     predictions: list[Prediction],
     ds: GpllDataset,
     method: str = "method",
     ambiguity_bin_count: int = 10,
     frequency_edges: tuple[int, int] = DEFAULT_FREQUENCY_EDGES,
+    ratios: dict[int, float] | None = None,
+    frequencies: dict[int, int] | None = None,
 ) -> MethodReport:
-    """Metrics plus per-bin curves for one method's predictions."""
+    """Metrics plus per-bin curves for one method's predictions.
+
+    ``ratios`` and ``frequencies`` are ``ds``'s class ambiguity ratios and
+    class frequencies, computed here when not given."""
     truth = _truth_by_id(ds)
     if {p.instance_id for p in predictions} != set(truth):
         raise EvalError("predictions do not cover exactly the dataset instances")
@@ -102,7 +96,8 @@ def evaluate(
 
     # Classes no candidate link touches have no defined ambiguity; their
     # instances sit in unlabeled surroundings, binned at ratio 0.
-    ratios = class_ambiguity_ratios(ds)
+    if ratios is None:
+        ratios = class_ambiguity_ratios(ds)
     edges = np.linspace(0.0, 1.0, ambiguity_bin_count + 1)
     ambiguity_bins = []
     for b in range(ambiguity_bin_count):
@@ -116,7 +111,8 @@ def evaluate(
         acc, f1, _ = _accuracy_f1(members)
         ambiguity_bins.append(BinMetric(low=lo, high=hi, count=len(members), accuracy=acc, f1=f1))
 
-    freq = _class_frequencies(ds)
+    # Labels are never null, so no group counts toward the null class.
+    freq = {**(class_frequencies(ds) if frequencies is None else frequencies), NULL_CLASS: 0}
     lo_edge, hi_edge = frequency_edges
     frequency_ranges = [(0, lo_edge), (lo_edge + 1, hi_edge), (hi_edge + 1, np.inf)]
     frequency_bins = []
@@ -144,6 +140,7 @@ def build_report(
     frequency_edges: tuple[int, int] = DEFAULT_FREQUENCY_EDGES,
 ) -> EvalReport:
     report = EvalReport(num_instances=ds.num_instances)
+    ratios, frequencies = class_ambiguity_ratios(ds), class_frequencies(ds)
     for method in sorted(predictions_by_method):
         report.methods.append(
             evaluate(
@@ -152,6 +149,8 @@ def build_report(
                 method=method,
                 ambiguity_bin_count=ambiguity_bin_count,
                 frequency_edges=frequency_edges,
+                ratios=ratios,
+                frequencies=frequencies,
             )
         )
     return report

@@ -14,9 +14,10 @@ shape), ``Columns`` encodes a table of numpy columns whole, in blocks of at
 most ``ROW_BLOCK`` rows and ``BLOCK_VALUES`` values (for the per-edge files,
 where a per-record ``json.dumps`` is most of the cost).  Both feed ``write``,
 which owns the file.  When a file's columns span more than one block and the
-platform has ``os.fork``, ``write`` encodes the second half of them in a
-forked process, so the float text of the per-edge files is made on two cores;
-the bytes are those of a serial write.  Every artifact writer, JSON Lines or
+platform has ``os.fork``, ``write`` encodes the second half of them (by
+encoding cost, a float counting ``FLOAT_SLOT_COST`` ints) in a forked
+process, so the float text of the per-edge files is made on two cores; the
+bytes are those of a serial write.  Every artifact writer, JSON Lines or
 not, opens its file through ``atomic_open``.
 
 Reading is per line (``read``); a loader of a per-edge file gathers its
@@ -71,6 +72,13 @@ ROW_BLOCK = 1024
 # ``save_graph`` peaks at 1.1 MB and ``save_ratings`` at 1.0 MB, 1-3% slower
 # than with 8192.
 BLOCK_VALUES = 2048
+# What a float value costs to encode, in units of an int or str value: the
+# ``Columns`` row time, fitted to a row cost per float and per other slot
+# over the graph and ratings tables (20,000 rows each, one core of a 2-core
+# Xeon VM), came to 0.86 us a float against 0.24 us an int or str, a ratio
+# of 3.5 (``_floats`` alone against ``_ints``: 4.2 to 7.1).  ``write``
+# splits a file's columns at the middle of this cost.
+FLOAT_SLOT_COST = 4
 
 
 @contextlib.contextmanager
@@ -101,8 +109,8 @@ def write(path, header: dict, *parts):
     A part is an iterable of non-empty line blocks, as ``records`` and
     ``Columns`` make them.  The file is written through ``atomic_open``.
     When the ``Columns`` parts span more than one block and ``os.fork``
-    exists, the blocks from the one nearest the middle of their values on,
-    and every part after them, are encoded in a forked process (see
+    exists, the blocks from the one nearest the middle of their encoding
+    cost on, and every part after them, are encoded in a forked process (see
     ``_write_split``), so a part must do nothing but yield its lines; the
     bytes are those of a serial write.
     """
@@ -122,17 +130,17 @@ def _write_parts(fh, parts):
 
 def _halves(parts):
     """``parts`` cut at the block boundary of their ``Columns`` parts nearest
-    the middle of the values those hold, as (head, tail) part lists; ``None``
+    the middle of their encoding cost, as (head, tail) part lists; ``None``
     when the columns span at most one block."""
-    blocks = [  # (part index, block index) and values per block of every Columns part
-        ((i, b), values)
+    blocks = [  # (part index, block index) and cost of every Columns block
+        ((i, b), cost)
         for i, part in enumerate(parts)
         if isinstance(part, Columns)
-        for b, values in enumerate(part.block_values())
+        for b, cost in enumerate(part.block_costs())
     ]
     if len(blocks) < 2:
         return None
-    before = list(itertools.accumulate(values for _, values in blocks[:-1]))
+    before = list(itertools.accumulate(cost for _, cost in blocks[:-1]))
     total = before[-1] + blocks[-1][1]
     k = min(range(len(before)), key=lambda k: abs(2 * before[k] - total))
     i, b = blocks[k + 1][0]  # the first block of the tail
@@ -251,9 +259,10 @@ class Columns:
         self._template = "{" + ",".join(fields) + "}"
         self._step = max(1, min(ROW_BLOCK, BLOCK_VALUES // max(len(self._slots), 1)))
 
-    def block_values(self) -> list[int]:
-        """Values encoded per block (rows per block for a zero-width table)."""
-        width = max(len(self._slots), 1)
+    def block_costs(self) -> list[int]:
+        """Encoding cost per block: rows times the slots' ``FLOAT_SLOT_COST``
+        or 1 (rows per block for a zero-width table)."""
+        width = max(sum(FLOAT_SLOT_COST if enc is _floats else 1 for enc, _ in self._slots), 1)
         return [
             (min(start + self._step, self.rows) - start) * width
             for start in range(0, self.rows, self._step)

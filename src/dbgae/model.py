@@ -209,9 +209,18 @@ DENSE_BLOCK_MIN_DENSITY = 0.015
 
 @dataclass
 class _Path:
+    """One path's directed edges: each undirected pair (inst, lab) once as
+    ``lab + n -> inst`` and once as ``inst -> lab + n``, in that order.
+
+    ``dst`` owns the edge index: its rows ``[inst | lab + n]`` are the
+    undirected pairs, stored once, with the target segments attention
+    normalizes over.  ``src`` is ``dst`` mirrored, and the kernel keeps only
+    what its products need (the dense one, each edge's flat block position).
+    """
+
     name: str
-    src: RowIndex
     dst: RowIndex
+    src: ad.MirroredRowIndex
     weight: Tensor  # (E2, 1) constant per directed edge
     edges: ad.DenseBlockPath | ad.SparsePath  # propagation kernel
 
@@ -235,23 +244,30 @@ class PreparedGraph:
     within_dst: RowIndex
     decode_src: np.ndarray  # the rated edges: within, then cross if the model uses them
     decode_dst: np.ndarray
-    decode_kind: np.ndarray
     targets: np.ndarray
     loss_weights: np.ndarray
+
+    def decode_kind(self) -> np.ndarray:
+        """"within" or "cross" per rated edge, built only when asked for:
+        the column costs 24 bytes an edge."""
+        num_within = len(self.within_src)
+        return np.concatenate(
+            [np.full(num_within, "within"), np.full(len(self.decode_src) - num_within, "cross")]
+        )
 
 
 def _directed(
     inst: np.ndarray, lab: np.ndarray, weight: np.ndarray, n: int, m: int, name: str
 ) -> _Path:
-    dst = np.concatenate([inst, lab + n])
-    src = np.concatenate([lab + n, inst])
+    dst = RowIndex(np.concatenate([inst, lab + n]))
+    src = ad.MirroredRowIndex(dst)
     w = np.concatenate([weight, weight]).reshape(-1, 1)
     return _Path(
         name=name,
-        src=RowIndex(src),
-        dst=RowIndex(dst),
+        dst=dst,
+        src=src,
         weight=ad.constant(w),
-        edges=_propagation_kernel(src, dst, n, m),
+        edges=_propagation_kernel(src.idx, dst.idx, n, m),
     )
 
 
@@ -291,9 +307,6 @@ def prepare_graph(graph: DualBipartiteGraph, config: ModelConfig) -> PreparedGra
         within_dst=RowIndex(w.lab),
         decode_src=np.concatenate([w.inst, x.inst[keep]]),
         decode_dst=np.concatenate([w.lab, x.lab[keep]]),
-        decode_kind=np.concatenate(
-            [np.full(len(w.inst), "within"), np.full(len(x.inst[keep]), "cross")]
-        ),
         targets=quantize_levels(within_weight, config.rating_levels),
         loss_weights=within_weight,
     )
@@ -330,10 +343,12 @@ def propagation_messages(
     alphas = attention_coefficients(prep, params, head) if config.use_attention else None
     sums = {}
     for name, path in prep.paths.items():
-        if len(path.src) == 0:
+        if len(path.dst) == 0:
             continue
-        coef = ad.mul(alphas[name], path.weight) if alphas is not None else path.weight
-        sums[name] = ad.propagate(T, coef, path.edges)
+        if alphas is None:
+            sums[name] = ad.propagate(T, path.weight, path.edges)
+        else:
+            sums[name] = ad.propagate(T, alphas[name], path.edges, weight=path.weight.value)
     return sums
 
 
@@ -395,12 +410,18 @@ def decode_logits(
     return ad.concat_cols(cols)
 
 
+def expected_weight(probs: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """The expectation of each row's distribution over ``levels``, clipped
+    to the level range."""
+    return np.clip(probs @ levels, levels[0], levels[-1])
+
+
 @dataclass
 class RatingMatrix:
     """Per-edge categorical distribution over rating levels.
 
-    ``m_hat``, the refined link weight, is derived: the expectation of each
-    row's distribution, clipped to the level range.
+    ``m_hat``, the refined link weight, is derived: ``expected_weight`` of
+    the distributions.
     """
 
     src: np.ndarray  # instance row
@@ -412,7 +433,7 @@ class RatingMatrix:
     m_hat: np.ndarray = field(init=False)  # (E,)
 
     def __post_init__(self):
-        self.m_hat = np.clip(self.probs @ self.levels, self.levels[0], self.levels[-1])
+        self.m_hat = expected_weight(self.probs, self.levels)
 
     def __len__(self):
         return len(self.src)
@@ -429,6 +450,46 @@ class RatingMatrix:
 DECODE_BLOCK = 1024
 
 
+def level_sums(values: np.ndarray) -> np.ndarray:
+    """``values.sum(axis=1)`` of an (edges, levels) array, taken level by
+    level: one add over a column at a time instead of a reduction per short
+    row.  numpy sums rows shorter than 8 from left to right, so for fewer
+    than 8 levels these are the same floats."""
+    total = values[:, 0].copy()
+    for r in range(1, values.shape[1]):
+        total += values[:, r]
+    return total
+
+
+def decode_probs(
+    U: np.ndarray, V: np.ndarray, params: ModelParams, src: np.ndarray, dst: np.ndarray
+) -> np.ndarray:
+    """The (edges, levels) rating distributions of the given edges, in plain
+    numpy: the bilinear logits of ``decode_logits`` and a softmax across
+    levels.
+
+    ``U @ [Q_0|…|Q_{R-1}]`` is taken once; the edges' rows of it and of
+    ``V`` are gathered ``DECODE_BLOCK`` edges at a time, and one ``einsum``
+    writes a block's logits straight into the preallocated probability rows.
+    The softmax takes each block's row maxima and sums level by level."""
+    src, dst = np.asarray(src, dtype=int), np.asarray(dst, dtype=int)
+    levels = len(params.rating_levels)
+    Q = np.hstack([params[f"Q.{r}"].value for r in range(levels)])
+    UQ = (U @ Q).reshape(len(U), levels, -1)
+    probs = np.empty((len(src), levels))
+    for lo in range(0, len(src), DECODE_BLOCK):
+        block = slice(lo, lo + DECODE_BLOCK)
+        logits = probs[block]
+        np.einsum("erk,ek->er", UQ[src[block]], V[dst[block]], out=logits)
+        top = logits[:, 0].copy()
+        for r in range(1, levels):
+            np.maximum(top, logits[:, r], out=top)
+        logits -= top[:, None]
+        np.exp(logits, out=logits)
+        logits /= level_sums(logits)[:, None]
+    return probs
+
+
 def decode(
     U: np.ndarray,
     V: np.ndarray,
@@ -437,30 +498,14 @@ def decode(
     dst: np.ndarray,
     kind: np.ndarray,
 ) -> RatingMatrix:
-    """Score the given edges in plain numpy: the bilinear logits of
-    ``decode_logits``, softmax across levels, and the expected weight.
-
-    ``U @ [Q_0|…|Q_{R-1}]`` is taken once; the edges' rows of it and of
-    ``V`` are gathered ``DECODE_BLOCK`` edges at a time, and one ``einsum``
-    writes a block's logits straight into the preallocated probability rows."""
+    """Score the given edges (``decode_probs``) as a ``RatingMatrix``."""
     src, dst = np.asarray(src, dtype=int), np.asarray(dst, dtype=int)
-    levels = np.asarray(params.rating_levels, dtype=np.float64)
-    Q = np.hstack([params[f"Q.{r}"].value for r in range(len(levels))])
-    UQ = (U @ Q).reshape(len(U), len(levels), -1)
-    probs = np.empty((len(src), len(levels)))
-    for lo in range(0, len(src), DECODE_BLOCK):
-        block = slice(lo, lo + DECODE_BLOCK)
-        logits = probs[block]
-        np.einsum("erk,ek->er", UQ[src[block]], V[dst[block]], out=logits)
-        logits -= logits.max(axis=1, keepdims=True)
-        np.exp(logits, out=logits)
-        logits /= logits.sum(axis=1, keepdims=True)
     return RatingMatrix(
         src=src,
         dst=dst,
         kind=np.asarray(kind),
-        levels=levels,
-        probs=probs,
+        levels=np.asarray(params.rating_levels, dtype=np.float64),
+        probs=decode_probs(U, V, params, src, dst),
         num_instances=len(U),
     )
 
@@ -512,9 +557,7 @@ def train(
     else:
         params = init_params(config, graph.feature_dim, graph.num_classes)
     state = AdamState.for_params(params.tensors, lr=config.lr)
-
-    def rate(U: Tensor, V: Tensor) -> RatingMatrix:
-        return decode(U.value, V.value, params, prep.decode_src, prep.decode_dst, prep.decode_kind)
+    levels = np.asarray(params.rating_levels, dtype=np.float64)
 
     loss_trace = np.zeros(config.epochs)
     prob_sum_err = np.zeros(config.epochs)
@@ -523,7 +566,11 @@ def train(
 
     def step(epoch: int):
         """One epoch; its tape is local, consumed by ``backward`` and gone on
-        return, so no two epochs' tapes are ever alive at once."""
+        return, so no two epochs' tapes are ever alive at once.
+
+        The rated edges are decoded after ``backward``, which leaves U, V and
+        the parameters as they were, so the diagnostics are those of this
+        epoch's embeddings while no rating array lives through backward."""
         U, V = encode(prep, params, config)
         loss = reconstruction_loss(
             decode_logits(U, V, params, prep.within_src, prep.within_dst), prep.targets
@@ -535,13 +582,14 @@ def train(
                 + (f", last finite loss {loss_trace[epoch - 1]:.6f}" if epoch else "")
             )
         loss_trace[epoch] = value
-
-        ratings = rate(U, V)
-        prob_sum_err[epoch] = float(np.abs(ratings.probs.sum(axis=1) - 1.0).max())
-        mhat_min[epoch] = float(ratings.m_hat.min())
-        mhat_max[epoch] = float(ratings.m_hat.max())
-
         ad.backward(loss)
+
+        probs = decode_probs(U.value, V.value, params, prep.decode_src, prep.decode_dst)
+        prob_sum_err[epoch] = float(np.abs(level_sums(probs) - 1.0).max())
+        m_hat = expected_weight(probs, levels)
+        mhat_min[epoch], mhat_max[epoch] = float(m_hat.min()), float(m_hat.max())
+        del probs, m_hat
+
         try:
             adam_step(params.tensors, params.grads(), state)
         except TrainingError as exc:
@@ -552,9 +600,12 @@ def train(
         step(epoch)
 
     U, V = encode(prep, params, config)
+    ratings = decode(
+        U.value, V.value, params, prep.decode_src, prep.decode_dst, prep.decode_kind()
+    )
     return TrainResult(
         params=params,
-        ratings=rate(U, V),
+        ratings=ratings,
         loss_trace=loss_trace,
         prob_sum_err=prob_sum_err,
         mhat_min=mhat_min,

@@ -6,7 +6,8 @@ weights via literal contradictory-link enumeration, message passing via a
 per-edge loop.  The per-record JSON writer, the cross-link double loop,
 the per-rating pooling loop and the per-link count loop are the library's
 earlier implementations, kept as the references its whole-column versions
-must match exactly.
+must match exactly; so are the LeakyReLU and segment-softmax ops of the
+attention chain that the fused ``edge_attention`` replaced.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ import json
 
 import numpy as np
 
+from dbgae import autodiff as ad
 from dbgae.data import NULL_CLASS
-from dbgae.errors import SchemaError
+from dbgae.errors import DimensionError, SchemaError
 from dbgae.inference import Prediction
 
 
@@ -284,3 +286,52 @@ def pool_labels_reference(ratings, graph, tau: float) -> list:
             )
         )
     return predictions
+
+
+# The unfused attention chain that ``autodiff.edge_attention`` must equal bit
+# for bit: the library's earlier LeakyReLU and segment-softmax ops, on the
+# tape like any op.
+
+
+def leaky_relu(a: ad.Tensor, slope: float = 0.2) -> ad.Tensor:
+    mask = a.value > 0.0
+    ad._trace_signs(mask)
+
+    def bwd(g):
+        ad._accum(a, g * np.where(mask, 1.0, slope))
+
+    return ad._result(np.where(mask, a.value, slope * a.value), (a,), bwd, "leaky_relu")
+
+
+def segment_softmax(a: ad.Tensor, idx) -> ad.Tensor:
+    """Softmax of a column vector within segments given by ``idx``.
+
+    Each row of ``a`` belongs to segment ``idx[row]``; probabilities are
+    normalized over rows sharing a segment.
+    """
+    ri = ad._as_rowindex(idx)
+    if a.cols != 1:
+        raise DimensionError(f"segment_softmax: expected a column vector, got {a.shape}")
+    if len(ri) != a.rows:
+        raise DimensionError(f"segment_softmax: {len(ri)} indices for {a.rows} rows")
+    v = a.value[:, 0]
+    if len(ri) == 0:
+        return ad._result(a.value.copy(), (a,), lambda g: None, "segment_softmax")
+    seg_max = ri.segment_reduce(v, np.maximum)
+    e = np.exp(v - seg_max[ri.segment_of])
+    seg_sum = ri.segment_reduce(e, np.add)
+    out = (e / seg_sum[ri.segment_of]).reshape(-1, 1)
+
+    def bwd(g):
+        gs = g[:, 0]
+        s = out[:, 0]
+        inner = ri.segment_reduce(s * gs, np.add)
+        ad._accum(a, (s * (gs - inner[ri.segment_of])).reshape(-1, 1))
+
+    return ad._result(out, (a,), bwd, "segment_softmax")
+
+
+def attention_chain(s_dst, s_src, dst, src, slope):
+    """Gather both score columns, add, LeakyReLU, softmax per target."""
+    e = leaky_relu(ad.add(ad.gather_rows(s_dst, dst), ad.gather_rows(s_src, src)), slope)
+    return segment_softmax(e, dst)

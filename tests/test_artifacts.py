@@ -508,7 +508,7 @@ def test_split_write_matches_serial_write(write_dir, parts, row_block):
     serial bytes when the columns' second half is encoded in a forked process."""
     header = {"parts": len(parts)}
     with mock.patch.object(jsonl, "ROW_BLOCK", row_block):
-        blocks = sum(len(_encoded(p).block_values()) for p in parts if isinstance(p, dict))
+        blocks = sum(len(_encoded(p).block_costs()) for p in parts if isinstance(p, dict))
         with mock.patch.object(os, "fork", wraps=os.fork) as fork:
             jsonl.write(write_dir / "split.jsonl", header, *map(_encoded, parts))
         with _without_fork():

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from dbgae import autodiff as ad
 from dbgae.errors import AutodiffError, DimensionError
-from oracles import propagate_reference, softmax_reference
+from oracles import (
+    attention_chain,
+    leaky_relu,
+    propagate_reference,
+    segment_softmax,
+    softmax_reference,
+)
 
 
 def finite_difference(loss_fn, param, coord, step=1e-6):
@@ -167,7 +173,7 @@ class TestPrimitiveGradients:
         weights = ad.constant(rng.standard_normal((4, 3)))
 
         def loss():
-            return ad.mean_all(ad.mul(ad.add(ad.relu(X), ad.leaky_relu(X, 0.2)), weights))
+            return ad.mean_all(ad.mul(ad.add(ad.relu(X), leaky_relu(X, 0.2)), weights))
 
         check_all_coords(loss, {"X": X})
 
@@ -206,7 +212,7 @@ class TestPrimitiveGradients:
         weights = ad.constant(rng.standard_normal((8, 1)))
 
         def loss():
-            return ad.mean_all(ad.mul(ad.segment_softmax(X, seg), weights))
+            return ad.mean_all(ad.mul(segment_softmax(X, seg), weights))
 
         check_all_coords(loss, {"X": X})
 
@@ -225,17 +231,17 @@ class TestPrimitiveGradients:
 
 class TestSegmentSoftmax:
     def test_single_member_segment_is_one(self):
-        out = ad.segment_softmax(ad.constant(np.array([[2.5]])), ad.RowIndex([0]))
+        out = segment_softmax(ad.constant(np.array([[2.5]])), ad.RowIndex([0]))
         assert out.value[0, 0] == pytest.approx(1.0)
 
     def test_equal_logits_split_evenly(self):
-        out = ad.segment_softmax(
+        out = segment_softmax(
             ad.constant(np.array([[1.0], [1.0]])), ad.RowIndex([0, 0])
         )
         np.testing.assert_allclose(out.value[:, 0], [0.5, 0.5])
 
     def test_log3_example(self):
-        out = ad.segment_softmax(
+        out = segment_softmax(
             ad.constant(np.array([[0.0], [np.log(3.0)]])), ad.RowIndex([0, 0])
         )
         np.testing.assert_allclose(out.value[:, 0], [0.25, 0.75], atol=1e-12)
@@ -243,7 +249,7 @@ class TestSegmentSoftmax:
     def test_segments_sum_to_one(self):
         rng = np.random.default_rng(3)
         seg = rng.integers(0, 5, size=20)
-        out = ad.segment_softmax(ad.constant(rng.standard_normal((20, 1))), ad.RowIndex(seg))
+        out = segment_softmax(ad.constant(rng.standard_normal((20, 1))), ad.RowIndex(seg))
         sums = np.zeros(5)
         np.add.at(sums, seg, out.value[:, 0])
         np.testing.assert_allclose(sums[np.unique(seg)], 1.0, atol=1e-12)
@@ -252,7 +258,7 @@ class TestSegmentSoftmax:
         rng = np.random.default_rng(4)
         values = rng.standard_normal(9)
         seg = np.array([0, 0, 0, 1, 1, 2, 2, 2, 2])
-        out = ad.segment_softmax(ad.constant(values.reshape(-1, 1)), ad.RowIndex(seg))
+        out = segment_softmax(ad.constant(values.reshape(-1, 1)), ad.RowIndex(seg))
         for s in np.unique(seg):
             members = seg == s
             np.testing.assert_allclose(
@@ -391,11 +397,64 @@ class TestPropagate:
             kernel([0], [1], 2, 1)
 
 
-def _attention_chain(s_dst, s_src, dst, src, slope):
-    """The unfused reference: gather both score columns, add, LeakyReLU,
-    softmax per target."""
-    e = ad.leaky_relu(ad.add(ad.gather_rows(s_dst, dst), ad.gather_rows(s_src, src)), slope)
-    return ad.segment_softmax(e, dst)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_weight_equals_a_mul_node_bit_for_bit(self, kernel):
+        rng = np.random.default_rng(11)
+        n, m = 5, 4
+        pairs = rng.choice(n * m, size=12, replace=False)
+        inst, lab = pairs // m, pairs % m
+        p = kernel(np.concatenate([lab + n, inst]), np.concatenate([inst, lab + n]), n, m)
+        t = rng.standard_normal((n + m, 3))
+        coef, weight = rng.random((len(p), 1)), rng.random((len(p), 1))
+        upstream = ad.constant(rng.standard_normal((n + m, 3)))
+        results = []
+        for fused in (True, False):
+            T, alpha = ad.parameter(t.copy()), ad.parameter(coef.copy())
+            if fused:
+                out = ad.propagate(T, alpha, p, weight=weight)
+            else:
+                out = ad.propagate(T, ad.mul(alpha, ad.constant(weight)), p)
+            ad.backward(ad.mean_all(ad.mul(out, upstream)))
+            results.append((out.value, T.grad, alpha.grad))
+        for a, b in zip(*results):
+            assert np.array_equal(a, b)
+
+    def test_weight_shape_is_checked(self):
+        p = ad.SparsePath([1], [0], 1, 1)
+        T, coef = ad.parameter(np.ones((2, 3))), ad.parameter(np.ones((1, 1)))
+        with pytest.raises(DimensionError, match="weights"):
+            ad.propagate(T, coef, p, weight=np.ones((2, 1)))
+
+
+@st.composite
+def mirrored_lists(draw):
+    """(num_rows, targets) of a path's directed list: ``k`` undirected pairs
+    as targets ``[inst | lab + n]``, duplicates and empty lists included."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 4))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)), max_size=12))
+    inst = np.array([i for i, _ in pairs], dtype=int)
+    lab = np.array([j for _, j in pairs], dtype=int)
+    return n + m, np.concatenate([inst, lab + n])
+
+
+class TestMirroredRowIndex:
+    @settings(max_examples=150, deadline=None)
+    @given(case=mirrored_lists(), width=st.integers(1, 3), seed=st.integers(0, 10_000))
+    def test_equals_a_fresh_index_of_the_swapped_list(self, case, width, seed):
+        rows, dst = case
+        half = len(dst) // 2
+        src = np.concatenate([dst[half:], dst[:half]])
+        mirrored, fresh = ad.MirroredRowIndex(ad.RowIndex(dst)), ad.RowIndex(src)
+        assert len(mirrored) == len(fresh)
+        assert np.array_equal(mirrored.idx, fresh.idx)
+        values = np.random.default_rng(seed).standard_normal((len(src), width))
+        assert np.array_equal(mirrored.sum_into(values, rows), fresh.sum_into(values, rows))
+
+    @pytest.mark.parametrize("dst", [[0, 1, 2], [0, 2, 2, 1], [3, 0]])
+    def test_halves_sharing_or_inverting_rows_are_rejected(self, dst):
+        with pytest.raises(DimensionError, match="mirrored index"):
+            ad.MirroredRowIndex(ad.RowIndex(dst))
 
 
 class TestEdgeAttention:
@@ -413,7 +472,7 @@ class TestEdgeAttention:
         upstream = ad.constant(rng.standard_normal((1, len(src))))
         dst_rows, src_rows = ad.RowIndex(dst), ad.RowIndex(src)
         results = []
-        for op in (ad.edge_attention, _attention_chain):
+        for op in (ad.edge_attention, attention_chain):
             s_dst, s_src = ad.parameter(scores[:, :1].copy()), ad.parameter(scores[:, 1:].copy())
             alpha = op(s_dst, s_src, dst_rows, src_rows, 0.2)
             ad.backward(ad.matmul(upstream, alpha))  # alpha's gradient is upstream.T

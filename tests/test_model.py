@@ -286,6 +286,72 @@ class TestPropagation:
         assert isinstance(prep.paths["within"].edges, ad.SparsePath)
 
 
+def random_graph(n, m, within_pairs, cross_pairs, seed=0, d=4, num_classes=3):
+    """Distinct random (instance, label) pairs, the first ``within_pairs`` of
+    them within edges and the rest cross edges."""
+    rng = np.random.default_rng(seed)
+    pairs = rng.choice(n * m, size=within_pairs + cross_pairs, replace=False)
+    inst, lab = pairs // m, pairs % m
+    w, x = slice(0, within_pairs), slice(within_pairs, None)
+    return make_graph(
+        inst_feats=rng.standard_normal((n, d)),
+        inst_group=np.arange(n),
+        label_class=rng.integers(0, num_classes, size=m),
+        label_group=np.arange(m),
+        within=list(zip(inst[w], lab[w], rng.random(within_pairs), np.ones(within_pairs, int))),
+        cross=list(zip(inst[x], lab[x], rng.random(cross_pairs), np.zeros(cross_pairs, int))),
+        num_classes=num_classes,
+    )
+
+
+class TestPreparedGraph:
+    @pytest.mark.parametrize(
+        "n, m, within, cross, kernel",
+        [(60, 50, 200, 1500, ad.DenseBlockPath), (400, 300, 300, 1500, ad.SparsePath)],
+    )
+    def test_keeps_six_words_a_directed_edge(self, n, m, within, cross, kernel):
+        graph = random_graph(n, m, within, cross)
+        tracemalloc.start()
+        try:
+            prep = prepare_graph(graph, small_config())
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(prep.paths["cross"].edges, kernel)
+        d, C = graph.feature_dim, graph.num_classes
+        # Per directed edge: its target row, sort position and segment id,
+        # its weight, the kernel's block position or source row, and half
+        # of its rated pair's two rows.
+        edges = 6 * 8 * 2 * (within + cross)
+        # Per within edge, the loss's: sort position and segment id of each
+        # end, and the target level.
+        loss = 5 * 8 * within
+        # Per node: features and label one-hot, the gather indexes of both
+        # node kinds and the segments of every index.
+        nodes = 8 * ((n + m) * (d + C + 11) + m * C)
+        assert kept <= edges + loss + nodes + 16 * 1024
+
+    @pytest.mark.parametrize("variant", ["full", "no_cross", "no_dual", "no_attention"])
+    def test_mirrored_sources_equal_a_fresh_index(self, variant):
+        graph = random_graph(40, 30, 60, 300, seed=3)
+        prep = prepare_graph(graph, small_config().with_variant(variant))
+        n = graph.num_instances
+        w, x = graph.within, graph.cross
+        keep = slice(None) if variant in ("full", "no_attention") else slice(0)
+        pairs = {"within": (w.inst, w.lab), "cross": (x.inst[keep], x.lab[keep])}
+        rng = np.random.default_rng(4)
+        for name, (inst, lab) in pairs.items():
+            path = prep.paths[name]
+            fresh = ad.RowIndex(np.concatenate([lab + n, inst]))
+            assert np.array_equal(path.dst.idx, np.concatenate([inst, lab + n]))
+            assert np.array_equal(path.src.idx, fresh.idx)
+            values = rng.standard_normal((len(fresh), 3))
+            assert np.array_equal(
+                path.src.sum_into(values, prep.num_nodes), fresh.sum_into(values, prep.num_nodes)
+            )
+        assert len(prep.paths["cross"].src) == (0 if variant in ("no_cross", "no_dual") else 600)
+
+
 class TestAttention:
     def test_single_neighbor_gets_full_attention(self):
         graph = tiny_graph()
@@ -587,6 +653,51 @@ class TestTrain:
         before = live_tape_nodes()  # what other tests may have left alive
         train(graph, small_config(epochs=3))
         assert live_at_encode == [before] * 4  # three epochs and the final encode
+
+    def test_no_rating_array_lives_through_backward(self, monkeypatch):
+        import inspect
+
+        from dbgae import model
+
+        def lines_of(fn):
+            source, first = inspect.getsourcelines(fn)
+            return range(first, first + len(source))
+
+        rating_lines = {
+            line
+            for fn in (model.decode_probs, model.decode, model.expected_weight, model.level_sums)
+            for line in lines_of(fn)
+        }
+        rated = 40 + 200
+        live_at_backward = []
+        real_backward = ad.backward
+
+        def backward_checking(loss):
+            # Blocks of at least one float per rated edge that the decoder
+            # allocated, alive as backward starts.
+            snapshot = tracemalloc.take_snapshot()
+            live_at_backward.append(
+                [
+                    stat.size
+                    for stat in snapshot.statistics("traceback")
+                    if stat.size >= 8 * rated
+                    and any(
+                        f.filename == model.__file__ and f.lineno in rating_lines
+                        for f in stat.traceback
+                    )
+                ]
+            )
+            return real_backward(loss)
+
+        monkeypatch.setattr(ad, "backward", backward_checking)
+        graph = random_graph(30, 20, 40, 200)
+        tracemalloc.start(32)
+        try:
+            result = train(graph, small_config(epochs=2))
+        finally:
+            tracemalloc.stop()
+        assert live_at_backward == [[], []]
+        assert result.prob_sum_err.max() <= 1e-9 and len(result.ratings) == rated
 
     def test_no_within_edges_raises(self):
         graph = make_graph(
