@@ -30,15 +30,15 @@ def benchmark_graph_config() -> GraphConfig:
 
 
 def benchmark_model_config(seed: int, variant: str = "full") -> ModelConfig:
-    config = ModelConfig(
+    return ModelConfig(
         gcn_hidden=32,
         dense_hidden=8,
         num_heads=2,
         epochs=1000,
         lr=1e-3,
         seed=seed,
+        variant=variant,
     )
-    return config.with_variant(variant)
 
 
 def run_benchmark_seed(seed: int, variant: str = "full", cross_rate: float = 0.2) -> RunResult:

@@ -107,18 +107,13 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    config = _resolve_config(args)
+    _resolve_config(args)  # checks --config and --set; evaluation has no setting
     ds = load_dataset(args.dataset)
     by_method = {}
     for path in args.pred:
         method, predictions = load_predictions(path)
         by_method[method] = predictions
-    report = build_report(
-        by_method,
-        ds,
-        ambiguity_bin_count=config.evaluation.ambiguity_bins,
-        frequency_edges=config.evaluation.frequency_edges,
-    )
+    report = build_report(by_method, ds)
     save_report(report, args.out_report, args.out_json)
     if args.out_curves:
         save_curves(report, args.out_curves)

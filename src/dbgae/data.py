@@ -553,18 +553,6 @@ class DatasetStats:
     ambiguity_histogram: list[int]
     mean_ambiguity: float
 
-    def to_dict(self) -> dict:
-        return {
-            "num_groups": self.num_groups,
-            "num_instances": self.num_instances,
-            "num_classes": self.num_classes,
-            "null_fraction": self.null_fraction,
-            "class_frequency": {str(k): v for k, v in self.class_frequency.items()},
-            "ambiguity": {str(k): v for k, v in self.ambiguity.items()},
-            "ambiguity_histogram": self.ambiguity_histogram,
-            "mean_ambiguity": self.mean_ambiguity,
-        }
-
 
 def dataset_stats(ds: GpllDataset) -> DatasetStats:
     """Summary record: null fraction, co-occurrence frequency, ambiguity histogram."""

@@ -21,7 +21,8 @@ from .inference import Prediction
 
 F1_NOTE = "macro-F1: unweighted mean of per-class F1 over ground-truth classes, null included"
 
-DEFAULT_FREQUENCY_EDGES = (7, 14)
+AMBIGUITY_BINS = 10  # equal-width bins of the ambiguity ratio over [0, 1]
+FREQUENCY_EDGES = (7, 14)  # frequency bins [0, 7], [8, 14] and 15 or more
 
 
 @dataclass
@@ -79,8 +80,6 @@ def evaluate(
     predictions: list[Prediction],
     ds: GpllDataset,
     method: str = "method",
-    ambiguity_bin_count: int = 10,
-    frequency_edges: tuple[int, int] = DEFAULT_FREQUENCY_EDGES,
     ratios: dict[int, float] | None = None,
     frequencies: dict[int, int] | None = None,
 ) -> MethodReport:
@@ -98,11 +97,11 @@ def evaluate(
     # instances sit in unlabeled surroundings, binned at ratio 0.
     if ratios is None:
         ratios = class_ambiguity_ratios(ds)
-    edges = np.linspace(0.0, 1.0, ambiguity_bin_count + 1)
+    edges = np.linspace(0.0, 1.0, AMBIGUITY_BINS + 1)
     ambiguity_bins = []
-    for b in range(ambiguity_bin_count):
+    for b in range(AMBIGUITY_BINS):
         lo, hi = float(edges[b]), float(edges[b + 1])
-        last = b == ambiguity_bin_count - 1  # closed on the right so 1.0 lands here
+        last = b == AMBIGUITY_BINS - 1  # closed on the right so 1.0 lands here
         members = [
             (t, p)
             for (t, p) in pairs
@@ -113,7 +112,7 @@ def evaluate(
 
     # Labels are never null, so no group counts toward the null class.
     freq = {**(class_frequencies(ds) if frequencies is None else frequencies), NULL_CLASS: 0}
-    lo_edge, hi_edge = frequency_edges
+    lo_edge, hi_edge = FREQUENCY_EDGES
     frequency_ranges = [(0, lo_edge), (lo_edge + 1, hi_edge), (hi_edge + 1, np.inf)]
     frequency_bins = []
     for lo, hi in frequency_ranges:
@@ -136,8 +135,6 @@ def evaluate(
 def build_report(
     predictions_by_method: dict[str, list[Prediction]],
     ds: GpllDataset,
-    ambiguity_bin_count: int = 10,
-    frequency_edges: tuple[int, int] = DEFAULT_FREQUENCY_EDGES,
 ) -> EvalReport:
     report = EvalReport(num_instances=ds.num_instances)
     ratios, frequencies = class_ambiguity_ratios(ds), class_frequencies(ds)
@@ -147,8 +144,6 @@ def build_report(
                 predictions_by_method[method],
                 ds,
                 method=method,
-                ambiguity_bin_count=ambiguity_bin_count,
-                frequency_edges=frequency_edges,
                 ratios=ratios,
                 frequencies=frequencies,
             )

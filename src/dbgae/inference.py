@@ -153,31 +153,30 @@ def baseline_pair_clustering(graph: DualBipartiteGraph) -> list[Prediction]:
     cluster size (the graph's within-edge counts); ties take the lowest label
     class id; no links predict null."""
     links = graph.within
-    label_classes = graph.label_class
-
-    best_class = {}
-    best_scores: dict[int, dict[int, float]] = {}
-    if len(links.inst):
-        link_class = label_classes[links.lab]
-        order = np.lexsort((link_class, -links.count, links.inst))
-        inst_sorted = links.inst[order]
-        firsts = np.ones(len(order), dtype=bool)
-        firsts[1:] = inst_sorted[1:] != inst_sorted[:-1]
-        for pos in np.flatnonzero(firsts):
-            row = order[pos]
-            best_class[int(inst_sorted[pos])] = int(link_class[row])
-        for row in range(len(links.inst)):
-            per = best_scores.setdefault(int(links.inst[row]), {})
-            c = int(link_class[row])
-            per[c] = max(per.get(c, 0.0), float(links.count[row]))
+    link_class = graph.label_class[links.lab]
+    # One row per (instance, class) with the largest count of its links:
+    # sorted by instance, then class, the first row of each run.
+    order = np.lexsort((-links.count, link_class, links.inst))
+    inst, cls, count = links.inst[order], link_class[order], links.count[order]
+    top = (np.diff(inst, prepend=-1) != 0) | (np.diff(cls, prepend=-1) != 0)
+    inst, cls, count = inst[top], cls[top], count[top].astype(float)
+    # Per instance (a run of rows): the lowest class of the largest count.
+    starts = np.flatnonzero(np.diff(inst, prepend=-1))
+    best = np.lexsort((cls, -count, inst))[starts]
+    ends = np.append(starts[1:], len(inst)).tolist()
+    classes, counts = cls.tolist(), count.tolist()
+    best_class = dict(zip(inst[starts].tolist(), cls[best].tolist()))
+    best_scores = {
+        row: dict(zip(classes[lo:hi], counts[lo:hi]))
+        for row, lo, hi in zip(inst[starts].tolist(), starts.tolist(), ends)
+    }
 
     predictions = []
     for row, instance_id in enumerate(graph.instance_ids.tolist()):
-        cls = best_class.get(row, NULL_CLASS)
         predictions.append(
             Prediction(
                 instance_id=instance_id,
-                predicted_class=cls,
+                predicted_class=best_class.get(row, NULL_CLASS),
                 scores=best_scores.get(row, {}),
             )
         )

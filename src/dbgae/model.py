@@ -33,7 +33,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,12 +45,10 @@ from .graph import DualBipartiteGraph
 
 ATTENTION_SLOPE = 0.2  # LeakyReLU slope in the attention feed-forward
 
-VARIANTS = {
-    "full": {},
-    "no_cross": {"use_cross_links": False},
-    "no_attention": {"use_attention": False},
-    "no_dual": {"use_dual_paths": False},
-}
+# The ablation study's models, each removing one component of the full one:
+# the cross path, attention (messages weighted by the link weight alone), or
+# the dual paths (one within path with uniform averaged weights, no cross).
+VARIANTS = ("full", "no_cross", "no_attention", "no_dual")
 
 
 @dataclass(frozen=True)
@@ -62,11 +60,11 @@ class ModelConfig:
     epochs: int = 1000
     lr: float = 1e-3
     seed: int = 0
-    use_cross_links: bool = True
-    use_attention: bool = True
-    use_dual_paths: bool = True  # off: single within path with uniform averaged weights
+    variant: str = "full"  # one of VARIANTS
 
     def validate(self):
+        if self.variant not in VARIANTS:
+            raise ConfigError(f"unknown variant {self.variant!r}, expected one of {list(VARIANTS)}")
         if self.gcn_hidden < 1 or self.dense_hidden < 1:
             raise ConfigError("gcn_hidden and dense_hidden must be >= 1")
         if self.num_heads < 1:
@@ -78,11 +76,6 @@ class ModelConfig:
         problem = _levels_problem(self.rating_levels)
         if problem:
             raise ConfigError(f"rating_levels {problem}")
-
-    def with_variant(self, name: str) -> "ModelConfig":
-        if name not in VARIANTS:
-            raise ConfigError(f"unknown variant '{name}', expected one of {sorted(VARIANTS)}")
-        return replace(self, **VARIANTS[name])
 
 
 def _levels_problem(levels) -> str | None:
@@ -245,7 +238,6 @@ class PreparedGraph:
     decode_src: np.ndarray  # the rated edges: within, then cross if the model uses them
     decode_dst: np.ndarray
     targets: np.ndarray
-    loss_weights: np.ndarray
 
     def decode_kind(self) -> np.ndarray:
         """"within" or "cross" per rated edge, built only when asked for:
@@ -279,7 +271,7 @@ def prepare_graph(graph: DualBipartiteGraph, config: ModelConfig) -> PreparedGra
     feats[n:, d:] = graph.label_onehot()
 
     w = graph.within
-    if config.use_dual_paths:
+    if config.variant != "no_dual":
         within_weight = w.weight
     else:
         # Single shared path: every candidate link of an instance gets the
@@ -287,7 +279,7 @@ def prepare_graph(graph: DualBipartiteGraph, config: ModelConfig) -> PreparedGra
         deg = np.bincount(w.inst, minlength=n).astype(float)
         within_weight = 1.0 / deg[w.inst] if len(w.inst) else np.zeros(0)
 
-    include_cross = config.use_dual_paths and config.use_cross_links
+    include_cross = config.variant not in ("no_cross", "no_dual")
     x, keep = graph.cross, slice(None) if include_cross else slice(0)
     paths = {
         "within": _directed(w.inst, w.lab, within_weight, n, m, "within"),
@@ -308,7 +300,6 @@ def prepare_graph(graph: DualBipartiteGraph, config: ModelConfig) -> PreparedGra
         decode_src=np.concatenate([w.inst, x.inst[keep]]),
         decode_dst=np.concatenate([w.lab, x.lab[keep]]),
         targets=quantize_levels(within_weight, config.rating_levels),
-        loss_weights=within_weight,
     )
 
 
@@ -340,7 +331,8 @@ def propagation_messages(
     the sum over d's in-edges of (alpha_ij *) w_ij * W feat_src, with one
     transform W shared by the paths and one fused ``ad.propagate`` per path."""
     T = ad.matmul(prep.node_feats, params[f"W.{head}"])
-    alphas = attention_coefficients(prep, params, head) if config.use_attention else None
+    attend = config.variant != "no_attention"
+    alphas = attention_coefficients(prep, params, head) if attend else None
     sums = {}
     for name, path in prep.paths.items():
         if len(path.dst) == 0:

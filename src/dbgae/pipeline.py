@@ -12,13 +12,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import jsonl
 from .data import GeneratorConfig, GpllDataset, generate_synthetic, save_dataset
 from .errors import ConfigError, DbgaeError, PipelineError
-from .evaluation import DEFAULT_FREQUENCY_EDGES, EvalReport, build_report, save_curves, save_report
+from .evaluation import EvalReport, build_report, save_curves, save_report
 from .graph import DualBipartiteGraph, build_dual_graph, save_graph
 from .inference import (
     POOL_THRESHOLD,
@@ -59,19 +60,6 @@ class InferenceConfig:
 
 
 @dataclass(frozen=True)
-class EvaluationConfig:
-    ambiguity_bins: int = 10
-    frequency_edges: tuple[int, int] = DEFAULT_FREQUENCY_EDGES
-
-    def validate(self):
-        if self.ambiguity_bins < 1:
-            raise ConfigError("ambiguity_bins must be >= 1")
-        lo, hi = self.frequency_edges
-        if not 0 <= lo < hi:
-            raise ConfigError("frequency_edges must be increasing and non-negative")
-
-
-@dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
     out_dir: str = "runs/run"
@@ -79,14 +67,12 @@ class RunConfig:
     graph: GraphConfig = field(default_factory=GraphConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
     inference: InferenceConfig = field(default_factory=InferenceConfig)
-    evaluation: EvaluationConfig = field(default_factory=EvaluationConfig)
 
     def validate(self):
         self.generator.validate()
         self.graph.validate()
         self.model.validate()
         self.inference.validate()
-        self.evaluation.validate()
 
     def resolved(self) -> "RunConfig":
         """Propagate the global seed into the generator and model sections."""
@@ -103,13 +89,12 @@ def derive_seed(base: int, *parts) -> int:
     return int.from_bytes(digest[:4], "big")
 
 
-_SECTIONS = ("generator", "graph", "model", "inference", "evaluation")
+_SECTIONS = ("generator", "graph", "model", "inference")
 _SECTION_TYPES = {
     "generator": GeneratorConfig,
     "graph": GraphConfig,
     "model": ModelConfig,
     "inference": InferenceConfig,
-    "evaluation": EvaluationConfig,
 }
 # Section seeds come from the global seed during resolution.
 _MANAGED_KEYS = {"generator": {"rng_seed"}, "model": {"seed"}}
@@ -126,28 +111,70 @@ def config_to_dict(config: RunConfig) -> dict:
     return out
 
 
+_KINDS = {
+    int: "an integer",
+    float: "a finite number",
+    str: "a string",
+    tuple: "a list of finite numbers",
+}
+
+
+def _number(value) -> float | None:
+    """``value`` as a float, or None unless it is a finite number (a bool is
+    not a number)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:
+        return None
+    return number if math.isfinite(number) else None
+
+
+def _typed(where: str, value, default):
+    """``value`` for a field whose default is ``default``, or a ConfigError
+    naming ``where``: a bool is not an int, an int is taken for a float, and
+    a tuple field takes a list of numbers."""
+    if isinstance(default, tuple):
+        if isinstance(value, (list, tuple)):
+            numbers = [_number(v) for v in value]
+            if None not in numbers:
+                return tuple(numbers)
+    elif isinstance(default, float):
+        number = _number(value)
+        if number is not None:
+            return number
+    elif type(value) is type(default):
+        return value
+    raise ConfigError(f"{where} must be {_KINDS[type(default)]}, got {value!r}")
+
+
 def config_from_dict(data: dict) -> RunConfig:
+    """Build and validate a RunConfig; every problem is a ConfigError that
+    names the key."""
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     unknown = set(data) - set(_SECTIONS) - {"seed", "out_dir"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {}
-    if "seed" in data:
-        kwargs["seed"] = int(data["seed"])
-    if "out_dir" in data:
-        kwargs["out_dir"] = str(data["out_dir"])
+    kwargs = {
+        key: _typed(key, data[key], getattr(RunConfig, key))
+        for key in ("seed", "out_dir")
+        if key in data
+    }
     for section in _SECTIONS:
-        body = dict(data.get(section, {}))
-        cls = _SECTION_TYPES[section]
-        known = {f.name for f in fields(cls)}
+        body = data.get(section, {})
+        if not isinstance(body, dict):
+            raise ConfigError(f"'{section}' must be a JSON object")
+        defaults = _SECTION_TYPES[section]()
+        known = {f.name for f in fields(defaults)}
         bad = set(body) - known
         if bad:
             raise ConfigError(f"unknown keys in '{section}': {sorted(bad)}")
-        for key in ("rating_levels", "frequency_edges"):
-            if key in body and isinstance(body[key], list):
-                body[key] = tuple(body[key])
-        kwargs[section] = cls(**body)
+        kwargs[section] = replace(
+            defaults,
+            **{k: _typed(f"{section}.{k}", v, getattr(defaults, k)) for k, v in body.items()},
+        )
     config = RunConfig(**kwargs)
     config.validate()
     return config
@@ -171,7 +198,6 @@ def save_config(config: RunConfig, path):
 def apply_override(data: dict, dotted_key: str, raw_value: str) -> dict:
     """Apply a ``section.key=value`` override onto a config dict.
 
-    ``model.variant`` is a virtual key expanding to the ablation flags.
     Values are parsed as JSON when possible, else taken as strings.
     """
     try:
@@ -179,16 +205,6 @@ def apply_override(data: dict, dotted_key: str, raw_value: str) -> dict:
     except json.JSONDecodeError:
         value = raw_value
     parts = dotted_key.split(".")
-    if parts == ["model", "variant"]:
-        from .model import VARIANTS
-
-        if value not in VARIANTS:
-            raise ConfigError(f"model.variant must be one of {sorted(VARIANTS)}")
-        body = dict(data.get("model", {}))
-        body.update(VARIANTS[value])
-        data = dict(data)
-        data["model"] = body
-        return data
     if len(parts) == 1:
         data = dict(data)
         data[parts[0]] = value
@@ -286,15 +302,7 @@ def execute(resolved: RunConfig) -> RunResult:
             "pair_clustering": baseline_pair_clustering(graph),
         },
     )
-    report = _stage(
-        "evaluate",
-        lambda: build_report(
-            predictions,
-            ds,
-            ambiguity_bin_count=resolved.evaluation.ambiguity_bins,
-            frequency_edges=resolved.evaluation.frequency_edges,
-        ),
-    )
+    report = _stage("evaluate", lambda: build_report(predictions, ds))
     return RunResult(resolved, ds, graph, result, predictions, report)
 
 

@@ -4,10 +4,11 @@ These deliberately take different algorithmic routes from the library:
 density clustering via explicit core-graph connected components, link
 weights via literal contradictory-link enumeration, message passing via a
 per-edge loop.  The per-record JSON writer, the cross-link double loop,
-the per-rating pooling loop and the per-link count loop are the library's
-earlier implementations, kept as the references its whole-column versions
-must match exactly; so are the LeakyReLU and segment-softmax ops of the
-attention chain that the fused ``edge_attention`` replaced.
+the per-rating pooling loop, the per-link count loop and the per-link
+pair-clustering score loop are the library's earlier implementations,
+kept as the references its whole-column versions must match exactly; so
+are the LeakyReLU and segment-softmax ops of the attention chain that the
+fused ``edge_attention`` replaced.
 """
 
 from __future__ import annotations
@@ -286,6 +287,34 @@ def pool_labels_reference(ratings, graph, tau: float) -> list:
             )
         )
     return predictions
+
+
+def pair_clustering_reference(graph) -> list:
+    """Pair-clustering oracle: a lexsort for each instance's best link and a
+    loop over the links for each (instance, class) score."""
+    links = graph.within
+    best_class = {}
+    best_scores: dict[int, dict[int, float]] = {}
+    if len(links.inst):
+        link_class = graph.label_class[links.lab]
+        order = np.lexsort((link_class, -links.count, links.inst))
+        inst_sorted = links.inst[order]
+        firsts = np.ones(len(order), dtype=bool)
+        firsts[1:] = inst_sorted[1:] != inst_sorted[:-1]
+        for pos in np.flatnonzero(firsts):
+            best_class[int(inst_sorted[pos])] = int(link_class[order[pos]])
+        for row in range(len(links.inst)):
+            per = best_scores.setdefault(int(links.inst[row]), {})
+            c = int(link_class[row])
+            per[c] = max(per.get(c, 0.0), float(links.count[row]))
+    return [
+        Prediction(
+            instance_id=instance_id,
+            predicted_class=best_class.get(row, NULL_CLASS),
+            scores=best_scores.get(row, {}),
+        )
+        for row, instance_id in enumerate(graph.instance_ids.tolist())
+    ]
 
 
 # The unfused attention chain that ``autodiff.edge_attention`` must equal bit

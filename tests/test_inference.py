@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dbgae import jsonl
-from dbgae.data import NULL_CLASS
+from dbgae.benchmark import BENCHMARK_SEEDS, benchmark_generator_config
+from dbgae.data import NULL_CLASS, generate_synthetic
 from dbgae.errors import SchemaError
 from dbgae.graph import build_dual_graph
 from dbgae.inference import (
@@ -19,7 +20,7 @@ from dbgae.inference import (
     save_predictions,
 )
 from dbgae.model import RatingMatrix
-from oracles import pool_labels_reference
+from oracles import pair_clustering_reference, pool_labels_reference
 from test_data import make_dataset
 from test_model import make_graph
 
@@ -284,6 +285,53 @@ class TestPairClustering:
         ds = make_dataset([([0], [])], num_classes=1)
         preds = baseline_pair_clustering(build_dual_graph(ds, eps=1.0, min_pts=2))
         assert preds[0].predicted_class == NULL_CLASS
+
+    @pytest.mark.parametrize("seed", BENCHMARK_SEEDS)
+    def test_matches_per_link_loop_on_benchmark_seeds(self, seed):
+        ds = generate_synthetic(benchmark_generator_config(seed))
+        graph = build_dual_graph(ds, eps=1.0, min_pts=2)
+        assert baseline_pair_clustering(graph) == pair_clustering_reference(graph)
+
+    @pytest.mark.parametrize(
+        "within",
+        [
+            [],  # no links at all
+            [(0, 0, 1.0, 2), (0, 1, 1.0, 2), (0, 2, 1.0, 1)],  # tied counts: lowest class
+            [(0, 0, 1.0, 1), (0, 1, 1.0, 2), (0, 2, 1.0, 3)],  # class 1 on two labels: max
+            [(2, 1, 1.0, 4), (0, 2, 1.0, 1)],  # instance 1 has no links
+        ],
+    )
+    def test_matches_per_link_loop_on_edge_cases(self, within):
+        graph = make_graph(
+            inst_feats=[[0.0], [1.0], [2.0]],
+            inst_group=[0, 0, 0],
+            label_class=[1, 0, 1],
+            label_group=[0, 0, 0],
+            within=within,
+            num_classes=2,
+        )
+        preds = baseline_pair_clustering(graph)
+        assert preds == pair_clustering_reference(graph)
+        if not within:
+            assert all(p.predicted_class == NULL_CLASS and p.scores == {} for p in preds)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_link_loop(self, data):
+        n = data.draw(st.integers(1, 6), label="instances")
+        m = data.draw(st.integers(1, 5), label="labels")
+        label_class = data.draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+        link = st.tuples(st.integers(0, n - 1), st.integers(0, m - 1), st.integers(1, 4))
+        within = data.draw(st.lists(link, max_size=15), label="links")
+        graph = make_graph(
+            inst_feats=np.zeros((n, 1)),
+            inst_group=[0] * n,
+            label_class=label_class,
+            label_group=[0] * m,
+            within=[(i, j, 1.0, c) for i, j, c in within],
+            num_classes=4,
+        )
+        assert baseline_pair_clustering(graph) == pair_clustering_reference(graph)
 
 
 class TestPredictionsIO:

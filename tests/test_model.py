@@ -7,6 +7,7 @@ from dbgae import autodiff as ad
 from dbgae.errors import ConfigError, TrainingError
 from dbgae.graph import CrossGraph, DualBipartiteGraph, WithinGraph
 from dbgae.model import (
+    VARIANTS,
     ModelConfig,
     aggregate_paths,
     attention_coefficients,
@@ -107,11 +108,11 @@ class TestModelConfig:
             ModelConfig(rating_levels=(0.0, float("nan"), 1.0)).validate()
 
     def test_variants(self):
-        assert not ModelConfig().with_variant("no_cross").use_cross_links
-        assert not ModelConfig().with_variant("no_attention").use_attention
-        assert not ModelConfig().with_variant("no_dual").use_dual_paths
-        with pytest.raises(ConfigError):
-            ModelConfig().with_variant("bogus")
+        assert ModelConfig().variant == "full"
+        for name in VARIANTS:
+            ModelConfig(variant=name).validate()
+        with pytest.raises(ConfigError, match="unknown variant 'bogus'"):
+            ModelConfig(variant="bogus").validate()
 
 
 class TestQuantize:
@@ -131,7 +132,7 @@ class TestPropagation:
     def test_single_edge_identity_transform_passes_feature(self):
         # attention off, w=1, W=I: a node's message sum is its neighbor's feature
         graph = tiny_graph(w=1.0)
-        cfg = small_config(gcn_hidden=4, use_attention=False)  # 4 = d + C
+        cfg = small_config(gcn_hidden=4, variant="no_attention")  # 4 = d + C
         prep = prepare_graph(graph, cfg)
         params = init_params(cfg, graph.feature_dim, graph.num_classes)
         params["W.0"].value = np.eye(4)
@@ -144,7 +145,7 @@ class TestPropagation:
 
     def test_half_weight_scales_message(self):
         graph = tiny_graph(w=0.5)
-        cfg = small_config(gcn_hidden=4, use_attention=False)
+        cfg = small_config(gcn_hidden=4, variant="no_attention")
         prep = prepare_graph(graph, cfg)
         params = init_params(cfg, graph.feature_dim, graph.num_classes)
         params["W.0"].value = np.eye(4)
@@ -160,7 +161,7 @@ class TestPropagation:
             within=[(0, 0, 0.5, 1), (0, 1, 0.25, 1)],
             num_classes=2,
         )
-        cfg = small_config(gcn_hidden=4, use_attention=False)
+        cfg = small_config(gcn_hidden=4, variant="no_attention")
         prep = prepare_graph(graph, cfg)
         params = init_params(cfg, graph.feature_dim, graph.num_classes)
         params["W.0"].value = np.eye(4)
@@ -178,7 +179,7 @@ class TestPropagation:
 
     def test_no_cross_edges_give_zero_cross_block(self):
         graph = tiny_graph()
-        cfg = small_config(use_attention=False)
+        cfg = small_config(variant="no_attention")
         prep = prepare_graph(graph, cfg)
         params = init_params(cfg, graph.feature_dim, graph.num_classes)
         hidden = aggregate_paths(prep, params, cfg)
@@ -334,7 +335,7 @@ class TestPreparedGraph:
     @pytest.mark.parametrize("variant", ["full", "no_cross", "no_dual", "no_attention"])
     def test_mirrored_sources_equal_a_fresh_index(self, variant):
         graph = random_graph(40, 30, 60, 300, seed=3)
-        prep = prepare_graph(graph, small_config().with_variant(variant))
+        prep = prepare_graph(graph, small_config(variant=variant))
         n = graph.num_instances
         w, x = graph.within, graph.cross
         keep = slice(None) if variant in ("full", "no_attention") else slice(0)
@@ -406,8 +407,8 @@ class TestAttention:
 class TestAggregate:
     def test_identical_heads_average_to_single_head(self):
         graph = tiny_graph()
-        cfg1 = small_config(use_attention=False, num_heads=1, seed=3)
-        cfg4 = small_config(use_attention=False, num_heads=4, seed=3)
+        cfg1 = small_config(variant="no_attention", num_heads=1, seed=3)
+        cfg4 = small_config(variant="no_attention", num_heads=4, seed=3)
         prep1 = prepare_graph(graph, cfg1)
         prep4 = prepare_graph(graph, cfg4)
         p1 = init_params(cfg1, graph.feature_dim, graph.num_classes)
@@ -427,7 +428,7 @@ class TestAggregate:
             within=[(0, 0, 1.0, 1)],
             num_classes=2,
         )
-        cfg = small_config(gcn_hidden=4, use_attention=False)
+        cfg = small_config(gcn_hidden=4, variant="no_attention")
         prep = prepare_graph(graph, cfg)
         params = init_params(cfg, graph.feature_dim, graph.num_classes)
         params["W.0"].value = -np.eye(4)
@@ -721,7 +722,7 @@ class TestTrain:
             num_classes=2,
         )
         full = train(graph, small_config(epochs=3))
-        ablated = train(graph, small_config(epochs=3).with_variant("no_cross"))
+        ablated = train(graph, small_config(epochs=3, variant="no_cross"))
         assert set(full.ratings.kind) == {"within", "cross"}
         assert set(ablated.ratings.kind) == {"within"}
 
@@ -735,7 +736,7 @@ class TestTrain:
             cross=[(0, 1, 0.5, 1)],
             num_classes=2,
         )
-        cfg = small_config().with_variant("no_cross")
+        cfg = small_config(variant="no_cross")
         prep = prepare_graph(graph, cfg)
         params = init_params(cfg, graph.feature_dim, graph.num_classes)
         hidden = aggregate_paths(prep, params, cfg)
@@ -750,9 +751,9 @@ class TestTrain:
             within=[(0, 0, 0.9, 3), (0, 1, 0.1, 1)],
             num_classes=2,
         )
-        cfg = small_config().with_variant("no_dual")
+        cfg = small_config(variant="no_dual")
         prep = prepare_graph(graph, cfg)
-        np.testing.assert_allclose(prep.loss_weights, [0.5, 0.5])
+        np.testing.assert_allclose(prep.paths["within"].weight.value[:2, 0], [0.5, 0.5])
         assert "cross" in prep.paths
         assert len(prep.paths["cross"].src) == 0
 

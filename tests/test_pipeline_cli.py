@@ -11,7 +11,7 @@ from dbgae.cli import main
 from dbgae.data import datasets_equal, generate_synthetic, load_dataset
 from dbgae.errors import ConfigError, PipelineError, TrainingError
 from dbgae.graph import build_dual_graph, graphs_equal, load_graph
-from dbgae.model import load_ratings, quantize_levels, ratings_equal
+from dbgae.model import VARIANTS, load_ratings, quantize_levels, ratings_equal
 from dbgae.pipeline import (
     RunConfig,
     SweepSpec,
@@ -95,10 +95,72 @@ class TestConfig:
         assert config.generator.num_groups == 33
         assert config.model.lr == pytest.approx(0.005)
 
-    def test_variant_override_expands_flags(self):
-        data = apply_override(config_to_dict(RunConfig()), "model.variant", '"no_cross"')
-        config = config_from_dict(data)
-        assert not config.model.use_cross_links
+    def test_variant_override_sets_the_field(self):
+        data = apply_override(config_to_dict(RunConfig()), "model.variant", "no_cross")
+        assert data["model"]["variant"] == "no_cross"
+        assert config_from_dict(data).model.variant == "no_cross"
+        data = apply_override(data, "model.variant", '"bogus"')
+        with pytest.raises(ConfigError, match="unknown variant 'bogus'"):
+            config_from_dict(data)
+
+    def test_config_file_names_a_variant(self, tmp_path):
+        path = tmp_path / "config.json"
+        data = config_to_dict(small_config())
+        data["model"] = {**data["model"], "variant": "no_cross"}
+        path.write_text(json.dumps(data))
+        config = load_config(path)
+        assert config.model.variant == "no_cross"
+        _, paths = run_pipeline(config, out_dir=tmp_path / "run")
+        resolved = load_config(paths.resolved_config)
+        assert resolved == config.resolved()
+        assert json.loads(paths.resolved_config.read_text())["model"]["variant"] == "no_cross"
+        assert "cross" not in paths.ratings.read_text()
+
+    @pytest.mark.parametrize(
+        "data, key",
+        [
+            ({"model": {"use_cross_links": False}}, r"'model': \['use_cross_links'\]"),
+            ({"model": {"use_attention": False}}, r"'model': \['use_attention'\]"),
+            ({"model": {"use_dual_paths": False}}, r"'model': \['use_dual_paths'\]"),
+            ({"evaluation": {"ambiguity_bins": 10}}, r"\['evaluation'\]"),
+        ],
+    )
+    def test_removed_keys_are_unknown(self, data, key):
+        with pytest.raises(ConfigError, match=r"unknown (config )?keys.*" + key):
+            config_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"seed": "x"}, "seed must be an integer, got 'x'"),
+            ({"seed": True}, "seed must be an integer, got True"),
+            ({"out_dir": 3}, "out_dir must be a string, got 3"),
+            ({"model": {"epochs": "ten"}}, "model.epochs must be an integer, got 'ten'"),
+            ({"model": {"rating_levels": 5}}, "model.rating_levels must be a list of finite numbers"),
+            ({"model": {"rating_levels": [0, "a"]}}, "model.rating_levels must be a list"),
+            ({"model": {"rating_levels": [False, 1]}}, "model.rating_levels must be a list"),
+            ({"model": {"lr": "fast"}}, "model.lr must be a finite number, got 'fast'"),
+            ({"model": {"lr": 10**400}}, "model.lr must be a finite number"),
+            ({"model": {"lr": float("nan")}}, "model.lr must be a finite number, got nan"),
+            ({"graph": {"eps": float("inf")}}, "graph.eps must be a finite number, got inf"),
+            ({"model": {"rating_levels": [0, float("nan")]}}, "model.rating_levels must be a list"),
+            ({"model": {"variant": 3}}, "model.variant must be a string, got 3"),
+            ({"generator": {"num_groups": 2.5}}, "generator.num_groups must be an integer"),
+            ({"graph": {"min_pts": False}}, "graph.min_pts must be an integer, got False"),
+            ({"model": []}, "'model' must be a JSON object"),
+            ({"inference": None}, "'inference' must be a JSON object"),
+        ],
+    )
+    def test_wrong_typed_value_names_the_key(self, data, message):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(data)
+        assert message in str(info.value)
+
+    def test_number_fields_take_integers(self):
+        config = config_from_dict({"model": {"lr": 1, "rating_levels": [0, 0.5, 1]}})
+        assert type(config.model.lr) is float and config.model.lr == 1.0
+        assert config.model.rating_levels == (0.0, 0.5, 1.0)
+        assert all(type(x) is float for x in config.model.rating_levels)
 
     def test_section_seed_override_rejected(self):
         with pytest.raises(ConfigError, match="global seed"):
@@ -185,6 +247,26 @@ class TestSweep:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "value,replicate,method,accuracy,f1"
         assert len(lines) == 1 + len(rows)
+
+    def test_variant_sweep_runs_the_model_each_row_names(self, tmp_path):
+        # The base names another variant: every row must replace it.
+        data = config_to_dict(small_config())
+        data["model"] = {**data["model"], "variant": "no_attention"}
+        base = config_from_dict(data)
+        spec = SweepSpec(param="model.variant", values=VARIANTS)
+        rows = run_sweep(spec, base, tmp_path / "sweep")
+        assert [r.value for r in rows[::3]] == list(spec.values)
+        assert not (tmp_path / "sweep" / "sweep_errors.csv").exists()
+        for k, variant in enumerate(spec.values):
+            run_dir = tmp_path / "sweep" / f"model_variant={variant}" / "rep0"
+            resolved = json.loads((run_dir / "resolved_config.json").read_text())
+            assert resolved["model"]["variant"] == variant
+            path = tmp_path / f"{variant}.json"
+            model = {**data["model"], "variant": variant}
+            seed = derive_seed(base.seed, k, 0)
+            path.write_text(json.dumps({**data, "seed": seed, "model": model}))
+            _, paths = run_pipeline(load_config(path), out_dir=tmp_path / variant)
+            assert (run_dir / "ratings.jsonl").read_bytes() == paths.ratings.read_bytes()
 
     def test_single_value_single_replicate_matches_pipeline(self, tmp_path):
         base = small_config()
@@ -351,6 +433,12 @@ class TestCli:
         rc = main(["build-graph", "--in", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "g")])
         assert rc == 1
         assert "nope.jsonl" in capsys.readouterr().err
+
+    def test_wrong_typed_override_fails_with_the_key(self, tmp_path, capsys):
+        argv = ["pipeline", "--set", 'model.epochs="ten"', "--out-dir", str(tmp_path / "run")]
+        assert main(argv) == 1
+        assert "model.epochs must be an integer, got 'ten'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_sweep_subcommand(self, tmp_path):
         from dbgae.pipeline import save_config
