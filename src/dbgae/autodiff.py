@@ -11,6 +11,9 @@ goes and only the leaves keep gradients.
 
 from __future__ import annotations
 
+import os
+import threading
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -155,6 +158,130 @@ def _trace_signs(mask: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
+# the helper thread (used by model.train on large graphs)
+# ---------------------------------------------------------------------------
+
+
+class _Calls:
+    """A queue of calls for the helper thread (``queue.SimpleQueue`` would
+    cost every run 128 KB of RSS for its import)."""
+
+    def __init__(self):
+        self.items = deque()
+        self.ready = threading.Semaphore(0)
+
+    def put(self, call):
+        self.items.append(call)
+        self.ready.release()
+
+    def get(self):
+        self.ready.acquire()
+        return self.items.popleft()
+
+
+_helper: _Calls | None = None  # calls for the helper thread, while one runs
+
+
+def usable_cores() -> int:
+    """Cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@contextmanager
+def helper_thread():
+    """Run the body with one helper thread beside this one.
+
+    ``share`` hands it pieces of work: ``DenseBlockPath`` its row chunks,
+    and ``model.train`` the epoch's diagnostic decode.  Work given to the
+    helper must not touch ``SparsePath`` (its work buffers are shared) or
+    any function a tracer may wrap.  The thread is joined on exit, after
+    the calls queued for it have run.
+    """
+    global _helper
+    calls = _Calls()
+    thread = threading.Thread(target=_serve, args=(calls,), name="dbgae-helper", daemon=True)
+    thread.start()
+    previous, _helper = _helper, calls
+    try:
+        yield
+    finally:
+        _helper = previous
+        calls.put(None)
+        thread.join()
+
+
+def _serve(calls: _Calls):
+    while (call := calls.get()) is not None:
+        call()
+        del call  # hold nothing of it while waiting for the next
+
+
+def share(fn, count: int, meanwhile=None):
+    """Call ``fn(k)`` for k in range(count), each once, on this thread and on
+    the helper, if one runs and is free in time: both take pieces from one
+    counter.  ``meanwhile``, if given, is called on this thread first, while
+    the helper starts on the pieces; this thread then takes the pieces left
+    and waits for the helper's.  An error raised on either thread is raised
+    here, with its own type."""
+    _Shared(fn, count).run(meanwhile)
+
+
+class _Shared:
+    """One ``share`` call: its pieces, the counter and the helper's error."""
+
+    def __init__(self, fn, count: int):
+        self.fn, self.count, self.next = fn, count, 0
+        self.lock = threading.Lock()
+        self.helping = False
+        self.helped = threading.Event()
+        self.error = None
+
+    def _take(self) -> int | None:
+        with self.lock:
+            if self.next >= self.count:
+                return None
+            self.next += 1
+            return self.next - 1
+
+    def _work(self):
+        while (k := self._take()) is not None:
+            self.fn(k)
+
+    def _help(self):
+        """The helper's share; a helper that comes late finds no piece left
+        and returns without touching anything."""
+        with self.lock:
+            if self.next >= self.count:
+                return
+            self.helping = True
+        try:
+            self._work()
+        except BaseException as exc:  # raised again by run(), on the caller's thread
+            self.error = exc
+        finally:
+            self.helped.set()
+
+    def run(self, meanwhile=None):
+        if _helper is not None:
+            _helper.put(self._help)
+        try:
+            if meanwhile is not None:
+                meanwhile()
+            self._work()
+        finally:
+            with self.lock:
+                self.next = self.count  # after an error, hand out no more pieces
+                helping = self.helping
+            if helping:
+                self.helped.wait()
+            self.fn = None  # its closure holds the call's arrays; a late helper never reads it
+        if self.error is not None:
+            raise self.error
+
+
+# ---------------------------------------------------------------------------
 # broadcasting helpers (row/column vectors and scalars only)
 # ---------------------------------------------------------------------------
 
@@ -187,8 +314,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     av, bv = a.value, b.value
 
     def bwd(g):
-        _accum(a, g @ bv.T)
-        _accum(b, av.T @ g)
+        if a.requires_grad:
+            _accum(a, g @ bv.T)
+        if b.requires_grad:
+            _accum(b, av.T @ g)
 
     return _result(av @ bv, (a, b), bwd, "matmul")
 
@@ -351,8 +480,12 @@ class _BipartiteEdges:
     Base of the two propagation kernels below.  A kernel applies the linear
     operator that per-edge coefficients define, and its transpose, to node
     rows (``apply``, ``apply_transpose``) and takes the per-edge row dot
-    ``<g[dst_e], t[src_e]>`` (``edge_dot``).  The edge list is checked here
-    and handed to ``_index``, which keeps what its kernel needs of it.
+    ``<g[dst_e], t[src_e]>`` (``edge_dot``).  ``apply_transpose`` calls its
+    ``meanwhile`` argument, if given, on the calling thread before that
+    thread takes its share of the product; ``propagate``'s backward passes
+    the coefficients' gradient there, so on chunked blocks it overlaps the
+    helper's chunks.  The edge list is checked here and handed to
+    ``_index``, which keeps what its kernel needs of it.
     """
 
     def __init__(self, src, dst, num_left: int, num_right: int):
@@ -375,6 +508,44 @@ class _BipartiteEdges:
         return self.num_edges
 
 
+# Bytes of one row chunk of a dense coefficient block.  ``DenseBlockPath``
+# builds and multiplies a block of more than two chunks in row chunks of at
+# most this size, and ``model.train`` runs a helper thread only when some
+# block is that large.  Milliseconds a call at 800 groups (two 1,210 x 1,168
+# blocks of 11.3 MB, width 32, one BLAS thread, 2-core Xeon VM, best of 60,
+# two rounds):
+#                                   apply     apply_transpose
+#   whole blocks                    6.1-8.3   6.2-8.4
+#   256 KB chunks, with the helper  5.4-6.3   5.7-6.7
+#   512 KB                          4.7-4.8   4.5-4.9
+#   1 MB                            3.8-4.3   4.2-4.3
+#   2 MB                            4.2-4.8   3.8-4.7
+# 512 KB rather than 1 MB: over six perfbench scale800 samples the peak RSS
+# was 84.9 MB (median) against 86.2 MB with 1 MB chunks and 84.0 MB with
+# whole blocks, at the same speed.  A block of at most two chunks stays
+# whole, as at 200 groups (0.7 MB blocks): there, chunks and a helper gave
+# 200 epochs no speed-up (2.3-2.7 s either way) and 0.5 MB more RSS.
+DENSE_CHUNK_BYTES = 1 << 19
+
+
+def row_chunks(rows: int, cols: int) -> list[int]:
+    """Bounds of the row chunks of a (rows, cols) float block: as even as
+    they can be, each at most ``DENSE_CHUNK_BYTES`` but at least 4 rows.
+
+    A chunk's product has the whole block's floats in its rows only if BLAS
+    takes it by the same path.  Even chunks keep every product as large as
+    the block allows: OpenBLAS (0.3.31, SkylakeX kernels) takes a product of
+    at most 10**6 multiply-adds by small-matrix kernels, and numpy takes one
+    of a single row or column as a matrix-vector product.  A block of more
+    than two chunks has chunks of more than two thirds of
+    ``DENSE_CHUNK_BYTES``, so more than 10**6 multiply-adds at width 24 and
+    up.
+    """
+    per = max(4, DENSE_CHUNK_BYTES // (8 * max(cols, 1)))
+    count = max(1, -(-rows // per))
+    return [rows * c // count for c in range(count + 1)]
+
+
 class DenseBlockPath(_BipartiteEdges):
     """Propagation through the two dense coefficient blocks of a bipartite path.
 
@@ -388,7 +559,24 @@ class DenseBlockPath(_BipartiteEdges):
     Only the flat position of each edge in its block is kept.  When the
     edges into left rows come first, as in a path's mirrored list, the two
     blocks' edges are the two halves of the list, taken as slices.
+
+    Built from a path's target ``RowIndex`` and its ``MirroredRowIndex``
+    sources, a block of more than two ``DENSE_CHUNK_BYTES`` chunks is built
+    and applied in row chunks (``row_chunks``): one ``np.bincount`` over the
+    edges into the chunk's rows, found in the target index's sort, then one
+    matmul into those output rows.  The calling thread and the helper take
+    chunks from one counter, so at most two chunks are alive.  A stable sort
+    keeps each cell's edges in list order, so a chunk holds the block's
+    floats.  The transposed blocks come from the same chunks: the right half
+    of a mirrored list holds the left half's pairs reversed, so row i of the
+    right block's transpose is row i of the left block built from the
+    mirrored coefficients.
     """
+
+    def __init__(self, src, dst, num_left: int, num_right: int):
+        # The target index, for row chunks: a path's, whose sources mirror it.
+        self.targets = dst if isinstance(src, MirroredRowIndex) and src.base is dst else None
+        super().__init__(getattr(src, "idx", src), getattr(dst, "idx", dst), num_left, num_right)
 
     def _index(self, src, dst):
         n, m = self.num_left, self.num_right
@@ -400,6 +588,12 @@ class DenseBlockPath(_BipartiteEdges):
             self.left_edges, self.right_edges = np.flatnonzero(into_left), np.flatnonzero(~into_left)
         self.left_flat = dst[self.left_edges] * m + (src[self.left_edges] - n)
         self.right_flat = (dst[self.right_edges] - n) * n + src[self.right_edges]
+
+    @property
+    def chunked(self) -> bool:
+        """Whether the blocks are built and applied in row chunks."""
+        block_bytes = 8 * self.num_left * self.num_right
+        return self.targets is not None and block_bytes > 2 * DENSE_CHUNK_BYTES
 
     def _to_left(self, coef: np.ndarray) -> np.ndarray:
         n, m = self.num_left, self.num_right
@@ -416,16 +610,60 @@ class DenseBlockPath(_BipartiteEdges):
     def apply(self, coef: np.ndarray, t: np.ndarray) -> np.ndarray:
         n = self.num_left
         out = np.empty((self.num_nodes, t.shape[1]))
+        if self.chunked:
+            self._in_chunks(coef, t, out, mirror=False)
+            return out
         np.matmul(self._to_left(coef), t[n:], out=out[:n])
         np.matmul(self._to_right(coef), t[:n], out=out[n:])
         return out
 
-    def apply_transpose(self, coef: np.ndarray, g: np.ndarray) -> np.ndarray:
+    def apply_transpose(self, coef: np.ndarray, g: np.ndarray, meanwhile=None) -> np.ndarray:
         n = self.num_left
         out = np.empty((self.num_nodes, g.shape[1]))
+        if self.chunked:
+            self._in_chunks(coef, g, out, mirror=True, meanwhile=meanwhile)
+            return out
+        if meanwhile is not None:
+            meanwhile()
         np.matmul(self._to_right(coef).T, g[n:], out=out[:n])
         np.matmul(self._to_left(coef).T, g[:n], out=out[n:])
         return out
+
+    def _edges_into(self, lo: int, hi: int) -> np.ndarray:
+        """The edges into rows [lo, hi), in the target index's sort."""
+        t = self.targets
+        a, b = np.searchsorted(t.uniq, (lo, hi))
+        first = t.starts[a] if a < len(t.starts) else len(t.order)
+        last = t.starts[b] if b < len(t.starts) else len(t.order)
+        return t.order[first:last]
+
+    def _in_chunks(
+        self, coef: np.ndarray, x: np.ndarray, out: np.ndarray, mirror: bool, meanwhile=None
+    ):
+        """``out`` = the blocks (their transposes when ``mirror``) applied to
+        ``x``, one row chunk at a time: rows of the left block's shape
+        (num_left x num_right), then of the right block's."""
+        n, m = self.num_left, self.num_right
+        k = len(self) // 2
+        left, right = row_chunks(n, m), row_chunks(m, n)
+        spans = [(lo, hi, 0) for lo, hi in zip(left, left[1:])]
+        spans += [(n + lo, n + hi, n) for lo, hi in zip(right, right[1:])]
+
+        def chunk(c: int):
+            lo, hi, base = spans[c]
+            edges = self._edges_into(lo, hi)
+            if base == 0:  # rows of the left block, or of the right block's transpose
+                flat, cols, rows_from = self.left_flat[edges], m, x[n:]
+                weights = coef[edges + k] if mirror else coef[edges]
+            else:  # rows of the right block, or of the left block's transpose
+                flat, cols, rows_from = self.right_flat[edges - k], n, x[:n]
+                weights = coef[edges - k] if mirror else coef[edges]
+            block = np.bincount(
+                flat - (lo - base) * cols, weights=weights, minlength=(hi - lo) * cols
+            ).reshape(hi - lo, cols)
+            np.matmul(block, rows_from, out=out[lo:hi])
+
+        share(chunk, len(spans), meanwhile)
 
     def edge_dot(self, g: np.ndarray, t: np.ndarray) -> np.ndarray:
         n = self.num_left
@@ -472,7 +710,9 @@ class SparsePath(_BipartiteEdges):
         _, flat_dst, buf, _ = self._for_width(t.shape[1])
         return self._gather_scale_sum(t, self.src, flat_dst, buf, coef)
 
-    def apply_transpose(self, coef: np.ndarray, g: np.ndarray) -> np.ndarray:
+    def apply_transpose(self, coef: np.ndarray, g: np.ndarray, meanwhile=None) -> np.ndarray:
+        if meanwhile is not None:
+            meanwhile()
         flat_src, _, buf, _ = self._for_width(g.shape[1])
         return self._gather_scale_sum(g, self.dst, flat_src, buf, coef)
 
@@ -510,14 +750,20 @@ def propagate(
     def coefficients():
         return coef.value[:, 0] if weight is None else coef.value[:, 0] * weight[:, 0]
 
+    def coef_grad(g):
+        g_coef = path.edge_dot(g, tv)
+        if weight is not None:
+            g_coef *= weight[:, 0]
+        _accum(coef, g_coef.reshape(-1, 1))
+
     def bwd(g):
-        if t.requires_grad:
-            _accum(t, path.apply_transpose(coefficients(), g))
-        if coef.requires_grad:
-            g_coef = path.edge_dot(g, tv)
-            if weight is not None:
-                g_coef *= weight[:, 0]
-            _accum(coef, g_coef.reshape(-1, 1))
+        if not t.requires_grad:
+            coef_grad(g)
+            return
+        # The coefficients' gradient is taken on this thread while the helper,
+        # if one runs, starts on the transposed product's row chunks.
+        meanwhile = (lambda: coef_grad(g)) if coef.requires_grad else None
+        _accum(t, path.apply_transpose(coefficients(), g, meanwhile))
 
     return _result(path.apply(coefficients(), tv), (t, coef), bwd, "propagate")
 

@@ -12,7 +12,7 @@ import json
 import sys
 
 from .data import dataset_stats, generate_synthetic, load_dataset, save_dataset
-from .errors import DbgaeError
+from .errors import DbgaeError, EvalError
 from .evaluation import build_report, save_curves, save_report
 from .graph import build_dual_graph, load_graph, save_graph
 from .inference import (
@@ -109,10 +109,12 @@ def _cmd_predict(args) -> int:
 def _cmd_evaluate(args) -> int:
     _resolve_config(args)  # checks --config and --set; evaluation has no setting
     ds = load_dataset(args.dataset)
-    by_method = {}
+    by_method, source = {}, {}
     for path in args.pred:
         method, predictions = load_predictions(path)
-        by_method[method] = predictions
+        if method in by_method:
+            raise EvalError(f"{source[method]} and {path} both hold {method!r} predictions")
+        by_method[method], source[method] = predictions, path
     report = build_report(by_method, ds)
     save_report(report, args.out_report, args.out_json)
     if args.out_curves:

@@ -18,14 +18,22 @@ n x m coefficient blocks and BLAS matmuls (``DenseBlockPath``); below it,
 flattened ``np.bincount`` over the edge list (``SparsePath``).  The choice
 depends only on the graph, so runs stay reproducible.  The tape never holds
 the dense blocks: ``propagate`` keeps the per-edge coefficients and its
-backward rebuilds the blocks from them.  ``train`` runs each epoch in its own
-call and ``autodiff.backward`` consumes the tape, so one epoch's tape is
-freed before the next one is built.
+backward rebuilds the blocks from them.  A large dense block is built and
+applied in row chunks (``autodiff.DENSE_CHUNK_BYTES``).  ``train`` runs each
+epoch in its own call and ``autodiff.backward`` consumes the tape, so one
+epoch's tape is freed before the next one is built.
+
+On a graph with chunked blocks and a second core, ``train`` runs one helper
+thread (``autodiff.helper_thread``): it takes its share of the blocks' row
+chunks, and each epoch it streams the decode behind the normalization
+diagnostics (``decode_diagnostics``) while the main thread takes the loss
+and runs ``backward``.
 
 Decoder: bilinear score per discrete likelihood level, softmax across
 levels; the refined link weight is the expectation over levels.  Training
 minimizes mean cross-entropy against quantized within-group weights; cross
-links are decoded but never contribute to the loss.
+links are decoded but never contribute to the loss.  The rated edges are
+read from the graph's own within and cross arrays.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -218,9 +227,12 @@ class _Path:
     edges: ad.DenseBlockPath | ad.SparsePath  # propagation kernel
 
 
-def _propagation_kernel(src, dst, n: int, m: int) -> ad.DenseBlockPath | ad.SparsePath:
-    dense = n * m > 0 and len(src) >= DENSE_BLOCK_MIN_DENSITY * 2 * n * m
-    return (ad.DenseBlockPath if dense else ad.SparsePath)(src, dst, n, m)
+def _propagation_kernel(
+    src: ad.MirroredRowIndex, dst: RowIndex, n: int, m: int
+) -> ad.DenseBlockPath | ad.SparsePath:
+    if n * m > 0 and len(src) >= DENSE_BLOCK_MIN_DENSITY * 2 * n * m:
+        return ad.DenseBlockPath(src, dst, n, m)
+    return ad.SparsePath(src.idx, dst.idx, n, m)
 
 
 @dataclass
@@ -235,16 +247,20 @@ class PreparedGraph:
     num_instances: int
     within_src: RowIndex  # the loss's edges: every within edge
     within_dst: RowIndex
-    decode_src: np.ndarray  # the rated edges: within, then cross if the model uses them
-    decode_dst: np.ndarray
+    # The rated edges' (instance, label) rows, the graph's own arrays: its
+    # within pairs, then its cross pairs (none if the model leaves them out).
+    rated: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     targets: np.ndarray
 
-    def decode_kind(self) -> np.ndarray:
-        """"within" or "cross" per rated edge, built only when asked for:
-        the column costs 24 bytes an edge."""
-        num_within = len(self.within_src)
-        return np.concatenate(
-            [np.full(num_within, "within"), np.full(len(self.decode_src) - num_within, "cross")]
+    def rated_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(instance, label, "within" or "cross") of every rated edge, built
+        only for the final ``RatingMatrix``: the kind column costs 24 bytes an
+        edge."""
+        (w_inst, w_lab), (x_inst, x_lab) = self.rated
+        return (
+            np.concatenate([w_inst, x_inst]),
+            np.concatenate([w_lab, x_lab]),
+            np.concatenate([np.full(len(w_inst), "within"), np.full(len(x_inst), "cross")]),
         )
 
 
@@ -259,7 +275,7 @@ def _directed(
         dst=dst,
         src=src,
         weight=ad.constant(w),
-        edges=_propagation_kernel(src.idx, dst.idx, n, m),
+        edges=_propagation_kernel(src, dst, n, m),
     )
 
 
@@ -297,8 +313,7 @@ def prepare_graph(graph: DualBipartiteGraph, config: ModelConfig) -> PreparedGra
         num_instances=n,
         within_src=RowIndex(w.inst),
         within_dst=RowIndex(w.lab),
-        decode_src=np.concatenate([w.inst, x.inst[keep]]),
-        decode_dst=np.concatenate([w.lab, x.lab[keep]]),
+        rated=((w.inst, w.lab), (x.inst[keep], x.lab[keep])),
         targets=quantize_levels(within_weight, config.rating_levels),
     )
 
@@ -453,6 +468,26 @@ def level_sums(values: np.ndarray) -> np.ndarray:
     return total
 
 
+def _level_products(U: np.ndarray, params: ModelParams) -> np.ndarray:
+    """``U @ [Q_0|…|Q_{R-1}]``, as (instances, levels, dense_hidden)."""
+    levels = len(params.rating_levels)
+    Q = np.hstack([params[f"Q.{r}"].value for r in range(levels)])
+    return (U @ Q).reshape(len(U), levels, -1)
+
+
+def _softmax_block(UQ: np.ndarray, V: np.ndarray, src, dst, out: np.ndarray):
+    """Write the rating distributions of one block of edges into ``out``:
+    one ``einsum`` of the gathered rows, then a softmax across levels that
+    takes the row maxima and sums level by level."""
+    np.einsum("erk,ek->er", UQ[src], V[dst], out=out)
+    top = out[:, 0].copy()
+    for r in range(1, out.shape[1]):
+        np.maximum(top, out[:, r], out=top)
+    out -= top[:, None]
+    np.exp(out, out=out)
+    out /= level_sums(out)[:, None]
+
+
 def decode_probs(
     U: np.ndarray, V: np.ndarray, params: ModelParams, src: np.ndarray, dst: np.ndarray
 ) -> np.ndarray:
@@ -461,25 +496,39 @@ def decode_probs(
     levels.
 
     ``U @ [Q_0|…|Q_{R-1}]`` is taken once; the edges' rows of it and of
-    ``V`` are gathered ``DECODE_BLOCK`` edges at a time, and one ``einsum``
-    writes a block's logits straight into the preallocated probability rows.
-    The softmax takes each block's row maxima and sums level by level."""
+    ``V`` are gathered ``DECODE_BLOCK`` edges at a time, and each block's
+    distributions are written straight into the preallocated rows."""
     src, dst = np.asarray(src, dtype=int), np.asarray(dst, dtype=int)
-    levels = len(params.rating_levels)
-    Q = np.hstack([params[f"Q.{r}"].value for r in range(levels)])
-    UQ = (U @ Q).reshape(len(U), levels, -1)
-    probs = np.empty((len(src), levels))
+    UQ = _level_products(U, params)
+    probs = np.empty((len(src), len(params.rating_levels)))
     for lo in range(0, len(src), DECODE_BLOCK):
         block = slice(lo, lo + DECODE_BLOCK)
-        logits = probs[block]
-        np.einsum("erk,ek->er", UQ[src[block]], V[dst[block]], out=logits)
-        top = logits[:, 0].copy()
-        for r in range(1, levels):
-            np.maximum(top, logits[:, r], out=top)
-        logits -= top[:, None]
-        np.exp(logits, out=logits)
-        logits /= level_sums(logits)[:, None]
+        _softmax_block(UQ, V, src[block], dst[block], probs[block])
     return probs
+
+
+def decode_diagnostics(
+    U: np.ndarray, V: np.ndarray, params: ModelParams, rated
+) -> tuple[float, float, float]:
+    """(max |sum_r p - 1|, min m_hat, max m_hat) over the edges of every
+    (instance rows, label rows) pair in ``rated``, decoded one
+    ``DECODE_BLOCK`` at a time into one reused block: no (edges, levels)
+    array is built.  A row's distribution does not depend on the rows
+    decoded beside it, and maxima and minima do not depend on the blocking,
+    so these are the floats of ``decode_probs`` over all the edges."""
+    levels = np.asarray(params.rating_levels, dtype=np.float64)
+    UQ = _level_products(U, params)
+    buffer = np.empty((DECODE_BLOCK, len(levels)))
+    worst, lowest, highest = 0.0, math.inf, -math.inf
+    for src, dst in rated:
+        for lo in range(0, len(src), DECODE_BLOCK):
+            block = slice(lo, min(lo + DECODE_BLOCK, len(src)))
+            probs = buffer[: block.stop - lo]
+            _softmax_block(UQ, V, src[block], dst[block], probs)
+            worst = max(worst, float(np.abs(level_sums(probs) - 1.0).max()))
+            m_hat = expected_weight(probs, levels)
+            lowest, highest = min(lowest, float(m_hat.min())), max(highest, float(m_hat.max()))
+    return worst, lowest, highest
 
 
 def decode(
@@ -513,6 +562,15 @@ def reconstruction_loss(logits_within: Tensor, targets: np.ndarray) -> Tensor:
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
+
+
+def _helper_pays(prep: PreparedGraph) -> bool:
+    """Whether ``train`` runs a helper thread: only with a second core and a
+    dense block large enough to be applied in row chunks."""
+    chunked = any(
+        isinstance(p.edges, ad.DenseBlockPath) and p.edges.chunked for p in prep.paths.values()
+    )
+    return chunked and ad.usable_cores() >= 2
 
 
 @dataclass
@@ -549,7 +607,6 @@ def train(
     else:
         params = init_params(config, graph.feature_dim, graph.num_classes)
     state = AdamState.for_params(params.tensors, lr=config.lr)
-    levels = np.asarray(params.rating_levels, dtype=np.float64)
 
     loss_trace = np.zeros(config.epochs)
     prob_sum_err = np.zeros(config.epochs)
@@ -560,27 +617,34 @@ def train(
         """One epoch; its tape is local, consumed by ``backward`` and gone on
         return, so no two epochs' tapes are ever alive at once.
 
-        The rated edges are decoded after ``backward``, which leaves U, V and
-        the parameters as they were, so the diagnostics are those of this
-        epoch's embeddings while no rating array lives through backward."""
+        The diagnostics stream the rated edges' decode (no rating array is
+        built): the helper starts on it while this thread takes the loss and
+        runs ``backward``, and this thread decodes after ``backward`` if the
+        helper has not started (or there is none).  The loss and
+        ``backward`` write only the tape and gradients, so U, V and the
+        parameters the decode reads stay as they were until Adam."""
         U, V = encode(prep, params, config)
-        loss = reconstruction_loss(
-            decode_logits(U, V, params, prep.within_src, prep.within_dst), prep.targets
-        )
-        value = float(loss.value[0, 0])
-        if not np.isfinite(value):
-            raise TrainingError(
-                f"non-finite loss at epoch {epoch}"
-                + (f", last finite loss {loss_trace[epoch - 1]:.6f}" if epoch else "")
-            )
-        loss_trace[epoch] = value
-        ad.backward(loss)
 
-        probs = decode_probs(U.value, V.value, params, prep.decode_src, prep.decode_dst)
-        prob_sum_err[epoch] = float(np.abs(level_sums(probs) - 1.0).max())
-        m_hat = expected_weight(probs, levels)
-        mhat_min[epoch], mhat_max[epoch] = float(m_hat.min()), float(m_hat.max())
-        del probs, m_hat
+        def loss_and_backward():
+            loss = reconstruction_loss(
+                decode_logits(U, V, params, prep.within_src, prep.within_dst), prep.targets
+            )
+            value = float(loss.value[0, 0])
+            if not np.isfinite(value):
+                raise TrainingError(
+                    f"non-finite loss at epoch {epoch}"
+                    + (f", last finite loss {loss_trace[epoch - 1]:.6f}" if epoch else "")
+                )
+            loss_trace[epoch] = value
+            ad.backward(loss)
+
+        found = []
+        ad.share(
+            lambda _: found.append(decode_diagnostics(U.value, V.value, params, prep.rated)),
+            1,
+            meanwhile=loss_and_backward,
+        )
+        prob_sum_err[epoch], mhat_min[epoch], mhat_max[epoch] = found[0]
 
         try:
             adam_step(params.tensors, params.grads(), state)
@@ -588,13 +652,12 @@ def train(
             raise TrainingError(f"epoch {epoch}: {exc}") from exc
         ad.zero_grads(params.tensors.values())
 
-    for epoch in range(config.epochs):
-        step(epoch)
+    with ad.helper_thread() if _helper_pays(prep) else nullcontext():
+        for epoch in range(config.epochs):
+            step(epoch)
+        U, V = encode(prep, params, config)
 
-    U, V = encode(prep, params, config)
-    ratings = decode(
-        U.value, V.value, params, prep.decode_src, prep.decode_dst, prep.decode_kind()
-    )
+    ratings = decode(U.value, V.value, params, *prep.rated_edges())
     return TrainResult(
         params=params,
         ratings=ratings,

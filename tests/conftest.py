@@ -1,5 +1,6 @@
 import os
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -16,3 +17,12 @@ def no_child_process_left():
     except ChildProcessError:
         return
     pytest.fail("the test left a child process behind")
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left():
+    """Fail a test after which a thread other than the main one is alive."""
+    yield
+    others = [t.name for t in threading.enumerate() if t is not threading.main_thread()]
+    if others:
+        pytest.fail(f"the test left threads alive: {others}")

@@ -1,4 +1,7 @@
+import threading
+import time
 import tracemalloc
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
@@ -138,6 +141,24 @@ class TestBackwardBasics:
                 ad.backward(loss)
         for p, g in zip(params, grads):
             np.testing.assert_array_equal(p.grad, g)
+
+
+class TestMatmulBackward:
+    def test_skips_the_product_for_an_input_without_gradient(self):
+        rng = np.random.default_rng(4)
+        a = ad.constant(rng.standard_normal((1000, 1000)))
+        b = ad.parameter(rng.standard_normal((1000, 1)))
+        loss = ad.mean_all(ad.matmul(a, b))
+        tracemalloc.start()
+        try:
+            ad.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a's product g @ b.T would be 1000 x 1000 floats: 8 MB.
+        assert peak < 100_000
+        assert a.grad is None
+        np.testing.assert_allclose(b.grad, a.value.mean(axis=0).reshape(-1, 1))
 
 
 def _bounded_array(rng, shape, low=-2.0, high=2.0, away_from_zero=0.0):
@@ -455,6 +476,231 @@ class TestMirroredRowIndex:
     def test_halves_sharing_or_inverting_rows_are_rejected(self, dst):
         with pytest.raises(DimensionError, match="mirrored index"):
             ad.MirroredRowIndex(ad.RowIndex(dst))
+
+
+@contextmanager
+def chunk_bytes(value):
+    """Run the body with ``ad.DENSE_CHUNK_BYTES`` set to ``value``."""
+    saved, ad.DENSE_CHUNK_BYTES = ad.DENSE_CHUNK_BYTES, value
+    try:
+        yield
+    finally:
+        ad.DENSE_CHUNK_BYTES = saved
+
+
+def path_kernel(n, m, inst, lab):
+    """A path's dense kernel as ``prepare_graph`` builds it: the targets
+    ``[inst | lab + n]`` own the index and the sources mirror them."""
+    dst = ad.RowIndex(np.concatenate([inst, lab + n]))
+    return ad.DenseBlockPath(ad.MirroredRowIndex(dst), dst, n, m)
+
+
+def whole_block_kernel(n, m, inst, lab):
+    """The same edges as plain arrays: no target index, so whole blocks."""
+    return ad.DenseBlockPath(np.concatenate([lab + n, inst]), np.concatenate([inst, lab + n]), n, m)
+
+
+class TestDenseRowChunks:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 14),
+        m=st.integers(1, 14),
+        data=st.data(),
+        chunk=st.integers(8, 400),
+        width=st.integers(2, 5),  # one column is a matrix-vector product (see row_chunks)
+        helper=st.booleans(),
+        seed=st.integers(0, 10_000),
+    )
+    def test_chunks_of_small_blocks_agree_with_whole_blocks(
+        self, n, m, data, chunk, width, helper, seed
+    ):
+        # Below 10**6 multiply-adds OpenBLAS takes a transposed whole block
+        # and a chunk of rows by different small-matrix kernels, so the
+        # transposed products agree to rounding; ``apply`` keeps the floats.
+        pairs = data.draw(
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)), min_size=1, max_size=40)
+        )
+        inst, lab = (np.array(side, dtype=int) for side in zip(*pairs))
+        rng = np.random.default_rng(seed)
+        coef = rng.standard_normal(2 * len(pairs))
+        t = rng.standard_normal((n + m, width))
+        whole = whole_block_kernel(n, m, inst, lab)
+        with chunk_bytes(chunk), ad.helper_thread() if helper else nullcontext():
+            p = path_kernel(n, m, inst, lab)
+            assert p.chunked == (8 * n * m > 2 * chunk)
+            assert np.array_equal(p.apply(coef, t), whole.apply(coef, t))
+            np.testing.assert_allclose(
+                p.apply_transpose(coef, t), whole.apply_transpose(coef, t), rtol=0, atol=1e-12
+            )
+
+    def test_ragged_and_empty_chunks_keep_the_floats(self):
+        # Chunks of 50-59 rows: every product has over 10**6 multiply-adds.
+        rng = np.random.default_rng(3)
+        n, m, width = 700, 600, 32
+        pairs = rng.choice(n * m, size=n * m // 15, replace=False)
+        inst, lab = pairs // m, pairs % m
+        keep = np.flatnonzero((inst < 100) | (inst >= 250))  # rows 100-249 have no edges
+        keep = np.concatenate([keep, keep[:50]])  # 50 pairs twice: they add up in their cell
+        inst, lab = inst[keep], lab[keep]
+        coef = rng.standard_normal(2 * len(inst))
+        t = rng.standard_normal((n + m, width))
+        whole = whole_block_kernel(n, m, inst, lab)
+        with chunk_bytes(300_000):
+            left, right = ad.row_chunks(n, m), ad.row_chunks(m, n)
+            p = path_kernel(n, m, inst, lab)
+            assert p.chunked
+            for helper in (nullcontext(), ad.helper_thread()):
+                with helper:
+                    assert np.array_equal(p.apply(coef, t), whole.apply(coef, t))
+                    assert np.array_equal(p.apply_transpose(coef, t), whole.apply_transpose(coef, t))
+        assert set(np.diff(left)) == {58, 59} and set(np.diff(right)) == {50}
+        empty = [not np.any((inst >= lo) & (inst < hi)) for lo, hi in zip(left, left[1:])]
+        assert 0 < sum(empty) < len(empty)
+
+    @pytest.mark.parametrize("rows, cols", [(1, 5), (3, 100), (4, 1), (1210, 1168), (2427, 2392), (7, 0)])
+    def test_row_chunks_are_even_and_bounded(self, rows, cols):
+        bounds = ad.row_chunks(rows, cols)
+        sizes = np.diff(bounds)
+        assert bounds[0] == 0 and bounds[-1] == rows
+        assert sizes.max() - sizes.min() <= 1
+        assert all(s * cols * 8 <= ad.DENSE_CHUNK_BYTES or s <= 4 for s in sizes)
+        assert sizes.min() >= min(rows, 2)
+
+    def test_a_block_of_two_chunks_stays_whole(self):
+        n, m = 6, 5
+        inst, lab = np.arange(n), np.arange(n) % m
+        rng = np.random.default_rng(5)
+        coef, t = rng.standard_normal(2 * n), rng.standard_normal((n + m, 3))
+        whole = whole_block_kernel(n, m, inst, lab)
+        with chunk_bytes(8 * n * m // 2):
+            p = path_kernel(n, m, inst, lab)
+            assert not p.chunked
+            assert np.array_equal(p.apply(coef, t), whole.apply(coef, t))
+            assert np.array_equal(p.apply_transpose(coef, t), whole.apply_transpose(coef, t))
+        with chunk_bytes(8 * n * m // 2 - 1):
+            assert path_kernel(n, m, inst, lab).chunked
+
+    @pytest.mark.parametrize("groups", [200, 400, 800, 1600])
+    def test_benchmark_cross_paths(self, groups):
+        from dataclasses import replace
+
+        from dbgae.benchmark import (
+            benchmark_generator_config,
+            benchmark_graph_config,
+            benchmark_model_config,
+        )
+        from dbgae.data import generate_synthetic
+        from dbgae.graph import build_dual_graph
+        from dbgae.model import prepare_graph
+
+        gc = benchmark_graph_config()
+        generator = replace(benchmark_generator_config(0), num_groups=groups)
+        graph = build_dual_graph(
+            generate_synthetic(generator), eps=gc.eps, min_pts=gc.min_pts, threshold=gc.threshold
+        )
+        model = benchmark_model_config(0)
+        path = prepare_graph(graph, model).paths["cross"]
+        p = path.edges
+        assert p.chunked == (groups > 200)
+        whole = ad.DenseBlockPath(path.src.idx, path.dst.idx, p.num_left, p.num_right)
+        rng = np.random.default_rng(groups)
+        coef = rng.random(len(p))
+        t = rng.standard_normal((p.num_nodes, model.gcn_hidden))
+        with ad.helper_thread():
+            assert np.array_equal(p.apply(coef, t), whole.apply(coef, t))
+            assert np.array_equal(p.apply_transpose(coef, t), whole.apply_transpose(coef, t))
+
+    def test_a_chunked_apply_holds_two_chunks_and_its_output(self):
+        rng = np.random.default_rng(9)
+        n, m, width = 200, 150, 4
+        pairs = rng.choice(n * m, size=n * m // 10, replace=False)
+        inst, lab = pairs // m, pairs % m
+        with chunk_bytes(16 * 1024), ad.helper_thread():
+            p = path_kernel(n, m, inst, lab)
+            coef = rng.standard_normal(len(p))
+            t = rng.standard_normal((n + m, width))
+            bounds = ad.row_chunks(n, m) + ad.row_chunks(m, n)
+            chunk = max(b - a for a, b in zip(bounds, bounds[1:])) * max(n, m) * 8
+            # Per chunk and thread: its edges, their block positions, shifted
+            # positions and coefficients.
+            edges = 4 * 8 * max(np.bincount(inst).max(), np.bincount(lab).max()) * 16
+            bound = 2 * (chunk + edges) + (n + m) * width * 8 + 8 * 1024
+            assert bound < n * m * 8  # less than one whole block
+            tracemalloc.start()
+            try:
+                p.apply(coef, t)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= bound, f"peak {peak} bytes over {bound}"
+
+
+class TestHelperThread:
+    def test_share_runs_pieces_on_the_helper_while_meanwhile_runs(self):
+        started, ran = threading.Event(), []
+
+        def piece(k):
+            ran.append((k, threading.current_thread().name))
+            started.set()
+
+        with ad.helper_thread():
+            ad.share(piece, 1, meanwhile=lambda: started.wait(timeout=30))
+        assert ran == [(0, "dbgae-helper")]
+        order = []
+        ad.share(lambda k: order.append(k), 3, meanwhile=lambda: order.append("meanwhile"))
+        assert order == ["meanwhile", 0, 1, 2]
+
+    def test_an_error_on_the_helper_reaches_the_caller_with_its_type(self):
+        class Boom(Exception):
+            pass
+
+        started = threading.Event()
+
+        def fail(k):
+            started.set()
+            raise Boom("on the helper")
+
+        with ad.helper_thread():
+            with pytest.raises(Boom, match="on the helper"):
+                ad.share(fail, 1, meanwhile=lambda: started.wait(timeout=30))
+
+    def test_an_error_in_a_helper_chunk_reaches_the_caller_with_its_type(self):
+        class Boom(Exception):
+            pass
+
+        done = []
+
+        def chunk(k):
+            if threading.current_thread() is threading.main_thread():
+                time.sleep(0.05)  # leave the next chunk to the helper
+                done.append(k)
+            else:
+                raise Boom(f"chunk {k}")
+
+        with ad.helper_thread():
+            with pytest.raises(Boom, match="chunk 1"):
+                ad.share(chunk, 4)
+        assert done and 1 not in done
+
+    def test_every_chunk_runs_once_under_fast_thread_switching(self):
+        import sys
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ad.helper_thread():
+                for _ in range(50):
+                    done = []
+                    ad.share(lambda k: done.append((k, threading.current_thread().name)), 200)
+                    assert sorted(k for k, _ in done) == list(range(200))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_the_thread_is_joined_on_error(self):
+        with pytest.raises(ValueError):
+            with ad.helper_thread():
+                raise ValueError("in the body")
+        assert threading.active_count() == 1
 
 
 class TestEdgeAttention:

@@ -508,9 +508,8 @@ class TestDecode:
         result = train(graph, small_config(epochs=1))
         # zero Q gives uniform rows only before training; check decode directly
         U, V = encode(prep, params, cfg)
-        logits = decode_logits(
-            U, V, params, ad.RowIndex(prep.decode_src), ad.RowIndex(prep.decode_dst)
-        )
+        src, dst, _ = prep.rated_edges()
+        logits = decode_logits(U, V, params, ad.RowIndex(src), ad.RowIndex(dst))
         probs = np.exp(logits.value - logits.value.max(axis=1, keepdims=True))
         probs /= probs.sum(axis=1, keepdims=True)
         np.testing.assert_allclose(probs, 0.2, atol=1e-12)
@@ -574,6 +573,54 @@ class TestDecode:
         products = levels * n * k * 8  # U @ [Q_0|...|Q_{R-1}]
         block = DECODE_BLOCK * (levels + 1) * k * 8  # gathered rows of U @ Q and of V
         assert peak <= result + products + block
+
+
+class TestStreamedDiagnostics:
+    @pytest.mark.parametrize("block", [7, 64, 1024])
+    def test_equal_the_whole_array_ones(self, block, monkeypatch):
+        from dbgae import model
+
+        cfg = small_config(dense_hidden=8)
+        params = init_params(cfg, 2, 3)
+        rng = np.random.default_rng(block)
+        U, V = rng.standard_normal((40, 8)) * 3, rng.standard_normal((30, 8)) * 3
+        rated = [
+            (rng.integers(0, 40, size=size), rng.integers(0, 30, size=size))
+            for size in (150, 0, 61)
+        ]
+        monkeypatch.setattr(model, "DECODE_BLOCK", block)
+        streamed = model.decode_diagnostics(U, V, params, rated)
+        src = np.concatenate([s for s, _ in rated])
+        dst = np.concatenate([d for _, d in rated])
+        monkeypatch.setattr(model, "DECODE_BLOCK", 1024)
+        probs = model.decode_probs(U, V, params, src, dst)
+        m_hat = model.expected_weight(probs, np.asarray(cfg.rating_levels))
+        whole = (
+            float(np.abs(model.level_sums(probs) - 1.0).max()),
+            float(m_hat.min()),
+            float(m_hat.max()),
+        )
+        assert streamed == whole
+
+    def test_hold_one_block_of_edges(self):
+        from dbgae.model import DECODE_BLOCK, decode_diagnostics
+
+        n, m, edges, k = 50, 30, 40_000, 16
+        cfg = small_config(dense_hidden=k)
+        params = init_params(cfg, 2, 3)
+        levels = len(cfg.rating_levels)
+        rng = np.random.default_rng(13)
+        U, V = rng.standard_normal((n, k)), rng.standard_normal((m, k))
+        rated = [(rng.integers(0, n, size=edges), rng.integers(0, m, size=edges))]
+        tracemalloc.start()
+        try:
+            decode_diagnostics(U, V, params, rated)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        products = levels * n * k * 8  # U @ [Q_0|...|Q_{R-1}]
+        block = DECODE_BLOCK * ((levels + 1) * k + 2 * levels + 8) * 8
+        assert peak <= products + block < edges * levels * 8
 
 
 class TestLoss:
@@ -699,6 +746,115 @@ class TestTrain:
             tracemalloc.stop()
         assert live_at_backward == [[], []]
         assert result.prob_sum_err.max() <= 1e-9 and len(result.ratings) == rated
+
+    def test_no_rating_array_lives_through_backward_with_the_helper(self, monkeypatch):
+        import inspect
+        import threading
+
+        from dbgae import model
+
+        def lines_of(fn):
+            source, first = inspect.getsourcelines(fn)
+            return range(first, first + len(source))
+
+        decoders = (
+            model.decode_probs,
+            model.decode,
+            model.expected_weight,
+            model.level_sums,
+            model.decode_diagnostics,
+            model._softmax_block,
+            model._level_products,
+        )
+        rating_lines = {line for fn in decoders for line in lines_of(fn)}
+        rated = 100 + 3500
+        live_at_backward, helpers = [], []
+        real_backward = ad.backward
+
+        def backward_checking(loss):
+            helpers.append([t.name for t in threading.enumerate()])
+            snapshot = tracemalloc.take_snapshot()
+            live_at_backward.append(
+                [
+                    stat.size
+                    for stat in snapshot.statistics("traceback")
+                    if stat.size >= 8 * rated
+                    and any(
+                        f.filename == model.__file__ and f.lineno in rating_lines
+                        for f in stat.traceback
+                    )
+                ]
+            )
+            return real_backward(loss)
+
+        monkeypatch.setattr(ad, "backward", backward_checking)
+        monkeypatch.setattr(ad, "DENSE_CHUNK_BYTES", 2000)
+        monkeypatch.setattr(ad, "usable_cores", lambda: 2)
+        # One block's gathered rows (32 x 5 levels x 4) and the products of the
+        # 30 instances' rows (30 x 5 x 4) hold far fewer floats than rated edges.
+        monkeypatch.setattr(model, "DECODE_BLOCK", 32)
+        graph = random_graph(30, 150, 100, 3500)
+        tracemalloc.start(32)
+        try:
+            result = train(graph, small_config(epochs=3))
+        finally:
+            tracemalloc.stop()
+        assert all("dbgae-helper" in names for names in helpers)
+        assert live_at_backward == [[], [], []]
+        assert result.prob_sum_err.max() <= 1e-9 and len(result.ratings) == rated
+
+    def test_helper_on_equals_helper_off_at_800_groups(self, monkeypatch):
+        from dataclasses import replace
+
+        from dbgae.benchmark import (
+            benchmark_generator_config,
+            benchmark_graph_config,
+            benchmark_model_config,
+        )
+        from dbgae.data import generate_synthetic
+        from dbgae.graph import build_dual_graph
+
+        gc = benchmark_graph_config()
+        generator = replace(benchmark_generator_config(0), num_groups=800)
+        graph = build_dual_graph(
+            generate_synthetic(generator), eps=gc.eps, min_pts=gc.min_pts, threshold=gc.threshold
+        )
+        cfg = replace(benchmark_model_config(0), epochs=3)
+        entered = []
+        real_helper = ad.helper_thread
+
+        def counting_helper():
+            entered.append(True)
+            return real_helper()
+
+        monkeypatch.setattr(ad, "helper_thread", counting_helper)
+        monkeypatch.setattr(ad, "usable_cores", lambda: 2)
+        on = train(graph, cfg)
+        monkeypatch.setattr(ad, "usable_cores", lambda: 1)
+        off = train(graph, cfg)
+        assert entered == [True]
+        for field in ("loss_trace", "prob_sum_err", "mhat_min", "mhat_max"):
+            assert np.array_equal(getattr(on, field), getattr(off, field)), field
+        assert ratings_equal(on.ratings, off.ratings)
+        for name, t in on.params.tensors.items():
+            assert np.array_equal(t.value, off.params[name].value), name
+
+    def test_an_error_in_the_diagnostics_reaches_the_caller_with_its_type(self, monkeypatch):
+        from dbgae import model
+
+        class Boom(Exception):
+            pass
+
+        def failing_diagnostics(*args):
+            raise Boom("diagnostics")
+
+        # The helper runs the diagnostics unless this thread finds them not
+        # yet started; either way the error reaches train's caller.
+        monkeypatch.setattr(model, "decode_diagnostics", failing_diagnostics)
+        monkeypatch.setattr(ad, "DENSE_CHUNK_BYTES", 2000)
+        monkeypatch.setattr(ad, "usable_cores", lambda: 2)
+        with pytest.raises(Boom, match="diagnostics"):
+            train(random_graph(30, 60, 100, 1000), small_config(epochs=3))
 
     def test_no_within_edges_raises(self):
         graph = make_graph(

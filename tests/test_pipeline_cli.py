@@ -391,6 +391,19 @@ class TestCli:
         assert len(lines) == 1 + config.model.epochs
         assert trace.read_bytes() == paths.loss_trace.read_bytes()
 
+    def test_evaluate_rejects_two_files_of_one_method(self, tmp_path, capsys):
+        _, paths = run_pipeline(small_config(), out_dir=tmp_path / "run")
+        pred = paths.predictions["dbgae"]
+        copy = tmp_path / "pred_copy.jsonl"
+        copy.write_bytes(pred.read_bytes())
+        report = tmp_path / "report.txt"
+        args = ["evaluate", "--pred", str(pred), "--pred", str(copy)]
+        args += ["--dataset", str(paths.dataset), "--out-report", str(report)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert str(pred) in err and str(copy) in err and "'dbgae'" in err
+        assert not report.exists()
+
     def test_pair_clustering_predict_reads_the_graph(self, tmp_path):
         _, paths = run_pipeline(small_config(), out_dir=tmp_path / "run")
         args = ["predict", "--method", "pair_clustering", "--dataset", str(paths.dataset)]
