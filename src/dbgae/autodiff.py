@@ -16,6 +16,7 @@ import threading
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import pairwise
 
 import numpy as np
 
@@ -474,8 +475,12 @@ def gather_rows(a: Tensor, idx) -> Tensor:
 
 
 class _BipartiteEdges:
-    """Directed edges ``src -> dst`` between the first ``num_left`` rows
-    ("left") and the next ``num_right`` rows ("right") of a node table.
+    """A bipartite path's directed edges between the first ``num_left`` rows
+    ("left") and the next ``num_right`` rows ("right") of a node table, given
+    by the path's target ``RowIndex``: ``[inst | lab + n]``, its ``k``
+    undirected pairs into left rows, then into right rows.  The sources are
+    the targets with their halves swapped (``MirroredRowIndex``), so edge
+    ``e < k`` is ``lab_e + n -> inst_e`` and edge ``k + e`` its reverse.
 
     Base of the two propagation kernels below.  A kernel applies the linear
     operator that per-edge coefficients define, and its transpose, to node
@@ -484,28 +489,25 @@ class _BipartiteEdges:
     ``meanwhile`` argument, if given, on the calling thread before that
     thread takes its share of the product; ``propagate``'s backward passes
     the coefficients' gradient there, so on chunked blocks it overlaps the
-    helper's chunks.  The edge list is checked here and handed to
-    ``_index``, which keeps what its kernel needs of it.
+    helper's chunks.  The edge list is checked here, and ``_index`` keeps
+    what its kernel needs of it.
     """
 
-    def __init__(self, src, dst, num_left: int, num_right: int):
-        src = np.asarray(src, dtype=np.intp).ravel()
-        dst = np.asarray(dst, dtype=np.intp).ravel()
+    def __init__(self, dst: RowIndex, num_left: int, num_right: int):
         self.num_left, self.num_right = int(num_left), int(num_right)
         self.num_nodes = self.num_left + self.num_right
-        if len(src) != len(dst):
-            raise DimensionError(f"propagate: {len(src)} sources for {len(dst)} targets")
-        if len(src) and (
-            min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= self.num_nodes
-        ):
+        idx, half = dst.idx, len(dst) // 2
+        if len(idx) % 2:
+            raise DimensionError(f"propagate: {len(idx)} targets, not a path's two halves")
+        if len(idx) and (idx.min() < 0 or idx.max() >= self.num_nodes):
             raise DimensionError(f"propagate: edge endpoint outside {self.num_nodes} rows")
-        if np.any((src < self.num_left) == (dst < self.num_left)):
+        if np.any(idx[:half] >= self.num_left) or np.any(idx[half:] < self.num_left):
             raise DimensionError("propagate: every edge must join a left row and a right row")
-        self.num_edges = len(src)
-        self._index(src, dst)
+        self.targets = dst
+        self._index()
 
     def __len__(self):
-        return self.num_edges
+        return len(self.targets)
 
 
 # Bytes of one row chunk of a dense coefficient block.  ``DenseBlockPath``
@@ -522,14 +524,16 @@ class _BipartiteEdges:
 #   2 MB                            4.2-4.8   3.8-4.7
 # 512 KB rather than 1 MB: over six perfbench scale800 samples the peak RSS
 # was 84.9 MB (median) against 86.2 MB with 1 MB chunks and 84.0 MB with
-# whole blocks, at the same speed.  A block of at most two chunks stays
-# whole, as at 200 groups (0.7 MB blocks): there, chunks and a helper gave
-# 200 epochs no speed-up (2.3-2.7 s either way) and 0.5 MB more RSS.
+# whole blocks, at the same speed.  A block of at most two chunks is one
+# chunk, as at 200 groups (0.7 MB blocks): there, smaller chunks and a
+# helper gave 200 epochs no speed-up (2.3-2.7 s either way) and 0.5 MB more
+# RSS.
 DENSE_CHUNK_BYTES = 1 << 19
 
 
 def row_chunks(rows: int, cols: int) -> list[int]:
-    """Bounds of the row chunks of a (rows, cols) float block: as even as
+    """Bounds of the row chunks of a (rows, cols) float block: one chunk for
+    a block of at most two ``DENSE_CHUNK_BYTES``, else chunks as even as
     they can be, each at most ``DENSE_CHUNK_BYTES`` but at least 4 rows.
 
     A chunk's product has the whole block's floats in its rows only if BLAS
@@ -541,8 +545,9 @@ def row_chunks(rows: int, cols: int) -> list[int]:
     ``DENSE_CHUNK_BYTES``, so more than 10**6 multiply-adds at width 24 and
     up.
     """
-    per = max(4, DENSE_CHUNK_BYTES // (8 * max(cols, 1)))
-    count = max(1, -(-rows // per))
+    if 8 * rows * cols <= 2 * DENSE_CHUNK_BYTES:
+        return [0, rows]
+    count = -(-rows // max(4, DENSE_CHUNK_BYTES // (8 * cols)))
     return [rows * c // count for c in range(count + 1)]
 
 
@@ -551,125 +556,90 @@ class DenseBlockPath(_BipartiteEdges):
 
     ``apply`` and ``apply_transpose`` build the left<-right block
     (num_left x num_right) and the right<-left block (num_right x num_left)
-    one at a time, each with one ``np.bincount`` (duplicate edges add up),
-    apply it with one BLAS matmul into the output rows and drop it before
-    building the other.  Costs O(num_left * num_right * width) whatever the
-    edge count, so it pays only on dense paths.
+    in row chunks (``row_chunks``), each with one ``np.bincount`` (duplicate
+    edges add up), and apply each chunk with one BLAS matmul into its rows
+    of the output.  Costs O(num_left * num_right * width) whatever the edge
+    count, so it pays only on dense paths.
 
-    Only the flat position of each edge in its block is kept.  When the
-    edges into left rows come first, as in a path's mirrored list, the two
-    blocks' edges are the two halves of the list, taken as slices.
-
-    Built from a path's target ``RowIndex`` and its ``MirroredRowIndex``
-    sources, a block of more than two ``DENSE_CHUNK_BYTES`` chunks is built
-    and applied in row chunks (``row_chunks``): one ``np.bincount`` over the
-    edges into the chunk's rows, found in the target index's sort, then one
-    matmul into those output rows.  The calling thread and the helper take
-    chunks from one counter, so at most two chunks are alive.  A stable sort
-    keeps each cell's edges in list order, so a chunk holds the block's
-    floats.  The transposed blocks come from the same chunks: the right half
-    of a mirrored list holds the left half's pairs reversed, so row i of the
-    right block's transpose is row i of the left block built from the
+    Only the flat position of each edge in its block is kept.  The edges
+    into left rows are the first half of the list and the edges into right
+    rows the second, so a chunk of a whole side takes that half by slice.  A
+    chunk of part of a side takes the edges into its rows from the target
+    index's sort; the stable sort keeps each cell's edges in list order, so
+    a chunk holds the block's floats.  The calling thread and the helper, if
+    one runs, take chunks from one counter (``share``), so at most two
+    chunks are alive.  The transposed blocks come from the same chunks: the
+    right half of the list holds the left half's pairs reversed, so row i of
+    the right block's transpose is row i of the left block built from the
     mirrored coefficients.
     """
 
-    def __init__(self, src, dst, num_left: int, num_right: int):
-        # The target index, for row chunks: a path's, whose sources mirror it.
-        self.targets = dst if isinstance(src, MirroredRowIndex) and src.base is dst else None
-        super().__init__(getattr(src, "idx", src), getattr(dst, "idx", dst), num_left, num_right)
-
-    def _index(self, src, dst):
+    def _index(self):
         n, m = self.num_left, self.num_right
-        into_left = dst < n
-        k = int(np.count_nonzero(into_left))
-        if into_left[:k].all():
-            self.left_edges, self.right_edges = slice(0, k), slice(k, None)
-        else:
-            self.left_edges, self.right_edges = np.flatnonzero(into_left), np.flatnonzero(~into_left)
-        self.left_flat = dst[self.left_edges] * m + (src[self.left_edges] - n)
-        self.right_flat = (dst[self.right_edges] - n) * n + src[self.right_edges]
+        half = len(self) // 2
+        inst, lab = self.targets.idx[:half], self.targets.idx[half:] - n
+        self.left_flat = inst * m + lab
+        self.right_flat = lab * n + inst
 
     @property
     def chunked(self) -> bool:
-        """Whether the blocks are built and applied in row chunks."""
-        block_bytes = 8 * self.num_left * self.num_right
-        return self.targets is not None and block_bytes > 2 * DENSE_CHUNK_BYTES
-
-    def _to_left(self, coef: np.ndarray) -> np.ndarray:
+        """Whether a block is applied in more than one row chunk."""
         n, m = self.num_left, self.num_right
-        return np.bincount(
-            self.left_flat, weights=coef[self.left_edges], minlength=n * m
-        ).reshape(n, m)
-
-    def _to_right(self, coef: np.ndarray) -> np.ndarray:
-        n, m = self.num_left, self.num_right
-        return np.bincount(
-            self.right_flat, weights=coef[self.right_edges], minlength=m * n
-        ).reshape(m, n)
+        return len(row_chunks(n, m)) + len(row_chunks(m, n)) > 4
 
     def apply(self, coef: np.ndarray, t: np.ndarray) -> np.ndarray:
-        n = self.num_left
-        out = np.empty((self.num_nodes, t.shape[1]))
-        if self.chunked:
-            self._in_chunks(coef, t, out, mirror=False)
-            return out
-        np.matmul(self._to_left(coef), t[n:], out=out[:n])
-        np.matmul(self._to_right(coef), t[:n], out=out[n:])
-        return out
+        return self._in_chunks(coef, t, mirror=False)
 
     def apply_transpose(self, coef: np.ndarray, g: np.ndarray, meanwhile=None) -> np.ndarray:
-        n = self.num_left
-        out = np.empty((self.num_nodes, g.shape[1]))
-        if self.chunked:
-            self._in_chunks(coef, g, out, mirror=True, meanwhile=meanwhile)
-            return out
-        if meanwhile is not None:
-            meanwhile()
-        np.matmul(self._to_right(coef).T, g[n:], out=out[:n])
-        np.matmul(self._to_left(coef).T, g[:n], out=out[n:])
-        return out
+        return self._in_chunks(coef, g, mirror=True, meanwhile=meanwhile)
 
     def _edges_into(self, lo: int, hi: int) -> np.ndarray:
-        """The edges into rows [lo, hi), in the target index's sort."""
+        """The edges into rows [lo, hi) of one side, as positions in their
+        half of the list, in the target index's sort."""
         t = self.targets
         a, b = np.searchsorted(t.uniq, (lo, hi))
         first = t.starts[a] if a < len(t.starts) else len(t.order)
         last = t.starts[b] if b < len(t.starts) else len(t.order)
-        return t.order[first:last]
+        edges = t.order[first:last]
+        return edges - len(self) // 2 if lo >= self.num_left else edges
 
-    def _in_chunks(
-        self, coef: np.ndarray, x: np.ndarray, out: np.ndarray, mirror: bool, meanwhile=None
-    ):
-        """``out`` = the blocks (their transposes when ``mirror``) applied to
-        ``x``, one row chunk at a time: rows of the left block's shape
+    def _in_chunks(self, coef: np.ndarray, x: np.ndarray, mirror: bool, meanwhile=None):
+        """The blocks (their transposes when ``mirror``) applied to ``x``,
+        one row chunk at a time: rows of the left block's shape
         (num_left x num_right), then of the right block's."""
         n, m = self.num_left, self.num_right
-        k = len(self) // 2
-        left, right = row_chunks(n, m), row_chunks(m, n)
-        spans = [(lo, hi, 0) for lo, hi in zip(left, left[1:])]
-        spans += [(n + lo, n + hi, n) for lo, hi in zip(right, right[1:])]
+        half = len(self) // 2
+        first, second = coef[:half], coef[half:]
+        # Per side: its first row, rows and columns, its edges' flat
+        # positions and coefficients, and the rows its blocks multiply.
+        sides = (
+            (0, n, m, self.left_flat, second if mirror else first, x[n:]),
+            (n, m, n, self.right_flat, first if mirror else second, x[:n]),
+        )
+        spans = [
+            (side, base + lo, base + hi)
+            for side, (base, rows, cols, *_) in enumerate(sides)
+            for lo, hi in pairwise(row_chunks(rows, cols))
+        ]
+        out = np.empty((self.num_nodes, x.shape[1]))
 
         def chunk(c: int):
-            lo, hi, base = spans[c]
-            edges = self._edges_into(lo, hi)
-            if base == 0:  # rows of the left block, or of the right block's transpose
-                flat, cols, rows_from = self.left_flat[edges], m, x[n:]
-                weights = coef[edges + k] if mirror else coef[edges]
-            else:  # rows of the right block, or of the left block's transpose
-                flat, cols, rows_from = self.right_flat[edges - k], n, x[:n]
-                weights = coef[edges - k] if mirror else coef[edges]
-            block = np.bincount(
-                flat - (lo - base) * cols, weights=weights, minlength=(hi - lo) * cols
-            ).reshape(hi - lo, cols)
-            np.matmul(block, rows_from, out=out[lo:hi])
+            side, lo, hi = spans[c]
+            base, rows, cols, flat, weights, rows_from = sides[side]
+            if hi - lo < rows:
+                edges = self._edges_into(lo, hi)
+                flat, weights = flat[edges] - (lo - base) * cols, weights[edges]
+            block = np.bincount(flat, weights=weights, minlength=(hi - lo) * cols)
+            np.matmul(block.reshape(hi - lo, cols), rows_from, out=out[lo:hi])
 
         share(chunk, len(spans), meanwhile)
+        return out
 
     def edge_dot(self, g: np.ndarray, t: np.ndarray) -> np.ndarray:
-        n = self.num_left
+        n, half = self.num_left, len(self) // 2
         out = np.empty(len(self))
-        out[self.left_edges] = (g[:n] @ t[n:].T).ravel()[self.left_flat]
-        out[self.right_edges] = (g[n:] @ t[:n].T).ravel()[self.right_flat]
+        out[:half] = (g[:n] @ t[n:].T).ravel()[self.left_flat]
+        out[half:] = (g[n:] @ t[:n].T).ravel()[self.right_flat]
         return out
 
 
@@ -682,8 +652,9 @@ class SparsePath(_BipartiteEdges):
     allocating fresh per-edge arrays halved the kernel's time.
     """
 
-    def _index(self, src, dst):
-        self.src, self.dst = src, dst
+    def _index(self):
+        self.dst = self.targets.idx
+        self.src = _swap_halves(self.dst)
         self._per_width: dict[int, tuple] = {}
 
     def _for_width(self, width: int):

@@ -88,7 +88,10 @@ def evaluate(
     ``ratios`` and ``frequencies`` are ``ds``'s class ambiguity ratios and
     class frequencies, computed here when not given."""
     truth = _truth_by_id(ds)
-    if {p.instance_id for p in predictions} != set(truth):
+    ids = {p.instance_id for p in predictions}
+    if len(ids) != len(predictions):
+        raise EvalError("predictions list an instance more than once")
+    if ids != set(truth):
         raise EvalError("predictions do not cover exactly the dataset instances")
     pairs = [(truth[p.instance_id], p.predicted_class) for p in predictions]
     accuracy, macro, per_class = _accuracy_f1(pairs)

@@ -207,10 +207,16 @@ def load_predictions(path) -> tuple[str, list[Prediction]]:
     def on_header(obj):
         header["method"] = str(obj["method"])
 
+    seen: set[int] = set()
+
     def on_record(rec):
+        instance_id = int(rec["instance_id"])
+        if instance_id in seen:
+            raise SchemaError(f"duplicate instance_id {instance_id}")
+        seen.add(instance_id)
         predictions.append(
             Prediction(
-                instance_id=int(rec["instance_id"]),
+                instance_id=instance_id,
                 predicted_class=int(rec["predicted_class"]),
                 scores={int(c): float(s) for c, s in rec["scores"].items()},
             )

@@ -15,19 +15,23 @@ Every path is bipartite (instance <-> label), and ``prepare_graph`` picks
 one of two kernels per path from its density, the share of instance-label
 pairs that are linked: at ``DENSE_BLOCK_MIN_DENSITY`` or above, dense
 n x m coefficient blocks and BLAS matmuls (``DenseBlockPath``); below it,
-flattened ``np.bincount`` over the edge list (``SparsePath``).  The choice
-depends only on the graph, so runs stay reproducible.  The tape never holds
-the dense blocks: ``propagate`` keeps the per-edge coefficients and its
-backward rebuilds the blocks from them.  A large dense block is built and
-applied in row chunks (``autodiff.DENSE_CHUNK_BYTES``).  ``train`` runs each
-epoch in its own call and ``autodiff.backward`` consumes the tape, so one
-epoch's tape is freed before the next one is built.
+flattened ``np.bincount`` over the edge list (``SparsePath``).  Both are
+built from the path's target index alone.  The choice depends only on the
+graph, so runs stay reproducible.  The tape never holds the dense blocks:
+``propagate`` keeps the per-edge coefficients and its backward rebuilds the
+blocks from them.  Every dense block is built and applied in row chunks
+(``autodiff.row_chunks``); a block of at most two
+``autodiff.DENSE_CHUNK_BYTES`` is one chunk.  ``train`` runs each epoch in
+its own call and ``autodiff.backward`` consumes the tape, so one epoch's
+tape is freed before the next one is built.
 
-On a graph with chunked blocks and a second core, ``train`` runs one helper
-thread (``autodiff.helper_thread``): it takes its share of the blocks' row
-chunks, and each epoch it streams the decode behind the normalization
-diagnostics (``decode_diagnostics``) while the main thread takes the loss
-and runs ``backward``.
+On a graph with a block of more than one chunk and a second core, ``train``
+runs one helper thread (``autodiff.helper_thread``): it takes its share of
+the blocks' row chunks, and each epoch it streams the decode behind the
+normalization diagnostics (``decode_diagnostics``) while the main thread
+takes the loss and runs ``backward``.  The helper assumes BLAS runs one
+thread (``OPENBLAS_NUM_THREADS=1``); BLAS threads of its own would compete
+with it for the cores.
 
 Decoder: bilinear score per discrete likelihood level, softmax across
 levels; the refined link weight is the expectation over levels.  Training
@@ -227,12 +231,10 @@ class _Path:
     edges: ad.DenseBlockPath | ad.SparsePath  # propagation kernel
 
 
-def _propagation_kernel(
-    src: ad.MirroredRowIndex, dst: RowIndex, n: int, m: int
-) -> ad.DenseBlockPath | ad.SparsePath:
-    if n * m > 0 and len(src) >= DENSE_BLOCK_MIN_DENSITY * 2 * n * m:
-        return ad.DenseBlockPath(src, dst, n, m)
-    return ad.SparsePath(src.idx, dst.idx, n, m)
+def _propagation_kernel(dst: RowIndex, n: int, m: int) -> ad.DenseBlockPath | ad.SparsePath:
+    if n * m > 0 and len(dst) >= DENSE_BLOCK_MIN_DENSITY * 2 * n * m:
+        return ad.DenseBlockPath(dst, n, m)
+    return ad.SparsePath(dst, n, m)
 
 
 @dataclass
@@ -268,14 +270,13 @@ def _directed(
     inst: np.ndarray, lab: np.ndarray, weight: np.ndarray, n: int, m: int, name: str
 ) -> _Path:
     dst = RowIndex(np.concatenate([inst, lab + n]))
-    src = ad.MirroredRowIndex(dst)
     w = np.concatenate([weight, weight]).reshape(-1, 1)
     return _Path(
         name=name,
         dst=dst,
-        src=src,
+        src=ad.MirroredRowIndex(dst),
         weight=ad.constant(w),
-        edges=_propagation_kernel(src, dst, n, m),
+        edges=_propagation_kernel(dst, n, m),
     )
 
 
@@ -566,7 +567,7 @@ def reconstruction_loss(logits_within: Tensor, targets: np.ndarray) -> Tensor:
 
 def _helper_pays(prep: PreparedGraph) -> bool:
     """Whether ``train`` runs a helper thread: only with a second core and a
-    dense block large enough to be applied in row chunks."""
+    dense block of more than one row chunk."""
     chunked = any(
         isinstance(p.edges, ad.DenseBlockPath) and p.edges.chunked for p in prep.paths.values()
     )

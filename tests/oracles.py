@@ -4,10 +4,10 @@ These deliberately take different algorithmic routes from the library:
 density clustering via explicit core-graph connected components, link
 weights via literal contradictory-link enumeration, message passing via a
 per-edge loop.  The per-record JSON writer, the cross-link double loop,
-the per-rating pooling loop, the per-link count loop and the per-link
-pair-clustering score loop are the library's earlier implementations,
-kept as the references its whole-column versions must match exactly; so
-are the LeakyReLU and segment-softmax ops of the attention chain that the
+the per-rating pooling loop, the per-link count loop, the per-link
+pair-clustering score loop and the whole-block dense product are the
+library's earlier implementations, kept as the references its
+whole-column and row-chunk versions must match exactly; so are the LeakyReLU and segment-softmax ops of the attention chain that the
 fused ``edge_attention`` replaced.
 """
 
@@ -150,6 +150,26 @@ def propagate_reference(
             grad_t[s, k] += coef[e] * g[d, k]
             grad_coef[e] += g[d, k] * t[s, k]
     return out, grad_t, grad_coef
+
+
+def dense_blocks_reference(coef, x, src, dst, n: int, m: int, transpose=False) -> np.ndarray:
+    """``DenseBlockPath``'s product with whole blocks: the left<-right
+    (n x m) and right<-left (m x n) coefficient blocks, each one
+    ``np.bincount`` over its edges in list order, applied to ``x`` with one
+    matmul each; with ``transpose``, their transposes.
+
+    The chunked kernel must give these floats: a chunk holds its rows of the
+    block, and a whole side is one chunk."""
+    into_left = dst < n
+    left = np.bincount(
+        dst[into_left] * m + (src[into_left] - n), weights=coef[into_left], minlength=n * m
+    ).reshape(n, m)
+    right = np.bincount(
+        (dst[~into_left] - n) * n + src[~into_left], weights=coef[~into_left], minlength=m * n
+    ).reshape(m, n)
+    if transpose:
+        return np.concatenate([right.T @ x[n:], left.T @ x[:n]])
+    return np.concatenate([left @ x[n:], right @ x[:n]])
 
 
 def decode_probs_reference(U, V, Q, src, dst) -> np.ndarray:

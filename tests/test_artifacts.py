@@ -171,6 +171,14 @@ MALFORMED = [
         ]
     ],
     pytest.param("ratings", 2, _short_p, SchemaError, "line 2", id="ratings-short-p"),
+    pytest.param(  # line 2 holds instance 0
+        "predictions",
+        3,
+        _set("instance_id", 0),
+        SchemaError,
+        "line 3: duplicate instance_id 0",
+        id="predictions-repeated-instance",
+    ),
     pytest.param("ratings", 2, _set("src", -1), SchemaError, "line 2", id="ratings-src--1"),
     pytest.param("params", 1, _drop("meta"), SchemaError, "'meta'", id="params-no-meta"),
     pytest.param("params", 1, _drop("tensors"), SchemaError, "'tensors'", id="params-no-tensors"),

@@ -12,6 +12,7 @@ from dbgae import autodiff as ad
 from dbgae.errors import AutodiffError, DimensionError
 from oracles import (
     attention_chain,
+    dense_blocks_reference,
     leaky_relu,
     propagate_reference,
     segment_softmax,
@@ -69,9 +70,9 @@ class TestForwardBasics:
             ad.matmul(ad.constant(np.zeros((2, 3))), ad.constant(np.zeros((2, 3))))
         with pytest.raises(DimensionError, match="add"):
             ad.add(ad.constant(np.zeros((2, 3))), ad.constant(np.zeros((2, 2))))
-        path = ad.DenseBlockPath([1], [0], 1, 1)
+        path = ad.DenseBlockPath(ad.RowIndex([0, 1]), 1, 1)
         with pytest.raises(DimensionError, match="propagate"):
-            ad.propagate(ad.constant(np.ones((3, 2))), ad.constant([[1.0]]), path)
+            ad.propagate(ad.constant(np.ones((3, 2))), ad.constant([[1.0], [1.0]]), path)
         with pytest.raises(DimensionError, match="propagate"):
             ad.propagate(ad.constant(np.ones((2, 2))), ad.constant([[1.0, 2.0]]), path)
 
@@ -329,6 +330,35 @@ KERNELS = (ad.DenseBlockPath, ad.SparsePath)
 
 
 @st.composite
+def mirrored_lists(draw):
+    """(num_left, num_right, targets) of a path's directed list: its
+    undirected pairs as targets ``[inst | lab + n]``, whose sources are the
+    two halves swapped.  Duplicate pairs, isolated nodes, one-sided and
+    empty paths all occur."""
+    n = draw(st.integers(0, 4))
+    m = draw(st.integers(0, 4))
+    pairs = (
+        draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)), max_size=12))
+        if n and m
+        else []
+    )
+    inst = np.array([i for i, _ in pairs], dtype=int)
+    lab = np.array([j for _, j in pairs], dtype=int)
+    return n, m, np.concatenate([inst, lab + n])
+
+
+def swap_halves(targets):
+    """A path's sources: its targets with the two halves swapped."""
+    half = len(targets) // 2
+    return np.concatenate([targets[half:], targets[:half]])
+
+
+def path_index(n, inst, lab):
+    """A path's target index ``[inst | lab + n]``, as ``prepare_graph`` builds it."""
+    return ad.RowIndex(np.concatenate([inst, lab + n]))
+
+
+@st.composite
 def bipartite_paths(draw):
     """(num_left, num_right, src, dst) of a random bipartite path: duplicate
     edges, isolated nodes, one-sided and empty paths all occur."""
@@ -351,16 +381,17 @@ def bipartite_paths(draw):
 
 class TestPropagate:
     @settings(max_examples=150, deadline=None)
-    @given(path=bipartite_paths(), width=st.integers(1, 4), seed=st.integers(0, 10_000))
+    @given(path=mirrored_lists(), width=st.integers(1, 4), seed=st.integers(0, 10_000))
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_kernels_match_per_edge_oracle(self, kernel, path, width, seed):
-        n, m, src, dst = path
+        n, m, dst = path
+        src = swap_halves(dst)
         rng = np.random.default_rng(seed)
         t = rng.standard_normal((n + m, width))
         g = rng.standard_normal((n + m, width))
         coef = rng.standard_normal(len(src))
         out_ref, grad_t_ref, grad_coef_ref = propagate_reference(t, coef, src, dst, g)
-        p = kernel(src, dst, n, m)
+        p = kernel(ad.RowIndex(dst), n, m)
         np.testing.assert_allclose(p.apply(coef, t), out_ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(p.apply_transpose(coef, g), grad_t_ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(p.edge_dot(g, t), grad_coef_ref, rtol=0, atol=1e-12)
@@ -371,7 +402,7 @@ class TestPropagate:
         n, m = 3, 4
         inst = np.array([0, 0, 1, 2, 2, 2])
         lab = np.array([0, 3, 1, 1, 2, 2])  # (2, 2) twice
-        p = kernel(np.concatenate([lab + n, inst]), np.concatenate([inst, lab + n]), n, m)
+        p = kernel(path_index(n, inst, lab), n, m)
         T = ad.parameter(rng.standard_normal((n + m, 5)))
         coef = ad.parameter(rng.standard_normal((len(p), 1)))
         weights = ad.constant(rng.standard_normal((n + m, 5)))
@@ -384,9 +415,9 @@ class TestPropagate:
         assert all(e.checked == min(64, size) for e, size in zip(report.entries, (35, 12)))
 
     def test_constant_coefficients_get_no_gradient(self):
-        p = ad.SparsePath([1], [0], 1, 1)
+        p = ad.SparsePath(ad.RowIndex([0, 1]), 1, 1)
         T = ad.parameter(np.ones((2, 3)))
-        coef = ad.constant([[2.0]])
+        coef = ad.constant([[2.0], [0.0]])
         ad.backward(ad.mean_all(ad.propagate(T, coef, p)))
         assert coef.grad is None
         np.testing.assert_allclose(T.grad, [[0.0] * 3, [2.0 / 6] * 3])
@@ -396,8 +427,7 @@ class TestPropagate:
         n, m, width = 200, 150, 4
         pairs = rng.choice(n * m, size=n * m // 10, replace=False)
         inst, lab = pairs // m, pairs % m
-        src, dst = np.concatenate([lab + n, inst]), np.concatenate([inst, lab + n])
-        p = ad.DenseBlockPath(src, dst, n, m)
+        p = ad.DenseBlockPath(path_index(n, inst, lab), n, m)
         coef = rng.standard_normal(len(p))
         t = rng.standard_normal((n + m, width))
         # One coefficient block, the output rows, and the block's share of
@@ -415,7 +445,17 @@ class TestPropagate:
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_edge_within_one_side_is_rejected(self, kernel):
         with pytest.raises(DimensionError, match="left row and a right row"):
-            kernel([0], [1], 2, 1)
+            kernel(ad.RowIndex([0, 1]), 2, 1)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize(
+        "targets, message",
+        [([0, 2, 1], "two halves"), ([0, 3], "outside"), ([-1, 2], "outside")],
+        ids=["odd-length", "row-above", "row-below"],
+    )
+    def test_a_list_that_is_not_a_path_is_rejected(self, kernel, targets, message):
+        with pytest.raises(DimensionError, match=message):
+            kernel(ad.RowIndex(targets), 2, 1)
 
 
     @pytest.mark.parametrize("kernel", KERNELS)
@@ -424,7 +464,7 @@ class TestPropagate:
         n, m = 5, 4
         pairs = rng.choice(n * m, size=12, replace=False)
         inst, lab = pairs // m, pairs % m
-        p = kernel(np.concatenate([lab + n, inst]), np.concatenate([inst, lab + n]), n, m)
+        p = kernel(path_index(n, inst, lab), n, m)
         t = rng.standard_normal((n + m, 3))
         coef, weight = rng.random((len(p), 1)), rng.random((len(p), 1))
         upstream = ad.constant(rng.standard_normal((n + m, 3)))
@@ -441,31 +481,18 @@ class TestPropagate:
             assert np.array_equal(a, b)
 
     def test_weight_shape_is_checked(self):
-        p = ad.SparsePath([1], [0], 1, 1)
-        T, coef = ad.parameter(np.ones((2, 3))), ad.parameter(np.ones((1, 1)))
+        p = ad.SparsePath(ad.RowIndex([0, 1]), 1, 1)
+        T, coef = ad.parameter(np.ones((2, 3))), ad.parameter(np.ones((2, 1)))
         with pytest.raises(DimensionError, match="weights"):
-            ad.propagate(T, coef, p, weight=np.ones((2, 1)))
-
-
-@st.composite
-def mirrored_lists(draw):
-    """(num_rows, targets) of a path's directed list: ``k`` undirected pairs
-    as targets ``[inst | lab + n]``, duplicates and empty lists included."""
-    n = draw(st.integers(1, 4))
-    m = draw(st.integers(1, 4))
-    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)), max_size=12))
-    inst = np.array([i for i, _ in pairs], dtype=int)
-    lab = np.array([j for _, j in pairs], dtype=int)
-    return n + m, np.concatenate([inst, lab + n])
+            ad.propagate(T, coef, p, weight=np.ones((1, 1)))
 
 
 class TestMirroredRowIndex:
     @settings(max_examples=150, deadline=None)
     @given(case=mirrored_lists(), width=st.integers(1, 3), seed=st.integers(0, 10_000))
     def test_equals_a_fresh_index_of_the_swapped_list(self, case, width, seed):
-        rows, dst = case
-        half = len(dst) // 2
-        src = np.concatenate([dst[half:], dst[:half]])
+        n, m, dst = case
+        rows, src = n + m, swap_halves(dst)
         mirrored, fresh = ad.MirroredRowIndex(ad.RowIndex(dst)), ad.RowIndex(src)
         assert len(mirrored) == len(fresh)
         assert np.array_equal(mirrored.idx, fresh.idx)
@@ -489,15 +516,16 @@ def chunk_bytes(value):
 
 
 def path_kernel(n, m, inst, lab):
-    """A path's dense kernel as ``prepare_graph`` builds it: the targets
-    ``[inst | lab + n]`` own the index and the sources mirror them."""
-    dst = ad.RowIndex(np.concatenate([inst, lab + n]))
-    return ad.DenseBlockPath(ad.MirroredRowIndex(dst), dst, n, m)
+    """A path's dense kernel as ``prepare_graph`` builds it."""
+    return ad.DenseBlockPath(path_index(n, inst, lab), n, m)
 
 
-def whole_block_kernel(n, m, inst, lab):
-    """The same edges as plain arrays: no target index, so whole blocks."""
-    return ad.DenseBlockPath(np.concatenate([lab + n, inst]), np.concatenate([inst, lab + n]), n, m)
+def whole_blocks(p, coef, x, transpose=False):
+    """``dense_blocks_reference`` over the edges of kernel ``p``."""
+    dst = p.targets.idx
+    return dense_blocks_reference(
+        coef, x, swap_halves(dst), dst, p.num_left, p.num_right, transpose=transpose
+    )
 
 
 class TestDenseRowChunks:
@@ -524,13 +552,13 @@ class TestDenseRowChunks:
         rng = np.random.default_rng(seed)
         coef = rng.standard_normal(2 * len(pairs))
         t = rng.standard_normal((n + m, width))
-        whole = whole_block_kernel(n, m, inst, lab)
         with chunk_bytes(chunk), ad.helper_thread() if helper else nullcontext():
             p = path_kernel(n, m, inst, lab)
-            assert p.chunked == (8 * n * m > 2 * chunk)
-            assert np.array_equal(p.apply(coef, t), whole.apply(coef, t))
+            # Chunks hold at least 4 rows, so blocks of 4 rows or fewer are one chunk.
+            assert p.chunked == (8 * n * m > 2 * chunk and max(n, m) > 4)
+            assert np.array_equal(p.apply(coef, t), whole_blocks(p, coef, t))
             np.testing.assert_allclose(
-                p.apply_transpose(coef, t), whole.apply_transpose(coef, t), rtol=0, atol=1e-12
+                p.apply_transpose(coef, t), whole_blocks(p, coef, t, True), rtol=0, atol=1e-12
             )
 
     def test_ragged_and_empty_chunks_keep_the_floats(self):
@@ -544,26 +572,31 @@ class TestDenseRowChunks:
         inst, lab = inst[keep], lab[keep]
         coef = rng.standard_normal(2 * len(inst))
         t = rng.standard_normal((n + m, width))
-        whole = whole_block_kernel(n, m, inst, lab)
         with chunk_bytes(300_000):
             left, right = ad.row_chunks(n, m), ad.row_chunks(m, n)
             p = path_kernel(n, m, inst, lab)
             assert p.chunked
             for helper in (nullcontext(), ad.helper_thread()):
                 with helper:
-                    assert np.array_equal(p.apply(coef, t), whole.apply(coef, t))
-                    assert np.array_equal(p.apply_transpose(coef, t), whole.apply_transpose(coef, t))
+                    assert np.array_equal(p.apply(coef, t), whole_blocks(p, coef, t))
+                    assert np.array_equal(p.apply_transpose(coef, t), whole_blocks(p, coef, t, True))
         assert set(np.diff(left)) == {58, 59} and set(np.diff(right)) == {50}
         empty = [not np.any((inst >= lo) & (inst < hi)) for lo, hi in zip(left, left[1:])]
         assert 0 < sum(empty) < len(empty)
 
-    @pytest.mark.parametrize("rows, cols", [(1, 5), (3, 100), (4, 1), (1210, 1168), (2427, 2392), (7, 0)])
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [(1, 5), (3, 100), (4, 1), (1210, 1168), (2427, 2392), (7, 0), (300, 290), (3, 50_000)],
+    )
     def test_row_chunks_are_even_and_bounded(self, rows, cols):
         bounds = ad.row_chunks(rows, cols)
         sizes = np.diff(bounds)
         assert bounds[0] == 0 and bounds[-1] == rows
         assert sizes.max() - sizes.min() <= 1
-        assert all(s * cols * 8 <= ad.DENSE_CHUNK_BYTES or s <= 4 for s in sizes)
+        if rows * cols * 8 <= 2 * ad.DENSE_CHUNK_BYTES:
+            assert len(sizes) == 1
+        else:
+            assert all(s * cols * 8 <= ad.DENSE_CHUNK_BYTES or s <= 4 for s in sizes)
         assert sizes.min() >= min(rows, 2)
 
     def test_a_block_of_two_chunks_stays_whole(self):
@@ -571,12 +604,11 @@ class TestDenseRowChunks:
         inst, lab = np.arange(n), np.arange(n) % m
         rng = np.random.default_rng(5)
         coef, t = rng.standard_normal(2 * n), rng.standard_normal((n + m, 3))
-        whole = whole_block_kernel(n, m, inst, lab)
         with chunk_bytes(8 * n * m // 2):
             p = path_kernel(n, m, inst, lab)
-            assert not p.chunked
-            assert np.array_equal(p.apply(coef, t), whole.apply(coef, t))
-            assert np.array_equal(p.apply_transpose(coef, t), whole.apply_transpose(coef, t))
+            assert not p.chunked and ad.row_chunks(n, m) == [0, n] and ad.row_chunks(m, n) == [0, m]
+            assert np.array_equal(p.apply(coef, t), whole_blocks(p, coef, t))
+            assert np.array_equal(p.apply_transpose(coef, t), whole_blocks(p, coef, t, True))
         with chunk_bytes(8 * n * m // 2 - 1):
             assert path_kernel(n, m, inst, lab).chunked
 
@@ -602,13 +634,12 @@ class TestDenseRowChunks:
         path = prepare_graph(graph, model).paths["cross"]
         p = path.edges
         assert p.chunked == (groups > 200)
-        whole = ad.DenseBlockPath(path.src.idx, path.dst.idx, p.num_left, p.num_right)
         rng = np.random.default_rng(groups)
         coef = rng.random(len(p))
         t = rng.standard_normal((p.num_nodes, model.gcn_hidden))
         with ad.helper_thread():
-            assert np.array_equal(p.apply(coef, t), whole.apply(coef, t))
-            assert np.array_equal(p.apply_transpose(coef, t), whole.apply_transpose(coef, t))
+            assert np.array_equal(p.apply(coef, t), whole_blocks(p, coef, t))
+            assert np.array_equal(p.apply_transpose(coef, t), whole_blocks(p, coef, t, True))
 
     def test_a_chunked_apply_holds_two_chunks_and_its_output(self):
         rng = np.random.default_rng(9)

@@ -55,6 +55,12 @@ class TestEvaluate:
         with pytest.raises(EvalError, match="cover"):
             evaluate([Prediction(99, 0, {})], ds, "m")
 
+    def test_repeated_instance_raises(self):
+        ds = make_dataset([([0], [0]), ([1], [1])], num_classes=2)
+        preds = preds_for(ds, {0: 0, 1: 1})
+        with pytest.raises(EvalError, match="more than once"):
+            evaluate(preds + preds[:1], ds, "m")
+
     def test_permutation_invariant_over_instance_order(self):
         ds = make_dataset([([0, 1], [0, 1]), ([1], [1])], num_classes=2)
         mapping = {0: 0, 1: 1, 2: 0}

@@ -1,4 +1,5 @@
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -285,6 +286,18 @@ class TestPropagation:
         prep = prepare_graph(graph, benchmark_model_config(0))
         assert isinstance(prep.paths["cross"].edges, ad.DenseBlockPath)
         assert isinstance(prep.paths["within"].edges, ad.SparsePath)
+
+
+def lines_of(fn) -> range:
+    """The source lines of ``fn`` as it was loaded, read from its code
+    objects: the file on disk may have been edited since the import."""
+
+    def last(code):
+        lines = [line for _, _, line in code.co_lines() if line is not None]
+        lines += [last(c) for c in code.co_consts if isinstance(c, types.CodeType)]
+        return max(lines, default=code.co_firstlineno)
+
+    return range(fn.__code__.co_firstlineno, last(fn.__code__) + 1)
 
 
 def random_graph(n, m, within_pairs, cross_pairs, seed=0, d=4, num_classes=3):
@@ -703,13 +716,7 @@ class TestTrain:
         assert live_at_encode == [before] * 4  # three epochs and the final encode
 
     def test_no_rating_array_lives_through_backward(self, monkeypatch):
-        import inspect
-
         from dbgae import model
-
-        def lines_of(fn):
-            source, first = inspect.getsourcelines(fn)
-            return range(first, first + len(source))
 
         rating_lines = {
             line
@@ -748,14 +755,9 @@ class TestTrain:
         assert result.prob_sum_err.max() <= 1e-9 and len(result.ratings) == rated
 
     def test_no_rating_array_lives_through_backward_with_the_helper(self, monkeypatch):
-        import inspect
         import threading
 
         from dbgae import model
-
-        def lines_of(fn):
-            source, first = inspect.getsourcelines(fn)
-            return range(first, first + len(source))
 
         decoders = (
             model.decode_probs,
