@@ -230,6 +230,8 @@ def main(argv=None) -> int:
         parser.error("predict --method pair_clustering requires --graph")
     if args.command == "predict" and args.method == "cluster_voting" and not args.dataset:
         parser.error("predict --method cluster_voting requires --dataset")
+    if args.command == "sweep" and not all(v.strip() for v in args.values.split(",")):
+        parser.error(f"sweep --values has an empty item: {args.values!r}")
     try:
         return args.fn(args)
     except DbgaeError as exc:

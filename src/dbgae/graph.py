@@ -10,6 +10,7 @@ their within-link weights.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -454,15 +455,18 @@ def load_graph(path) -> DualBipartiteGraph:
             src, dst = int(rec["src"]), int(rec["dst"]) - n
             if not (0 <= src < n and 0 <= dst < m):
                 raise SchemaError("edge endpoint out of range")
+            if rec["kind"] not in ("within", "cross"):
+                raise SchemaError(f"unknown edge kind {rec['kind']!r}")
+            w = float(rec["w"])
+            if not math.isfinite(w):
+                raise SchemaError(f"non-finite edge weight {w!r}")
             if rec["kind"] == "within":
-                within.add(src, dst, float(rec["w"]), int(rec["c"]))
-            elif rec["kind"] == "cross":
+                within.add(src, dst, w, int(rec["c"]))
+            else:
                 via = int(rec["via"])
                 if not 0 <= via < n:
                     raise SchemaError(f"cross edge via {via} out of range [0, {n})")
-                cross.add(src, dst, float(rec["w"]), via)
-            else:
-                raise SchemaError(f"unknown edge kind {rec['kind']!r}")
+                cross.add(src, dst, w, via)
         elif rec["kind"] == "instance":
             i = int(rec["node_id"])
             feats = np.asarray(rec["features"], dtype=np.float64)
@@ -471,6 +475,8 @@ def load_graph(path) -> DualBipartiteGraph:
                 raise SchemaError("instance node_id out of range")
             if feats.shape != (dim,):
                 raise SchemaError(f"features of shape {feats.shape}, expected dimension {dim}")
+            if not np.all(np.isfinite(feats)):
+                raise SchemaError(f"instance node_id {i} has non-finite features")
             mark_seen(i)
             nodes["instance_ids"][i] = int(rec["instance_id"])
             nodes["instance_group"][i] = int(rec["group_id"])

@@ -23,7 +23,9 @@ blocks from them.  Every dense block is built and applied in row chunks
 (``autodiff.row_chunks``); a block of at most two
 ``autodiff.DENSE_CHUNK_BYTES`` is one chunk.  ``train`` runs each epoch in
 its own call and ``autodiff.backward`` consumes the tape, so one epoch's
-tape is freed before the next one is built.
+tape is freed before the next one is built.  The epochs run inside
+``autodiff.keep_freed_memory``, so glibc keeps that freed memory for the
+next epoch instead of returning it to the kernel.
 
 On a graph with a block of more than one chunk and a second core, ``train``
 runs one helper thread (``autodiff.helper_thread``): it takes its share of
@@ -653,7 +655,7 @@ def train(
             raise TrainingError(f"epoch {epoch}: {exc}") from exc
         ad.zero_grads(params.tensors.values())
 
-    with ad.helper_thread() if _helper_pays(prep) else nullcontext():
+    with ad.keep_freed_memory(), ad.helper_thread() if _helper_pays(prep) else nullcontext():
         for epoch in range(config.epochs):
             step(epoch)
         U, V = encode(prep, params, config)
@@ -721,6 +723,8 @@ def load_params(path) -> ModelParams:
             data = np.asarray(rec["data"], dtype=np.float64)
             if len(shape) != 2 or data.shape != (shape[0] * shape[1],):
                 raise SchemaError(f"{path}: {where} data does not match shape {shape}")
+            if not np.all(np.isfinite(data)):
+                raise SchemaError(f"{path}: {where} holds a non-finite value")
             tensors[name] = ad.parameter(data.reshape(shape))
     except KeyError as exc:
         raise SchemaError(f"{path}: {where} has no field {exc}") from exc

@@ -136,6 +136,22 @@ def _short_p(obj):
     return obj
 
 
+def _first_feature(value):
+    def edit(obj):
+        obj["features"][0] = value
+        return obj
+
+    return edit
+
+
+def _first_weight_of(name, value):
+    def edit(obj):
+        obj["tensors"][name]["data"][0] = value
+        return obj
+
+    return edit
+
+
 KINDS = ("dataset", "graph", "ratings", "predictions")  # the JSON Lines artifacts
 MALFORMED = [
     # artifact, line to edit, edit of its decoded object, error, message fragment
@@ -170,6 +186,15 @@ MALFORMED = [
             ("graph-feature-dim-huge", "feature_dim"),
         ]
     ],
+    *[  # line 2 holds instance 0, line 40 the first within edge
+        pytest.param("graph", line, edit, SchemaError, fragment, id=f"graph-{name}")
+        for line, edit, fragment, name in [
+            (40, _set("w", float("nan")), "line 40: non-finite edge weight nan", "within-w-nan"),
+            (84, _set("w", float("inf")), "line 84: non-finite edge weight inf", "cross-w-inf"),
+            (2, _first_feature(float("nan")), "line 2: instance node_id 0 has non-finite", "feature-nan"),
+            (2, _first_feature(float("-inf")), "line 2: instance node_id 0 has non-finite", "feature-inf"),
+        ]
+    ],
     pytest.param("ratings", 2, _short_p, SchemaError, "line 2", id="ratings-short-p"),
     pytest.param(  # line 2 holds instance 0
         "predictions",
@@ -182,6 +207,17 @@ MALFORMED = [
     pytest.param("ratings", 2, _set("src", -1), SchemaError, "line 2", id="ratings-src--1"),
     pytest.param("params", 1, _drop("meta"), SchemaError, "'meta'", id="params-no-meta"),
     pytest.param("params", 1, _drop("tensors"), SchemaError, "'tensors'", id="params-no-tensors"),
+    *[
+        pytest.param(
+            "params",
+            1,
+            _first_weight_of("Wf", value),
+            SchemaError,
+            "tensor 'Wf' holds a non-finite value",
+            id=f"params-{value}",
+        )
+        for value in (float("nan"), float("inf"), float("-inf"))
+    ],
 ]
 
 

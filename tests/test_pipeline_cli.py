@@ -474,6 +474,16 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "sweep" / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("values", ["2,,3", "", "2, "])
+    def test_sweep_rejects_an_empty_value_before_any_run(self, tmp_path, capsys, values):
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--param", "model.num_heads", "--values", values, "--out-dir", str(out)]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "--values has an empty item" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestScripts:
     def test_run_benchmark_writes_rows_and_means_per_variant(self, tmp_path):
