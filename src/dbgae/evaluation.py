@@ -60,20 +60,31 @@ def _truth_by_id(ds: GpllDataset) -> dict[int, int]:
     return truth
 
 
-def _accuracy_f1(pairs: list[tuple[int, int]]) -> tuple[float, float, dict[int, float]]:
-    """(accuracy, macro_f1, per-class f1) over (truth, predicted) pairs."""
-    if not pairs:
+def _accuracy_f1(truth: np.ndarray, pred: np.ndarray) -> tuple[float, float, dict[int, float]]:
+    """(accuracy, macro_f1, per-class f1) over paired truth and predicted
+    classes, counted with ``np.bincount``."""
+    n = len(truth)
+    if n == 0:
         return 0.0, 0.0, {}
-    correct = sum(1 for t, p in pairs if t == p)
-    classes = sorted({t for t, _ in pairs})
-    per_class = {}
-    for c in classes:
-        tp = sum(1 for t, p in pairs if t == c and p == c)
-        fp = sum(1 for t, p in pairs if t != c and p == c)
-        fn = sum(1 for t, p in pairs if t == c and p != c)
-        per_class[c] = 2 * tp / (2 * tp + fp + fn) if (2 * tp + fp + fn) else 0.0
+    classes, index = np.unique(np.concatenate([truth, pred]), return_inverse=True)
+    t, p = index[:n], index[n:]
+    hit = t == p
+    tp = np.bincount(t[hit], minlength=len(classes))
+    true_count = np.bincount(t, minlength=len(classes))
+    fp = np.bincount(p, minlength=len(classes)) - tp
+    fn = true_count - tp
+    present = true_count > 0  # every one has tp + fn >= 1
+    per_class = {
+        c: 2 * a / (2 * a + b + d)
+        for c, a, b, d in zip(
+            classes[present].tolist(),
+            tp[present].tolist(),
+            fp[present].tolist(),
+            fn[present].tolist(),
+        )
+    }
     macro = float(np.mean(list(per_class.values())))
-    return correct / len(pairs), macro, per_class
+    return int(hit.sum()) / n, macro, per_class
 
 
 def evaluate(
@@ -93,36 +104,44 @@ def evaluate(
         raise EvalError("predictions list an instance more than once")
     if ids != set(truth):
         raise EvalError("predictions do not cover exactly the dataset instances")
-    pairs = [(truth[p.instance_id], p.predicted_class) for p in predictions]
-    accuracy, macro, per_class = _accuracy_f1(pairs)
+    true = np.asarray([truth[p.instance_id] for p in predictions], dtype=int)
+    pred = np.asarray([p.predicted_class for p in predictions], dtype=int)
+    accuracy, macro, per_class = _accuracy_f1(true, pred)
+    classes, index = np.unique(true, return_inverse=True)
 
     # Classes no candidate link touches have no defined ambiguity; their
     # instances sit in unlabeled surroundings, binned at ratio 0.
     if ratios is None:
         ratios = class_ambiguity_ratios(ds)
+    ratio = np.asarray([ratios.get(c, 0.0) for c in classes.tolist()], dtype=float)[index]
     edges = np.linspace(0.0, 1.0, AMBIGUITY_BINS + 1)
     ambiguity_bins = []
     for b in range(AMBIGUITY_BINS):
         lo, hi = float(edges[b]), float(edges[b + 1])
         last = b == AMBIGUITY_BINS - 1  # closed on the right so 1.0 lands here
-        members = [
-            (t, p)
-            for (t, p) in pairs
-            if lo <= ratios.get(t, 0.0) and (ratios.get(t, 0.0) < hi or last)
-        ]
-        acc, f1, _ = _accuracy_f1(members)
-        ambiguity_bins.append(BinMetric(low=lo, high=hi, count=len(members), accuracy=acc, f1=f1))
+        members = (lo <= ratio) & ((ratio < hi) | last)
+        acc, f1, _ = _accuracy_f1(true[members], pred[members])
+        ambiguity_bins.append(
+            BinMetric(low=lo, high=hi, count=int(members.sum()), accuracy=acc, f1=f1)
+        )
 
     # Labels are never null, so no group counts toward the null class.
     freq = {**(class_frequencies(ds) if frequencies is None else frequencies), NULL_CLASS: 0}
+    frequency = np.asarray([freq[c] for c in classes.tolist()], dtype=float)[index]
     lo_edge, hi_edge = FREQUENCY_EDGES
     frequency_ranges = [(0, lo_edge), (lo_edge + 1, hi_edge), (hi_edge + 1, np.inf)]
     frequency_bins = []
     for lo, hi in frequency_ranges:
-        members = [(t, p) for (t, p) in pairs if lo <= freq[t] <= hi]
-        acc, f1, _ = _accuracy_f1(members)
+        members = (lo <= frequency) & (frequency <= hi)
+        acc, f1, _ = _accuracy_f1(true[members], pred[members])
         frequency_bins.append(
-            BinMetric(low=float(lo), high=float(min(hi, 10**9)), count=len(members), accuracy=acc, f1=f1)
+            BinMetric(
+                low=float(lo),
+                high=float(min(hi, 10**9)),
+                count=int(members.sum()),
+                accuracy=acc,
+                f1=f1,
+            )
         )
 
     return MethodReport(

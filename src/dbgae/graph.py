@@ -46,19 +46,49 @@ class ClusterAssignment:
 RADIUS_BLOCK_VALUES = 1 << 16
 
 
-def radius_neighbors(points: np.ndarray, radius: float) -> list[np.ndarray]:
+def radius_neighbors(
+    points: np.ndarray, radius: float, parts: np.ndarray | None = None
+) -> list[np.ndarray]:
     """Per point, the ascending indices of the points at squared distance
     <= radius**2 (closed ball, self included).
 
-    Squared distances are ``|p|^2 + |q|^2 - 2 p.q``, taken one block of rows
-    at a time against the columns from the block's first row on, so no n x n
-    matrix is ever built.  Each pair is decided once, from its upper-triangle
-    entry, and given to both points, so the relation is symmetric whatever
-    the rounding of the block products.
+    Each close pair is decided once (``_close_pairs``) and given to both
+    points, so the relation is symmetric.  ``parts``, when given, is a part
+    id per point for a caller that knows points of different parts to be
+    farther than ``radius`` apart: the search then runs within each part,
+    and gives the lists of a search over all points.
     """
     n = len(points)
     if n == 0:
         return []
+    if parts is None:
+        i, j = _close_pairs(points, radius)
+    else:
+        # Each part is one slice of a copy sorted by part.  (One gathered
+        # copy per part left 1 MB more of the heap resident at 800 groups.)
+        order = np.argsort(parts, kind="stable")
+        ordered = parts[order]
+        bounds = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1], True]).tolist()
+        points = points[order]
+        found = [
+            np.stack(_close_pairs(points[lo:hi], radius)) + lo
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        i, j = order[np.concatenate(found, axis=1)]
+    key = np.concatenate([i * n + j, (j * n + i)[i != j]])
+    key.sort()
+    return np.split(key % n, np.searchsorted(key, np.arange(1, n) * n))
+
+
+def _close_pairs(points: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs ``(i, j)``, ``i <= j``, at squared distance <= radius**2.
+
+    Squared distances are ``|p|^2 + |q|^2 - 2 p.q``, taken one block of rows
+    at a time against the columns from the block's first row on, so no n x n
+    matrix is ever built, and each pair is read from its upper-triangle
+    entry alone, whatever the rounding of the block products.
+    """
+    n = len(points)
     sq = np.einsum("ij,ij->i", points, points)
     rows = max(1, RADIUS_BLOCK_VALUES // n)
     upper: list[np.ndarray] = []  # keys i * n + j of the close pairs with i <= j
@@ -71,19 +101,22 @@ def radius_neighbors(points: np.ndarray, radius: float) -> list[np.ndarray]:
         del d2
         keep = j >= i
         upper.append((i[keep] + lo) * n + (j[keep] + lo))
-    key = np.concatenate(upper)
-    i, j = np.divmod(key, n)
-    key = np.concatenate([key, (j * n + i)[i != j]])
-    key.sort()
-    return np.split(key % n, np.searchsorted(key, np.arange(1, n) * n))
+    return np.divmod(np.concatenate(upper), n)
 
 
-def dbscan(points: np.ndarray, eps: float, min_pts: int) -> ClusterAssignment:
+def dbscan(
+    points: np.ndarray, eps: float, min_pts: int, parts: np.ndarray | None = None
+) -> ClusterAssignment:
     """Density-based clustering with deterministic border assignment.
 
     Points are processed in ascending index order and border points join
-    the first core cluster whose expansion reaches them.  A core point has
-    at least ``min_pts`` points (itself included) within ``eps``.
+    the first core cluster whose expansion reaches them, so clusters are
+    numbered in scan order.  A core point has at least ``min_pts`` points
+    (itself included) within ``eps``.
+
+    ``parts`` is passed to ``radius_neighbors``: a part id per point, for a
+    caller that knows points of different parts to be farther than ``eps``
+    apart.
     """
     if eps <= 0:
         raise ConfigError("eps must be > 0")
@@ -94,30 +127,32 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> ClusterAssignment:
     if n == 0:
         return ClusterAssignment(labels=np.zeros(0, dtype=int), sizes=np.zeros(0, dtype=int))
 
-    neighbors = radius_neighbors(points, eps)
-    labels = np.full(n, _UNVISITED, dtype=int)
+    neighbors = radius_neighbors(points, eps, parts)
+    # The expansion works on Python lists and ints, which it indexes at half
+    # the cost of numpy arrays.  A core point's neighbours become a list only
+    # when it is expanded, so the ints of one cluster are alive at a time.
+    core = [len(near) >= min_pts for near in neighbors]
+    labels = [_UNVISITED] * n
     cluster = 0
     for start in range(n):
         if labels[start] != _UNVISITED:
             continue
-        if len(neighbors[start]) < min_pts:
+        if not core[start]:
             labels[start] = NOISE
             continue
         labels[start] = cluster
-        queue = list(neighbors[start])
-        head = 0
-        while head < len(queue):
-            q = queue[head]
-            head += 1
+        queue = neighbors[start].tolist()
+        for q in queue:  # breadth first: the loop reaches what it appends
             if labels[q] == NOISE:
                 labels[q] = cluster  # border point
             if labels[q] != _UNVISITED:
                 continue
             labels[q] = cluster
-            if len(neighbors[q]) >= min_pts:
-                queue.extend(neighbors[q])
+            if core[q]:
+                queue.extend(neighbors[q].tolist())
         cluster += 1
 
+    labels = np.asarray(labels, dtype=int)
     sizes = np.bincount(labels[labels >= 0], minlength=cluster).astype(int)
     return ClusterAssignment(labels=labels, sizes=sizes)
 
@@ -261,7 +296,10 @@ def count_cooccurrence(index: DatasetIndex, eps: float = 1.0, min_pts: int = 2) 
     if len(lab_class):
         onehot[np.arange(len(lab_class)), lab_class] = 1.0
     tuples = np.hstack([index.instance_features[inst], onehot[lab]])
-    assignment = dbscan(tuples, eps=eps, min_pts=min_pts)
+    # Tuples of different label classes are sqrt(2) or more apart, so below
+    # that radius the neighbour search runs per class.
+    parts = lab_class[lab] if eps * eps < 2 else None
+    assignment = dbscan(tuples, eps=eps, min_pts=min_pts, parts=parts)
     if assignment.num_clusters:
         count = np.where(
             assignment.labels >= 0,

@@ -34,11 +34,27 @@ class Prediction:
     scores: dict[int, float]
 
 
-def _argmax_class(scores: np.ndarray) -> int:
-    """Lowest class id among maxima; null when nothing is positive."""
-    if scores.size == 0 or scores.max() <= 0.0:
-        return NULL_CLASS
-    return int(np.argmax(scores))
+def _predictions(instance_ids: list[int], scores: np.ndarray) -> list[Prediction]:
+    """One prediction per row of the (instances, classes) ``scores``: the
+    lowest class id among the row's maxima, or null when no score is
+    positive, and the positive scores by ascending class id."""
+    n, c = scores.shape
+    if c:
+        best = np.where(scores.max(axis=1) > 0.0, scores.argmax(axis=1), NULL_CLASS).tolist()
+    else:
+        best = [NULL_CLASS] * n
+    rows, classes = np.nonzero(scores > 0.0)  # row by row, classes ascending
+    values = scores[rows, classes].tolist()
+    bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    classes = classes.tolist()
+    return [
+        Prediction(
+            instance_id=instance_id,
+            predicted_class=cls,
+            scores=dict(zip(classes[lo:hi], values[lo:hi])),
+        )
+        for instance_id, cls, lo, hi in zip(instance_ids, best, bounds, bounds[1:])
+    ]
 
 
 def pool_labels(
@@ -93,15 +109,7 @@ def pool_labels(
     c = graph.num_classes
     cell = src * c + graph.label_class[dst]
     scores = np.bincount(cell, weights=contribution, minlength=n * c).reshape(n, c)
-
-    predictions = []
-    for i in range(graph.num_instances):
-        cls = _argmax_class(scores[i])
-        nz = {int(c): float(s) for c, s in enumerate(scores[i]) if s > 0}
-        predictions.append(
-            Prediction(instance_id=int(graph.instance_ids[i]), predicted_class=cls, scores=nz)
-        )
-    return predictions
+    return _predictions(graph.instance_ids.tolist(), scores)
 
 
 # ---------------------------------------------------------------------------
@@ -119,33 +127,26 @@ def baseline_cluster_voting(
     if not instances:
         return []
     features = np.stack([inst.features for inst in instances])
-    assignment = dbscan(features, eps=eps, min_pts=min_pts)
+    cluster = dbscan(features, eps=eps, min_pts=min_pts).labels
 
-    group_votes: dict[int, np.ndarray] = {}
-    for group in ds.groups:
-        votes = np.zeros(ds.num_classes)
-        for lab in group.labels:
-            votes[lab.class_id] += 1
-        group_votes[group.group_id] = votes
+    c, num_groups = ds.num_classes, len(ds.groups)
+    own_group = np.repeat(np.arange(num_groups), [len(g.instances) for g in ds.groups])
+    label_cell = [gi * c + lab.class_id for gi, g in enumerate(ds.groups) for lab in g.labels]
+    group_votes = np.bincount(
+        np.asarray(label_cell, dtype=int), minlength=num_groups * c
+    ).reshape(num_groups, c).astype(float)
 
-    cluster_groups: dict[int, set[int]] = {}
-    for inst, cid in zip(instances, assignment.labels):
-        if cid >= 0:
-            cluster_groups.setdefault(int(cid), set()).add(inst.group_id)
-    cluster_votes = {
-        cid: sum((group_votes[g] for g in groups), np.zeros(ds.num_classes))
-        for cid, groups in cluster_groups.items()
-    }
+    # each (cluster, group) pair once: a cluster's pool is the set of its groups
+    # (sorted by hand: ``np.unique`` without an inverse imports ``numpy.ma``)
+    clustered = cluster >= 0
+    pairs = np.sort(cluster[clustered] * num_groups + own_group[clustered])
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+    cluster_votes = np.zeros((cluster.max() + 1, c))
+    np.add.at(cluster_votes, pairs // num_groups, group_votes[pairs % num_groups])
 
-    predictions = []
-    for inst, cid in zip(instances, assignment.labels):
-        votes = cluster_votes[int(cid)] if cid >= 0 else group_votes[inst.group_id]
-        cls = _argmax_class(votes)
-        nz = {int(c): float(v) for c, v in enumerate(votes) if v > 0}
-        predictions.append(
-            Prediction(instance_id=inst.instance_id, predicted_class=cls, scores=nz)
-        )
-    return predictions
+    votes = group_votes[own_group]
+    votes[clustered] = cluster_votes[cluster[clustered]]
+    return _predictions([inst.instance_id for inst in instances], votes)
 
 
 def baseline_pair_clustering(graph: DualBipartiteGraph) -> list[Prediction]:

@@ -77,7 +77,10 @@ BLOCK_VALUES = 2048
 # over the graph and ratings tables (20,000 rows each, one core of a 2-core
 # Xeon VM), came to 0.86 us a float against 0.24 us an int or str, a ratio
 # of 3.5 (``_floats`` alone against ``_ints``: 4.2 to 7.1).  ``write``
-# splits a file's columns at the middle of this cost.
+# splits a file's columns at the middle of this cost.  Since ``_floats``
+# formats a repeated value once, a float costs less where values repeat;
+# the halves of an 800-group graph still took 54 and 55 ms of serial CPU,
+# and those of its ratings 129 and 123 ms.
 FLOAT_SLOT_COST = 4
 
 
@@ -213,10 +216,19 @@ def _ints(values: np.ndarray) -> list[str]:
 
 
 def _floats(values: np.ndarray) -> list[str]:
-    text = list(map(repr, values.tolist()))
-    for k in np.flatnonzero(~np.isfinite(values)).tolist():
-        text[k] = json.dumps(float(values[k]))  # NaN, Infinity, -Infinity
-    return text
+    """The text of each value, each distinct bit pattern formatted once.
+
+    Patterns, not values, are the unit, so 0.0 and -0.0 keep their own
+    text.  The per-edge files repeat many values (88,391 cross weights of an
+    800-group graph take 564 distinct ones), and a ``repr`` costs more than
+    the sort that finds the repeats.
+    """
+    distinct, index = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
+    distinct = distinct.view(values.dtype)
+    text = list(map(repr, distinct.tolist()))
+    for k in np.flatnonzero(~np.isfinite(distinct)).tolist():
+        text[k] = json.dumps(float(distinct[k]))  # NaN, Infinity, -Infinity
+    return np.asarray(text, dtype=object)[index].tolist()
 
 
 def _strings(values: np.ndarray) -> list[str]:
@@ -231,11 +243,11 @@ _ENCODERS = {"i": _ints, "f": _floats, "U": _strings}
 class Columns:
     """Line blocks of a ``{key: array}`` table, one line per row.
 
-    Each column is a 1-D int, float or str array, or a 2-D one written as a
-    JSON list per row; all have the same number of rows.  A line holds the
-    keys in table order and equals ``json.dumps`` of the row's ``tolist()``
-    values with compact separators.  Iterating yields every block;
-    ``blocks(start, stop)`` yields a range of them.
+    Each column is a 1-D int, float (at most 8 bytes wide) or str array, or
+    a 2-D one written as a JSON list per row; all have the same number of
+    rows.  A line holds the keys in table order and equals ``json.dumps`` of
+    the row's ``tolist()`` values with compact separators.  Iterating yields
+    every block; ``blocks(start, stop)`` yields a range of them.
     """
 
     def __init__(self, table: dict):
@@ -243,26 +255,27 @@ class Columns:
         self.rows = len(arrays[0]) if arrays else 0
         if any(len(a) != self.rows for a in arrays):
             raise ValueError(f"columns of different lengths {[len(a) for a in arrays]}")
-        self._slots = []  # (encoder, 1-D column) per "%s" in the template
+        self._columns = []  # (encoder, column, its "%s" in the template)
         fields = []
         for key, a in zip(table, arrays):
-            if a.dtype.kind not in _ENCODERS or a.ndim not in (1, 2):
+            # a float wider than 8 bytes has no int view for ``_floats``
+            wide = a.dtype.kind == "f" and a.itemsize > 8
+            if a.dtype.kind not in _ENCODERS or a.ndim not in (1, 2) or wide:
                 raise TypeError(f"column {key!r}: cannot encode {a.ndim}-D {a.dtype} values")
-            encode = _ENCODERS[a.dtype.kind]
-            if a.ndim == 1:
-                self._slots.append((encode, a))
-                value = "%s"
-            else:
-                self._slots.extend((encode, a[:, k]) for k in range(a.shape[1]))
-                value = "[" + ",".join(["%s"] * a.shape[1]) + "]"
+            width = 1 if a.ndim == 1 else a.shape[1]
+            self._columns.append((_ENCODERS[a.dtype.kind], a, width))
+            value = "%s" if a.ndim == 1 else "[" + ",".join(["%s"] * width) + "]"
             fields.append(json.dumps(key).replace("%", "%%") + ":" + value)
         self._template = "{" + ",".join(fields) + "}"
-        self._step = max(1, min(ROW_BLOCK, BLOCK_VALUES // max(len(self._slots), 1)))
+        slots = sum(width for _, _, width in self._columns)
+        self._step = max(1, min(ROW_BLOCK, BLOCK_VALUES // max(slots, 1)))
 
     def block_costs(self) -> list[int]:
         """Encoding cost per block: rows times the slots' ``FLOAT_SLOT_COST``
         or 1 (rows per block for a zero-width table)."""
-        width = max(sum(FLOAT_SLOT_COST if enc is _floats else 1 for enc, _ in self._slots), 1)
+        width = max(
+            sum(w * (FLOAT_SLOT_COST if enc is _floats else 1) for enc, _, w in self._columns), 1
+        )
         return [
             (min(start + self._step, self.rows) - start) * width
             for start in range(0, self.rows, self._step)
@@ -276,9 +289,13 @@ class Columns:
         end = self.rows if stop is None else min(stop * self._step, self.rows)
         for first in range(start * self._step, end, self._step):
             last = min(first + self._step, self.rows)
-            encoded = [encode(col[first:last]) for encode, col in self._slots]
-            if encoded:
-                yield [self._template % row for row in zip(*encoded)]
+            slots = []  # the text of each "%s", one entry per row
+            for encode, col, width in self._columns:
+                # a 2-D block is encoded in one call, row by row
+                text = encode(col[first:last].reshape(-1))
+                slots.extend(text[k::width] for k in range(width))
+            if slots:
+                yield [self._template % row for row in zip(*slots)]
             else:  # only zero-width 2-D columns
                 yield [self._template % ()] * (last - first)
 

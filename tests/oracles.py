@@ -5,7 +5,8 @@ density clustering via explicit core-graph connected components, link
 weights via literal contradictory-link enumeration, message passing via a
 per-edge loop.  The per-record JSON writer, the cross-link double loop,
 the per-rating pooling loop, the per-link count loop, the per-link
-pair-clustering score loop and the whole-block dense product are the
+pair-clustering score loop, the per-instance prediction and vote loops, the
+per-pair metric counts and the whole-block dense product are the
 library's earlier implementations, kept as the references its
 whole-column and row-chunk versions must match exactly; so are the LeakyReLU and segment-softmax ops of the attention chain that the
 fused ``edge_attention`` replaced.
@@ -18,8 +19,10 @@ import json
 import numpy as np
 
 from dbgae import autodiff as ad
-from dbgae.data import NULL_CLASS
+from dbgae.data import NULL_CLASS, class_ambiguity_ratios, class_frequencies
 from dbgae.errors import DimensionError, SchemaError
+from dbgae.evaluation import AMBIGUITY_BINS, FREQUENCY_EDGES, BinMetric
+from dbgae.graph import dbscan
 from dbgae.inference import Prediction
 
 
@@ -307,6 +310,99 @@ def pool_labels_reference(ratings, graph, tau: float) -> list:
             )
         )
     return predictions
+
+
+def predictions_reference(instance_ids, scores: np.ndarray) -> list:
+    """Prediction oracle via a loop over the rows of an (instances, classes)
+    score matrix: the lowest class id among a row's maxima, null when
+    nothing is positive."""
+    predictions = []
+    for i, instance_id in enumerate(instance_ids):
+        row = scores[i]
+        cls = NULL_CLASS if row.size == 0 or row.max() <= 0.0 else int(np.argmax(row))
+        nz = {int(c): float(s) for c, s in enumerate(scores[i]) if s > 0}
+        predictions.append(Prediction(instance_id=instance_id, predicted_class=cls, scores=nz))
+    return predictions
+
+
+def cluster_voting_reference(ds, eps: float, min_pts: int) -> list:
+    """Cluster-voting oracle: a vote vector per group and per cluster, summed
+    over each cluster's set of groups, and one vote vector per instance."""
+    instances = list(ds.iter_instances())
+    if not instances:
+        return []
+    features = np.stack([inst.features for inst in instances])
+    assignment = dbscan(features, eps=eps, min_pts=min_pts)
+
+    group_votes: dict[int, np.ndarray] = {}
+    for group in ds.groups:
+        votes = np.zeros(ds.num_classes)
+        for lab in group.labels:
+            votes[lab.class_id] += 1
+        group_votes[group.group_id] = votes
+
+    cluster_groups: dict[int, set[int]] = {}
+    for inst, cid in zip(instances, assignment.labels):
+        if cid >= 0:
+            cluster_groups.setdefault(int(cid), set()).add(inst.group_id)
+    cluster_votes = {
+        cid: sum((group_votes[g] for g in groups), np.zeros(ds.num_classes))
+        for cid, groups in cluster_groups.items()
+    }
+    votes = [
+        cluster_votes[int(cid)] if cid >= 0 else group_votes[inst.group_id]
+        for inst, cid in zip(instances, assignment.labels)
+    ]
+    return predictions_reference([inst.instance_id for inst in instances], votes)
+
+
+def accuracy_f1_reference(pairs: list[tuple[int, int]]) -> tuple[float, float, dict[int, float]]:
+    """(accuracy, macro_f1, per-class f1) over (truth, predicted) pairs, each
+    count taken by a generator over the pairs."""
+    if not pairs:
+        return 0.0, 0.0, {}
+    correct = sum(1 for t, p in pairs if t == p)
+    classes = sorted({t for t, _ in pairs})
+    per_class = {}
+    for c in classes:
+        tp = sum(1 for t, p in pairs if t == c and p == c)
+        fp = sum(1 for t, p in pairs if t != c and p == c)
+        fn = sum(1 for t, p in pairs if t == c and p != c)
+        per_class[c] = 2 * tp / (2 * tp + fp + fn) if (2 * tp + fp + fn) else 0.0
+    macro = float(np.mean(list(per_class.values())))
+    return correct / len(pairs), macro, per_class
+
+
+def bins_reference(predictions, ds) -> tuple[list, list]:
+    """(ambiguity bins, frequency bins) of ``evaluate``, each bin's members
+    gathered by a list comprehension over the (truth, predicted) pairs."""
+    truth = {inst.instance_id: inst.true_class for inst in ds.iter_instances()}
+    pairs = [(truth[p.instance_id], p.predicted_class) for p in predictions]
+    ratios = class_ambiguity_ratios(ds)
+    edges = np.linspace(0.0, 1.0, AMBIGUITY_BINS + 1)
+    ambiguity_bins = []
+    for b in range(AMBIGUITY_BINS):
+        lo, hi = float(edges[b]), float(edges[b + 1])
+        last = b == AMBIGUITY_BINS - 1
+        members = [
+            (t, p)
+            for (t, p) in pairs
+            if lo <= ratios.get(t, 0.0) and (ratios.get(t, 0.0) < hi or last)
+        ]
+        acc, f1, _ = accuracy_f1_reference(members)
+        ambiguity_bins.append(BinMetric(low=lo, high=hi, count=len(members), accuracy=acc, f1=f1))
+    freq = {**class_frequencies(ds), NULL_CLASS: 0}
+    lo_edge, hi_edge = FREQUENCY_EDGES
+    frequency_bins = []
+    for lo, hi in [(0, lo_edge), (lo_edge + 1, hi_edge), (hi_edge + 1, np.inf)]:
+        members = [(t, p) for (t, p) in pairs if lo <= freq[t] <= hi]
+        acc, f1, _ = accuracy_f1_reference(members)
+        frequency_bins.append(
+            BinMetric(
+                low=float(lo), high=float(min(hi, 10**9)), count=len(members), accuracy=acc, f1=f1
+            )
+        )
+    return ambiguity_bins, frequency_bins
 
 
 def pair_clustering_reference(graph) -> list:

@@ -6,6 +6,7 @@ import contextlib
 import errno
 import json
 import os
+import struct
 import time
 from unittest import mock
 
@@ -456,9 +457,20 @@ def test_column_writer_matches_per_record_writer(artifacts, tmp_path, kind):
     assert artifacts[kind].read_bytes() == (tmp_path / "records.jsonl").read_bytes()
 
 
-# non-finite, signed zero, subnormal and extreme values of each float width
+# non-finite (NaN with two payloads and either sign), signed zeros,
+# subnormal and extreme values of each float width
 _SPECIAL_FLOATS = {
-    bits: [float("nan"), float("inf"), -float("inf"), -0.0, 0.1, *extremes]
+    bits: [
+        float("nan"),
+        -float("nan"),
+        struct.unpack("<d", struct.pack("<Q", 0x7FF8_0000_0000_0001))[0],
+        float("inf"),
+        -float("inf"),
+        0.0,
+        -0.0,
+        0.1,
+        *extremes,
+    ]
     for bits, extremes in ((64, [5e-324, 1.5e-310, 1.7e308]), (32, [1e-45, 1e-40, 3.4e38]))
 }
 
@@ -474,6 +486,8 @@ def _columns(draw, rows):
     else:
         bits = 32 if kind == "float32" else 64
         values = st.sampled_from(_SPECIAL_FLOATS[bits]) | st.floats(width=bits)
+        if draw(st.booleans()):  # a small pool, so a block repeats its values
+            values = st.sampled_from(draw(st.lists(values, min_size=1, max_size=4)))
     if kind == "2-D":
         width = draw(st.integers(0, 3))
         flat = draw(st.lists(values, min_size=rows * width, max_size=rows * width))
@@ -510,8 +524,15 @@ def test_column_encoder_matches_per_record_writer(write_dir, table, row_block):
         ({"a": np.zeros(2), "b": np.zeros(3)}, ValueError),
         ({"flag": np.array([True])}, TypeError),
         ({"cube": np.zeros((1, 1, 1))}, TypeError),
+        pytest.param(
+            {"wide": np.zeros(1, dtype=np.longdouble)},
+            TypeError,
+            marks=pytest.mark.skipif(
+                np.dtype(np.longdouble).itemsize <= 8, reason="long double is a double here"
+            ),
+        ),
     ],
-    ids=["ragged", "bool", "3-D"],
+    ids=["ragged", "bool", "3-D", "long-double"],
 )
 def test_column_encoder_rejects_what_it_cannot_write(tmp_path, table, error):
     with pytest.raises(error):

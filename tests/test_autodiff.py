@@ -5,7 +5,7 @@ from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dbgae import autodiff as ad
@@ -31,16 +31,17 @@ def finite_difference(loss_fn, param, coord, step=1e-6):
     return (up - down) / (2 * step)
 
 
-def check_all_coords(loss_fn, params, tol=1e-6):
-    # Denominator floor 1e-4: central differences carry ~1e-10 absolute
-    # noise, so coordinates with near-zero gradients are compared absolutely.
+def check_all_coords(loss_fn, params, tol=1e-6, step=1e-6):
+    # Denominator floor 1e-4: central differences at the default step carry
+    # ~1e-10 absolute noise, so coordinates with near-zero gradients are
+    # compared absolutely.
     ad.zero_grads(params.values())
     loss = loss_fn()
     ad.backward(loss)
     for name, p in params.items():
         grad = ad.grad_or_zeros(p)
         for coord in range(p.value.size):
-            numeric = finite_difference(loss_fn, p, coord)
+            numeric = finite_difference(loss_fn, p, coord, step)
             analytic = grad.reshape(-1)[coord]
             rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-4)
             assert rel < tol, f"{name}[{coord}]: analytic {analytic}, numeric {numeric}"
@@ -174,6 +175,7 @@ class TestPrimitiveGradients:
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10_000))
+    @example(seed=759)  # failed at step 1e-6: relative error 1.22e-6 on B[1]
     def test_matmul_add_mul(self, seed):
         rng = np.random.default_rng(seed)
         A = ad.parameter(rng.standard_normal((3, 4)))
@@ -185,7 +187,10 @@ class TestPrimitiveGradients:
             out = ad.add(ad.matmul(A, B), bias)
             return ad.mean_all(ad.mul(out, scale_col))
 
-        check_all_coords(loss, {"A": A, "B": B, "bias": bias, "col": scale_col})
+        # The loss is linear in each single coordinate, so the central
+        # difference is exact at any step, and a step of 1 divides the
+        # rounding noise of the two losses by 1e6 against the default.
+        check_all_coords(loss, {"A": A, "B": B, "bias": bias, "col": scale_col}, step=1.0)
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10_000))

@@ -1,9 +1,14 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dbgae.data import NULL_CLASS
+from dbgae.benchmark import benchmark_generator_config
+from dbgae.data import NULL_CLASS, generate_synthetic
 from dbgae.errors import EvalError
 from dbgae.evaluation import build_report, curves_csv, evaluate, render_report_text
 from dbgae.inference import Prediction
+from oracles import accuracy_f1_reference, bins_reference
 from test_data import make_dataset
 
 
@@ -68,6 +73,49 @@ class TestEvaluate:
         backward = evaluate(list(reversed(preds_for(ds, mapping))), ds, "m")
         assert forward.accuracy == backward.accuracy
         assert forward.macro_f1 == backward.macro_f1
+
+
+def assert_matches_references(predictions, ds):
+    report = evaluate(predictions, ds, "m")
+    truth = {i.instance_id: i.true_class for i in ds.iter_instances()}
+    pairs = [(truth[p.instance_id], p.predicted_class) for p in predictions]
+    assert (report.accuracy, report.macro_f1, report.per_class_f1) == accuracy_f1_reference(pairs)
+    assert (report.ambiguity_bins, report.frequency_bins) == bins_reference(predictions, ds)
+
+
+class TestMetricsOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_pair_counts(self, data):
+        """Null truths and predictions, ties in the macro mean, empty bins and
+        predicted classes that no instance holds (one outside the dataset's
+        classes)."""
+        num_classes = data.draw(st.integers(1, 4))
+        classes = st.integers(NULL_CLASS, num_classes - 1)
+        specs = data.draw(
+            st.lists(
+                st.tuples(
+                    st.lists(classes, max_size=3),
+                    st.lists(st.integers(0, num_classes - 1), max_size=3),
+                ),
+                max_size=12,
+            )
+        )
+        ds = make_dataset(specs, num_classes=num_classes)
+        predicted = classes | st.just(num_classes + 3)
+        mapping = {i.instance_id: data.draw(predicted) for i in ds.iter_instances()}
+        assert_matches_references(preds_for(ds, mapping), ds)
+
+    def test_matches_per_pair_counts_on_a_benchmark_dataset(self):
+        ds = generate_synthetic(benchmark_generator_config(0))
+        rng = np.random.default_rng(0)
+        mapping = {
+            i.instance_id: int(rng.integers(NULL_CLASS, ds.num_classes))
+            if rng.random() < 0.5
+            else i.true_class
+            for i in ds.iter_instances()
+        }
+        assert_matches_references(preds_for(ds, mapping), ds)
 
 
 class TestReportRendering:

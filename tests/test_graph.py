@@ -25,7 +25,6 @@ from dbgae.graph import (
 from oracles import (
     cross_links_reference,
     dbscan_reference,
-    same_partition,
     within_weights_reference,
 )
 from test_data import make_dataset
@@ -48,7 +47,7 @@ class TestDbscan:
         points = np.vstack([base, base])
         out = dbscan(points, eps=0.5, min_pts=2)
         assert (out.labels >= 0).all()
-        assert same_partition(out.labels, dbscan_reference(points, 0.5, 2))
+        assert np.array_equal(out.labels, dbscan_reference(points, 0.5, 2))
 
     def test_empty_input(self):
         out = dbscan(np.zeros((0, 2)), eps=1.0, min_pts=2)
@@ -69,7 +68,47 @@ class TestDbscan:
         points = rng.uniform(-3, 3, size=(n, dim))
         with mock.patch.object(graph, "RADIUS_BLOCK_VALUES", block_values):
             ours = dbscan(points, eps=eps, min_pts=min_pts)
-        assert same_partition(ours.labels, dbscan_reference(points, eps, min_pts))
+        # the oracle numbers clusters by their first core point, as the scan does
+        assert np.array_equal(ours.labels, dbscan_reference(points, eps, min_pts))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        eps=st.sampled_from([0.5, 1.0, 1.25]),
+        min_pts=st.integers(1, 4),
+        block_values=st.sampled_from([1, 7, 1 << 16]),
+    )
+    def test_link_tuples_match_reference_with_and_without_parts(
+        self, data, eps, min_pts, block_values
+    ):
+        """Features joined with one-hot class columns, as ``count_cooccurrence``
+        clusters them.  Coordinates on a grid of halves make many pairs lie
+        exactly at ``eps``, where every distance is exact; tuples of
+        different classes are sqrt(2) > eps apart, so searching per class
+        must give the labels of the search over all tuples."""
+        n = data.draw(st.integers(1, 30))
+        dim = data.draw(st.integers(1, 3))
+        num_classes = data.draw(st.integers(1, 3))
+        coords = st.sampled_from([-0.5, 0.0, 0.5, 1.0, 1.5])
+        features = np.array(
+            data.draw(st.lists(coords, min_size=n * dim, max_size=n * dim))
+        ).reshape(n, dim)
+        classes = np.array(
+            data.draw(st.lists(st.integers(0, num_classes - 1), min_size=n, max_size=n))
+        )
+        points = np.hstack([features, np.eye(num_classes)[classes]])
+        expected = dbscan_reference(points, eps, min_pts)
+        with mock.patch.object(graph, "RADIUS_BLOCK_VALUES", block_values):
+            whole = dbscan(points, eps=eps, min_pts=min_pts)
+            split = dbscan(points, eps=eps, min_pts=min_pts, parts=classes)
+            pairs = zip(
+                graph.radius_neighbors(points, eps),
+                graph.radius_neighbors(points, eps, parts=classes),
+            )
+            assert all(np.array_equal(a, b) for a, b in pairs)
+        assert np.array_equal(whole.labels, expected)
+        assert np.array_equal(split.labels, expected)
+        assert np.array_equal(split.sizes, whole.sizes)
 
     def test_sizes_account_for_every_point(self):
         rng = np.random.default_rng(4)
@@ -112,6 +151,20 @@ class TestCooccurrence:
             )
         links = count_cooccurrence(index_dataset(ds), eps=1.0, min_pts=2)
         assert links.count.tolist() == [1, 1]
+
+    def test_radius_of_sqrt2_or_more_searches_across_classes(self):
+        # same instance features, different label classes: distance sqrt(2),
+        # within eps = 1.5, so the two links form one cluster
+        ds = make_dataset([([0], [0]), ([0], [1])], num_classes=2, feature_dim=2)
+        for group in ds.groups:
+            group.instances[0] = group.instances[0].__class__(
+                instance_id=group.instances[0].instance_id,
+                group_id=group.group_id,
+                features=np.array([0.5, -0.5]),
+                true_class=0,
+            )
+        links = count_cooccurrence(index_dataset(ds), eps=1.5, min_pts=2)
+        assert links.count.tolist() == [2, 2]
 
 
 class TestWithinWeights:

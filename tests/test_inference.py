@@ -12,7 +12,7 @@ from dbgae.errors import SchemaError
 from dbgae.graph import build_dual_graph
 from dbgae.inference import (
     Prediction,
-    _argmax_class,
+    _predictions,
     baseline_cluster_voting,
     baseline_pair_clustering,
     load_predictions,
@@ -20,7 +20,12 @@ from dbgae.inference import (
     save_predictions,
 )
 from dbgae.model import RatingMatrix
-from oracles import pair_clustering_reference, pool_labels_reference
+from oracles import (
+    cluster_voting_reference,
+    pair_clustering_reference,
+    pool_labels_reference,
+    predictions_reference,
+)
 from test_data import make_dataset
 from test_model import make_graph
 
@@ -128,9 +133,12 @@ class TestPooling:
     @given(seed=st.integers(0, 10_000))
     def test_argmax_invariant_under_increasing_transform(self, seed):
         rng = np.random.default_rng(seed)
-        scores = np.maximum(rng.standard_normal(6), 0.0)
+        scores = np.maximum(rng.standard_normal((3, 6)), 0.0)
         transformed = np.where(scores > 0, scores**3 + 2 * scores, 0.0)
-        assert _argmax_class(scores) == _argmax_class(transformed)
+        ids = [0, 1, 2]
+        assert [p.predicted_class for p in _predictions(ids, scores)] == [
+            p.predicted_class for p in _predictions(ids, transformed)
+        ]
 
     def test_total_function_over_instances(self):
         graph = make_graph(
@@ -144,6 +152,21 @@ class TestPooling:
         preds = pool_labels(make_ratings(graph, [(0, 0, "within", 0.9)]), graph)
         assert [p.instance_id for p in preds] == [0, 1]
         assert preds[1].predicted_class == NULL_CLASS
+
+
+class TestPredictionsOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_row_loop(self, data):
+        """Zero rows, zero-width rows, tied maxima and ties at zero."""
+        n = data.draw(st.integers(0, 6))
+        c = data.draw(st.integers(0, 5))
+        value = st.sampled_from([0.0, 0.5, 2.0]) | st.floats(0.0, 10.0)
+        scores = np.array(
+            data.draw(st.lists(value, min_size=n * c, max_size=n * c)), dtype=float
+        ).reshape(n, c)
+        ids = data.draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True))
+        assert _predictions(ids, scores) == predictions_reference(ids, scores)
 
 
 # exact values that give zero-norm rows and repeated cosines, mixed with any float
@@ -256,6 +279,41 @@ class TestClusterVoting:
         ds = make_dataset([([0], [])], num_classes=1)
         preds = baseline_cluster_voting(ds, eps=1.0, min_pts=2)
         assert preds[0].predicted_class == NULL_CLASS
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), min_pts=st.integers(1, 3))
+    def test_matches_per_instance_loop(self, data, min_pts):
+        """Groups without labels or instances, null instances, tied votes,
+        clusters across groups and noise."""
+        num_classes = data.draw(st.integers(1, 4))
+        specs = data.draw(
+            st.lists(
+                st.tuples(
+                    st.lists(st.integers(NULL_CLASS, num_classes - 1), max_size=3),
+                    st.lists(st.integers(0, num_classes - 1), max_size=3),
+                ),
+                max_size=6,
+            )
+        )
+        ds = make_dataset(specs, num_classes=num_classes, feature_dim=1)
+        for group in ds.groups:  # few distinct positions, so clusters form
+            group.instances = [
+                inst.__class__(
+                    instance_id=inst.instance_id,
+                    group_id=inst.group_id,
+                    features=np.array([float(data.draw(st.integers(0, 4)))]),
+                    true_class=inst.true_class,
+                )
+                for inst in group.instances
+            ]
+        expected = cluster_voting_reference(ds, eps=1.0, min_pts=min_pts)
+        assert baseline_cluster_voting(ds, eps=1.0, min_pts=min_pts) == expected
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_per_instance_loop_on_benchmark_seeds(self, seed):
+        ds = generate_synthetic(benchmark_generator_config(seed))
+        expected = cluster_voting_reference(ds, eps=1.0, min_pts=2)
+        assert baseline_cluster_voting(ds, eps=1.0, min_pts=2) == expected
 
 
 class TestPairClustering:
