@@ -91,16 +91,15 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     config = _resolve_config(args)
+    graph = load_graph(args.graph)
     if args.method == "dbgae":
-        graph = load_graph(args.graph)
-        ratings = load_ratings(args.ratings)
-        predictions = pool_labels(ratings, graph, tau=config.inference.tau)
+        predictions = pool_labels(load_ratings(args.ratings), graph, tau=config.inference.tau)
     elif args.method == "cluster_voting":
         predictions = baseline_cluster_voting(
-            load_dataset(args.dataset), eps=config.graph.eps, min_pts=config.graph.min_pts
+            graph, eps=config.graph.eps, min_pts=config.graph.min_pts
         )
     else:
-        predictions = baseline_pair_clustering(load_graph(args.graph))
+        predictions = baseline_pair_clustering(graph)
     save_predictions(predictions, args.method, args.out)
     print(f"wrote {args.out}: {len(predictions)} predictions ({args.method})")
     return 0
@@ -191,9 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="predict instance labels")
     _add_config_flags(p)
     p.add_argument("--method", choices=["dbgae", "cluster_voting", "pair_clustering"], default="dbgae")
-    p.add_argument("--ratings")
-    p.add_argument("--graph")
-    p.add_argument("--dataset", help="dataset file, read by --method cluster_voting only")
+    p.add_argument("--ratings", help="ratings file, read by --method dbgae only")
+    p.add_argument("--graph", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_predict)
 
@@ -223,13 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "predict" and args.method == "dbgae":
-        if not args.ratings or not args.graph:
-            parser.error("predict --method dbgae requires --ratings and --graph")
-    if args.command == "predict" and args.method == "pair_clustering" and not args.graph:
-        parser.error("predict --method pair_clustering requires --graph")
-    if args.command == "predict" and args.method == "cluster_voting" and not args.dataset:
-        parser.error("predict --method cluster_voting requires --dataset")
+    if args.command == "predict" and args.method == "dbgae" and not args.ratings:
+        parser.error("predict --method dbgae requires --ratings")
     if args.command == "sweep" and not all(v.strip() for v in args.values.split(",")):
         parser.error(f"sweep --values has an empty item: {args.values!r}")
     try:

@@ -420,8 +420,11 @@ def load_dataset(path) -> GpllDataset:
     seen_inst: set[int] = set()
 
     def on_header(obj):
+        num_classes = int(obj["num_classes"])
+        if num_classes < 1:
+            raise SchemaError(f"num_classes {num_classes} below 1")
         header.update(
-            num_classes=int(obj["num_classes"]),
+            num_classes=num_classes,
             feature_dim=int(obj["feature_dim"]),
             provenance=obj.get("provenance"),
         )

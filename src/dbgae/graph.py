@@ -460,7 +460,9 @@ def load_graph(path) -> DualBipartiteGraph:
         if meta.get("section") != "nodes":
             raise SchemaError("first line must open the nodes section")
         n, m = int(meta["num_instances"]), int(meta["num_label_nodes"])
-        dim = int(meta["feature_dim"])
+        dim, classes = int(meta["feature_dim"]), int(meta["num_classes"])
+        if classes < 1:
+            raise SchemaError(f"num_classes {classes} below 1")
         # Every node has a line and every feature value at least one byte,
         # so sizes beyond the file's are rejected before anything is sized.
         if n + m > size or n * dim > size:
@@ -476,7 +478,7 @@ def load_graph(path) -> DualBipartiteGraph:
             label_group=np.zeros(m, dtype=int),
             label_class=np.zeros(m, dtype=int),
             label_slot=np.zeros(m, dtype=int),
-            num_classes=int(meta["num_classes"]),
+            num_classes=classes,
         )
 
     def mark_seen(node_id):
@@ -499,7 +501,10 @@ def load_graph(path) -> DualBipartiteGraph:
             if not math.isfinite(w):
                 raise SchemaError(f"non-finite edge weight {w!r}")
             if rec["kind"] == "within":
-                within.add(src, dst, w, int(rec["c"]))
+                count = int(rec["c"])
+                if count < 1:
+                    raise SchemaError(f"within edge count {count} below 1")
+                within.add(src, dst, w, count)
             else:
                 via = int(rec["via"])
                 if not 0 <= via < n:

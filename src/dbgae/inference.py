@@ -8,8 +8,10 @@ neighbor that induced the link.  An instance with no positive class score
 
 Two clustering baselines share the same prediction record: cluster voting
 (majority class over the label multisets of all groups a feature cluster
-touches) and pair clustering (largest co-occurrence count among the
-instance's own candidate links, read from the built graph).
+touches, with the config's ``graph.eps`` and ``graph.min_pts``) and pair
+clustering (largest co-occurrence count among the instance's own candidate
+links).  Every method reads the built graph, and every method's scores
+become predictions through ``_predictions``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jsonl
-from .data import NULL_CLASS, GpllDataset
+from .data import NULL_CLASS
 from .errors import SchemaError
 from .graph import DualBipartiteGraph, dbscan
 from .model import RatingMatrix
@@ -118,22 +120,24 @@ def pool_labels(
 
 
 def baseline_cluster_voting(
-    ds: GpllDataset, eps: float = 1.0, min_pts: int = 2
+    graph: DualBipartiteGraph, eps: float = 1.0, min_pts: int = 2
 ) -> list[Prediction]:
     """DBSCAN over instance features; majority vote over the label multisets
     of every group the cluster touches.  Noise instances vote over their own
     group only; empty pools predict null; ties take the lowest class id."""
-    instances = list(ds.iter_instances())
-    if not instances:
+    n = graph.num_instances
+    if n == 0:
         return []
-    features = np.stack([inst.features for inst in instances])
-    cluster = dbscan(features, eps=eps, min_pts=min_pts).labels
+    cluster = dbscan(graph.instance_features, eps=eps, min_pts=min_pts).labels
 
-    c, num_groups = ds.num_classes, len(ds.groups)
-    own_group = np.repeat(np.arange(num_groups), [len(g.instances) for g in ds.groups])
-    label_cell = [gi * c + lab.class_id for gi, g in enumerate(ds.groups) for lab in g.labels]
+    # group ids as dense rows (a loaded graph's ids may be any integers)
+    groups, group_row = np.unique(
+        np.concatenate([graph.instance_group, graph.label_group]), return_inverse=True
+    )
+    own_group, label_group = group_row[:n], group_row[n:]
+    c, num_groups = graph.num_classes, len(groups)
     group_votes = np.bincount(
-        np.asarray(label_cell, dtype=int), minlength=num_groups * c
+        label_group * c + graph.label_class, minlength=num_groups * c
     ).reshape(num_groups, c).astype(float)
 
     # each (cluster, group) pair once: a cluster's pool is the set of its groups
@@ -146,42 +150,18 @@ def baseline_cluster_voting(
 
     votes = group_votes[own_group]
     votes[clustered] = cluster_votes[cluster[clustered]]
-    return _predictions([inst.instance_id for inst in instances], votes)
+    return _predictions(graph.instance_ids.tolist(), votes)
 
 
 def baseline_pair_clustering(graph: DualBipartiteGraph) -> list[Prediction]:
-    """Pick each instance's candidate link with the largest co-occurrence
-    cluster size (the graph's within-edge counts); ties take the lowest label
-    class id; no links predict null."""
+    """Score each (instance, class) by the largest co-occurrence cluster size
+    among the instance's candidate links of that class (the graph's
+    within-edge counts, each at least 1); ties take the lowest class id; no
+    links predict null."""
+    scores = np.zeros((graph.num_instances, graph.num_classes))
     links = graph.within
-    link_class = graph.label_class[links.lab]
-    # One row per (instance, class) with the largest count of its links:
-    # sorted by instance, then class, the first row of each run.
-    order = np.lexsort((-links.count, link_class, links.inst))
-    inst, cls, count = links.inst[order], link_class[order], links.count[order]
-    top = (np.diff(inst, prepend=-1) != 0) | (np.diff(cls, prepend=-1) != 0)
-    inst, cls, count = inst[top], cls[top], count[top].astype(float)
-    # Per instance (a run of rows): the lowest class of the largest count.
-    starts = np.flatnonzero(np.diff(inst, prepend=-1))
-    best = np.lexsort((cls, -count, inst))[starts]
-    ends = np.append(starts[1:], len(inst)).tolist()
-    classes, counts = cls.tolist(), count.tolist()
-    best_class = dict(zip(inst[starts].tolist(), cls[best].tolist()))
-    best_scores = {
-        row: dict(zip(classes[lo:hi], counts[lo:hi]))
-        for row, lo, hi in zip(inst[starts].tolist(), starts.tolist(), ends)
-    }
-
-    predictions = []
-    for row, instance_id in enumerate(graph.instance_ids.tolist()):
-        predictions.append(
-            Prediction(
-                instance_id=instance_id,
-                predicted_class=best_class.get(row, NULL_CLASS),
-                scores=best_scores.get(row, {}),
-            )
-        )
-    return predictions
+    np.maximum.at(scores, (links.inst, graph.label_class[links.lab]), links.count)
+    return _predictions(graph.instance_ids.tolist(), scores)
 
 
 # ---------------------------------------------------------------------------

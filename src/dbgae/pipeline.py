@@ -298,7 +298,7 @@ def execute(resolved: RunConfig) -> RunResult:
         "predict",
         lambda: {
             DBGAE_METHOD: pool_labels(result.ratings, graph, tau=resolved.inference.tau),
-            "cluster_voting": baseline_cluster_voting(ds, eps=gc.eps, min_pts=gc.min_pts),
+            "cluster_voting": baseline_cluster_voting(graph, eps=gc.eps, min_pts=gc.min_pts),
             "pair_clustering": baseline_pair_clustering(graph),
         },
     )

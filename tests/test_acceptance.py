@@ -254,7 +254,7 @@ def test_c6_ambiguity_trend(benchmark_runs):
     drops = {}
     for method, maker in (
         ("dbgae", lambda r: pool_labels(r.train_result.ratings, r.graph)),
-        ("cluster_voting", lambda r: baseline_cluster_voting(r.dataset, 1.0, 2)),
+        ("cluster_voting", lambda r: baseline_cluster_voting(r.graph, 1.0, 2)),
         ("pair_clustering", lambda r: baseline_pair_clustering(r.graph)),
     ):
         lo, hi = pooled_bin_accuracy(runs, [(r, maker(r)) for r in runs])
@@ -292,7 +292,7 @@ def test_c7_zero_ambiguity_sanity():
     )
     accs = {
         "dbgae": evaluate(pool_labels(result.ratings, graph), ds, "dbgae").accuracy,
-        "cluster_voting": evaluate(baseline_cluster_voting(ds, 1.0, 2), ds, "cv").accuracy,
+        "cluster_voting": evaluate(baseline_cluster_voting(graph, 1.0, 2), ds, "cv").accuracy,
         "pair_clustering": evaluate(baseline_pair_clustering(graph), ds, "pc").accuracy,
     }
     announce(

@@ -194,7 +194,16 @@ MALFORMED = [
             (84, _set("w", float("inf")), "line 84: non-finite edge weight inf", "cross-w-inf"),
             (2, _first_feature(float("nan")), "line 2: instance node_id 0 has non-finite", "feature-nan"),
             (2, _first_feature(float("-inf")), "line 2: instance node_id 0 has non-finite", "feature-inf"),
+            (40, _set("c", 0), "line 40: within edge count 0 below 1", "within-c-0"),
+            (40, _set("c", -3), "line 40: within edge count -3 below 1", "within-c--3"),
         ]
+    ],
+    *[
+        pytest.param(
+            kind, 1, _set("num_classes", -1), SchemaError, "line 1: num_classes -1 below 1",
+            id=f"{kind}-num-classes--1",
+        )
+        for kind in ("dataset", "graph")
     ],
     pytest.param("ratings", 2, _short_p, SchemaError, "line 2", id="ratings-short-p"),
     pytest.param(  # line 2 holds instance 0
@@ -399,7 +408,7 @@ def _graphs(draw):
         label_class=np.asarray(column(st.integers(0, classes - 1), m), dtype=int),
         label_slot=np.asarray(column(ints, m), dtype=int),
         num_classes=classes,
-        within=WithinGraph(*edges(ints)),
+        within=WithinGraph(*edges(st.integers(1, 2**40))),  # a within count is at least 1
         cross=CrossGraph(*edges(st.integers(0, max(n - 1, 0)))),
     )
 

@@ -194,6 +194,7 @@ class TestPrimitiveGradients:
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10_000))
+    @example(seed=4724)  # failed at step 1e-6: relative error 1.05e-6 on X[6]
     def test_relu_family_away_from_kinks(self, seed):
         rng = np.random.default_rng(seed)
         X = ad.parameter(_bounded_array(rng, (4, 3), away_from_zero=0.2))
@@ -202,10 +203,14 @@ class TestPrimitiveGradients:
         def loss():
             return ad.mean_all(ad.mul(ad.add(ad.relu(X), leaky_relu(X, 0.2)), weights))
 
-        check_all_coords(loss, {"X": X})
+        # Every |x| is at least 0.2, so a step of 0.1 stays on one side of the
+        # kink, where the loss is linear in the coordinate: the difference is
+        # exact, with 1e5 times less rounding noise than at the default step.
+        check_all_coords(loss, {"X": X}, step=0.1)
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10_000))
+    @example(seed=4010)  # failed at step 1e-6: relative error 1.27e-6 on Y[3]
     def test_concat_rowsum(self, seed):
         rng = np.random.default_rng(seed)
         X = ad.parameter(rng.uniform(0.5, 3.0, size=(3, 2)))
@@ -215,7 +220,8 @@ class TestPrimitiveGradients:
         def loss():
             return ad.mean_all(ad.row_sum(ad.mul(ad.concat_cols([X, Y]), weights)))
 
-        check_all_coords(loss, {"X": X, "Y": Y})
+        # linear in each single coordinate, as in test_matmul_add_mul
+        check_all_coords(loss, {"X": X, "Y": Y}, step=1.0)
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10_000))

@@ -260,31 +260,32 @@ class TestClusterVoting:
         return ds
 
     def test_majority_vote_over_cluster_groups(self):
-        ds = self._identical_feature_dataset()
-        preds = {p.instance_id: p for p in baseline_cluster_voting(ds, eps=1.0, min_pts=2)}
+        graph = build_dual_graph(self._identical_feature_dataset())
+        preds = {p.instance_id: p for p in baseline_cluster_voting(graph, eps=1.0, min_pts=2)}
         for iid in (0, 1, 2):
             assert preds[iid].predicted_class == 0  # votes {A:2, B:1}
 
     def test_noise_instance_uses_own_group(self):
-        ds = self._identical_feature_dataset()
-        preds = {p.instance_id: p for p in baseline_cluster_voting(ds, eps=1.0, min_pts=2)}
+        graph = build_dual_graph(self._identical_feature_dataset())
+        preds = {p.instance_id: p for p in baseline_cluster_voting(graph, eps=1.0, min_pts=2)}
         assert preds[3].predicted_class == 0
 
     def test_tie_breaks_to_lowest_class_id(self):
-        ds = make_dataset([([0], [1, 0])], num_classes=2)
-        preds = baseline_cluster_voting(ds, eps=1.0, min_pts=2)
+        graph = build_dual_graph(make_dataset([([0], [1, 0])], num_classes=2))
+        preds = baseline_cluster_voting(graph, eps=1.0, min_pts=2)
         assert preds[0].predicted_class == 0
 
     def test_empty_pool_predicts_null(self):
-        ds = make_dataset([([0], [])], num_classes=1)
-        preds = baseline_cluster_voting(ds, eps=1.0, min_pts=2)
+        graph = build_dual_graph(make_dataset([([0], [])], num_classes=1))
+        preds = baseline_cluster_voting(graph, eps=1.0, min_pts=2)
         assert preds[0].predicted_class == NULL_CLASS
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), min_pts=st.integers(1, 3))
     def test_matches_per_instance_loop(self, data, min_pts):
         """Groups without labels or instances, null instances, tied votes,
-        clusters across groups and noise."""
+        clusters across groups and noise, with the groups in shuffled order
+        so that a group's id is not its position in the list."""
         num_classes = data.draw(st.integers(1, 4))
         specs = data.draw(
             st.lists(
@@ -306,14 +307,24 @@ class TestClusterVoting:
                 )
                 for inst in group.instances
             ]
+        ds.groups = data.draw(st.permutations(ds.groups))
         expected = cluster_voting_reference(ds, eps=1.0, min_pts=min_pts)
-        assert baseline_cluster_voting(ds, eps=1.0, min_pts=min_pts) == expected
+        graph = build_dual_graph(ds)
+        assert baseline_cluster_voting(graph, eps=1.0, min_pts=min_pts) == expected
 
-    @pytest.mark.parametrize("seed", [0, 1])
+    def test_group_ids_need_not_be_dense(self):
+        # a loaded graph's group ids may be any integers
+        graph = build_dual_graph(generate_synthetic(benchmark_generator_config(0)))
+        expected = baseline_cluster_voting(graph, eps=1.0, min_pts=2)
+        graph.instance_group = 10**12 - 7 * graph.instance_group
+        graph.label_group = 10**12 - 7 * graph.label_group
+        assert baseline_cluster_voting(graph, eps=1.0, min_pts=2) == expected
+
+    @pytest.mark.parametrize("seed", BENCHMARK_SEEDS)
     def test_matches_per_instance_loop_on_benchmark_seeds(self, seed):
         ds = generate_synthetic(benchmark_generator_config(seed))
         expected = cluster_voting_reference(ds, eps=1.0, min_pts=2)
-        assert baseline_cluster_voting(ds, eps=1.0, min_pts=2) == expected
+        assert baseline_cluster_voting(build_dual_graph(ds), eps=1.0, min_pts=2) == expected
 
 
 class TestPairClustering:

@@ -324,8 +324,6 @@ class TestCli:
                     str(ratings),
                     "--graph",
                     str(graph),
-                    "--dataset",
-                    str(ds),
                     "--out",
                     str(pred),
                 ]
@@ -340,8 +338,8 @@ class TestCli:
                     str(cfg_path),
                     "--method",
                     "cluster_voting",
-                    "--dataset",
-                    str(ds),
+                    "--graph",
+                    str(graph),
                     "--out",
                     str(pred_cv),
                 ]
@@ -406,7 +404,7 @@ class TestCli:
 
     def test_pair_clustering_predict_reads_the_graph(self, tmp_path):
         _, paths = run_pipeline(small_config(), out_dir=tmp_path / "run")
-        args = ["predict", "--method", "pair_clustering", "--dataset", str(paths.dataset)]
+        args = ["predict", "--method", "pair_clustering"]
         out = tmp_path / "pred.jsonl"
         with pytest.raises(SystemExit):
             main(args + ["--out", str(out)])
@@ -414,25 +412,27 @@ class TestCli:
         pipeline_pred = paths.predictions["pair_clustering"]
         assert out.read_bytes() == pipeline_pred.read_bytes()
 
-    def test_predict_reads_the_dataset_only_for_cluster_voting(self, tmp_path):
-        _, paths = run_pipeline(small_config(), out_dir=tmp_path / "run")
-        missing = str(tmp_path / "no_such_dataset.jsonl")
-        inputs = {
-            "dbgae": ["--ratings", str(paths.ratings), "--graph", str(paths.graph)],
-            "pair_clustering": ["--graph", str(paths.graph)],
-        }
-        for method, args in inputs.items():
+    def test_every_method_predicts_from_the_graph_alone(self, tmp_path):
+        from dbgae.pipeline import save_config
+
+        data = config_to_dict(small_config())
+        data["graph"] = {**data["graph"], "min_pts": 3}  # cluster voting reads it
+        config = config_from_dict(data)
+        _, paths = run_pipeline(config, out_dir=tmp_path / "run")
+        cfg_path = tmp_path / "config.json"
+        save_config(config, cfg_path)
+        graph = ["--graph", str(paths.graph)]
+        for method in ("dbgae", "cluster_voting", "pair_clustering"):
             out = tmp_path / f"pred_{method}.jsonl"
-            for dataset in ([], ["--dataset", missing]):
-                argv = ["predict", "--method", method, *args, *dataset, "--out", str(out)]
-                assert main(argv) == 0
-                assert out.read_bytes() == paths.predictions[method].read_bytes()
-        out = tmp_path / "pred_cluster_voting.jsonl"
-        with pytest.raises(SystemExit):
-            main(["predict", "--method", "cluster_voting", "--out", str(out)])
-        args = ["predict", "--method", "cluster_voting", "--dataset", str(paths.dataset)]
-        assert main(args + ["--out", str(out)]) == 0
-        assert out.read_bytes() == paths.predictions["cluster_voting"].read_bytes()
+            argv = ["predict", "--method", method, "--config", str(cfg_path), "--out", str(out)]
+            if method == "dbgae":
+                argv += ["--ratings", str(paths.ratings)]
+            assert main(argv + graph) == 0
+            assert out.read_bytes() == paths.predictions[method].read_bytes()
+            for rejected in (argv, argv + graph + ["--dataset", str(paths.dataset)]):
+                with pytest.raises(SystemExit) as info:
+                    main(rejected)
+                assert info.value.code == 2
 
     def test_pipeline_subcommand_with_overrides(self, tmp_path):
         args = ["pipeline", "--seed", "7", "--out-dir", str(tmp_path / "run")]
