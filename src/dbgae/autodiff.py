@@ -7,21 +7,22 @@ topological order and accumulates gradients additively across fan-out.
 ``backward`` consumes the record: once a node's closure has run, the node
 drops its gradient, closure and inputs, so the record is freed as the walk
 goes and only the leaves keep gradients.
+
+``propagate`` applies a path's coefficients through a kernel of
+``kernels``; the helper thread that shares a kernel's row chunks lives in
+``runtime``.
 """
 
 from __future__ import annotations
 
-import ctypes
-import os
-import threading
-from collections import deque
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from itertools import pairwise
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import AutodiffError, DimensionError
+
+if TYPE_CHECKING:
+    from .kernels import DenseBlockPath, SparsePath
 
 
 class Tensor:
@@ -136,215 +137,6 @@ def grad_or_zeros(t: Tensor) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# kink tracing (used by the gradient checker to skip ReLU-family kinks)
-# ---------------------------------------------------------------------------
-
-_kink_trace: list[np.ndarray] | None = None
-
-
-@contextmanager
-def record_kink_signs():
-    """Collect sign patterns of every ReLU/LeakyReLU input evaluated inside."""
-    global _kink_trace
-    previous = _kink_trace
-    _kink_trace = []
-    try:
-        yield _kink_trace
-    finally:
-        _kink_trace = previous
-
-
-def _trace_signs(mask: np.ndarray):
-    if _kink_trace is not None:
-        _kink_trace.append(mask.copy())
-
-
-# ---------------------------------------------------------------------------
-# the helper thread (used by model.train on large graphs)
-# ---------------------------------------------------------------------------
-
-
-class _Calls:
-    """A queue of calls for the helper thread (``queue.SimpleQueue`` would
-    cost every run 128 KB of RSS for its import)."""
-
-    def __init__(self):
-        self.items = deque()
-        self.ready = threading.Semaphore(0)
-
-    def put(self, call):
-        self.items.append(call)
-        self.ready.release()
-
-    def get(self):
-        self.ready.acquire()
-        return self.items.popleft()
-
-
-_helper: _Calls | None = None  # calls for the helper thread, while one runs
-
-
-def usable_cores() -> int:
-    """Cores this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-@contextmanager
-def helper_thread():
-    """Run the body with one helper thread beside this one.
-
-    ``share`` hands it pieces of work: ``DenseBlockPath`` its row chunks,
-    and ``model.train`` the epoch's diagnostic decode.  Work given to the
-    helper must not touch ``SparsePath`` (its work buffers are shared) or
-    any function a tracer may wrap.  The thread is joined on exit, after
-    the calls queued for it have run.
-    """
-    global _helper
-    calls = _Calls()
-    thread = threading.Thread(target=_serve, args=(calls,), name="dbgae-helper", daemon=True)
-    thread.start()
-    previous, _helper = _helper, calls
-    try:
-        yield
-    finally:
-        _helper = previous
-        calls.put(None)
-        thread.join()
-
-
-def _serve(calls: _Calls):
-    while (call := calls.get()) is not None:
-        call()
-        del call  # hold nothing of it while waiting for the next
-
-
-def share(fn, count: int, meanwhile=None):
-    """Call ``fn(k)`` for k in range(count), each once, on this thread and on
-    the helper, if one runs and is free in time: both take pieces from one
-    counter.  ``meanwhile``, if given, is called on this thread first, while
-    the helper starts on the pieces; this thread then takes the pieces left
-    and waits for the helper's.  An error raised on either thread is raised
-    here, with its own type."""
-    _Shared(fn, count).run(meanwhile)
-
-
-class _Shared:
-    """One ``share`` call: its pieces, the counter and the helper's error."""
-
-    def __init__(self, fn, count: int):
-        self.fn, self.count, self.next = fn, count, 0
-        self.lock = threading.Lock()
-        self.helping = False
-        self.helped = threading.Event()
-        self.error = None
-
-    def _take(self) -> int | None:
-        with self.lock:
-            if self.next >= self.count:
-                return None
-            self.next += 1
-            return self.next - 1
-
-    def _work(self):
-        while (k := self._take()) is not None:
-            self.fn(k)
-
-    def _help(self):
-        """The helper's share; a helper that comes late finds no piece left
-        and returns without touching anything."""
-        with self.lock:
-            if self.next >= self.count:
-                return
-            self.helping = True
-        try:
-            self._work()
-        except BaseException as exc:  # raised again by run(), on the caller's thread
-            self.error = exc
-        finally:
-            self.helped.set()
-
-    def run(self, meanwhile=None):
-        if _helper is not None:
-            _helper.put(self._help)
-        try:
-            if meanwhile is not None:
-                meanwhile()
-            self._work()
-        finally:
-            with self.lock:
-                self.next = self.count  # after an error, hand out no more pieces
-                helping = self.helping
-            if helping:
-                self.helped.wait()
-            self.fn = None  # its closure holds the call's arrays; a late helper never reads it
-        if self.error is not None:
-            raise self.error
-
-
-# ---------------------------------------------------------------------------
-# freed memory kept between epochs (used by model.train)
-# ---------------------------------------------------------------------------
-
-# glibc's mallopt parameters, and its default trim threshold.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_DEFAULT_TRIM_THRESHOLD = 128 << 10
-# Inside ``keep_freed_memory``, blocks below KEEP_MMAP_THRESHOLD come from the
-# heap, and free memory at the heap's top is returned to the kernel only
-# beyond KEEP_TRIM_THRESHOLD.  Each epoch frees its tape before the next
-# builds its own; with glibc's defaults that memory went back to the kernel
-# and was faulted in again, about 1,000 minor faults an epoch at 200 groups
-# and 4,400-4,900 at 800, against none with these values after the first
-# epoch.  The trim threshold alone left 200 groups 5,700 faults in 60
-# epochs and 0.4 MB more peak RSS; the mmap threshold costs the 1600-group
-# train 4 MB of peak RSS (201 -> 205 MB).  Over perfbench scale800 runs an
-# 8 MiB mmap threshold raised peak RSS by 2.5-3.1 MB, and these values set
-# for the whole process (GLIBC_TUNABLES) by 1.3-1.9 MB; these values,
-# scoped to training, moved its median by -0.1 MB over ten runs.
-KEEP_MMAP_THRESHOLD = 32 << 20
-KEEP_TRIM_THRESHOLD = 128 << 20
-
-
-def _c_library():
-    """The C library's ``(mallopt, malloc_trim)``, or None where it has no
-    ``mallopt``: both are glibc's."""
-    try:
-        libc = ctypes.CDLL(None)
-        mallopt, malloc_trim = libc.mallopt, libc.malloc_trim
-    except (OSError, TypeError, AttributeError):
-        return None
-    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-    malloc_trim.argtypes, malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
-    return mallopt, malloc_trim
-
-
-@contextmanager
-def keep_freed_memory():
-    """Run the body with freed memory kept in the process, for reuse.
-
-    On entry, glibc's mmap threshold becomes ``KEEP_MMAP_THRESHOLD`` and its
-    trim threshold ``KEEP_TRIM_THRESHOLD``.  On exit, also after an error,
-    the trim threshold goes back to glibc's default and ``malloc_trim(0)``
-    returns the free memory, so later code frees to the kernel as before.
-    The mmap threshold stays fixed: glibc cannot turn its dynamic threshold
-    back on.  Where the C library has no ``mallopt`` this does nothing.
-    """
-    libc = _c_library()
-    if libc is None:
-        yield
-        return
-    mallopt, malloc_trim = libc
-    mallopt(_M_MMAP_THRESHOLD, KEEP_MMAP_THRESHOLD)
-    mallopt(_M_TRIM_THRESHOLD, KEEP_TRIM_THRESHOLD)
-    try:
-        yield
-    finally:
-        mallopt(_M_TRIM_THRESHOLD, _DEFAULT_TRIM_THRESHOLD)
-        malloc_trim(0)
-
-
-# ---------------------------------------------------------------------------
 # broadcasting helpers (row/column vectors and scalars only)
 # ---------------------------------------------------------------------------
 
@@ -417,7 +209,6 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     mask = a.value > 0.0
-    _trace_signs(mask)
 
     def bwd(g):
         _accum(a, g * mask)
@@ -536,226 +327,6 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     return _result(a.value[ri.idx], (a,), bwd, "gather_rows")
 
 
-class _BipartiteEdges:
-    """A bipartite path's directed edges between the first ``num_left`` rows
-    ("left") and the next ``num_right`` rows ("right") of a node table, given
-    by the path's target ``RowIndex``: ``[inst | lab + n]``, its ``k``
-    undirected pairs into left rows, then into right rows.  The sources are
-    the targets with their halves swapped (``MirroredRowIndex``), so edge
-    ``e < k`` is ``lab_e + n -> inst_e`` and edge ``k + e`` its reverse.
-
-    Base of the two propagation kernels below.  A kernel applies the linear
-    operator that per-edge coefficients define, and its transpose, to node
-    rows (``apply``, ``apply_transpose``) and takes the per-edge row dot
-    ``<g[dst_e], t[src_e]>`` (``edge_dot``).  ``apply_transpose`` calls its
-    ``meanwhile`` argument, if given, on the calling thread before that
-    thread takes its share of the product; ``propagate``'s backward passes
-    the coefficients' gradient there, so on chunked blocks it overlaps the
-    helper's chunks.  The edge list is checked here, and ``_index`` keeps
-    what its kernel needs of it.
-    """
-
-    def __init__(self, dst: RowIndex, num_left: int, num_right: int):
-        self.num_left, self.num_right = int(num_left), int(num_right)
-        self.num_nodes = self.num_left + self.num_right
-        idx, half = dst.idx, len(dst) // 2
-        if len(idx) % 2:
-            raise DimensionError(f"propagate: {len(idx)} targets, not a path's two halves")
-        if len(idx) and (idx.min() < 0 or idx.max() >= self.num_nodes):
-            raise DimensionError(f"propagate: edge endpoint outside {self.num_nodes} rows")
-        if np.any(idx[:half] >= self.num_left) or np.any(idx[half:] < self.num_left):
-            raise DimensionError("propagate: every edge must join a left row and a right row")
-        self.targets = dst
-        self._index()
-
-    def __len__(self):
-        return len(self.targets)
-
-
-# Bytes of one row chunk of a dense coefficient block.  ``DenseBlockPath``
-# builds and multiplies a block of more than two chunks in row chunks of at
-# most this size, and ``model.train`` runs a helper thread only when some
-# block is that large.  Milliseconds a call at 800 groups (two 1,210 x 1,168
-# blocks of 11.3 MB, width 32, one BLAS thread, 2-core Xeon VM, best of 60,
-# two rounds):
-#                                   apply     apply_transpose
-#   whole blocks                    6.1-8.3   6.2-8.4
-#   256 KB chunks, with the helper  5.4-6.3   5.7-6.7
-#   512 KB                          4.7-4.8   4.5-4.9
-#   1 MB                            3.8-4.3   4.2-4.3
-#   2 MB                            4.2-4.8   3.8-4.7
-# 512 KB rather than 1 MB: over six perfbench scale800 samples the peak RSS
-# was 84.9 MB (median) against 86.2 MB with 1 MB chunks and 84.0 MB with
-# whole blocks, at the same speed.  A block of at most two chunks is one
-# chunk, as at 200 groups (0.7 MB blocks): there, smaller chunks and a
-# helper gave 200 epochs no speed-up (2.3-2.7 s either way) and 0.5 MB more
-# RSS.
-DENSE_CHUNK_BYTES = 1 << 19
-
-
-def row_chunks(rows: int, cols: int) -> list[int]:
-    """Bounds of the row chunks of a (rows, cols) float block: one chunk for
-    a block of at most two ``DENSE_CHUNK_BYTES``, else chunks as even as
-    they can be, each at most ``DENSE_CHUNK_BYTES`` but at least 4 rows.
-
-    A chunk's product has the whole block's floats in its rows only if BLAS
-    takes it by the same path.  Even chunks keep every product as large as
-    the block allows: OpenBLAS (0.3.31, SkylakeX kernels) takes a product of
-    at most 10**6 multiply-adds by small-matrix kernels, and numpy takes one
-    of a single row or column as a matrix-vector product.  A block of more
-    than two chunks has chunks of more than two thirds of
-    ``DENSE_CHUNK_BYTES``, so more than 10**6 multiply-adds at width 24 and
-    up.
-    """
-    if 8 * rows * cols <= 2 * DENSE_CHUNK_BYTES:
-        return [0, rows]
-    count = -(-rows // max(4, DENSE_CHUNK_BYTES // (8 * cols)))
-    return [rows * c // count for c in range(count + 1)]
-
-
-class DenseBlockPath(_BipartiteEdges):
-    """Propagation through the two dense coefficient blocks of a bipartite path.
-
-    ``apply`` and ``apply_transpose`` build the left<-right block
-    (num_left x num_right) and the right<-left block (num_right x num_left)
-    in row chunks (``row_chunks``), each with one ``np.bincount`` (duplicate
-    edges add up), and apply each chunk with one BLAS matmul into its rows
-    of the output.  Costs O(num_left * num_right * width) whatever the edge
-    count, so it pays only on dense paths.
-
-    Only the flat position of each edge in its block is kept.  The edges
-    into left rows are the first half of the list and the edges into right
-    rows the second, so a chunk of a whole side takes that half by slice.  A
-    chunk of part of a side takes the edges into its rows from the target
-    index's sort; the stable sort keeps each cell's edges in list order, so
-    a chunk holds the block's floats.  The calling thread and the helper, if
-    one runs, take chunks from one counter (``share``), so at most two
-    chunks are alive.  The transposed blocks come from the same chunks: the
-    right half of the list holds the left half's pairs reversed, so row i of
-    the right block's transpose is row i of the left block built from the
-    mirrored coefficients.
-    """
-
-    def _index(self):
-        n, m = self.num_left, self.num_right
-        half = len(self) // 2
-        inst, lab = self.targets.idx[:half], self.targets.idx[half:] - n
-        self.left_flat = inst * m + lab
-        self.right_flat = lab * n + inst
-
-    @property
-    def chunked(self) -> bool:
-        """Whether a block is applied in more than one row chunk."""
-        n, m = self.num_left, self.num_right
-        return len(row_chunks(n, m)) + len(row_chunks(m, n)) > 4
-
-    def apply(self, coef: np.ndarray, t: np.ndarray) -> np.ndarray:
-        return self._in_chunks(coef, t, mirror=False)
-
-    def apply_transpose(self, coef: np.ndarray, g: np.ndarray, meanwhile=None) -> np.ndarray:
-        return self._in_chunks(coef, g, mirror=True, meanwhile=meanwhile)
-
-    def _edges_into(self, lo: int, hi: int) -> np.ndarray:
-        """The edges into rows [lo, hi) of one side, as positions in their
-        half of the list, in the target index's sort."""
-        t = self.targets
-        a, b = np.searchsorted(t.uniq, (lo, hi))
-        first = t.starts[a] if a < len(t.starts) else len(t.order)
-        last = t.starts[b] if b < len(t.starts) else len(t.order)
-        edges = t.order[first:last]
-        return edges - len(self) // 2 if lo >= self.num_left else edges
-
-    def _in_chunks(self, coef: np.ndarray, x: np.ndarray, mirror: bool, meanwhile=None):
-        """The blocks (their transposes when ``mirror``) applied to ``x``,
-        one row chunk at a time: rows of the left block's shape
-        (num_left x num_right), then of the right block's."""
-        n, m = self.num_left, self.num_right
-        half = len(self) // 2
-        first, second = coef[:half], coef[half:]
-        # Per side: its first row, rows and columns, its edges' flat
-        # positions and coefficients, and the rows its blocks multiply.
-        sides = (
-            (0, n, m, self.left_flat, second if mirror else first, x[n:]),
-            (n, m, n, self.right_flat, first if mirror else second, x[:n]),
-        )
-        spans = [
-            (side, base + lo, base + hi)
-            for side, (base, rows, cols, *_) in enumerate(sides)
-            for lo, hi in pairwise(row_chunks(rows, cols))
-        ]
-        out = np.empty((self.num_nodes, x.shape[1]))
-
-        def chunk(c: int):
-            side, lo, hi = spans[c]
-            base, rows, cols, flat, weights, rows_from = sides[side]
-            if hi - lo < rows:
-                edges = self._edges_into(lo, hi)
-                flat, weights = flat[edges] - (lo - base) * cols, weights[edges]
-            block = np.bincount(flat, weights=weights, minlength=(hi - lo) * cols)
-            np.matmul(block.reshape(hi - lo, cols), rows_from, out=out[lo:hi])
-
-        share(chunk, len(spans), meanwhile)
-        return out
-
-    def edge_dot(self, g: np.ndarray, t: np.ndarray) -> np.ndarray:
-        n, half = self.num_left, len(self) // 2
-        out = np.empty(len(self))
-        out[:half] = (g[:n] @ t[n:].T).ravel()[self.left_flat]
-        out[half:] = (g[n:] @ t[:n].T).ravel()[self.right_flat]
-        return out
-
-
-class SparsePath(_BipartiteEdges):
-    """Propagation over the edge list with flattened ``np.bincount``.
-
-    Costs O(edges * width).  The flat (row * width + column) indices of both
-    edge ends and two edges x width work buffers are built once per width
-    and reused by every call; filling kept buffers in place instead of
-    allocating fresh per-edge arrays halved the kernel's time.
-    """
-
-    def _index(self):
-        self.dst = self.targets.idx
-        self.src = _swap_halves(self.dst)
-        self._per_width: dict[int, tuple] = {}
-
-    def _for_width(self, width: int):
-        """(flat src, flat dst, buffer, buffer) for rows of ``width`` columns."""
-        if width not in self._per_width:
-            cols = np.arange(width)
-            self._per_width[width] = (
-                (self.src[:, None] * width + cols).ravel(),
-                (self.dst[:, None] * width + cols).ravel(),
-                np.empty((len(self), width)),
-                np.empty((len(self), width)),
-            )
-        return self._per_width[width]
-
-    def _gather_scale_sum(self, values, rows_from, flat_into, buf, coef) -> np.ndarray:
-        np.take(values, rows_from, axis=0, out=buf)
-        buf *= coef[:, None]
-        width = values.shape[1]
-        return np.bincount(
-            flat_into, weights=buf.reshape(-1), minlength=self.num_nodes * width
-        ).reshape(self.num_nodes, width)
-
-    def apply(self, coef: np.ndarray, t: np.ndarray) -> np.ndarray:
-        _, flat_dst, buf, _ = self._for_width(t.shape[1])
-        return self._gather_scale_sum(t, self.src, flat_dst, buf, coef)
-
-    def apply_transpose(self, coef: np.ndarray, g: np.ndarray, meanwhile=None) -> np.ndarray:
-        if meanwhile is not None:
-            meanwhile()
-        flat_src, _, buf, _ = self._for_width(g.shape[1])
-        return self._gather_scale_sum(g, self.dst, flat_src, buf, coef)
-
-    def edge_dot(self, g: np.ndarray, t: np.ndarray) -> np.ndarray:
-        _, _, g_rows, t_rows = self._for_width(g.shape[1])
-        np.take(g, self.dst, axis=0, out=g_rows)
-        np.take(t, self.src, axis=0, out=t_rows)
-        return (g_rows[:, None, :] @ t_rows[:, :, None]).reshape(-1)
-
-
 def propagate(
     t: Tensor, coef: Tensor, path: DenseBlockPath | SparsePath, weight: np.ndarray | None = None
 ) -> Tensor:
@@ -849,7 +420,6 @@ def edge_attention(s_dst: Tensor, s_src: Tensor, dst, src, slope: float) -> Tens
     x = s_dst.value[dst_idx] + s_src.value[src_idx]
     del src_idx
     mask = x > 0.0
-    _trace_signs(mask)
     v = np.where(mask, x, slope * x)[:, 0]
     del x
     seg_max = dst.segment_reduce(v, np.maximum)
@@ -892,84 +462,3 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
         _accum(logits, g * soft)
 
     return _result(out, (logits,), bwd, "cross_entropy")
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class GradCheckEntry:
-    name: str
-    checked: int
-    skipped: int
-    max_rel_error: float
-
-
-@dataclass
-class GradCheckReport:
-    entries: list[GradCheckEntry] = field(default_factory=list)
-
-    @property
-    def max_rel_error(self) -> float:
-        return max((e.max_rel_error for e in self.entries), default=0.0)
-
-
-def grad_check(
-    loss_fn,
-    params: dict[str, Tensor],
-    step: float = 1e-4,
-    samples_per_param: int = 64,
-    seed: int = 0,
-) -> GradCheckReport:
-    """Central finite differences vs analytic gradients on sampled coordinates.
-
-    ``loss_fn`` must rebuild the computation from the current parameter
-    values and return the scalar loss tensor.  Coordinates whose +/- step
-    evaluations cross a ReLU-family kink are excluded from the report.
-    Relative error is |a - n| / max(|a|, |n|, 1e-8).
-    """
-    rng = np.random.default_rng(seed)
-    zero_grads(params.values())
-    loss = loss_fn()
-    backward(loss)
-    analytic = {name: grad_or_zeros(p).copy() for name, p in params.items()}
-    zero_grads(params.values())
-
-    def eval_with_signs(_):
-        with record_kink_signs() as signs:
-            value = float(loss_fn().value[0, 0])
-        return value, signs
-
-    report = GradCheckReport()
-    for name, p in params.items():
-        size = p.value.size
-        n_samples = min(samples_per_param, size)
-        coords = rng.choice(size, size=n_samples, replace=False)
-        flat = p.value.reshape(-1)
-        checked = skipped = 0
-        worst = 0.0
-        for c in coords:
-            original = flat[c]
-            flat[c] = original + step
-            up, signs_up = eval_with_signs(c)
-            flat[c] = original - step
-            down, signs_down = eval_with_signs(c)
-            flat[c] = original
-            same_pattern = len(signs_up) == len(signs_down) and all(
-                su.shape == sd.shape and np.array_equal(su, sd)
-                for su, sd in zip(signs_up, signs_down)
-            )
-            if not same_pattern:
-                skipped += 1
-                continue
-            numeric = (up - down) / (2.0 * step)
-            a = analytic[name].reshape(-1)[c]
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            worst = max(worst, rel)
-            checked += 1
-        report.entries.append(
-            GradCheckEntry(name=name, checked=checked, skipped=skipped, max_rel_error=worst)
-        )
-    return report

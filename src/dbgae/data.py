@@ -423,9 +423,12 @@ def load_dataset(path) -> GpllDataset:
         num_classes = int(obj["num_classes"])
         if num_classes < 1:
             raise SchemaError(f"num_classes {num_classes} below 1")
+        feature_dim = int(obj["feature_dim"])
+        if feature_dim < 0:
+            raise SchemaError(f"feature_dim {feature_dim} below 0")
         header.update(
             num_classes=num_classes,
-            feature_dim=int(obj["feature_dim"]),
+            feature_dim=feature_dim,
             provenance=obj.get("provenance"),
         )
 

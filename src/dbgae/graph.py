@@ -187,6 +187,13 @@ class CrossGraph:
     via: np.ndarray  # homogeneous neighbor donating the weight
 
 
+def _onehot(classes: np.ndarray, num_classes: int) -> np.ndarray:
+    """One row per entry of ``classes``: 1.0 in that class's column."""
+    onehot = np.zeros((len(classes), num_classes))
+    onehot[np.arange(len(classes)), classes] = 1.0
+    return onehot
+
+
 @dataclass
 class DualBipartiteGraph:
     """Instance and label-occurrence nodes with within/cross weighted edges.
@@ -219,9 +226,7 @@ class DualBipartiteGraph:
         return self.instance_features.shape[1]
 
     def label_onehot(self) -> np.ndarray:
-        onehot = np.zeros((self.num_label_nodes, self.num_classes))
-        onehot[np.arange(self.num_label_nodes), self.label_class] = 1.0
-        return onehot
+        return _onehot(self.label_class, self.num_classes)
 
 
 @dataclass
@@ -292,9 +297,7 @@ def count_cooccurrence(index: DatasetIndex, eps: float = 1.0, min_pts: int = 2) 
     lab = np.concatenate(lab_rows)
 
     lab_class = index.label_class
-    onehot = np.zeros((len(lab_class), index.num_classes))
-    if len(lab_class):
-        onehot[np.arange(len(lab_class)), lab_class] = 1.0
+    onehot = _onehot(lab_class, index.num_classes)
     tuples = np.hstack([index.instance_features[inst], onehot[lab]])
     # Tuples of different label classes are sqrt(2) or more apart, so below
     # that radius the neighbour search runs per class.
@@ -463,6 +466,8 @@ def load_graph(path) -> DualBipartiteGraph:
         dim, classes = int(meta["feature_dim"]), int(meta["num_classes"])
         if classes < 1:
             raise SchemaError(f"num_classes {classes} below 1")
+        if dim < 0:
+            raise SchemaError(f"feature_dim {dim} below 0")
         # Every node has a line and every feature value at least one byte,
         # so sizes beyond the file's are rejected before anything is sized.
         if n + m > size or n * dim > size:

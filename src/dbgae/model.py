@@ -20,20 +20,21 @@ built from the path's target index alone.  The choice depends only on the
 graph, so runs stay reproducible.  The tape never holds the dense blocks:
 ``propagate`` keeps the per-edge coefficients and its backward rebuilds the
 blocks from them.  Every dense block is built and applied in row chunks
-(``autodiff.row_chunks``); a block of at most two
-``autodiff.DENSE_CHUNK_BYTES`` is one chunk.  ``train`` runs each epoch in
+(``kernels.row_chunks``); a block of at most two
+``kernels.DENSE_CHUNK_BYTES`` is one chunk.  ``train`` runs each epoch in
 its own call and ``autodiff.backward`` consumes the tape, so one epoch's
 tape is freed before the next one is built.  The epochs run inside
-``autodiff.keep_freed_memory``, so glibc keeps that freed memory for the
+``runtime.keep_freed_memory``, so glibc keeps that freed memory for the
 next epoch instead of returning it to the kernel.
 
-On a graph with a block of more than one chunk and a second core, ``train``
-runs one helper thread (``autodiff.helper_thread``): it takes its share of
-the blocks' row chunks, and each epoch it streams the decode behind the
-normalization diagnostics (``decode_diagnostics``) while the main thread
-takes the loss and runs ``backward``.  The helper assumes BLAS runs one
-thread (``OPENBLAS_NUM_THREADS=1``); BLAS threads of its own would compete
-with it for the cores.
+On a graph with a block of more than one chunk and a second core
+(``kernels.helper_pays``), ``train`` runs one helper thread
+(``runtime.helper_thread``): it takes its share of the blocks' row chunks,
+and each epoch it streams the decode behind the normalization diagnostics
+(``decode_diagnostics``) while the main thread takes the loss and runs
+``backward``.  The helper assumes BLAS runs one thread
+(``OPENBLAS_NUM_THREADS=1``); BLAS threads of its own would compete with it
+for the cores.
 
 Decoder: bilinear score per discrete likelihood level, softmax across
 levels; the refined link weight is the expectation over levels.  Training
@@ -53,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from . import jsonl
+from . import jsonl, kernels, runtime
 from .autodiff import RowIndex, Tensor
 from .errors import ConfigError, ParseError, SchemaError, TrainingError
 from .graph import DualBipartiteGraph
@@ -230,13 +231,15 @@ class _Path:
     dst: RowIndex
     src: ad.MirroredRowIndex
     weight: Tensor  # (E2, 1) constant per directed edge
-    edges: ad.DenseBlockPath | ad.SparsePath  # propagation kernel
+    edges: kernels.DenseBlockPath | kernels.SparsePath  # propagation kernel
 
 
-def _propagation_kernel(dst: RowIndex, n: int, m: int) -> ad.DenseBlockPath | ad.SparsePath:
+def _propagation_kernel(
+    dst: RowIndex, n: int, m: int
+) -> kernels.DenseBlockPath | kernels.SparsePath:
     if n * m > 0 and len(dst) >= DENSE_BLOCK_MIN_DENSITY * 2 * n * m:
-        return ad.DenseBlockPath(dst, n, m)
-    return ad.SparsePath(dst, n, m)
+        return kernels.DenseBlockPath(dst, n, m)
+    return kernels.SparsePath(dst, n, m)
 
 
 @dataclass
@@ -285,9 +288,10 @@ def _directed(
 def prepare_graph(graph: DualBipartiteGraph, config: ModelConfig) -> PreparedGraph:
     n, m = graph.num_instances, graph.num_label_nodes
     d, C = graph.feature_dim, graph.num_classes
+    onehot = graph.label_onehot()
     feats = np.zeros((n + m, d + C))
     feats[:n, :d] = graph.instance_features
-    feats[n:, d:] = graph.label_onehot()
+    feats[n:, d:] = onehot
 
     w = graph.within
     if config.variant != "no_dual":
@@ -308,7 +312,7 @@ def prepare_graph(graph: DualBipartiteGraph, config: ModelConfig) -> PreparedGra
     return PreparedGraph(
         node_feats=ad.constant(feats),
         x=ad.constant(graph.instance_features),
-        l=ad.constant(graph.label_onehot()),
+        l=ad.constant(onehot),
         inst_rows=RowIndex(np.arange(n)),
         lab_rows=RowIndex(np.arange(n, n + m)),
         paths=paths,
@@ -567,15 +571,6 @@ def reconstruction_loss(logits_within: Tensor, targets: np.ndarray) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _helper_pays(prep: PreparedGraph) -> bool:
-    """Whether ``train`` runs a helper thread: only with a second core and a
-    dense block of more than one row chunk."""
-    chunked = any(
-        isinstance(p.edges, ad.DenseBlockPath) and p.edges.chunked for p in prep.paths.values()
-    )
-    return chunked and ad.usable_cores() >= 2
-
-
 @dataclass
 class TrainResult:
     params: ModelParams
@@ -642,7 +637,7 @@ def train(
             ad.backward(loss)
 
         found = []
-        ad.share(
+        runtime.share(
             lambda _: found.append(decode_diagnostics(U.value, V.value, params, prep.rated)),
             1,
             meanwhile=loss_and_backward,
@@ -655,7 +650,8 @@ def train(
             raise TrainingError(f"epoch {epoch}: {exc}") from exc
         ad.zero_grads(params.tensors.values())
 
-    with ad.keep_freed_memory(), ad.helper_thread() if _helper_pays(prep) else nullcontext():
+    helper = kernels.helper_pays(p.edges for p in prep.paths.values())
+    with runtime.keep_freed_memory(), runtime.helper_thread() if helper else nullcontext():
         for epoch in range(config.epochs):
             step(epoch)
         U, V = encode(prep, params, config)

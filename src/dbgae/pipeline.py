@@ -184,7 +184,7 @@ def load_config(path) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or not UTF-8
             raise ConfigError(f"{path}: {exc}") from exc
     return config_from_dict(data)
 

@@ -9,12 +9,15 @@ pair-clustering score loop, the per-instance prediction and vote loops, the
 per-pair metric counts and the whole-block dense product are the
 library's earlier implementations, kept as the references its
 whole-column and row-chunk versions must match exactly; so are the LeakyReLU and segment-softmax ops of the attention chain that the
-fused ``edge_attention`` replaced.
+fused ``edge_attention`` replaced.  The gradient checker, with the kink
+recorder it needs, serves the tests only and lives here too.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -440,7 +443,7 @@ def pair_clustering_reference(graph) -> list:
 
 def leaky_relu(a: ad.Tensor, slope: float = 0.2) -> ad.Tensor:
     mask = a.value > 0.0
-    ad._trace_signs(mask)
+    _record_kink_signs(mask)
 
     def bwd(g):
         ad._accum(a, g * np.where(mask, 1.0, slope))
@@ -480,3 +483,123 @@ def attention_chain(s_dst, s_src, dst, src, slope):
     """Gather both score columns, add, LeakyReLU, softmax per target."""
     e = leaky_relu(ad.add(ad.gather_rows(s_dst, dst), ad.gather_rows(s_src, src)), slope)
     return segment_softmax(e, dst)
+
+
+# ---------------------------------------------------------------------------
+# gradient checking
+# ---------------------------------------------------------------------------
+
+_kink_signs: list[np.ndarray] | None = None  # masks of the evaluation being recorded
+
+
+def _record_kink_signs(mask: np.ndarray):
+    if _kink_signs is not None:
+        _kink_signs.append(mask)
+
+
+@contextmanager
+def record_kink_signs():
+    """Collect, in call order, the sign mask of every ``ad.relu``,
+    ``ad.edge_attention`` and oracle ``leaky_relu`` call evaluated inside.
+
+    ``ad.relu`` and ``ad.edge_attention`` are wrapped for the body and
+    restored on exit; a wrapper takes its op's mask from the op's inputs
+    with the op's own comparison, after the op has run (so the op's own
+    errors come first)."""
+    global _kink_signs
+    relu, edge_attention = ad.relu, ad.edge_attention
+
+    def recorded_relu(a):
+        out = relu(a)
+        _record_kink_signs(a.value > 0.0)
+        return out
+
+    def recorded_edge_attention(s_dst, s_src, dst, src, slope):
+        out = edge_attention(s_dst, s_src, dst, src, slope)
+        dst, src = ad._as_rowindex(dst), ad._as_rowindex(src)
+        _record_kink_signs(s_dst.value[dst.idx] + s_src.value[src.idx] > 0.0)
+        return out
+
+    _kink_signs = []
+    ad.relu, ad.edge_attention = recorded_relu, recorded_edge_attention
+    try:
+        yield _kink_signs
+    finally:
+        ad.relu, ad.edge_attention = relu, edge_attention
+        _kink_signs = None
+
+
+@dataclass
+class GradCheckEntry:
+    name: str
+    checked: int
+    skipped: int
+    max_rel_error: float
+
+
+@dataclass
+class GradCheckReport:
+    entries: list[GradCheckEntry] = field(default_factory=list)
+
+    @property
+    def max_rel_error(self) -> float:
+        return max((e.max_rel_error for e in self.entries), default=0.0)
+
+
+def grad_check(
+    loss_fn,
+    params: dict[str, ad.Tensor],
+    step: float = 1e-4,
+    samples_per_param: int = 64,
+    seed: int = 0,
+) -> GradCheckReport:
+    """Central finite differences vs analytic gradients on sampled coordinates.
+
+    ``loss_fn`` must rebuild the computation from the current parameter
+    values and return the scalar loss tensor.  Coordinates whose +/- step
+    evaluations cross a ReLU-family kink (``record_kink_signs``) are
+    excluded from the report.  Relative error is |a - n| / max(|a|, |n|, 1e-8).
+    """
+    rng = np.random.default_rng(seed)
+    ad.zero_grads(params.values())
+    loss = loss_fn()
+    ad.backward(loss)
+    analytic = {name: ad.grad_or_zeros(p).copy() for name, p in params.items()}
+    ad.zero_grads(params.values())
+
+    def eval_with_signs():
+        with record_kink_signs() as signs:
+            value = float(loss_fn().value[0, 0])
+        return value, signs
+
+    report = GradCheckReport()
+    for name, p in params.items():
+        size = p.value.size
+        n_samples = min(samples_per_param, size)
+        coords = rng.choice(size, size=n_samples, replace=False)
+        flat = p.value.reshape(-1)
+        checked = skipped = 0
+        worst = 0.0
+        for c in coords:
+            original = flat[c]
+            flat[c] = original + step
+            up, signs_up = eval_with_signs()
+            flat[c] = original - step
+            down, signs_down = eval_with_signs()
+            flat[c] = original
+            same_pattern = len(signs_up) == len(signs_down) and all(
+                su.shape == sd.shape and np.array_equal(su, sd)
+                for su, sd in zip(signs_up, signs_down)
+            )
+            if not same_pattern:
+                skipped += 1
+                continue
+            numeric = (up - down) / (2.0 * step)
+            a = analytic[name].reshape(-1)[c]
+            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
+            worst = max(worst, rel)
+            checked += 1
+        report.entries.append(
+            GradCheckEntry(name=name, checked=checked, skipped=skipped, max_rel_error=worst)
+        )
+    return report

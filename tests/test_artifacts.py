@@ -8,6 +8,7 @@ import json
 import os
 import struct
 import time
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -205,6 +206,13 @@ MALFORMED = [
         )
         for kind in ("dataset", "graph")
     ],
+    *[
+        pytest.param(
+            kind, 1, _set("feature_dim", -1), SchemaError, "line 1: feature_dim -1 below 0",
+            id=f"{kind}-feature-dim--1",
+        )
+        for kind in ("dataset", "graph")
+    ],
     pytest.param("ratings", 2, _short_p, SchemaError, "line 2", id="ratings-short-p"),
     pytest.param(  # line 2 holds instance 0
         "predictions",
@@ -242,6 +250,23 @@ def test_malformed_file_names_file_and_line(
     with pytest.raises(error) as info:
         LOADERS[kind](path)
     assert str(path) in str(info.value) and fragment in str(info.value)
+
+
+def test_feature_dim_zero_loads_and_trains(small_run, tmp_path):
+    # The header's feature_dim bound is 0, not 1: a dataset without features
+    # builds a graph and trains.
+    ds = small_run[0]
+    groups = [
+        replace(g, instances=[replace(i, features=np.zeros(0)) for i in g.instances])
+        for g in ds.groups
+    ]
+    ds = replace(ds, groups=groups, feature_dim=0)
+    save_dataset(ds, tmp_path / "dataset.jsonl")
+    graph = build_dual_graph(load_dataset(tmp_path / "dataset.jsonl"))
+    save_graph(graph, tmp_path / "graph.jsonl")
+    loaded = load_graph(tmp_path / "graph.jsonl")
+    assert loaded.feature_dim == 0 and graphs_equal(loaded, graph)
+    train(loaded, ModelConfig(gcn_hidden=4, dense_hidden=3, num_heads=1, epochs=2))
 
 
 def _write_lines(path, lines):

@@ -9,10 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dbgae import autodiff as ad
+from dbgae import kernels, runtime
 from dbgae.errors import AutodiffError, DimensionError
 from oracles import (
     attention_chain,
     dense_blocks_reference,
+    grad_check,
     leaky_relu,
     propagate_reference,
     segment_softmax,
@@ -71,7 +73,7 @@ class TestForwardBasics:
             ad.matmul(ad.constant(np.zeros((2, 3))), ad.constant(np.zeros((2, 3))))
         with pytest.raises(DimensionError, match="add"):
             ad.add(ad.constant(np.zeros((2, 3))), ad.constant(np.zeros((2, 2))))
-        path = ad.DenseBlockPath(ad.RowIndex([0, 1]), 1, 1)
+        path = kernels.DenseBlockPath(ad.RowIndex([0, 1]), 1, 1)
         with pytest.raises(DimensionError, match="propagate"):
             ad.propagate(ad.constant(np.ones((3, 2))), ad.constant([[1.0], [1.0]]), path)
         with pytest.raises(DimensionError, match="propagate"):
@@ -308,7 +310,7 @@ class TestGradCheck:
         def loss():
             return ad.mean_all(ad.matmul(W, x))
 
-        report = ad.grad_check(loss, {"W": W}, samples_per_param=12)
+        report = grad_check(loss, {"W": W}, samples_per_param=12)
         assert report.max_rel_error < 1e-9
 
     def test_kink_coordinate_excluded(self):
@@ -318,7 +320,7 @@ class TestGradCheck:
         def loss():
             return ad.mean_all(ad.relu(W))
 
-        report = ad.grad_check(loss, {"W": W}, samples_per_param=1)
+        report = grad_check(loss, {"W": W}, samples_per_param=1)
         assert report.entries[0].skipped == 1
         assert report.entries[0].checked == 0
 
@@ -333,11 +335,11 @@ class TestGradCheck:
             hidden = ad.relu(ad.matmul(x, W1))
             return ad.mean_all(ad.cross_entropy(ad.matmul(hidden, W2), targets))
 
-        report = ad.grad_check(loss, {"W1": W1, "W2": W2}, samples_per_param=30)
+        report = grad_check(loss, {"W1": W1, "W2": W2}, samples_per_param=30)
         assert report.max_rel_error < 1e-6
 
 
-KERNELS = (ad.DenseBlockPath, ad.SparsePath)
+KERNELS = (kernels.DenseBlockPath, kernels.SparsePath)
 
 
 @st.composite
@@ -421,12 +423,12 @@ class TestPropagate:
         def loss():
             return ad.mean_all(ad.mul(ad.propagate(T, coef, p), weights))
 
-        report = ad.grad_check(loss, {"T": T, "coef": coef}, samples_per_param=64)
+        report = grad_check(loss, {"T": T, "coef": coef}, samples_per_param=64)
         assert report.max_rel_error <= 1e-4
         assert all(e.checked == min(64, size) for e, size in zip(report.entries, (35, 12)))
 
     def test_constant_coefficients_get_no_gradient(self):
-        p = ad.SparsePath(ad.RowIndex([0, 1]), 1, 1)
+        p = kernels.SparsePath(ad.RowIndex([0, 1]), 1, 1)
         T = ad.parameter(np.ones((2, 3)))
         coef = ad.constant([[2.0], [0.0]])
         ad.backward(ad.mean_all(ad.propagate(T, coef, p)))
@@ -438,7 +440,7 @@ class TestPropagate:
         n, m, width = 200, 150, 4
         pairs = rng.choice(n * m, size=n * m // 10, replace=False)
         inst, lab = pairs // m, pairs % m
-        p = ad.DenseBlockPath(path_index(n, inst, lab), n, m)
+        p = kernels.DenseBlockPath(path_index(n, inst, lab), n, m)
         coef = rng.standard_normal(len(p))
         t = rng.standard_normal((n + m, width))
         # One coefficient block, the output rows, and the block's share of
@@ -492,7 +494,7 @@ class TestPropagate:
             assert np.array_equal(a, b)
 
     def test_weight_shape_is_checked(self):
-        p = ad.SparsePath(ad.RowIndex([0, 1]), 1, 1)
+        p = kernels.SparsePath(ad.RowIndex([0, 1]), 1, 1)
         T, coef = ad.parameter(np.ones((2, 3))), ad.parameter(np.ones((2, 1)))
         with pytest.raises(DimensionError, match="weights"):
             ad.propagate(T, coef, p, weight=np.ones((1, 1)))
@@ -518,17 +520,17 @@ class TestMirroredRowIndex:
 
 @contextmanager
 def chunk_bytes(value):
-    """Run the body with ``ad.DENSE_CHUNK_BYTES`` set to ``value``."""
-    saved, ad.DENSE_CHUNK_BYTES = ad.DENSE_CHUNK_BYTES, value
+    """Run the body with ``kernels.DENSE_CHUNK_BYTES`` set to ``value``."""
+    saved, kernels.DENSE_CHUNK_BYTES = kernels.DENSE_CHUNK_BYTES, value
     try:
         yield
     finally:
-        ad.DENSE_CHUNK_BYTES = saved
+        kernels.DENSE_CHUNK_BYTES = saved
 
 
 def path_kernel(n, m, inst, lab):
     """A path's dense kernel as ``prepare_graph`` builds it."""
-    return ad.DenseBlockPath(path_index(n, inst, lab), n, m)
+    return kernels.DenseBlockPath(path_index(n, inst, lab), n, m)
 
 
 def whole_blocks(p, coef, x, transpose=False):
@@ -563,7 +565,7 @@ class TestDenseRowChunks:
         rng = np.random.default_rng(seed)
         coef = rng.standard_normal(2 * len(pairs))
         t = rng.standard_normal((n + m, width))
-        with chunk_bytes(chunk), ad.helper_thread() if helper else nullcontext():
+        with chunk_bytes(chunk), runtime.helper_thread() if helper else nullcontext():
             p = path_kernel(n, m, inst, lab)
             # Chunks hold at least 4 rows, so blocks of 4 rows or fewer are one chunk.
             assert p.chunked == (8 * n * m > 2 * chunk and max(n, m) > 4)
@@ -584,10 +586,10 @@ class TestDenseRowChunks:
         coef = rng.standard_normal(2 * len(inst))
         t = rng.standard_normal((n + m, width))
         with chunk_bytes(300_000):
-            left, right = ad.row_chunks(n, m), ad.row_chunks(m, n)
+            left, right = kernels.row_chunks(n, m), kernels.row_chunks(m, n)
             p = path_kernel(n, m, inst, lab)
             assert p.chunked
-            for helper in (nullcontext(), ad.helper_thread()):
+            for helper in (nullcontext(), runtime.helper_thread()):
                 with helper:
                     assert np.array_equal(p.apply(coef, t), whole_blocks(p, coef, t))
                     assert np.array_equal(p.apply_transpose(coef, t), whole_blocks(p, coef, t, True))
@@ -600,14 +602,14 @@ class TestDenseRowChunks:
         [(1, 5), (3, 100), (4, 1), (1210, 1168), (2427, 2392), (7, 0), (300, 290), (3, 50_000)],
     )
     def test_row_chunks_are_even_and_bounded(self, rows, cols):
-        bounds = ad.row_chunks(rows, cols)
+        bounds = kernels.row_chunks(rows, cols)
         sizes = np.diff(bounds)
         assert bounds[0] == 0 and bounds[-1] == rows
         assert sizes.max() - sizes.min() <= 1
-        if rows * cols * 8 <= 2 * ad.DENSE_CHUNK_BYTES:
+        if rows * cols * 8 <= 2 * kernels.DENSE_CHUNK_BYTES:
             assert len(sizes) == 1
         else:
-            assert all(s * cols * 8 <= ad.DENSE_CHUNK_BYTES or s <= 4 for s in sizes)
+            assert all(s * cols * 8 <= kernels.DENSE_CHUNK_BYTES or s <= 4 for s in sizes)
         assert sizes.min() >= min(rows, 2)
 
     def test_a_block_of_two_chunks_stays_whole(self):
@@ -617,7 +619,8 @@ class TestDenseRowChunks:
         coef, t = rng.standard_normal(2 * n), rng.standard_normal((n + m, 3))
         with chunk_bytes(8 * n * m // 2):
             p = path_kernel(n, m, inst, lab)
-            assert not p.chunked and ad.row_chunks(n, m) == [0, n] and ad.row_chunks(m, n) == [0, m]
+            assert not p.chunked
+            assert kernels.row_chunks(n, m) == [0, n] and kernels.row_chunks(m, n) == [0, m]
             assert np.array_equal(p.apply(coef, t), whole_blocks(p, coef, t))
             assert np.array_equal(p.apply_transpose(coef, t), whole_blocks(p, coef, t, True))
         with chunk_bytes(8 * n * m // 2 - 1):
@@ -648,7 +651,7 @@ class TestDenseRowChunks:
         rng = np.random.default_rng(groups)
         coef = rng.random(len(p))
         t = rng.standard_normal((p.num_nodes, model.gcn_hidden))
-        with ad.helper_thread():
+        with runtime.helper_thread():
             assert np.array_equal(p.apply(coef, t), whole_blocks(p, coef, t))
             assert np.array_equal(p.apply_transpose(coef, t), whole_blocks(p, coef, t, True))
 
@@ -657,11 +660,11 @@ class TestDenseRowChunks:
         n, m, width = 200, 150, 4
         pairs = rng.choice(n * m, size=n * m // 10, replace=False)
         inst, lab = pairs // m, pairs % m
-        with chunk_bytes(16 * 1024), ad.helper_thread():
+        with chunk_bytes(16 * 1024), runtime.helper_thread():
             p = path_kernel(n, m, inst, lab)
             coef = rng.standard_normal(len(p))
             t = rng.standard_normal((n + m, width))
-            bounds = ad.row_chunks(n, m) + ad.row_chunks(m, n)
+            bounds = kernels.row_chunks(n, m) + kernels.row_chunks(m, n)
             chunk = max(b - a for a, b in zip(bounds, bounds[1:])) * max(n, m) * 8
             # Per chunk and thread: its edges, their block positions, shifted
             # positions and coefficients.
@@ -685,11 +688,11 @@ class TestHelperThread:
             ran.append((k, threading.current_thread().name))
             started.set()
 
-        with ad.helper_thread():
-            ad.share(piece, 1, meanwhile=lambda: started.wait(timeout=30))
+        with runtime.helper_thread():
+            runtime.share(piece, 1, meanwhile=lambda: started.wait(timeout=30))
         assert ran == [(0, "dbgae-helper")]
         order = []
-        ad.share(lambda k: order.append(k), 3, meanwhile=lambda: order.append("meanwhile"))
+        runtime.share(lambda k: order.append(k), 3, meanwhile=lambda: order.append("meanwhile"))
         assert order == ["meanwhile", 0, 1, 2]
 
     def test_an_error_on_the_helper_reaches_the_caller_with_its_type(self):
@@ -702,9 +705,9 @@ class TestHelperThread:
             started.set()
             raise Boom("on the helper")
 
-        with ad.helper_thread():
+        with runtime.helper_thread():
             with pytest.raises(Boom, match="on the helper"):
-                ad.share(fail, 1, meanwhile=lambda: started.wait(timeout=30))
+                runtime.share(fail, 1, meanwhile=lambda: started.wait(timeout=30))
 
     def test_an_error_in_a_helper_chunk_reaches_the_caller_with_its_type(self):
         class Boom(Exception):
@@ -719,9 +722,9 @@ class TestHelperThread:
             else:
                 raise Boom(f"chunk {k}")
 
-        with ad.helper_thread():
+        with runtime.helper_thread():
             with pytest.raises(Boom, match="chunk 1"):
-                ad.share(chunk, 4)
+                runtime.share(chunk, 4)
         assert done and 1 not in done
 
     def test_every_chunk_runs_once_under_fast_thread_switching(self):
@@ -730,17 +733,17 @@ class TestHelperThread:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with ad.helper_thread():
+            with runtime.helper_thread():
                 for _ in range(50):
                     done = []
-                    ad.share(lambda k: done.append((k, threading.current_thread().name)), 200)
+                    runtime.share(lambda k: done.append((k, threading.current_thread().name)), 200)
                     assert sorted(k for k, _ in done) == list(range(200))
         finally:
             sys.setswitchinterval(interval)
 
     def test_the_thread_is_joined_on_error(self):
         with pytest.raises(ValueError):
-            with ad.helper_thread():
+            with runtime.helper_thread():
                 raise ValueError("in the body")
         assert threading.active_count() == 1
 
@@ -786,7 +789,7 @@ class TestEdgeAttention:
         def loss():
             return ad.mean_all(ad.mul(ad.edge_attention(s_dst, s_src, dst, src, 0.2), weights))
 
-        report = ad.grad_check(loss, {"s_dst": s_dst, "s_src": s_src}, samples_per_param=n + m)
+        report = grad_check(loss, {"s_dst": s_dst, "s_src": s_src}, samples_per_param=n + m)
         assert [e.skipped for e in report.entries] == [1, 1]
         assert [e.checked for e in report.entries] == [n + m - 1] * 2
         assert report.max_rel_error <= 1e-6

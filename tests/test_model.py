@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dbgae import autodiff as ad
+from dbgae import kernels, runtime
 from dbgae.errors import ConfigError, TrainingError
 from dbgae.graph import CrossGraph, DualBipartiteGraph, WithinGraph
 from dbgae.model import (
@@ -26,6 +27,7 @@ from dbgae.model import (
     save_ratings,
     train,
 )
+from oracles import record_kink_signs
 
 
 def make_graph(
@@ -258,7 +260,7 @@ class TestPropagation:
         )
         cfg = small_config(gcn_hidden=7, num_heads=2)
         prep = prepare_graph(graph, cfg)
-        assert isinstance(prep.paths["cross"].edges, ad.DenseBlockPath)
+        assert isinstance(prep.paths["cross"].edges, kernels.DenseBlockPath)
         params = init_params(cfg, graph.feature_dim, graph.num_classes)
         U, V = encode(prep, params, cfg)
         blocks = {(3, 4), (4, 3)}  # n x m and m x n
@@ -292,7 +294,7 @@ class TestPropagation:
                 stack.extend(obj)
             elif isinstance(obj, dict):
                 stack.extend(obj.values())
-            elif isinstance(obj, (ad.DenseBlockPath, ad.SparsePath)):
+            elif isinstance(obj, (kernels.DenseBlockPath, kernels.SparsePath)):
                 stack.extend(vars(obj).values())
         assert (prep.num_nodes, cfg.gcn_hidden) in shapes
         assert shapes & blocks == set()
@@ -314,8 +316,8 @@ class TestPropagation:
             threshold=gc.threshold,
         )
         prep = prepare_graph(graph, benchmark_model_config(0))
-        assert isinstance(prep.paths["cross"].edges, ad.DenseBlockPath)
-        assert isinstance(prep.paths["within"].edges, ad.SparsePath)
+        assert isinstance(prep.paths["cross"].edges, kernels.DenseBlockPath)
+        assert isinstance(prep.paths["within"].edges, kernels.SparsePath)
 
 
 def lines_of(fn) -> range:
@@ -351,7 +353,7 @@ def random_graph(n, m, within_pairs, cross_pairs, seed=0, d=4, num_classes=3):
 class TestPreparedGraph:
     @pytest.mark.parametrize(
         "n, m, within, cross, kernel",
-        [(60, 50, 200, 1500, ad.DenseBlockPath), (400, 300, 300, 1500, ad.SparsePath)],
+        [(60, 50, 200, 1500, kernels.DenseBlockPath), (400, 300, 300, 1500, kernels.SparsePath)],
     )
     def test_keeps_six_words_a_directed_edge(self, n, m, within, cross, kernel):
         graph = random_graph(n, m, within, cross)
@@ -538,6 +540,23 @@ class TestEncode:
         U_p, V_p = encode(prep_p, params, cfg)
         np.testing.assert_allclose(U_p.value[perm], U.value, atol=1e-9)
         np.testing.assert_allclose(V_p.value, V.value, atol=1e-9)
+
+    def test_the_kink_recorder_sees_every_kink_op_of_an_encode(self):
+        # The gradient checker's recorder wraps ``ad.relu`` and
+        # ``ad.edge_attention``; an op the model reached another way (say, by
+        # ``from .autodiff import relu``) would go unrecorded.
+        graph, cfg = benchmark_run(200, epochs=1)
+        prep = prepare_graph(graph, cfg)
+        params = init_params(cfg, graph.feature_dim, graph.num_classes)
+        ops = (ad.relu, ad.edge_attention)
+        with record_kink_signs() as signs:
+            encode(prep, params, cfg)
+        assert (ad.relu, ad.edge_attention) == ops
+        n, nodes, H, E = prep.num_instances, prep.num_nodes, cfg.gcn_hidden, cfg.dense_hidden
+        edges = [(len(prep.paths[name].dst), 1) for name in ("within", "cross")]
+        # per head, each path's attention; then the two path hiddens, f, n, U and V
+        relus = [(nodes, H), (nodes, H), (n, H), (nodes - n, H), (n, E), (nodes - n, E)]
+        assert [mask.shape for mask in signs] == edges * cfg.num_heads + relus
 
 
 class TestDecode:
@@ -820,8 +839,8 @@ class TestTrain:
             return real_backward(loss)
 
         monkeypatch.setattr(ad, "backward", backward_checking)
-        monkeypatch.setattr(ad, "DENSE_CHUNK_BYTES", 2000)
-        monkeypatch.setattr(ad, "usable_cores", lambda: 2)
+        monkeypatch.setattr(kernels, "DENSE_CHUNK_BYTES", 2000)
+        monkeypatch.setattr(runtime, "usable_cores", lambda: 2)
         # One block's gathered rows (32 x 5 levels x 4) and the products of the
         # 30 instances' rows (30 x 5 x 4) hold far fewer floats than rated edges.
         monkeypatch.setattr(model, "DECODE_BLOCK", 32)
@@ -838,16 +857,16 @@ class TestTrain:
     def test_helper_on_equals_helper_off_at_800_groups(self, monkeypatch):
         graph, cfg = benchmark_run(800, epochs=3)
         entered = []
-        real_helper = ad.helper_thread
+        real_helper = runtime.helper_thread
 
         def counting_helper():
             entered.append(True)
             return real_helper()
 
-        monkeypatch.setattr(ad, "helper_thread", counting_helper)
-        monkeypatch.setattr(ad, "usable_cores", lambda: 2)
+        monkeypatch.setattr(runtime, "helper_thread", counting_helper)
+        monkeypatch.setattr(runtime, "usable_cores", lambda: 2)
         on = train(graph, cfg)
-        monkeypatch.setattr(ad, "usable_cores", lambda: 1)
+        monkeypatch.setattr(runtime, "usable_cores", lambda: 1)
         off = train(graph, cfg)
         assert entered == [True]
         assert_same_training(on, off)
@@ -864,8 +883,8 @@ class TestTrain:
         # The helper runs the diagnostics unless this thread finds them not
         # yet started; either way the error reaches train's caller.
         monkeypatch.setattr(model, "decode_diagnostics", failing_diagnostics)
-        monkeypatch.setattr(ad, "DENSE_CHUNK_BYTES", 2000)
-        monkeypatch.setattr(ad, "usable_cores", lambda: 2)
+        monkeypatch.setattr(kernels, "DENSE_CHUNK_BYTES", 2000)
+        monkeypatch.setattr(runtime, "usable_cores", lambda: 2)
         with pytest.raises(Boom, match="diagnostics"):
             train(random_graph(30, 60, 100, 1000), small_config(epochs=3))
 
@@ -954,7 +973,7 @@ class TestTrain:
 
 
 class FakeCLibrary:
-    """Records the calls ``autodiff.keep_freed_memory`` makes."""
+    """Records the calls ``runtime.keep_freed_memory`` makes."""
 
     def __init__(self):
         self.calls = []
@@ -973,7 +992,7 @@ EXIT = [("mallopt", -1, 128 << 10), ("malloc_trim", 0)]
 
 
 class TestKeepFreedMemory:
-    @pytest.mark.skipif(ad._c_library() is None, reason="the C library has no mallopt")
+    @pytest.mark.skipif(runtime._c_library() is None, reason="the C library has no mallopt")
     def test_a_60_epoch_train_takes_few_minor_faults(self):
         import resource
 
@@ -988,7 +1007,7 @@ class TestKeepFreedMemory:
         from dbgae import model
 
         libc = FakeCLibrary()
-        monkeypatch.setattr(ad, "_c_library", lambda: (libc.mallopt, libc.malloc_trim))
+        monkeypatch.setattr(runtime, "_c_library", lambda: (libc.mallopt, libc.malloc_trim))
         seen_at_encode = []
         real_encode = model.encode
 
@@ -1003,7 +1022,7 @@ class TestKeepFreedMemory:
 
     def test_exit_restores_and_trims_when_an_epoch_raises(self, monkeypatch):
         libc = FakeCLibrary()
-        monkeypatch.setattr(ad, "_c_library", lambda: (libc.mallopt, libc.malloc_trim))
+        monkeypatch.setattr(runtime, "_c_library", lambda: (libc.mallopt, libc.malloc_trim))
         graph = tiny_graph()
         graph.instance_features[0, 0] = np.nan
         with pytest.raises(TrainingError, match="epoch 0"):
@@ -1017,8 +1036,8 @@ class TestKeepFreedMemory:
             def __init__(self, name):
                 self.malloc_trim = trims.append
 
-        monkeypatch.setattr(ad.ctypes, "CDLL", NoMallopt)
-        assert ad._c_library() is None
+        monkeypatch.setattr(runtime.ctypes, "CDLL", NoMallopt)
+        assert runtime._c_library() is None
         train(tiny_graph(), small_config(epochs=2))
         assert trims == []
 
@@ -1028,7 +1047,7 @@ class TestKeepFreedMemory:
 
         graph, cfg = benchmark_run(groups, epochs=3)
         kept = train(graph, cfg)
-        monkeypatch.setattr(ad, "keep_freed_memory", nullcontext)
+        monkeypatch.setattr(runtime, "keep_freed_memory", nullcontext)
         assert_same_training(kept, train(graph, cfg))
 
 

@@ -447,6 +447,15 @@ class TestCli:
         assert rc == 1
         assert "nope.jsonl" in capsys.readouterr().err
 
+    def test_config_file_not_utf8_fails_with_its_name(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_bytes(b'{"seed": 1\xff}')
+        rc = main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "ds.jsonl")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(cfg_path) in err
+        assert "Traceback" not in err and not (tmp_path / "ds.jsonl").exists()
+
     def test_wrong_typed_override_fails_with_the_key(self, tmp_path, capsys):
         argv = ["pipeline", "--set", 'model.epochs="ten"', "--out-dir", str(tmp_path / "run")]
         assert main(argv) == 1
