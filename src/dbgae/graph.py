@@ -401,7 +401,8 @@ def build_dual_graph(
 # ---------------------------------------------------------------------------
 
 
-def save_graph(graph: DualBipartiteGraph, path):
+def graph_file(graph: DualBipartiteGraph) -> tuple[dict, list]:
+    """The header and the parts ``save_graph`` hands to ``jsonl.write``."""
     n, m = graph.num_instances, graph.num_label_nodes
     w, x = graph.within, graph.cross
     meta = {
@@ -439,15 +440,18 @@ def save_graph(graph: DualBipartiteGraph, path):
         "kind": np.broadcast_to("cross", len(x.inst)),
         "via": x.via,
     }
-    jsonl.write(
-        path,
-        meta,
+    return meta, [
         jsonl.Columns(instances),
         jsonl.Columns(labels),
         jsonl.records([{"section": "edges"}]),
         jsonl.Columns(within),
         jsonl.Columns(cross),
-    )
+    ]
+
+
+def save_graph(graph: DualBipartiteGraph, path):
+    header, parts = graph_file(graph)
+    jsonl.write(path, header, *parts)
 
 
 def load_graph(path) -> DualBipartiteGraph:

@@ -170,15 +170,19 @@ def baseline_pair_clustering(graph: DualBipartiteGraph) -> list[Prediction]:
 
 
 def save_predictions(predictions: list[Prediction], method: str, path):
-    records = (
-        {
-            "instance_id": pred.instance_id,
-            "predicted_class": pred.predicted_class,
-            "scores": {str(c): float(s) for c, s in sorted(pred.scores.items())},
-        }
-        for pred in predictions
-    )
-    jsonl.write(path, {"method": method}, jsonl.records(records))
+    """One line per prediction: ``{"instance_id", "predicted_class",
+    "scores": {"class id": score}}`` with the scores by ascending class id,
+    as ``json.dumps`` of each record with compact separators.  Every score
+    of the file is formatted in one ``jsonl._floats`` call."""
+    scores = [sorted(pred.scores.items()) for pred in predictions]
+    text = iter(jsonl._floats(np.array([s for row in scores for _, s in row], dtype=np.float64)))
+    lines = [
+        '{"instance_id":%d,"predicted_class":%d,"scores":{%s}}'
+        % (pred.instance_id, pred.predicted_class, ",".join(f'"{c}":{next(text)}' for c, _ in row))
+        for pred, row in zip(predictions, scores)
+    ]
+    blocks = (lines[k : k + jsonl.ROW_BLOCK] for k in range(0, len(lines), jsonl.ROW_BLOCK))
+    jsonl.write(path, {"method": method}, blocks)
 
 
 def load_predictions(path) -> tuple[str, list[Prediction]]:

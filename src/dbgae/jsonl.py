@@ -13,12 +13,19 @@ Writing has two encoders that give the same bytes for the same values:
 shape), ``Columns`` encodes a table of numpy columns whole, in blocks of at
 most ``ROW_BLOCK`` rows and ``BLOCK_VALUES`` values (for the per-edge files,
 where a per-record ``json.dumps`` is most of the cost).  Both feed ``write``,
-which owns the file.  When a file's columns span more than one block and the
-platform has ``os.fork``, ``write`` encodes the second half of them (by
-encoding cost, a float counting ``FLOAT_SLOT_COST`` ints) in a forked
-process, so the float text of the per-edge files is made on two cores; the
-bytes are those of a serial write.  Every artifact writer, JSON Lines or
-not, opens its file through ``atomic_open``.
+which owns the file.  Every artifact writer, JSON Lines or not, opens its
+file through ``atomic_open``.
+
+Column blocks are encoded on two cores where the platform has ``os.fork``.
+An ``encoder`` block forks one process for a set of files: their
+``Columns`` blocks, file after file, are cut once where the caller's
+``work`` plus the blocks before the cut is about half of all the work (a
+float counting ``FLOAT_SLOT_COST`` ints), and the encoder writes everything
+after the cut into temporary files while the caller works; each ``write``
+of one of these files writes its head and appends the encoder's part.  The
+pipeline opens one such block for the graph and ratings files when training
+ends; any other ``write`` runs in a block of its own file.  The bytes are
+those of a serial write.
 
 Reading is per line (``read``); a loader of a per-edge file gathers its
 converted rows in ``Blocks``, which turns every ``ROW_BLOCK`` rows into numpy
@@ -76,11 +83,13 @@ BLOCK_VALUES = 2048
 # ``Columns`` row time, fitted to a row cost per float and per other slot
 # over the graph and ratings tables (20,000 rows each, one core of a 2-core
 # Xeon VM), came to 0.86 us a float against 0.24 us an int or str, a ratio
-# of 3.5 (``_floats`` alone against ``_ints``: 4.2 to 7.1).  ``write``
-# splits a file's columns at the middle of this cost.  Since ``_floats``
-# formats a repeated value once, a float costs less where values repeat;
-# the halves of an 800-group graph still took 54 and 55 ms of serial CPU,
-# and those of its ratings 129 and 123 ms.
+# of 3.5 (``_floats`` alone against ``_ints``: 4.2 to 7.1).  ``encoder``
+# cuts the blocks of its files at the middle of this cost (and the
+# caller's work, in the same units).  Since ``_floats`` formats a repeated
+# value once, a float costs less where values repeat: an 800-group graph
+# and ratings file now take 0.11 us a unit, both, and written alone, the
+# two shares of the graph took 54 and 55 ms of serial CPU, those of the
+# ratings 129 and 123.
 FLOAT_SLOT_COST = 4
 
 
@@ -111,19 +120,21 @@ def write(path, header: dict, *parts):
 
     A part is an iterable of non-empty line blocks, as ``records`` and
     ``Columns`` make them.  The file is written through ``atomic_open``.
-    When the ``Columns`` parts span more than one block and ``os.fork``
-    exists, the blocks from the one nearest the middle of their encoding
-    cost on, and every part after them, are encoded in a forked process (see
-    ``_write_split``), so a part must do nothing but yield its lines; the
-    bytes are those of a serial write.
+    Inside an ``encoder`` block that holds ``path``, the encoder's share of
+    the parts is appended from its file once it has written it; a file the
+    running encoder does not hold is written here alone.  Outside one,
+    ``write`` runs in an ``encoder`` of its own for this one file, so a file
+    whose columns span two or more blocks is encoded on two processes.
+    Either way the bytes are those of a serial write, and a part must do
+    nothing but yield its lines.
     """
-    with atomic_open(path) as fh:
-        fh.write(json.dumps(header, separators=_SEPARATORS) + "\n")
-        halves = _halves(parts) if hasattr(os, "fork") else None
-        if halves is None:
-            _write_parts(fh, parts)
-        else:
-            _write_split(path, fh, *halves)
+    with encoder({path: parts}) if _running is None else contextlib.nullcontext():
+        head, split = _running.head(path, parts)
+        with atomic_open(path) as fh:
+            fh.write(json.dumps(header, separators=_SEPARATORS) + "\n")
+            _write_parts(fh, head)
+            if split:
+                _running.append_tail(path, fh)
 
 
 def _write_parts(fh, parts):
@@ -131,60 +142,165 @@ def _write_parts(fh, parts):
         fh.write("\n".join(block) + "\n")
 
 
-def _halves(parts):
-    """``parts`` cut at the block boundary of their ``Columns`` parts nearest
-    the middle of their encoding cost, as (head, tail) part lists; ``None``
-    when the columns span at most one block."""
-    blocks = [  # (part index, block index) and cost of every Columns block
-        ((i, b), cost)
-        for i, part in enumerate(parts)
-        if isinstance(part, Columns)
-        for b, cost in enumerate(part.block_costs())
-    ]
-    if len(blocks) < 2:
-        return None
-    before = list(itertools.accumulate(cost for _, cost in blocks[:-1]))
-    total = before[-1] + blocks[-1][1]
-    k = min(range(len(before)), key=lambda k: abs(2 * before[k] - total))
-    i, b = blocks[k + 1][0]  # the first block of the tail
+_running = None  # the ``_Encoder`` of the innermost ``encoder`` block, if any
+
+
+@contextlib.contextmanager
+def encoder(files: dict, work: int = 0):
+    """Encode the tail of the column blocks of ``files`` in one forked process
+    while the block runs.
+
+    ``files`` maps each path to the parts ``write`` will later be given for
+    it; their ``Columns`` blocks, file after file in this order, are cut
+    once (``_cut``), and the forked encoder writes everything from the cut
+    on into one temporary sibling file per file it reaches.  ``work`` is
+    what the caller does before writing these files, in ``Columns`` cost
+    units, so the cut leaves the encoder about half of all the work.  A
+    ``write`` of a held file inside the block writes the head and appends
+    the encoder's part once the encoder has finished that file.  No fork
+    happens without ``os.fork`` or when the files span fewer than two
+    blocks.
+
+    On leaving the block the encoder is reaped, killed first if it still
+    holds an unwritten file (the block raised, or skipped a file), and
+    every temporary file it was given is removed.
+    """
+    global _running
+    if _running is not None:
+        raise RuntimeError("an encoder is already running in this process")
+    _running = running = _Encoder()
+    try:
+        running.start({os.path.abspath(path): parts for path, parts in files.items()}, work)
+        yield
+    finally:
+        _running = None
+        running.stop()
+
+
+def _cut(costs: list[int], work: int) -> int:
+    """Index of the first block the encoder takes: the block boundary nearest
+    the middle of ``work`` plus the blocks' ``costs``, with at least one
+    block for the encoder and, when ``work`` is 0, at least one for the
+    caller; ``len(costs)``, no encoder, for fewer than two blocks."""
+    if len(costs) < 2:
+        return len(costs)
+    total = work + sum(costs)
+    before = list(itertools.accumulate(costs[:-1], initial=work))  # the caller's, per cut
+    first = 0 if work > 0 else 1
+    return min(range(first, len(costs)), key=lambda k: abs(2 * before[k] - total))
+
+
+def _block_costs(parts) -> list[list[int]]:
+    return [part.block_costs() for part in parts if isinstance(part, Columns)]
+
+
+def _split(parts, i: int, b: int):
+    """``parts`` cut before block ``b`` of part ``i``, as (head, tail) lists."""
+    if b == 0:
+        return list(parts[:i]), list(parts[i:])
     return [*parts[:i], parts[i].blocks(0, b)], [parts[i].blocks(b), *parts[i + 1 :]]
 
 
-def _write_split(path, fh, head, tail):
-    """Write ``head`` into ``fh`` while a forked encoder writes ``tail`` into
-    a sibling file, then append that file to ``fh`` and delete it.
+class _Encoder:
+    """The forked process of one ``encoder`` block and the caller's side of it.
 
-    The caller reaps the encoder in every case, killing it first if its own
-    half or the wait raised; an encoder that fails raises ``OSError``
-    naming ``path``, so ``atomic_open`` leaves the target as it was.
+    The encoder writes its share of each file it holds, in order, into that
+    file's temporary sibling, and reports each finished file by one byte on
+    a pipe; the caller reads the pipe only when it needs a file.
     """
-    fh.flush()  # the encoder inherits the buffer: nothing in it may be written twice
-    tail_path = os.path.splitext(fh.name)[0] + ".tail.tmp"
-    try:
-        with open(tail_path, "x", encoding="utf-8", newline="") as tail_fh:
-            pid = os.fork()
-            if pid == 0:
-                _encode_and_exit(tail_fh, tail)
-        status = None
+
+    def __init__(self):
+        self._cuts: dict = {}  # path -> (part index, block index, block costs)
+        self._order: list = []  # held paths, in the encoder's order
+        self._tails: dict = {}  # path -> temporary file of the encoder's share
+        self._pid = None
+        self._done_fd = None
+        self._done = 0  # files the encoder has reported finished
+
+    def start(self, files: dict, work: int):
+        blocks = [  # (path, part index, block index) and cost of every Columns block
+            ((path, i, b), cost)
+            for path, parts in files.items()
+            for i, part in enumerate(parts)
+            if isinstance(part, Columns)
+            for b, cost in enumerate(part.block_costs())
+        ]
+        k = _cut([cost for _, cost in blocks], work) if hasattr(os, "fork") else len(blocks)
+        if k == len(blocks):
+            return
+        first, i, b = blocks[k][0]
+        shares = []  # (path, the encoder's parts), from the file the cut falls in on
+        for path, parts in files.items():
+            if path == first or shares:
+                cut = (i, b) if path == first else (0, 0)
+                self._cuts[path] = (*cut, _block_costs(parts))
+                self._order.append(path)
+                shares.append((path, _split(parts, *cut)[1]))
+        tails = []
         try:
-            _write_parts(fh, head)
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            for path, _ in shares:
+                directory, name = os.path.split(path)
+                self._tails[path] = os.path.join(directory, f".{name}.{uuid.uuid4().hex}.tail.tmp")
+                tails.append(open(self._tails[path], "x", encoding="utf-8", newline=""))
+            self._done_fd, done_w = os.pipe()
+            try:
+                self._pid = os.fork()
+                if self._pid == 0:
+                    os.close(self._done_fd)
+                    _encode_and_exit([(fh, parts) for fh, (_, parts) in zip(tails, shares)], done_w)
+            finally:
+                os.close(done_w)
         finally:
-            if status is None:  # the caller's half, or its wait, raised
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        if status != 0:
-            raise OSError(f"{path}: the encoder process exited with status {status}")
+            for fh in tails:  # the encoder has its own copies
+                fh.close()
+
+    def head(self, path, parts):
+        """The caller's share of ``parts`` and whether the encoder writes the rest."""
+        path = os.path.abspath(path)
+        if path not in self._cuts:
+            return parts, False
+        i, b, costs = self._cuts.pop(path)
+        if _block_costs(parts) != costs:
+            raise ValueError(f"{path}: these are not the columns the encoder was given")
+        return _split(parts, i, b)[0], True
+
+    def append_tail(self, path, fh):
+        """Wait until the encoder has written its share of ``path``, then
+        append it to ``fh``; ``OSError`` naming ``path`` if the encoder
+        exited before finishing it."""
+        path = os.path.abspath(path)
+        while self._done <= self._order.index(path):
+            done = os.read(self._done_fd, 64)
+            if not done:
+                _, status = os.waitpid(self._pid, 0)
+                self._pid = None
+                status = os.waitstatus_to_exitcode(status)
+                raise OSError(f"{path}: the encoder process exited with status {status}")
+            self._done += len(done)
         fh.flush()
-        with open(tail_path, "rb") as tail_fh:
+        with open(self._tails[path], "rb") as tail_fh:
             shutil.copyfileobj(tail_fh, fh.buffer)  # in bounded chunks
-    finally:
-        os.remove(tail_path)
+        os.remove(self._tails.pop(path))
+
+    def stop(self):
+        if self._pid is not None:
+            if self._done < len(self._order):  # the caller gave up on a file
+                os.kill(self._pid, signal.SIGKILL)
+            os.waitpid(self._pid, 0)
+            self._pid = None
+        if self._done_fd is not None:
+            os.close(self._done_fd)
+            self._done_fd = None
+        for tail in self._tails.values():
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tail)
+        self._tails.clear()
 
 
-def _encode_and_exit(fh, parts):
-    """The forked encoder: write ``parts`` into ``fh`` and leave the process
-    by ``os._exit``, never returning into the caller's code.
+def _encode_and_exit(shares, done_fd):
+    """The forked encoder: write each (file, parts) share, reporting each
+    finished file by one byte on ``done_fd``, and leave the process by
+    ``os._exit``, never returning into the caller's code.
 
     Encoding makes no BLAS call, which a child of a process with BLAS
     threads must not make.  Whatever it raises is printed straight to file
@@ -192,8 +308,10 @@ def _encode_and_exit(fh, parts):
     """
     status = 1
     try:
-        _write_parts(fh, parts)
-        fh.close()
+        for fh, parts in shares:
+            with fh:
+                _write_parts(fh, parts)
+            os.write(done_fd, b".")
         status = 0
     except BaseException:  # the process ends here either way
         os.write(2, traceback.format_exc().encode())

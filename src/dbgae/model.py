@@ -729,7 +729,8 @@ def load_params(path) -> ModelParams:
     return ModelParams(tensors=tensors, rating_levels=rating_levels, **dims)
 
 
-def save_ratings(ratings: RatingMatrix, path):
+def ratings_file(ratings: RatingMatrix) -> tuple[dict, list]:
+    """The header and the parts ``save_ratings`` hands to ``jsonl.write``."""
     header = {"levels": ratings.levels.tolist(), "num_instances": ratings.num_instances}
     table = {
         "src": ratings.src,
@@ -737,7 +738,12 @@ def save_ratings(ratings: RatingMatrix, path):
         "kind": ratings.kind,
         "p": ratings.probs,
     }
-    jsonl.write(path, header, jsonl.Columns(table))
+    return header, [jsonl.Columns(table)]
+
+
+def save_ratings(ratings: RatingMatrix, path):
+    header, parts = ratings_file(ratings)
+    jsonl.write(path, header, *parts)
 
 
 def save_loss_trace(result: TrainResult, path):

@@ -9,6 +9,7 @@ output directory.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -20,7 +21,7 @@ from . import jsonl
 from .data import GeneratorConfig, GpllDataset, generate_synthetic, save_dataset
 from .errors import ConfigError, DbgaeError, PipelineError
 from .evaluation import EvalReport, build_report, save_curves, save_report
-from .graph import DualBipartiteGraph, build_dual_graph, save_graph
+from .graph import DualBipartiteGraph, build_dual_graph, graph_file, save_graph
 from .inference import (
     POOL_THRESHOLD,
     Prediction,
@@ -29,7 +30,15 @@ from .inference import (
     pool_labels,
     save_predictions,
 )
-from .model import ModelConfig, TrainResult, save_loss_trace, save_params, save_ratings, train
+from .model import (
+    ModelConfig,
+    TrainResult,
+    ratings_file,
+    save_loss_trace,
+    save_params,
+    save_ratings,
+    train,
+)
 
 DBGAE_METHOD = "dbgae"
 BASELINE_METHODS = ("cluster_voting", "pair_clustering")
@@ -287,6 +296,11 @@ def execute(resolved: RunConfig) -> RunResult:
     seed).  Nothing is written.  Raises PipelineError naming the failing
     stage.
     """
+    return _score(resolved, *_fit(resolved))
+
+
+def _fit(resolved: RunConfig):
+    """The generate, build-graph and train stages: (dataset, graph, train result)."""
     gc = resolved.graph
     ds = _stage("generate", lambda: generate_synthetic(resolved.generator))
     graph = _stage(
@@ -294,6 +308,12 @@ def execute(resolved: RunConfig) -> RunResult:
         lambda: build_dual_graph(ds, eps=gc.eps, min_pts=gc.min_pts, threshold=gc.threshold),
     )
     result = _stage("train", lambda: train(graph, resolved.model))
+    return ds, graph, result
+
+
+def _score(resolved: RunConfig, ds, graph, result) -> RunResult:
+    """The predict and evaluate stages on what ``_fit`` returned."""
+    gc = resolved.graph
     predictions = _stage(
         "predict",
         lambda: {
@@ -306,34 +326,74 @@ def execute(resolved: RunConfig) -> RunResult:
     return RunResult(resolved, ds, graph, result, predictions, report)
 
 
+# What ``run_pipeline`` does between the fork of the encoder and writing the
+# graph and ratings files, in ``jsonl``'s cost units (an int slot of a
+# ``Columns`` block: 0.11 us on one core of a 2-core Xeon VM, where the
+# graph and ratings files of the runs below took 0.106-0.116 us a unit).
+# Fitted to the serial CPU of each piece in ``run_pipeline`` on the
+# benchmark config (run seed 0, 3 epochs) at 200, 400, 800 and 1600 groups,
+# one BLAS thread, best of 4 runs: ``pool_labels`` takes about one unit a
+# ratings row (0.8-1.2); cluster voting, pair clustering, ``build_report``
+# and the three predictions files about 200 units an instance (170 at 200
+# groups, 250 at 1600); a feature value of the dataset file or a parameter
+# of the checkpoint, dumped by ``json.dumps``, about 6 units (5 and 7).
+# The model is within 8% of the measured sum at every size.  The loss
+# trace, report and curves files (under 1 ms) are left out.
+WORK_PER_RATING = 1
+WORK_PER_INSTANCE = 200
+WORK_PER_JSON_FLOAT = 6
+
+
+def _work_after_train(graph: DualBipartiteGraph, result: TrainResult) -> int:
+    """The cost model above for one run."""
+    n = graph.num_instances
+    params = sum(t.value.size for t in result.params.tensors.values())
+    return (
+        WORK_PER_RATING * len(result.ratings)
+        + WORK_PER_INSTANCE * n
+        + WORK_PER_JSON_FLOAT * (n * graph.feature_dim + params)
+    )
+
+
 def _write_artifacts(run: RunResult, paths: PipelineArtifacts):
+    """Every artifact but the resolved config; the graph and ratings files,
+    which the encoder shares, last."""
     result = run.train_result
     save_dataset(run.dataset, paths.dataset)
-    save_graph(run.graph, paths.graph)
     save_params(result.params, paths.params)
-    save_ratings(result.ratings, paths.ratings)
     save_loss_trace(result, paths.loss_trace)
     for method, predictions in run.predictions.items():
         save_predictions(predictions, method, paths.predictions[method])
     save_report(run.report, paths.report_text, paths.report_json)
     save_curves(run.report, paths.curves)
+    save_graph(run.graph, paths.graph)
+    save_ratings(result.ratings, paths.ratings)
 
 
 def run_pipeline(config: RunConfig, out_dir=None) -> tuple[EvalReport, PipelineArtifacts]:
-    """Resolve ``config``, ``execute`` it, then write every artifact.
+    """Resolve ``config``, run the stages of ``execute``, write every artifact.
 
-    ``resolved_config.json`` is written before the first stage, everything
-    else once evaluate has finished, so a failed stage leaves only that
-    file.  Raises PipelineError naming the failing stage ("write" for the
-    artifacts).
+    ``resolved_config.json`` is written before the first stage.  When train
+    returns, one encoder process (``jsonl.encoder``) starts on the tail of
+    the graph and ratings files' column blocks, cut at the middle of the
+    work left (``_work_after_train`` plus the blocks).  Predict and evaluate
+    run beside it; then every other artifact is written, and the graph and
+    ratings files last, each completed with the encoder's part.  A failed
+    stage kills the encoder and leaves only the resolved config.  Raises
+    PipelineError naming the failing stage ("write" for the artifacts).
     """
     config.validate()
     resolved = config.resolved()
     paths = _artifact_paths(Path(out_dir if out_dir is not None else resolved.out_dir))
     paths.out_dir.mkdir(parents=True, exist_ok=True)
     save_config(resolved, paths.resolved_config)
-    run = execute(resolved)
-    _stage("write", lambda: _write_artifacts(run, paths))
+    ds, graph, result = _fit(resolved)
+    shared = {paths.graph: graph_file(graph)[1], paths.ratings: ratings_file(result.ratings)[1]}
+    with contextlib.ExitStack() as stack:
+        work = _work_after_train(graph, result)
+        _stage("write", lambda: stack.enter_context(jsonl.encoder(shared, work)))
+        run = _score(resolved, ds, graph, result)
+        _stage("write", lambda: _write_artifacts(run, paths))
     return run.report, paths
 
 
@@ -367,20 +427,30 @@ class SweepRow:
 def run_sweep(spec: SweepSpec, base: RunConfig, out_dir) -> list[SweepRow]:
     """One pipeline run per (value, replicate) with derived seeds.
 
+    Values whose run directories would be the same (``full,full``, ``"a b"``
+    and ``ab``, ``0.1`` and ``0.10``) raise ConfigError before any run.
     Failures are recorded in ``sweep_errors.csv`` and the sweep continues.
     """
     spec.validate()
     out_root = Path(out_dir)
+    value_dirs = {}  # run directory name -> its value, in value order
+    for value in spec.values:
+        safe = str(value).replace("/", "_").replace(" ", "")
+        name = f"{spec.param.replace('.', '_')}={safe}"
+        if name in value_dirs:
+            raise ConfigError(
+                f"sweep values {value_dirs[name]!r} and {value!r} share the run directory {name}"
+            )
+        value_dirs[name] = value
     out_root.mkdir(parents=True, exist_ok=True)
     rows: list[SweepRow] = []
     failures: list[tuple] = []
     base_dict = config_to_dict(base)
-    for vi, value in enumerate(spec.values):
+    for vi, (name, value) in enumerate(value_dirs.items()):
         for rep in range(spec.replicates):
             run_dict = apply_override(dict(base_dict), spec.param, json.dumps(value))
             run_dict["seed"] = derive_seed(base.seed, vi, rep)
-            safe = str(value).replace("/", "_").replace(" ", "")
-            run_dir = out_root / f"{spec.param.replace('.', '_')}={safe}" / f"rep{rep}"
+            run_dir = out_root / name / f"rep{rep}"
             run_dict["out_dir"] = str(run_dir)
             try:
                 config = config_from_dict(run_dict)

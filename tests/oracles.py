@@ -196,6 +196,20 @@ def write_records_reference(path, header: dict, records) -> None:
             fh.write(json.dumps(record, separators=(",", ":")) + "\n")
 
 
+def save_predictions_reference(predictions, method: str, path) -> None:
+    """Predictions writer oracle: one ``json.dumps`` per record, the scores
+    keyed by class id as a string, by ascending class id."""
+    records = (
+        {
+            "instance_id": pred.instance_id,
+            "predicted_class": pred.predicted_class,
+            "scores": {str(c): float(s) for c, s in sorted(pred.scores.items())},
+        }
+        for pred in predictions
+    )
+    write_records_reference(path, {"method": method}, records)
+
+
 def graph_records(graph):
     """The graph file's records after its header, one dict per line."""
     offset = graph.num_instances

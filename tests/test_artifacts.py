@@ -621,6 +621,48 @@ def test_split_write_matches_serial_write(write_dir, parts, row_block):
     assert not [name for name in os.listdir(write_dir) if name.endswith(".tmp")]
 
 
+@settings(max_examples=100, deadline=None)
+@given(files=st.lists(_PARTS, min_size=1, max_size=3), row_block=st.integers(2, 4))
+def test_encoder_cut_at_any_block_boundary_matches_serial_writes(write_dir, files, row_block):
+    """Several files written in one ``encoder`` block, with its cut forced
+    before each block of their columns in turn (so also between files and
+    before the first) and past the last (no encoder), give each file the
+    bytes of a serial write."""
+    paths = [write_dir / f"set{k}.jsonl" for k in range(len(files))]
+    with mock.patch.object(jsonl, "ROW_BLOCK", row_block):
+        blocks = sum(
+            len(_encoded(p).block_costs()) for parts in files for p in parts if isinstance(p, dict)
+        )
+        with _without_fork():
+            for path, parts in zip(paths, files):
+                jsonl.write(path.with_suffix(".serial"), {"parts": len(parts)}, *map(_encoded, parts))
+        for cut in range(blocks + 1):
+            shared = {path: list(map(_encoded, parts)) for path, parts in zip(paths, files)}
+            with mock.patch.object(jsonl, "_cut", lambda costs, work: cut), mock.patch.object(
+                os, "fork", wraps=os.fork
+            ) as fork:
+                with jsonl.encoder(shared, work=1):
+                    for path, parts in zip(paths, files):
+                        jsonl.write(path, {"parts": len(parts)}, *map(_encoded, parts))
+            assert fork.call_count == (cut < blocks)
+            for path in paths:
+                assert path.read_bytes() == path.with_suffix(".serial").read_bytes(), cut
+    assert not [name for name in os.listdir(write_dir) if name.endswith(".tmp")]
+
+
+def test_a_file_outside_the_running_encoder_is_written_without_a_fork(tmp_path):
+    """Inside an ``encoder`` block a file it was not given is written by the
+    caller alone, without a fork of its own."""
+    table = {"i": np.arange(40)}
+    with mock.patch.object(jsonl, "ROW_BLOCK", 4):
+        with jsonl.encoder({tmp_path / "held.jsonl": [jsonl.Columns(table)]}):
+            with mock.patch.object(os, "fork") as fork:
+                jsonl.write(tmp_path / "other.jsonl", {}, jsonl.Columns(table))
+                jsonl.write(tmp_path / "held.jsonl", {}, jsonl.Columns(table))
+    fork.assert_not_called()
+    assert (tmp_path / "other.jsonl").read_bytes() == (tmp_path / "held.jsonl").read_bytes()
+
+
 _TABLE = {"i": np.arange(40), "x": np.linspace(0.0, 1.0, 40)}
 
 

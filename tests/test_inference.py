@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -25,6 +26,7 @@ from oracles import (
     pair_clustering_reference,
     pool_labels_reference,
     predictions_reference,
+    save_predictions_reference,
 )
 from test_data import make_dataset
 from test_model import make_graph
@@ -414,3 +416,45 @@ class TestPredictionsIO:
         method, loaded = load_predictions(path)
         assert method == "dbgae"
         assert loaded == preds
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        predictions=st.lists(
+            st.builds(
+                Prediction,
+                instance_id=st.integers(-(2**63), 2**63 - 1),
+                predicted_class=st.integers(-1, 2**40) | st.just(NULL_CLASS),
+                scores=st.dictionaries(
+                    st.integers(0, 2**40),
+                    st.floats()
+                    | st.sampled_from([5e-324, 1.5e-310, 1e16, 2.0, -0.0, 1e300 * 10]),
+                    max_size=4,
+                ),
+            ),
+            max_size=7,
+        ),
+        row_block=st.integers(1, 3),
+    )
+    def test_writer_matches_per_record_writer(self, write_dir, predictions, row_block):
+        """Empty scores, null predictions, ids near the int64 bounds, and
+        subnormal, integral, ``1e16`` and infinite scores, across row blocks."""
+        with mock.patch.object(jsonl, "ROW_BLOCK", row_block):
+            save_predictions(predictions, "m", write_dir / "columns.jsonl")
+        save_predictions_reference(predictions, "m", write_dir / "records.jsonl")
+        written = (write_dir / "columns.jsonl").read_bytes()
+        assert written == (write_dir / "records.jsonl").read_bytes()
+
+    def test_pipeline_files_match_per_record_writer(self, tmp_path):
+        ds = generate_synthetic(replace(benchmark_generator_config(3), num_groups=40))
+        graph = build_dual_graph(ds)
+        predictions = baseline_pair_clustering(graph) + baseline_cluster_voting(graph)
+        assert any(p.predicted_class == NULL_CLASS for p in predictions)
+        save_predictions(predictions, "both", tmp_path / "columns.jsonl")
+        save_predictions_reference(predictions, "both", tmp_path / "records.jsonl")
+        written = (tmp_path / "columns.jsonl").read_bytes()
+        assert written == (tmp_path / "records.jsonl").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def write_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("predictions")

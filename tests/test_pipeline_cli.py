@@ -1,5 +1,8 @@
 import json
+import os
 import runpy
+import signal
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -7,9 +10,10 @@ import numpy as np
 import pytest
 
 from dbgae import graph as graph_module
+from dbgae import jsonl
 from dbgae.cli import main
 from dbgae.data import datasets_equal, generate_synthetic, load_dataset
-from dbgae.errors import ConfigError, PipelineError, TrainingError
+from dbgae.errors import ConfigError, PipelineError, SchemaError, TrainingError
 from dbgae.graph import build_dual_graph, graphs_equal, load_graph
 from dbgae.model import VARIANTS, load_ratings, quantize_levels, ratings_equal
 from dbgae.pipeline import (
@@ -23,6 +27,7 @@ from dbgae.pipeline import (
     run_pipeline,
     run_sweep,
 )
+from test_artifacts import _without_fork
 
 SMALL_OVERRIDES = {
     "generator": {
@@ -228,6 +233,59 @@ class TestPipeline:
             with pytest.raises(PipelineError, match="stage 'train': no supervision"):
                 run_pipeline(small_config(), out_dir=tmp_path / "run")
         assert [p.name for p in (tmp_path / "run").iterdir()] == ["resolved_config.json"]
+
+    @pytest.mark.parametrize("row_block", [4, jsonl.ROW_BLOCK])
+    def test_one_encoder_process_per_run_writes_the_serial_bytes(self, tmp_path, row_block):
+        """Blocks of 4 rows put the cut inside the graph or ratings file."""
+        config = small_config()
+        with mock.patch.object(jsonl, "ROW_BLOCK", row_block):
+            with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+                _, paths = run_pipeline(config, out_dir=tmp_path / "forked")
+            with _without_fork():
+                run_pipeline(config, out_dir=tmp_path / "serial")
+        assert fork.call_count == 1
+        names = sorted(p.name for p in paths.out_dir.iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "serial").iterdir())
+        for name in set(names) - {"resolved_config.json"}:
+            assert (paths.out_dir / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+    def test_failed_predict_kills_the_running_encoder(self, tmp_path):
+        parent, floats = os.getpid(), jsonl._ENCODERS["f"]
+
+        def slow_floats(values):
+            if os.getpid() != parent:
+                time.sleep(60)  # the encoder outlives the test unless killed
+            return floats(values)
+
+        failing = mock.Mock(side_effect=SchemaError("no scores"))
+        start = time.monotonic()
+        with mock.patch.dict(jsonl._ENCODERS, f=slow_floats), mock.patch(
+            "dbgae.pipeline.pool_labels", failing
+        ), mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            with pytest.raises(PipelineError, match="stage 'predict': no scores"):
+                run_pipeline(small_config(), out_dir=tmp_path / "run")
+        assert fork.call_count == 1
+        assert time.monotonic() - start < 30
+        assert os.listdir(tmp_path / "run") == ["resolved_config.json"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_encoder_that_dies_fails_the_write_naming_its_file(self, tmp_path):
+        parent, write_parts = os.getpid(), jsonl._write_parts
+
+        def dying(fh, parts):
+            if os.getpid() != parent and ".ratings.jsonl." in fh.name:
+                os.kill(os.getpid(), signal.SIGKILL)
+            write_parts(fh, parts)
+
+        with mock.patch.object(jsonl, "_write_parts", dying):
+            with pytest.raises(PipelineError) as info:
+                run_pipeline(small_config(), out_dir=tmp_path / "run")
+        ratings = tmp_path / "run" / "ratings.jsonl"
+        assert info.value.stage == "write"
+        assert f"{ratings}: the encoder process exited with status -9" in str(info.value)
+        assert not ratings.exists()
+        assert not [p for p in (tmp_path / "run").iterdir() if p.name.endswith(".tmp")]
 
     def test_one_link_tuple_clustering_per_run(self, tmp_path):
         dbscan = mock.Mock(wraps=graph_module.dbscan)
@@ -491,6 +549,28 @@ class TestCli:
             main(argv)
         assert info.value.code == 2
         assert "--values has an empty item" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "param, values, first, second",
+        [
+            ("model.variant", "full,full", "'full'", "'full'"),
+            ("model.variant", '"a b",ab', "'a b'", "'ab'"),
+            ("generator.null_rate", "0.1,0.10", "0.1", "0.1"),
+        ],
+        ids=["repeated", "space-dropped", "same-float"],
+    )
+    def test_sweep_rejects_values_sharing_a_run_directory(
+        self, tmp_path, capsys, param, values, first, second
+    ):
+        from dbgae.pipeline import save_config
+
+        save_config(small_config(), tmp_path / "config.json")
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--config", str(tmp_path / "config.json"), "--param", param]
+        assert main(argv + ["--values", values, "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"sweep values {first} and {second} share the run directory" in err
         assert not out.exists()
 
 
