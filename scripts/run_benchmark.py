@@ -3,7 +3,8 @@
 
 Each run is ``dbgae.benchmark.run_benchmark_seed``, the run the acceptance
 suite checks.  Writes one ``variant,seed,method,accuracy,f1`` CSV row per
-run and method, plus a ``mean`` row per variant and method.
+run and method, plus a ``mean`` row per variant and method; stdout also
+gives each run's wall seconds.
 ``--variants full,no_cross,no_attention,no_dual`` gives the ablation table.
 """
 
@@ -39,11 +40,13 @@ def main(argv=None) -> int:
     t0 = time.time()
     for variant in variants:
         for seed in seeds:
+            start = time.perf_counter()
             run = run_benchmark_seed(seed, variant=variant, cross_rate=args.cross_rate)
+            wall = time.perf_counter() - start
             methods = run.report.methods
             rows.extend((variant, seed, m.method, m.accuracy, m.macro_f1) for m in methods)
             print(
-                f"{variant} seed {seed}: mean ambiguity "
+                f"{variant} seed {seed} ({wall:.1f}s): mean ambiguity "
                 f"{dataset_stats(run.dataset).mean_ambiguity:.3f}, "
                 + ", ".join(f"{m.method} {m.accuracy:.3f}/{m.macro_f1:.3f}" for m in methods)
             )

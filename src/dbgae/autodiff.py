@@ -8,9 +8,8 @@ topological order and accumulates gradients additively across fan-out.
 drops its gradient, closure and inputs, so the record is freed as the walk
 goes and only the leaves keep gradients.
 
-``propagate`` applies a path's coefficients through a kernel of
-``kernels``; the helper thread that shares a kernel's row chunks lives in
-``runtime``.
+``propagate`` aggregates a path's constant node features with a kernel of
+``kernels``, and ``side_matmul`` transforms the result.
 """
 
 from __future__ import annotations
@@ -328,48 +327,57 @@ def gather_rows(a: Tensor, idx) -> Tensor:
 
 
 def propagate(
-    t: Tensor, coef: Tensor, path: DenseBlockPath | SparsePath, weight: np.ndarray | None = None
+    coef: Tensor, path: DenseBlockPath | SparsePath, weight: np.ndarray | None = None
 ) -> Tensor:
-    """Fused message passing: ``out[d] = sum over edges e with dst_e = d of
-    coef_e * weight_e * t[src_e]``, where ``weight`` is a constant
-    (edges, 1) column, or 1 when None.
+    """Fused message passing of the path's constant node features ``X``:
+    ``out[d] = sum over edges e with dst_e = d of coef_e * weight_e *
+    X[src_e]``, ``A·X`` at the features' width ``d + C`` (see ``kernels``),
+    where ``weight`` is a constant (edges, 1) column, or 1 when None.
 
-    One tape node per call, holding only ``coef``, ``weight`` and ``t``'s
-    values: no per-edge row of width ``t.cols``, no coefficient block and
-    not the product ``coef * weight``, which forward and backward each form
-    with the same multiply.  Backward applies the transposed operator,
-    rebuilt from the coefficients by the same ``np.bincount`` (so the same
-    floats; gradient checkpointing of one op), for ``t`` (g-SpMM) and takes
-    the per-edge row dot ``<g[dst_e], t[src_e]>``, times ``weight_e``, for
-    ``coef`` (g-SDDMM).
-    """
-    if t.rows != path.num_nodes:
-        raise DimensionError(f"propagate: {t.rows} rows for a path over {path.num_nodes} nodes")
+    One tape node per call, holding only ``coef`` and ``weight``: no
+    per-edge row and no coefficient block.  ``X`` is constant, so backward
+    gives only the coefficients' gradient, the per-edge ``<g[dst_e],
+    X[src_e]>`` (g-SDDMM), times ``weight_e``."""
     if coef.shape != (len(path), 1):
         raise DimensionError(f"propagate: coefficients {coef.shape} for {len(path)} edges")
     if weight is not None and weight.shape != (len(path), 1):
         raise DimensionError(f"propagate: weights {weight.shape} for {len(path)} edges")
-    tv = t.value
+    coefficients = coef.value[:, 0] if weight is None else coef.value[:, 0] * weight[:, 0]
 
-    def coefficients():
-        return coef.value[:, 0] if weight is None else coef.value[:, 0] * weight[:, 0]
-
-    def coef_grad(g):
-        g_coef = path.edge_dot(g, tv)
+    def bwd(g):
+        g_coef = path.coef_grad(g)
         if weight is not None:
             g_coef *= weight[:, 0]
         _accum(coef, g_coef.reshape(-1, 1))
 
-    def bwd(g):
-        if not t.requires_grad:
-            coef_grad(g)
-            return
-        # The coefficients' gradient is taken on this thread while the helper,
-        # if one runs, starts on the transposed product's row chunks.
-        meanwhile = (lambda: coef_grad(g)) if coef.requires_grad else None
-        _accum(t, path.apply_transpose(coefficients(), g, meanwhile))
+    return _result(path.messages(coefficients), (coef,), bwd, "propagate")
 
-    return _result(path.apply(coefficients(), tv), (t, coef), bwd, "propagate")
+
+def side_matmul(a: Tensor, b: Tensor, rows: int, cols: int) -> Tensor:
+    """``a @ b`` for an ``a`` that is zero in columns ``[:cols]`` of its
+    first ``rows`` rows and in columns ``[cols:]`` of the others, as
+    ``propagate``'s output is (instances, then features): no zero block is
+    multiplied, forward or backward."""
+    if a.cols != b.rows or not (0 <= rows <= a.rows and 0 <= cols <= a.cols):
+        raise DimensionError(f"side_matmul: {a.shape} x {b.shape} split at ({rows}, {cols})")
+    av, bv = a.value, b.value
+    out = np.empty((a.rows, b.cols))
+    np.matmul(av[:rows, cols:], bv[cols:], out=out[:rows])
+    np.matmul(av[rows:, :cols], bv[:cols], out=out[rows:])
+
+    def bwd(g):
+        if a.requires_grad:
+            g_a = np.zeros(a.shape)
+            np.matmul(g[:rows], bv[cols:].T, out=g_a[:rows, cols:])
+            np.matmul(g[rows:], bv[:cols].T, out=g_a[rows:, :cols])
+            _accum(a, g_a)
+        if b.requires_grad:
+            g_b = np.empty(b.shape)
+            np.matmul(av[rows:, :cols].T, g[rows:], out=g_b[:cols])
+            np.matmul(av[:rows, cols:].T, g[:rows], out=g_b[cols:])
+            _accum(b, g_b)
+
+    return _result(out, (a, b), bwd, "side_matmul")
 
 
 def row_sum(a: Tensor) -> Tensor:

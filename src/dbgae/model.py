@@ -7,34 +7,29 @@ attention normalized per node per path; per-path sums are averaged over
 heads, passed through ReLU, concatenated with a transformed raw-feature
 block and projected to the embedding width.
 
-Message passing is one fused ``autodiff.propagate`` per path and head: it
-sums coefficient-weighted rows of the transformed features into each node,
-and its backward gives the gradients of the features and of the per-edge
-coefficients, so no per-edge message rows are materialized on the tape.
-Every path is bipartite (instance <-> label), and ``prepare_graph`` picks
-one of two kernels per path from its density, the share of instance-label
-pairs that are linked: at ``DENSE_BLOCK_MIN_DENSITY`` or above, dense
-n x m coefficient blocks and BLAS matmuls (``DenseBlockPath``); below it,
-flattened ``np.bincount`` over the edge list (``SparsePath``).  Both are
-built from the path's target index alone.  The choice depends only on the
-graph, so runs stay reproducible.  The tape never holds the dense blocks:
-``propagate`` keeps the per-edge coefficients and its backward rebuilds the
-blocks from them.  Every dense block is built and applied in row chunks
-(``kernels.row_chunks``); a block of at most two
-``kernels.DENSE_CHUNK_BYTES`` is one chunk.  ``train`` runs each epoch in
-its own call and ``autodiff.backward`` consumes the tape, so one epoch's
-tape is freed before the next one is built.  The epochs run inside
+Message passing aggregates before it transforms, ``(A·X)·W`` for
+``A·(X·W)``: per path and head, one fused ``autodiff.propagate`` sums
+coefficient-weighted rows of the constant node features into each node at
+the feature width ``d + C``, whatever ``gcn_hidden`` is, and
+``autodiff.side_matmul`` multiplies each side by its rows of the head's W;
+no per-edge row is put on the tape.  Without attention, ``prepare_graph``
+takes each path's ``A·X`` once for every head and epoch.  It picks one of
+two kernels per path from the share of instance-label pairs linked: at
+``DENSE_BLOCK_MIN_DENSITY`` or above, the dense label x instance block in
+row chunks (``DenseBlockPath``); below it, flattened ``np.bincount`` over
+the edge list (``SparsePath``).  The choice depends only on the graph, so
+runs stay reproducible.  ``train`` runs each epoch in its own call and
+``autodiff.backward`` consumes the tape, so one epoch's tape is freed
+before the next one is built; the epochs run inside
 ``runtime.keep_freed_memory``, so glibc keeps that freed memory for the
 next epoch instead of returning it to the kernel.
 
-On a graph with a block of more than one chunk and a second core
-(``kernels.helper_pays``), ``train`` runs one helper thread
-(``runtime.helper_thread``): it takes its share of the blocks' row chunks,
+On a graph with a block of more than one chunk, a second core and BLAS on
+one thread (``kernels.helper_pays``), ``train`` runs one helper thread
+(``runtime.helper_thread``): it takes its share of the block's row chunks,
 and each epoch it streams the decode behind the normalization diagnostics
 (``decode_diagnostics``) while the main thread takes the loss and runs
-``backward``.  The helper assumes BLAS runs one thread
-(``OPENBLAS_NUM_THREADS=1``); BLAS threads of its own would compete with it
-for the cores.
+``backward``.
 
 Decoder: bilinear score per discrete likelihood level, softmax across
 levels; the refined link weight is the expectation over levels.  Training
@@ -184,10 +179,13 @@ def _check_checkpoint(params: ModelParams, config: ModelConfig, graph: DualBipar
         got = getattr(params, key)
         if got != want:
             raise TrainingError(f"checkpoint {key} {got} does not match {want}")
-    for name, shape in _param_shapes(config, graph.feature_dim, graph.num_classes).items():
+    shapes = _param_shapes(config, graph.feature_dim, graph.num_classes)
+    for name, shape in shapes.items():
         got = params.tensors[name].shape if name in params.tensors else "missing"
         if got != shape:
             raise TrainingError(f"checkpoint tensor '{name}' is {got}, expected shape {shape}")
+    for name in params.tensors.keys() - shapes.keys():
+        raise TrainingError(f"checkpoint tensor '{name}' is not a tensor of this model")
 
 
 def quantize_levels(weights: np.ndarray, levels) -> np.ndarray:
@@ -204,16 +202,17 @@ def quantize_levels(weights: np.ndarray, levels) -> np.ndarray:
 
 # Kernel choice per path, from its density: directed edges / (2 * n * m), the
 # share of instance-label pairs that are linked.  The dense-block kernel costs
-# O(n * m * width) whatever the edge count, the sparse kernel O(edges * width)
-# with a larger constant per edge.  Forward plus backward per path and head,
-# width 32, one BLAS thread, on the benchmark seed-0 graphs (2-core Xeon VM):
-#   200 groups, within 0.56%: sparse 0.30 ms, dense 1.13 ms
-#   200 groups, cross  7.6%:  sparse 6.6 ms,  dense 1.1 ms
-#   800 groups, within 0.14%: sparse 1.7 ms,  dense 19.6 ms
-#   800 groups, cross  6.3%:  sparse 169 ms,  dense 24 ms
-# Scaling the sparse time linearly in density puts the crossover between
-# 0.9% and 2.1%; the threshold sits in that range.
-DENSE_BLOCK_MIN_DENSITY = 0.015
+# O(n * m * d) whatever the edge count, the sparse kernel O(edges * d) with a
+# larger constant per edge.  Forward plus backward (``messages`` and
+# ``coef_grad``) per path and head, 32 features, one BLAS thread, on the
+# benchmark seed-0 graphs (2-core Xeon VM):
+#   200 groups, within 0.56%: sparse 0.06 ms, dense 0.19 ms
+#   200 groups, cross  7.6%:  sparse 0.82 ms, dense 0.23 ms
+#   800 groups, within 0.14%: sparse 0.26 ms, dense 3.6 ms
+#   800 groups, cross  6.3%:  sparse 11.1 ms, dense 5.3 ms
+# Fitting each kernel's time linearly in density puts the crossover at 1.8%
+# (200 groups) to 2.5% (800 groups); the threshold sits in that range.
+DENSE_BLOCK_MIN_DENSITY = 0.02
 
 
 @dataclass
@@ -232,14 +231,16 @@ class _Path:
     src: ad.MirroredRowIndex
     weight: Tensor  # (E2, 1) constant per directed edge
     edges: kernels.DenseBlockPath | kernels.SparsePath  # propagation kernel
+    weighted: Tensor | None = None  # A·X at the link weights: no_attention's messages
 
 
 def _propagation_kernel(
-    dst: RowIndex, n: int, m: int
+    dst: RowIndex, graph: DualBipartiteGraph
 ) -> kernels.DenseBlockPath | kernels.SparsePath:
-    if n * m > 0 and len(dst) >= DENSE_BLOCK_MIN_DENSITY * 2 * n * m:
-        return kernels.DenseBlockPath(dst, n, m)
-    return kernels.SparsePath(dst, n, m)
+    n, m = graph.num_instances, graph.num_label_nodes
+    dense = n * m > 0 and len(dst) >= DENSE_BLOCK_MIN_DENSITY * 2 * n * m
+    kernel = kernels.DenseBlockPath if dense else kernels.SparsePath
+    return kernel(dst, graph.instance_features, graph.label_class, graph.num_classes)
 
 
 @dataclass
@@ -272,16 +273,16 @@ class PreparedGraph:
 
 
 def _directed(
-    inst: np.ndarray, lab: np.ndarray, weight: np.ndarray, n: int, m: int, name: str
+    inst: np.ndarray, lab: np.ndarray, weight: np.ndarray, graph: DualBipartiteGraph, name: str
 ) -> _Path:
-    dst = RowIndex(np.concatenate([inst, lab + n]))
+    dst = RowIndex(np.concatenate([inst, lab + graph.num_instances]))
     w = np.concatenate([weight, weight]).reshape(-1, 1)
     return _Path(
         name=name,
         dst=dst,
         src=ad.MirroredRowIndex(dst),
         weight=ad.constant(w),
-        edges=_propagation_kernel(dst, n, m),
+        edges=_propagation_kernel(dst, graph),
     )
 
 
@@ -305,9 +306,12 @@ def prepare_graph(graph: DualBipartiteGraph, config: ModelConfig) -> PreparedGra
     include_cross = config.variant not in ("no_cross", "no_dual")
     x, keep = graph.cross, slice(None) if include_cross else slice(0)
     paths = {
-        "within": _directed(w.inst, w.lab, within_weight, n, m, "within"),
-        "cross": _directed(x.inst[keep], x.lab[keep], x.weight[keep], n, m, "cross"),
+        "within": _directed(w.inst, w.lab, within_weight, graph, "within"),
+        "cross": _directed(x.inst[keep], x.lab[keep], x.weight[keep], graph, "cross"),
     }
+    if config.variant == "no_attention":
+        for path in paths.values():
+            path.weighted = ad.propagate(path.weight, path.edges)
 
     return PreparedGraph(
         node_feats=ad.constant(feats),
@@ -350,9 +354,10 @@ def propagation_messages(
     prep: PreparedGraph, params: ModelParams, config: ModelConfig, head: int
 ) -> dict[str, Tensor]:
     """Per-node message sums of one head, for each path with edges: row d is
-    the sum over d's in-edges of (alpha_ij *) w_ij * W feat_src, with one
-    transform W shared by the paths and one fused ``ad.propagate`` per path."""
-    T = ad.matmul(prep.node_feats, params[f"W.{head}"])
+    the sum over d's in-edges of (alpha_ij *) w_ij * W feat_src, taken as
+    ``ad.propagate``'s ``A·X`` (without attention, the path's ``weighted``)
+    times the head's W, shared by the paths (``ad.side_matmul``)."""
+    W = params[f"W.{head}"]
     attend = config.variant != "no_attention"
     alphas = attention_coefficients(prep, params, head) if attend else None
     sums = {}
@@ -360,9 +365,10 @@ def propagation_messages(
         if len(path.dst) == 0:
             continue
         if alphas is None:
-            sums[name] = ad.propagate(T, path.weight, path.edges)
+            messages = path.weighted
         else:
-            sums[name] = ad.propagate(T, alphas[name], path.edges, weight=path.weight.value)
+            messages = ad.propagate(alphas[name], path.edges, weight=path.weight.value)
+        sums[name] = ad.side_matmul(messages, W, prep.num_instances, prep.x.cols)
     return sums
 
 

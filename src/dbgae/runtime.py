@@ -2,7 +2,8 @@
 
 ``helper_thread`` runs one thread beside the caller's, and ``share`` hands
 it pieces of work (``kernels.DenseBlockPath``'s row chunks, and
-``model.train``'s per-epoch diagnostic decode).  ``keep_freed_memory``
+``model.train``'s per-epoch diagnostic decode); ``blas_threads`` says
+whether BLAS already runs threads of its own.  ``keep_freed_memory``
 keeps the memory one epoch frees in the process for the next.
 """
 
@@ -44,6 +45,23 @@ def usable_cores() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def blas_threads() -> int:
+    """The loaded OpenBLAS's thread count, from its ``openblas_get_num_threads``
+    export (numpy's wheels rename it) through ctypes; 1 if none is found."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
+        for path in paths:
+            for name in ("openblas_get_num_threads", "scipy_openblas_get_num_threads64_"):
+                get = getattr(ctypes.CDLL(path), name, None)
+                if get is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    return max(1, get())
+    except OSError:  # no /proc (not Linux), or a mapped file that is gone
+        pass
+    return 1
 
 
 @contextmanager

@@ -6,11 +6,14 @@ weights via literal contradictory-link enumeration, message passing via a
 per-edge loop.  The per-record JSON writer, the cross-link double loop,
 the per-rating pooling loop, the per-link count loop, the per-link
 pair-clustering score loop, the per-instance prediction and vote loops, the
-per-pair metric counts and the whole-block dense product are the
+per-pair metric counts and the whole-block dense products are the
 library's earlier implementations, kept as the references its
-whole-column and row-chunk versions must match exactly; so are the LeakyReLU and segment-softmax ops of the attention chain that the
-fused ``edge_attention`` replaced.  The gradient checker, with the kink
-recorder it needs, serves the tests only and lives here too.
+whole-column and row-chunk versions must match exactly; so are the
+LeakyReLU and segment-softmax ops of the attention chain that the fused
+``edge_attention`` replaced.  The hidden-width message passing, which
+transformed the features before it propagated them, is the reference the
+feature-width ``propagate`` must match to rounding.  The gradient checker,
+with the kink recorder it needs, serves the tests only and lives here too.
 """
 
 from __future__ import annotations
@@ -159,13 +162,11 @@ def propagate_reference(
 
 
 def dense_blocks_reference(coef, x, src, dst, n: int, m: int, transpose=False) -> np.ndarray:
-    """``DenseBlockPath``'s product with whole blocks: the left<-right
-    (n x m) and right<-left (m x n) coefficient blocks, each one
-    ``np.bincount`` over its edges in list order, applied to ``x`` with one
-    matmul each; with ``transpose``, their transposes.
-
-    The chunked kernel must give these floats: a chunk holds its rows of the
-    block, and a whole side is one chunk."""
+    """A path's propagation with whole blocks, as the hidden-width dense
+    kernel took it: the instance<-label (n x m) and label<-instance (m x n)
+    coefficient blocks, each one ``np.bincount`` over its edges in list
+    order, applied to the rows ``x`` with one matmul each; with
+    ``transpose``, their transposes."""
     into_left = dst < n
     left = np.bincount(
         dst[into_left] * m + (src[into_left] - n), weights=coef[into_left], minlength=n * m
@@ -176,6 +177,39 @@ def dense_blocks_reference(coef, x, src, dst, n: int, m: int, transpose=False) -
     if transpose:
         return np.concatenate([right.T @ x[n:], left.T @ x[:n]])
     return np.concatenate([left @ x[n:], right @ x[:n]])
+
+
+def hidden_width_reference(feats, W, coef, src, dst, n: int, m: int, g):
+    """Message passing as the encoder took it before it aggregated the
+    features first: transform every node's features, ``T = feats @ W``, then
+    propagate ``T`` at the hidden width with whole dense blocks
+    (``dense_blocks_reference``), ``A·(X·W)``.
+
+    For an upstream gradient ``g`` of the output, the coefficients' gradient
+    is the per-edge row dot ``<g[dst_e], T[src_e]>`` and ``W``'s gradient
+    ``feats.T @ (A^T g)``.  Returns (output, coefficients' gradient, W's
+    gradient)."""
+    T = feats @ W
+    out = dense_blocks_reference(coef, T, src, dst, n, m)
+    grad_coef = np.einsum("ek,ek->e", g[dst], T[src])
+    grad_W = feats.T @ dense_blocks_reference(coef, g, src, dst, n, m, transpose=True)
+    return out, grad_coef, grad_W
+
+
+def label_block_reference(coef, x, inst, lab, m: int, g=None) -> np.ndarray:
+    """``DenseBlockPath``'s label side with the whole block: the label x
+    instance block ``R`` (m x n), one ``np.bincount`` over the edges into
+    labels in list order, applied to ``x`` with one matmul (``R·x``); with
+    ``g`` (m x d), the edge dots ``<g[lab_e], x[inst_e]>`` read from the
+    whole product ``x @ g.T``.
+
+    The chunked kernel must give these floats: a chunk holds its rows of the
+    block and of ``R·x`` and its columns of the edge-dot product, and all
+    rows are one chunk."""
+    n = len(x)
+    if g is not None:
+        return (x @ g.T).ravel()[inst * m + lab]
+    return np.bincount(lab * n + inst, weights=coef, minlength=m * n).reshape(m, n) @ x
 
 
 def decode_probs_reference(U, V, Q, src, dst) -> np.ndarray:

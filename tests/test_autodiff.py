@@ -13,8 +13,9 @@ from dbgae import kernels, runtime
 from dbgae.errors import AutodiffError, DimensionError
 from oracles import (
     attention_chain,
-    dense_blocks_reference,
     grad_check,
+    hidden_width_reference,
+    label_block_reference,
     leaky_relu,
     propagate_reference,
     segment_softmax,
@@ -73,11 +74,11 @@ class TestForwardBasics:
             ad.matmul(ad.constant(np.zeros((2, 3))), ad.constant(np.zeros((2, 3))))
         with pytest.raises(DimensionError, match="add"):
             ad.add(ad.constant(np.zeros((2, 3))), ad.constant(np.zeros((2, 2))))
-        path = kernels.DenseBlockPath(ad.RowIndex([0, 1]), 1, 1)
+        path = kernels.DenseBlockPath(ad.RowIndex([0, 1]), np.ones((1, 2)), np.array([0]), 1)
         with pytest.raises(DimensionError, match="propagate"):
-            ad.propagate(ad.constant(np.ones((3, 2))), ad.constant([[1.0], [1.0]]), path)
-        with pytest.raises(DimensionError, match="propagate"):
-            ad.propagate(ad.constant(np.ones((2, 2))), ad.constant([[1.0, 2.0]]), path)
+            ad.propagate(ad.constant([[1.0, 2.0]]), path)
+        with pytest.raises(DimensionError, match="side_matmul"):
+            ad.side_matmul(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 2))), 1, 2)
 
 
 class TestBackwardBasics:
@@ -392,73 +393,150 @@ def bipartite_paths(draw):
     return n, m, np.array(src, dtype=int), np.array(dst, dtype=int)
 
 
+def node_inputs(n, m, d, num_classes, seed):
+    """Instance features (n x d) and label classes (m) of a path's nodes,
+    and the node table ``[x | 0]`` over ``[0 | onehot]`` they stand for."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d))
+    classes = rng.integers(0, num_classes, size=m)
+    feats = np.zeros((n + m, d + num_classes))
+    feats[:n, :d] = x
+    feats[n + np.arange(m), d + classes] = 1.0
+    return x, classes, feats
+
+
+def close(actual, expected, rel=1e-12):
+    """Whether ``actual`` is within ``rel`` of ``expected``, relative to
+    ``expected``'s largest magnitude (its entries may cancel to zero)."""
+    if expected.size == 0:
+        return actual.shape == expected.shape
+    return np.abs(actual - expected).max() <= rel * max(np.abs(expected).max(), 1e-300)
+
+
 class TestPropagate:
     @settings(max_examples=150, deadline=None)
-    @given(path=mirrored_lists(), width=st.integers(1, 4), seed=st.integers(0, 10_000))
+    @given(
+        path=mirrored_lists(),
+        d=st.integers(1, 4),
+        num_classes=st.integers(1, 3),
+        seed=st.integers(0, 10_000),
+    )
     @pytest.mark.parametrize("kernel", KERNELS)
-    def test_kernels_match_per_edge_oracle(self, kernel, path, width, seed):
+    def test_kernels_match_per_edge_oracle(self, kernel, path, d, num_classes, seed):
         n, m, dst = path
         src = swap_halves(dst)
-        rng = np.random.default_rng(seed)
-        t = rng.standard_normal((n + m, width))
-        g = rng.standard_normal((n + m, width))
+        x, classes, feats = node_inputs(n, m, d, num_classes, seed)
+        rng = np.random.default_rng(seed + 1)
+        g = rng.standard_normal(feats.shape)
         coef = rng.standard_normal(len(src))
-        out_ref, grad_t_ref, grad_coef_ref = propagate_reference(t, coef, src, dst, g)
-        p = kernel(ad.RowIndex(dst), n, m)
-        np.testing.assert_allclose(p.apply(coef, t), out_ref, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(p.apply_transpose(coef, g), grad_t_ref, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(p.edge_dot(g, t), grad_coef_ref, rtol=0, atol=1e-12)
+        out_ref, _, grad_coef_ref = propagate_reference(feats, coef, src, dst, g)
+        p = kernel(ad.RowIndex(dst), x, classes, num_classes)
+        np.testing.assert_allclose(p.messages(coef), out_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(p.coef_grad(g), grad_coef_ref, rtol=0, atol=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 14),
+        m=st.integers(1, 14),
+        data=st.data(),
+        d=st.integers(1, 4),
+        num_classes=st.integers(1, 3),  # few classes: labels repeat them
+        width=st.integers(1, 5),
+        chunk=st.one_of(st.none(), st.integers(8, 400)),
+        seed=st.integers(0, 10_000),
+    )
+    @example(n=3, m=2, data=[], d=2, num_classes=1, width=3, chunk=None, seed=0)
+    @example(n=1, m=2, data=[(0, 1)], d=2, num_classes=2, width=3, chunk=8, seed=1)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_matches_the_hidden_width_reference(
+        self, kernel, n, m, data, d, num_classes, width, chunk, seed
+    ):
+        # The feature-width op and the transform after it against A·(X·W) at
+        # the hidden width: output, and the gradients of the coefficients and
+        # of W.  The examples give their pairs as ``data``: none, or one.
+        if isinstance(data, list):
+            pairs = data
+        else:
+            pairs = data.draw(
+                st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)), max_size=40)
+            )
+        inst = np.array([i for i, _ in pairs], dtype=int)
+        lab = np.array([j for _, j in pairs], dtype=int)
+        dst = np.concatenate([inst, lab + n])
+        src = swap_halves(dst)
+        x, classes, feats = node_inputs(n, m, d, num_classes, seed)
+        rng = np.random.default_rng(seed + 1)
+        W = rng.standard_normal((d + num_classes, width))
+        coef, weight = rng.random((len(dst), 1)), rng.random((len(dst), 1))
+        g = rng.standard_normal((n + m, width))
+        ref_out, ref_coef, ref_W = hidden_width_reference(
+            feats, W, (coef * weight)[:, 0], src, dst, n, m, g
+        )
+        with chunk_bytes(chunk or kernels.DENSE_CHUNK_BYTES):
+            p = kernel(ad.RowIndex(dst), x, classes, num_classes)
+            W_t, alpha = ad.parameter(W), ad.parameter(coef)
+            out = ad.side_matmul(ad.propagate(alpha, p, weight=weight), W_t, n, d)
+            ad.backward(ad.mean_all(ad.mul(out, ad.constant(g * g.size))))
+        assert close(out.value, ref_out)
+        assert close(ad.grad_or_zeros(alpha)[:, 0], ref_coef * weight[:, 0])
+        assert close(W_t.grad, ref_W)
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_grad_check(self, kernel):
-        rng = np.random.default_rng(8)
-        n, m = 3, 4
+        n, m, d = 3, 4, 3
         inst = np.array([0, 0, 1, 2, 2, 2])
         lab = np.array([0, 3, 1, 1, 2, 2])  # (2, 2) twice
-        p = kernel(path_index(n, inst, lab), n, m)
-        T = ad.parameter(rng.standard_normal((n + m, 5)))
+        x, classes, _ = node_inputs(n, m, d, 2, seed=7)
+        rng = np.random.default_rng(8)
+        p = kernel(path_index(n, inst, lab), x, classes, 2)
+        W = ad.parameter(rng.standard_normal((d + 2, 5)))
         coef = ad.parameter(rng.standard_normal((len(p), 1)))
         weights = ad.constant(rng.standard_normal((n + m, 5)))
 
         def loss():
-            return ad.mean_all(ad.mul(ad.propagate(T, coef, p), weights))
+            return ad.mean_all(ad.mul(ad.side_matmul(ad.propagate(coef, p), W, n, d), weights))
 
-        report = grad_check(loss, {"T": T, "coef": coef}, samples_per_param=64)
+        report = grad_check(loss, {"W": W, "coef": coef}, samples_per_param=64)
         assert report.max_rel_error <= 1e-4
-        assert all(e.checked == min(64, size) for e, size in zip(report.entries, (35, 12)))
+        assert all(e.checked == min(64, size) for e, size in zip(report.entries, (25, 12)))
 
     def test_constant_coefficients_get_no_gradient(self):
-        p = kernels.SparsePath(ad.RowIndex([0, 1]), 1, 1)
-        T = ad.parameter(np.ones((2, 3)))
+        # One pair: its edge into the instance carries the label's one-hot
+        # (class 0 of 1) at coefficient 2, its edge into the label x at 0.
+        p = kernels.SparsePath(ad.RowIndex([0, 1]), np.array([[1.0, -1.0]]), np.array([0]), 1)
+        W = ad.parameter(np.ones((3, 3)))
         coef = ad.constant([[2.0], [0.0]])
-        ad.backward(ad.mean_all(ad.propagate(T, coef, p)))
+        ad.backward(ad.mean_all(ad.side_matmul(ad.propagate(coef, p), W, 1, 2)))
         assert coef.grad is None
-        np.testing.assert_allclose(T.grad, [[0.0] * 3, [2.0 / 6] * 3])
+        np.testing.assert_allclose(W.grad, [[0.0] * 3, [0.0] * 3, [2.0 / 6] * 3])
 
     def test_dense_kernel_holds_one_block_at_a_time(self):
         rng = np.random.default_rng(9)
-        n, m, width = 200, 150, 4
+        n, m, d = 200, 150, 4
         pairs = rng.choice(n * m, size=n * m // 10, replace=False)
         inst, lab = pairs // m, pairs % m
-        p = kernels.DenseBlockPath(path_index(n, inst, lab), n, m)
+        x, classes, feats = node_inputs(n, m, d, 3, seed=9)
+        p = kernels.DenseBlockPath(path_index(n, inst, lab), x, classes, 3)
         coef = rng.standard_normal(len(p))
-        t = rng.standard_normal((n + m, width))
-        # One coefficient block, the output rows, and the block's share of
-        # the coefficients gathered for its np.bincount.
-        bound = n * m * 8 + (n + m) * width * 8 + len(p) * 8
-        for apply in (p.apply, p.apply_transpose):
+        g = rng.standard_normal(feats.shape)
+        # One block, or its edge-dot product; the output, the node table's
+        # rows or a coefficient per edge; the edges into labels' flat
+        # positions and their share, gathered for np.bincount or from the
+        # product; and 8 KiB of the interpreter's objects.
+        for call, arg, out in ((p.messages, coef, feats.size), (p.coef_grad, g, len(p))):
+            bound = n * m * 8 + out * 8 + len(p) * 8 + 8 * 1024
             tracemalloc.start()
             try:
-                apply(coef, t)
+                call(arg)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= bound, f"{apply.__name__}: peak {peak} bytes over {bound}"
+            assert peak <= bound, f"{call.__name__}: peak {peak} bytes over {bound}"
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_edge_within_one_side_is_rejected(self, kernel):
-        with pytest.raises(DimensionError, match="left row and a right row"):
-            kernel(ad.RowIndex([0, 1]), 2, 1)
+        with pytest.raises(DimensionError, match="an instance row and a label row"):
+            kernel(ad.RowIndex([0, 1]), np.zeros((2, 1)), np.zeros(1, dtype=int), 1)
 
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize(
@@ -468,36 +546,54 @@ class TestPropagate:
     )
     def test_a_list_that_is_not_a_path_is_rejected(self, kernel, targets, message):
         with pytest.raises(DimensionError, match=message):
-            kernel(ad.RowIndex(targets), 2, 1)
-
+            kernel(ad.RowIndex(targets), np.zeros((2, 1)), np.zeros(1, dtype=int), 1)
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_weight_equals_a_mul_node_bit_for_bit(self, kernel):
         rng = np.random.default_rng(11)
-        n, m = 5, 4
+        n, m, d = 5, 4, 3
         pairs = rng.choice(n * m, size=12, replace=False)
         inst, lab = pairs // m, pairs % m
-        p = kernel(path_index(n, inst, lab), n, m)
-        t = rng.standard_normal((n + m, 3))
+        x, classes, _ = node_inputs(n, m, d, 2, seed=11)
+        p = kernel(path_index(n, inst, lab), x, classes, 2)
+        w = rng.standard_normal((d + 2, 3))
         coef, weight = rng.random((len(p), 1)), rng.random((len(p), 1))
         upstream = ad.constant(rng.standard_normal((n + m, 3)))
         results = []
         for fused in (True, False):
-            T, alpha = ad.parameter(t.copy()), ad.parameter(coef.copy())
+            W, alpha = ad.parameter(w.copy()), ad.parameter(coef.copy())
             if fused:
-                out = ad.propagate(T, alpha, p, weight=weight)
+                messages = ad.propagate(alpha, p, weight=weight)
             else:
-                out = ad.propagate(T, ad.mul(alpha, ad.constant(weight)), p)
+                messages = ad.propagate(ad.mul(alpha, ad.constant(weight)), p)
+            out = ad.side_matmul(messages, W, n, d)
             ad.backward(ad.mean_all(ad.mul(out, upstream)))
-            results.append((out.value, T.grad, alpha.grad))
+            results.append((out.value, W.grad, alpha.grad))
         for a, b in zip(*results):
             assert np.array_equal(a, b)
 
     def test_weight_shape_is_checked(self):
-        p = kernels.SparsePath(ad.RowIndex([0, 1]), 1, 1)
-        T, coef = ad.parameter(np.ones((2, 3))), ad.parameter(np.ones((2, 1)))
+        p = kernels.SparsePath(ad.RowIndex([0, 1]), np.ones((1, 2)), np.array([0]), 1)
+        coef = ad.parameter(np.ones((2, 1)))
         with pytest.raises(DimensionError, match="weights"):
-            ad.propagate(T, coef, p, weight=np.ones((1, 1)))
+            ad.propagate(coef, p, weight=np.ones((1, 1)))
+
+    def test_side_matmul_equals_matmul_of_the_zero_padded_rows(self):
+        rng = np.random.default_rng(12)
+        n, m, d, C = 4, 3, 2, 3
+        a = rng.standard_normal((n + m, d + C))
+        a[:n, :d] = a[n:, d:] = 0.0
+        b = rng.standard_normal((d + C, 5))
+        g = rng.standard_normal((n + m, 5))
+        grads = []
+        for op in (ad.matmul, lambda a, b: ad.side_matmul(a, b, n, d)):
+            A, B = ad.parameter(a), ad.parameter(b)
+            out = op(A, B)
+            ad.backward(ad.mean_all(ad.mul(out, ad.constant(g))))
+            grads.append((out.value, np.where(a != 0.0, A.grad, 0.0), B.grad))
+        for side, whole in zip(*grads):
+            np.testing.assert_allclose(side, whole, rtol=1e-13, atol=1e-15)
+        assert not A.grad[:n, :d].any() and not A.grad[n:, d:].any()
 
 
 class TestMirroredRowIndex:
@@ -528,17 +624,26 @@ def chunk_bytes(value):
         kernels.DENSE_CHUNK_BYTES = saved
 
 
-def path_kernel(n, m, inst, lab):
-    """A path's dense kernel as ``prepare_graph`` builds it."""
-    return kernels.DenseBlockPath(path_index(n, inst, lab), n, m)
+def path_kernel(n, m, inst, lab, d=3, num_classes=3, seed=0):
+    """A path's dense kernel as ``prepare_graph`` builds it, over random
+    node features."""
+    x, classes, _ = node_inputs(n, m, d, num_classes, seed)
+    return kernels.DenseBlockPath(path_index(n, inst, lab), x, classes, num_classes)
 
 
-def whole_blocks(p, coef, x, transpose=False):
-    """``dense_blocks_reference`` over the edges of kernel ``p``."""
-    dst = p.targets.idx
-    return dense_blocks_reference(
-        coef, x, swap_halves(dst), dst, p.num_left, p.num_right, transpose=transpose
-    )
+def whole_block(p, coef, g=None):
+    """``label_block_reference`` over the edges of kernel ``p``: ``R·x``, or
+    with ``g`` (the node table's gradient) the edge dots into labels."""
+    n, d, half = p.num_instances, p.feature_dim, len(p) // 2
+    inst, lab = p.targets.idx[:half], p.targets.idx[half:] - n
+    label_g = None if g is None else g[n:, :d]
+    return label_block_reference(coef[half:], p.x, inst, lab, p.num_labels, label_g)
+
+
+def label_side(p, coef, g):
+    """The kernel's ``R·x`` and its edge dots into labels."""
+    n, d, half = p.num_instances, p.feature_dim, len(p) // 2
+    return p.messages(coef)[n:, :d], p.coef_grad(g)[half:]
 
 
 class TestDenseRowChunks:
@@ -548,53 +653,50 @@ class TestDenseRowChunks:
         m=st.integers(1, 14),
         data=st.data(),
         chunk=st.integers(8, 400),
-        width=st.integers(2, 5),  # one column is a matrix-vector product (see row_chunks)
+        d=st.integers(2, 5),  # one column is a matrix-vector product (see row_chunks)
         helper=st.booleans(),
         seed=st.integers(0, 10_000),
     )
     def test_chunks_of_small_blocks_agree_with_whole_blocks(
-        self, n, m, data, chunk, width, helper, seed
+        self, n, m, data, chunk, d, helper, seed
     ):
-        # Below 10**6 multiply-adds OpenBLAS takes a transposed whole block
-        # and a chunk of rows by different small-matrix kernels, so the
-        # transposed products agree to rounding; ``apply`` keeps the floats.
         pairs = data.draw(
             st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)), min_size=1, max_size=40)
         )
         inst, lab = (np.array(side, dtype=int) for side in zip(*pairs))
         rng = np.random.default_rng(seed)
         coef = rng.standard_normal(2 * len(pairs))
-        t = rng.standard_normal((n + m, width))
+        g = rng.standard_normal((n + m, d + 3))
         with chunk_bytes(chunk), runtime.helper_thread() if helper else nullcontext():
-            p = path_kernel(n, m, inst, lab)
+            p = path_kernel(n, m, inst, lab, d=d, seed=seed)
             # Chunks hold at least 4 rows, so blocks of 4 rows or fewer are one chunk.
-            assert p.chunked == (8 * n * m > 2 * chunk and max(n, m) > 4)
-            assert np.array_equal(p.apply(coef, t), whole_blocks(p, coef, t))
-            np.testing.assert_allclose(
-                p.apply_transpose(coef, t), whole_blocks(p, coef, t, True), rtol=0, atol=1e-12
-            )
+            assert p.chunked == (8 * n * m > 2 * chunk and m > 4)
+            forward, dots = label_side(p, coef, g)
+            assert np.array_equal(forward, whole_block(p, coef))
+            assert np.array_equal(dots, whole_block(p, coef, g))
 
     def test_ragged_and_empty_chunks_keep_the_floats(self):
-        # Chunks of 50-59 rows: every product has over 10**6 multiply-adds.
+        # Chunks of 50 rows: every product has over 10**6 multiply-adds.
         rng = np.random.default_rng(3)
-        n, m, width = 700, 600, 32
+        n, m, d = 700, 600, 32
         pairs = rng.choice(n * m, size=n * m // 15, replace=False)
         inst, lab = pairs // m, pairs % m
-        keep = np.flatnonzero((inst < 100) | (inst >= 250))  # rows 100-249 have no edges
+        keep = np.flatnonzero((lab < 100) | (lab >= 250))  # label rows 100-249 have no edges
         keep = np.concatenate([keep, keep[:50]])  # 50 pairs twice: they add up in their cell
         inst, lab = inst[keep], lab[keep]
         coef = rng.standard_normal(2 * len(inst))
-        t = rng.standard_normal((n + m, width))
+        g = rng.standard_normal((n + m, d + 3))
         with chunk_bytes(300_000):
-            left, right = kernels.row_chunks(n, m), kernels.row_chunks(m, n)
-            p = path_kernel(n, m, inst, lab)
+            bounds = kernels.row_chunks(m, n)
+            p = path_kernel(n, m, inst, lab, d=d)
             assert p.chunked
             for helper in (nullcontext(), runtime.helper_thread()):
                 with helper:
-                    assert np.array_equal(p.apply(coef, t), whole_blocks(p, coef, t))
-                    assert np.array_equal(p.apply_transpose(coef, t), whole_blocks(p, coef, t, True))
-        assert set(np.diff(left)) == {58, 59} and set(np.diff(right)) == {50}
-        empty = [not np.any((inst >= lo) & (inst < hi)) for lo, hi in zip(left, left[1:])]
+                    forward, dots = label_side(p, coef, g)
+                    assert np.array_equal(forward, whole_block(p, coef))
+                    assert np.array_equal(dots, whole_block(p, coef, g))
+        assert set(np.diff(bounds)) == {50}
+        empty = [not np.any((lab >= lo) & (lab < hi)) for lo, hi in zip(bounds, bounds[1:])]
         assert 0 < sum(empty) < len(empty)
 
     @pytest.mark.parametrize(
@@ -616,13 +718,14 @@ class TestDenseRowChunks:
         n, m = 6, 5
         inst, lab = np.arange(n), np.arange(n) % m
         rng = np.random.default_rng(5)
-        coef, t = rng.standard_normal(2 * n), rng.standard_normal((n + m, 3))
+        coef, g = rng.standard_normal(2 * n), rng.standard_normal((n + m, 6))
         with chunk_bytes(8 * n * m // 2):
             p = path_kernel(n, m, inst, lab)
             assert not p.chunked
-            assert kernels.row_chunks(n, m) == [0, n] and kernels.row_chunks(m, n) == [0, m]
-            assert np.array_equal(p.apply(coef, t), whole_blocks(p, coef, t))
-            assert np.array_equal(p.apply_transpose(coef, t), whole_blocks(p, coef, t, True))
+            assert kernels.row_chunks(m, n) == [0, m]
+            forward, dots = label_side(p, coef, g)
+            assert np.array_equal(forward, whole_block(p, coef))
+            assert np.array_equal(dots, whole_block(p, coef, g))
         with chunk_bytes(8 * n * m // 2 - 1):
             assert path_kernel(n, m, inst, lab).chunked
 
@@ -644,40 +747,45 @@ class TestDenseRowChunks:
         graph = build_dual_graph(
             generate_synthetic(generator), eps=gc.eps, min_pts=gc.min_pts, threshold=gc.threshold
         )
-        model = benchmark_model_config(0)
-        path = prepare_graph(graph, model).paths["cross"]
+        path = prepare_graph(graph, benchmark_model_config(0)).paths["cross"]
         p = path.edges
         assert p.chunked == (groups > 200)
         rng = np.random.default_rng(groups)
         coef = rng.random(len(p))
-        t = rng.standard_normal((p.num_nodes, model.gcn_hidden))
+        g = rng.standard_normal((p.num_nodes, p.width))
         with runtime.helper_thread():
-            assert np.array_equal(p.apply(coef, t), whole_blocks(p, coef, t))
-            assert np.array_equal(p.apply_transpose(coef, t), whole_blocks(p, coef, t, True))
+            forward, dots = label_side(p, coef, g)
+        assert np.array_equal(forward, whole_block(p, coef))
+        assert np.array_equal(dots, whole_block(p, coef, g))
 
     def test_a_chunked_apply_holds_two_chunks_and_its_output(self):
         rng = np.random.default_rng(9)
-        n, m, width = 200, 150, 4
+        n, m, d = 200, 150, 4
         pairs = rng.choice(n * m, size=n * m // 10, replace=False)
         inst, lab = pairs // m, pairs % m
         with chunk_bytes(16 * 1024), runtime.helper_thread():
-            p = path_kernel(n, m, inst, lab)
+            p = path_kernel(n, m, inst, lab, d=d)
             coef = rng.standard_normal(len(p))
-            t = rng.standard_normal((n + m, width))
-            bounds = kernels.row_chunks(n, m) + kernels.row_chunks(m, n)
-            chunk = max(b - a for a, b in zip(bounds, bounds[1:])) * max(n, m) * 8
+            g = rng.standard_normal((n + m, p.width))
+            bounds = kernels.row_chunks(m, n)
+            chunk = max(b - a for a, b in zip(bounds, bounds[1:])) * n * 8
             # Per chunk and thread: its edges, their block positions, shifted
             # positions and coefficients.
-            edges = 4 * 8 * max(np.bincount(inst).max(), np.bincount(lab).max()) * 16
-            bound = 2 * (chunk + edges) + (n + m) * width * 8 + 8 * 1024
-            assert bound < n * m * 8  # less than one whole block
-            tracemalloc.start()
-            try:
-                p.apply(coef, t)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peak <= bound, f"peak {peak} bytes over {bound}"
+            edges = 4 * 8 * np.bincount(lab).max() * 16
+            # The output: the node table's rows, or a coefficient per edge.
+            for call, arg, out in (
+                (p.messages, coef, (n + m) * p.width * 8),
+                (p.coef_grad, g, len(p) * 8),
+            ):
+                bound = 2 * (chunk + edges) + out + 8 * 1024
+                assert bound < n * m * 8  # less than one whole block
+                tracemalloc.start()
+                try:
+                    call(arg)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= bound, f"{call.__name__}: peak {peak} bytes over {bound}"
 
 
 class TestHelperThread:
@@ -740,6 +848,34 @@ class TestHelperThread:
                     assert sorted(k for k, _ in done) == list(range(200))
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_blas_threads_is_the_loaded_openblas_count(self, threads):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            if not any("openblas" in line for line in fh):
+                pytest.skip("numpy does not run on OpenBLAS here")
+        code = "import numpy; from dbgae import runtime; print(runtime.blas_threads())"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = str(Path(runtime.__file__).parents[1])
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert run.stdout.strip() == threads, run.stderr
+
+    @pytest.mark.parametrize("cores, threads, helper", [(2, 1, True), (2, 2, False), (1, 1, False)])
+    def test_a_helper_pays_only_beside_one_blas_thread(self, monkeypatch, cores, threads, helper):
+        monkeypatch.setattr(runtime, "usable_cores", lambda: cores)
+        monkeypatch.setattr(runtime, "blas_threads", lambda: threads)
+        n, m = 6, 5
+        inst, lab = np.arange(n), np.arange(n) % m
+        with chunk_bytes(8 * n * m // 2 - 1):
+            p = path_kernel(n, m, inst, lab)
+            assert p.chunked and kernels.helper_pays([p]) == helper
+            sparse = kernels.SparsePath(p.targets, p.x, np.zeros(m, int), 3)
+            assert not kernels.helper_pays([sparse])
 
     def test_the_thread_is_joined_on_error(self):
         with pytest.raises(ValueError):

@@ -228,15 +228,23 @@ class TestPropagation:
             cross=[(0, 1, 0.5, 1), (1, 0, 0.7, 0)],
             num_classes=2,
         )
-        cfg = small_config(gcn_hidden=7, num_heads=2)
+        cfg = small_config(gcn_hidden=7, num_heads=2, rating_levels=(0.0, 0.25, 0.75, 1.0))
         prep = prepare_graph(graph, cfg)
         params = init_params(cfg, graph.feature_dim, graph.num_classes)
         U, V = encode(prep, params, cfg)
         loss = reconstruction_loss(
             decode_logits(U, V, params, prep.within_src, prep.within_dst), prep.targets
         )
-        forbidden = {(len(path.src), cfg.gcn_hidden) for path in prep.paths.values()}
-        assert forbidden == {(8, 7), (4, 7)} and prep.num_nodes == 6
+        # No per-edge row at the hidden width, nor at the feature widths that
+        # ``propagate`` works at (3 features and 2 classes), per directed
+        # edge or per pair.  Four rating levels keep the logits (4 x 4) apart.
+        forbidden = {(len(path.src), cfg.gcn_hidden) for path in prep.paths.values()} | {
+            (edges, width)
+            for path in prep.paths.values()
+            for edges in (len(path.src), len(path.src) // 2)
+            for width in (3, 3 + 2)
+        }
+        assert {(8, 7), (4, 7), (8, 5), (4, 3), (2, 5)} <= forbidden and prep.num_nodes == 6
         shapes, stack, seen = [], [loss], {id(loss)}
         while stack:
             node = stack.pop()
@@ -246,7 +254,7 @@ class TestPropagation:
                     seen.add(id(parent))
                     stack.append(parent)
         assert [shape for shape in forbidden if shape in shapes] == []
-        assert (prep.num_nodes, cfg.gcn_hidden) in shapes
+        assert (prep.num_nodes, cfg.gcn_hidden) in shapes and (prep.num_nodes, 3 + 2) in shapes
 
     def test_no_coefficient_block_reachable_from_a_propagate_closure(self):
         graph = make_graph(
@@ -263,7 +271,7 @@ class TestPropagation:
         assert isinstance(prep.paths["cross"].edges, kernels.DenseBlockPath)
         params = init_params(cfg, graph.feature_dim, graph.num_classes)
         U, V = encode(prep, params, cfg)
-        blocks = {(3, 4), (4, 3)}  # n x m and m x n
+        blocks = {(3, 4), (4, 3)}  # n x m and m x n: a block, or its edge-dot product
         closures, shapes = [], set()
         stack, seen = [U, V], set()
         while stack:
@@ -296,6 +304,7 @@ class TestPropagation:
                 stack.extend(obj.values())
             elif isinstance(obj, (kernels.DenseBlockPath, kernels.SparsePath)):
                 stack.extend(vars(obj).values())
+        assert (3, 3) in shapes  # the kernel's instance features were reached
         assert (prep.num_nodes, cfg.gcn_hidden) in shapes
         assert shapes & blocks == set()
 
@@ -841,6 +850,7 @@ class TestTrain:
         monkeypatch.setattr(ad, "backward", backward_checking)
         monkeypatch.setattr(kernels, "DENSE_CHUNK_BYTES", 2000)
         monkeypatch.setattr(runtime, "usable_cores", lambda: 2)
+        monkeypatch.setattr(runtime, "blas_threads", lambda: 1)
         # One block's gathered rows (32 x 5 levels x 4) and the products of the
         # 30 instances' rows (30 x 5 x 4) hold far fewer floats than rated edges.
         monkeypatch.setattr(model, "DECODE_BLOCK", 32)
@@ -865,6 +875,7 @@ class TestTrain:
 
         monkeypatch.setattr(runtime, "helper_thread", counting_helper)
         monkeypatch.setattr(runtime, "usable_cores", lambda: 2)
+        monkeypatch.setattr(runtime, "blas_threads", lambda: 1)
         on = train(graph, cfg)
         monkeypatch.setattr(runtime, "usable_cores", lambda: 1)
         off = train(graph, cfg)
@@ -885,8 +896,40 @@ class TestTrain:
         monkeypatch.setattr(model, "decode_diagnostics", failing_diagnostics)
         monkeypatch.setattr(kernels, "DENSE_CHUNK_BYTES", 2000)
         monkeypatch.setattr(runtime, "usable_cores", lambda: 2)
+        monkeypatch.setattr(runtime, "blas_threads", lambda: 1)
         with pytest.raises(Boom, match="diagnostics"):
             train(random_graph(30, 60, 100, 1000), small_config(epochs=3))
+
+    @pytest.mark.parametrize("groups", [200, 800])
+    def test_no_attention_messages_are_built_once_and_equal_building_them_every_epoch(
+        self, monkeypatch, groups
+    ):
+        from dataclasses import replace
+
+        from dbgae import model
+
+        graph, cfg = benchmark_run(groups, epochs=4)
+        cfg = replace(cfg, variant="no_attention")
+        real_propagate, calls = ad.propagate, []
+
+        def counting_propagate(*args, **kwargs):
+            calls.append(args[1])
+            return real_propagate(*args, **kwargs)
+
+        monkeypatch.setattr(ad, "propagate", counting_propagate)
+        once = train(graph, cfg)
+        assert len(calls) == 2 and calls[0] is not calls[1]  # one per path, for the run
+
+        real_messages = model.propagation_messages
+
+        def rebuilding_messages(prep, params, config, head):
+            for path in prep.paths.values():
+                path.weighted = real_propagate(path.weight, path.edges)
+            return real_messages(prep, params, config, head)
+
+        monkeypatch.setattr(model, "propagation_messages", rebuilding_messages)
+        every_epoch = train(graph, cfg)
+        assert_same_training(once, every_epoch)
 
     def test_no_within_edges_raises(self):
         graph = make_graph(
@@ -1092,6 +1135,13 @@ class TestCheckpointAndRatings:
         params = init_params(small_config(), graph.feature_dim, graph.num_classes)
         with pytest.raises(TrainingError, match=field):
             train(graph, small_config(**override), initial_params=params)
+
+    def test_checkpoint_with_a_tensor_the_model_lacks_is_training_error(self):
+        graph = tiny_graph()
+        params = init_params(small_config(), graph.feature_dim, graph.num_classes)
+        params.tensors["junk"] = ad.parameter(np.zeros((2, 2)))
+        with pytest.raises(TrainingError, match="tensor 'junk' is not a tensor of this model"):
+            train(graph, small_config(epochs=2), initial_params=params)
 
     def test_checkpoint_for_other_graph_is_training_error(self):
         params = init_params(small_config(), 3, 2)

@@ -447,6 +447,26 @@ class TestCli:
         assert len(lines) == 1 + config.model.epochs
         assert trace.read_bytes() == paths.loss_trace.read_bytes()
 
+    def test_train_resume_rejects_a_tensor_the_model_lacks(self, tmp_path, capsys):
+        from dbgae.pipeline import save_config
+
+        config = small_config()
+        _, paths = run_pipeline(config, out_dir=tmp_path / "run")
+        cfg_path = tmp_path / "config.json"
+        save_config(config, cfg_path)
+        checkpoint = json.loads(paths.params.read_text())
+        checkpoint["tensors"]["junk"] = {"shape": [2, 2], "data": [0.0, 1.0, 2.0, 3.0]}
+        resume = tmp_path / "resume.json"
+        resume.write_text(json.dumps(checkpoint))
+        out_params = tmp_path / "params.json"
+        args = ["train", "--config", str(cfg_path), "--graph", str(paths.graph), "--resume"]
+        args += [str(resume), "--out-params", str(out_params)]
+        args += ["--out-ratings", str(tmp_path / "ratings.jsonl")]
+        assert main(args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: checkpoint tensor 'junk' is not a tensor of this model"]
+        assert not out_params.exists()
+
     def test_evaluate_rejects_two_files_of_one_method(self, tmp_path, capsys):
         _, paths = run_pipeline(small_config(), out_dir=tmp_path / "run")
         pred = paths.predictions["dbgae"]
