@@ -31,7 +31,10 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="runs/benchmark.csv")
     args = parser.parse_args(argv)
 
-    seeds = [int(s) for s in args.seeds.split(",")]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")]
+    except ValueError:
+        parser.error(f"--seeds {args.seeds!r} is not a comma-separated list of integers")
     variants = args.variants.split(",")
     unknown = sorted(set(variants) - set(VARIANTS))
     if unknown:

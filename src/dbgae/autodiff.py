@@ -9,7 +9,8 @@ drops its gradient, closure and inputs, so the record is freed as the walk
 goes and only the leaves keep gradients.
 
 ``propagate`` aggregates a path's constant node features with a kernel of
-``kernels``, and ``side_matmul`` transforms the result.
+``kernels``, one tensor per side of the path: the messages into instances
+and those into labels.
 """
 
 from __future__ import annotations
@@ -83,6 +84,16 @@ def _accum(t: Tensor, g):
     if not t.requires_grad:
         return
     t.grad = np.array(g, dtype=np.float64) if t.grad is None else t.grad + g
+
+
+def _accum_rows(t: Tensor, lo: int, g):
+    """``_accum`` of a gradient of ``t``'s rows ``[lo, lo + len(g))`` alone:
+    the others' is zero, so only these rows are added to."""
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        t.grad = np.zeros(t.shape)
+    t.grad[lo : lo + len(g)] += g
 
 
 def _consumed(g):
@@ -326,58 +337,52 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     return _result(a.value[ri.idx], (a,), bwd, "gather_rows")
 
 
+def slice_rows(a: Tensor, lo: int, hi: int) -> Tensor:
+    """Rows ``[lo, hi)`` of ``a``; backward adds into those rows of ``a``'s
+    gradient alone."""
+    if not 0 <= lo <= hi <= a.rows:
+        raise DimensionError(f"slice_rows: rows [{lo}, {hi}) of {a.rows}")
+
+    def bwd(g):
+        _accum_rows(a, lo, g)
+
+    return _result(a.value[lo:hi], (a,), bwd, "slice_rows")
+
+
 def propagate(
     coef: Tensor, path: DenseBlockPath | SparsePath, weight: np.ndarray | None = None
-) -> Tensor:
+) -> tuple[Tensor, Tensor]:
     """Fused message passing of the path's constant node features ``X``:
-    ``out[d] = sum over edges e with dst_e = d of coef_e * weight_e *
-    X[src_e]``, ``A·X`` at the features' width ``d + C`` (see ``kernels``),
-    where ``weight`` is a constant (edges, 1) column, or 1 when None.
+    ``out[t] = sum over edges e with dst_e = t of coef_e * weight_e *
+    X[src_e]``, ``A·X``, where ``weight`` is a constant (edges, 1) column,
+    or 1 when None.  Returns one tensor per side (see ``kernels``): the
+    instances' messages (n x C), from the first half of the edges, and the
+    labels' (m x d), from the second.
 
-    One tape node per call, holding only ``coef`` and ``weight``: no
+    Each side is one tape node holding only ``coef`` and ``weight``: no
     per-edge row and no coefficient block.  ``X`` is constant, so backward
     gives only the coefficients' gradient, the per-edge ``<g[dst_e],
-    X[src_e]>`` (g-SDDMM), times ``weight_e``."""
+    X[src_e]>`` (g-SDDMM), times ``weight_e``, in that side's half."""
     if coef.shape != (len(path), 1):
         raise DimensionError(f"propagate: coefficients {coef.shape} for {len(path)} edges")
     if weight is not None and weight.shape != (len(path), 1):
         raise DimensionError(f"propagate: weights {weight.shape} for {len(path)} edges")
     coefficients = coef.value[:, 0] if weight is None else coef.value[:, 0] * weight[:, 0]
+    half = len(path) // 2
 
-    def bwd(g):
-        g_coef = path.coef_grad(g)
-        if weight is not None:
-            g_coef *= weight[:, 0]
-        _accum(coef, g_coef.reshape(-1, 1))
+    def side(messages, coef_grad, edges: slice) -> Tensor:
+        def bwd(g):
+            g_coef = coef_grad(g)
+            if weight is not None:
+                g_coef *= weight[edges, 0]
+            _accum_rows(coef, edges.start, g_coef.reshape(-1, 1))
 
-    return _result(path.messages(coefficients), (coef,), bwd, "propagate")
+        return _result(messages(coefficients[edges]), (coef,), bwd, "propagate")
 
-
-def side_matmul(a: Tensor, b: Tensor, rows: int, cols: int) -> Tensor:
-    """``a @ b`` for an ``a`` that is zero in columns ``[:cols]`` of its
-    first ``rows`` rows and in columns ``[cols:]`` of the others, as
-    ``propagate``'s output is (instances, then features): no zero block is
-    multiplied, forward or backward."""
-    if a.cols != b.rows or not (0 <= rows <= a.rows and 0 <= cols <= a.cols):
-        raise DimensionError(f"side_matmul: {a.shape} x {b.shape} split at ({rows}, {cols})")
-    av, bv = a.value, b.value
-    out = np.empty((a.rows, b.cols))
-    np.matmul(av[:rows, cols:], bv[cols:], out=out[:rows])
-    np.matmul(av[rows:, :cols], bv[:cols], out=out[rows:])
-
-    def bwd(g):
-        if a.requires_grad:
-            g_a = np.zeros(a.shape)
-            np.matmul(g[:rows], bv[cols:].T, out=g_a[:rows, cols:])
-            np.matmul(g[rows:], bv[:cols].T, out=g_a[rows:, :cols])
-            _accum(a, g_a)
-        if b.requires_grad:
-            g_b = np.empty(b.shape)
-            np.matmul(av[rows:, :cols].T, g[rows:], out=g_b[:cols])
-            np.matmul(av[:rows, cols:].T, g[:rows], out=g_b[cols:])
-            _accum(b, g_b)
-
-    return _result(out, (a, b), bwd, "side_matmul")
+    return (
+        side(path.into_instances, path.instance_grad, slice(0, half)),
+        side(path.into_labels, path.label_grad, slice(half, len(path))),
+    )
 
 
 def row_sum(a: Tensor) -> Tensor:
@@ -401,9 +406,12 @@ def mean_all(a: Tensor) -> Tensor:
     return _result(a.value.mean().reshape(1, 1), (a,), bwd, "mean_all")
 
 
-def edge_attention(s_dst: Tensor, s_src: Tensor, dst, src, slope: float) -> Tensor:
-    """Per-edge attention ``softmax over e with dst_e = d of
-    leaky_relu(s_dst[dst_e] + s_src[src_e])``, as one op.
+def edge_attention(s_inst: Tensor, s_lab: Tensor, dst, src, slope: float) -> Tensor:
+    """Per-edge attention ``softmax over e with dst_e = t of
+    leaky_relu(s[dst_e, 0] + s[src_e, 1])``, as one op, where ``s`` stacks
+    the instances' scores ``s_inst`` (n x 2) over the labels' ``s_lab``
+    (m x 2): column 0 holds a node's score as an edge's target, column 1 as
+    its source, and ``dst`` and ``src`` index the stacked rows.
 
     The arithmetic, order included, of the unfused chain (gather both score
     columns, add, LeakyReLU, softmax over each target's edges), so values
@@ -413,38 +421,40 @@ def edge_attention(s_dst: Tensor, s_src: Tensor, dst, src, slope: float) -> Tens
     ``MirroredRowIndex`` of ``dst``, as for a path's edges.
     """
     dst, src = _as_rowindex(dst), _as_rowindex(src)
-    if s_dst.cols != 1 or s_src.cols != 1:
+    if s_inst.cols != 2 or s_lab.cols != 2:
         raise DimensionError(
-            f"edge_attention: expected column vectors, got {s_dst.shape} and {s_src.shape}"
+            f"edge_attention: expected two score columns, got {s_inst.shape} and {s_lab.shape}"
         )
     if len(dst) != len(src):
         raise DimensionError(f"edge_attention: {len(dst)} targets for {len(src)} sources")
     if len(dst) == 0:
-        return _result(np.zeros((0, 1)), (s_dst, s_src), lambda g: None, "edge_attention")
+        return _result(np.zeros((0, 1)), (s_inst, s_lab), lambda g: None, "edge_attention")
+    scores = np.concatenate([s_inst.value, s_lab.value])
+    rows, n = len(scores), s_inst.rows
     dst_idx, src_idx = dst.idx, src.idx
-    for idx, scores in ((dst_idx, s_dst), (src_idx, s_src)):
-        if idx.min() < 0 or idx.max() >= scores.rows:
-            raise DimensionError(f"edge_attention: index out of range for {scores.rows} rows")
-    x = s_dst.value[dst_idx] + s_src.value[src_idx]
+    for idx in (dst_idx, src_idx):
+        if idx.min() < 0 or idx.max() >= rows:
+            raise DimensionError(f"edge_attention: index out of range for {rows} rows")
+    x = scores[dst_idx, 0] + scores[src_idx, 1]
     del src_idx
     mask = x > 0.0
-    v = np.where(mask, x, slope * x)[:, 0]
+    v = np.where(mask, x, slope * x)
     del x
     seg_max = dst.segment_reduce(v, np.maximum)
     e = np.exp(v - seg_max[dst.segment_of])
     seg_sum = dst.segment_reduce(e, np.add)
     out = (e / seg_sum[dst.segment_of]).reshape(-1, 1)
-    dst_rows, src_rows = s_dst.rows, s_src.rows
 
     def bwd(g):
         gs = g[:, 0]
         s = out[:, 0]
         inner = dst.segment_reduce(s * gs, np.add)
-        g_scores = (s * (gs - inner[dst.segment_of])).reshape(-1, 1) * np.where(mask, 1.0, slope)
-        _accum(s_dst, dst.sum_into(g_scores, dst_rows))
-        _accum(s_src, src.sum_into(g_scores, src_rows))
+        g_scores = (s * (gs - inner[dst.segment_of]) * np.where(mask, 1.0, slope)).reshape(-1, 1)
+        g_all = np.hstack([dst.sum_into(g_scores, rows), src.sum_into(g_scores, rows)])
+        _accum(s_inst, g_all[:n])
+        _accum(s_lab, g_all[n:])
 
-    return _result(out, (s_dst, s_src), bwd, "edge_attention")
+    return _result(out, (s_inst, s_lab), bwd, "edge_attention")
 
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:

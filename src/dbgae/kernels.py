@@ -1,10 +1,12 @@
 """The two propagation kernels of a bipartite path, and when a helper pays.
 
 ``autodiff.propagate`` aggregates the constant node features through a
-path's per-edge coefficients, ``A·X``, with ``DenseBlockPath`` (BLAS
-matmuls in row chunks shared with the helper thread) or ``SparsePath``
-(flattened ``np.bincount``).  ``helper_pays`` decides whether
-``model.train`` runs the helper thread for a graph's kernels.
+path's per-edge coefficients, ``A·X``, one side at a time: the label
+one-hots into instances, the instance features into labels with
+``DenseBlockPath`` (BLAS matmuls in row chunks shared with the helper
+thread) or ``SparsePath`` (flattened ``np.bincount``).  ``helper_pays``
+decides whether ``model.train`` runs the helper thread for a graph's
+kernels.
 """
 
 from __future__ import annotations
@@ -19,60 +21,48 @@ from .errors import DimensionError
 
 
 class _BipartiteEdges:
-    """A bipartite path's directed edges between the ``n`` instance rows and
-    the ``m`` label rows of the node table, given by the path's target
-    ``RowIndex``: ``[inst | lab + n]``, its ``k`` undirected pairs into
-    instance rows, then into label rows.  The sources are the targets with
-    their halves swapped, so edge ``e < k`` is ``lab_e + n -> inst_e`` and
-    edge ``k + e`` its reverse.
+    """A bipartite path's directed edges between ``n`` instances and ``m``
+    labels, given by the path's target ``RowIndex``: ``[inst | lab + n]``,
+    its ``k`` undirected pairs into instances, then into labels.  The
+    sources are the targets with their halves swapped, so edge ``e < k`` is
+    ``lab_e -> inst_e`` and edge ``k + e`` its reverse.
 
-    The node features are ``x`` (n x d) in an instance row's first ``d``
-    columns and label ``l``'s class one-hot, ``classes[l]`` of
-    ``num_classes``, in a label row's last ``C``.  ``messages`` gives
-    ``A·X`` for per-edge coefficients ``A`` (shape ``N x (d + C)``), and
-    ``coef_grad`` the coefficients' gradient for an upstream gradient ``g``
-    of it.  Into an instance only one-hots arrive: one ``np.bincount`` into
-    its class columns, and ``g`` read at them.  Into a label only features
-    arrive, ``R·x`` and the edge dots ``<g[lab, :d], x[inst]>``, which the
-    subclasses take (``_into_labels``, ``_label_dots``).
+    An instance's features are its row of ``x`` (n x d); a label's are the
+    one-hot of its class, ``classes[l]`` of ``num_classes``.  So only
+    one-hots arrive into instances (``into_instances``, n x C) and only
+    features into labels (``into_labels``, m x d, which the subclasses
+    take); each takes its half of the coefficients, and its ``_grad`` gives
+    that half's gradient for an upstream gradient of its output.
     """
 
     def __init__(self, dst: RowIndex, x: np.ndarray, classes: np.ndarray, num_classes: int):
         self.x = x
         self.num_instances, self.feature_dim = x.shape
-        self.num_labels, self.width = len(classes), self.feature_dim + int(num_classes)
-        self.num_nodes = self.num_instances + self.num_labels
+        self.num_labels, self.num_classes = len(classes), int(num_classes)
         n, idx, half = self.num_instances, dst.idx, len(dst) // 2
+        rows = n + self.num_labels
         if len(idx) % 2:
             raise DimensionError(f"propagate: {len(idx)} targets, not a path's two halves")
-        if len(idx) and (idx.min() < 0 or idx.max() >= self.num_nodes):
-            raise DimensionError(f"propagate: edge endpoint outside {self.num_nodes} rows")
+        if len(idx) and (idx.min() < 0 or idx.max() >= rows):
+            raise DimensionError(f"propagate: edge endpoint outside {rows} rows")
         if np.any(idx[:half] >= n) or np.any(idx[half:] < n):
             raise DimensionError("propagate: every edge must join an instance row and a label row")
         self.targets = dst
-        # Each edge into an instance, as its flat position in the node table.
-        self.into_instance = idx[:half] * self.width + self.feature_dim + classes[idx[half:] - n]
+        # Each edge into an instance, as its flat position in the n x C messages.
+        self.into_instance = idx[:half] * self.num_classes + classes[idx[half:] - n]
 
     def __len__(self):
         return len(self.targets)
 
-    def messages(self, coef: np.ndarray) -> np.ndarray:
-        """``A·X`` for per-edge coefficients ``coef``, shape (N, d + C)."""
-        n, d, half = self.num_instances, self.feature_dim, len(self) // 2
-        out = np.bincount(self.into_instance, coef[:half], self.num_nodes * self.width)
-        # np.bincount counts in ints when it has no edge.
-        out = out.astype(np.float64, copy=False).reshape(self.num_nodes, self.width)
-        self._into_labels(coef[half:], out[n:, :d])
-        return out
+    def into_instances(self, coef: np.ndarray) -> np.ndarray:
+        """The instances' messages (n x C) for the edges into them."""
+        n, C = self.num_instances, self.num_classes
+        return np.bincount(self.into_instance, coef, n * C).reshape(n, C)
 
-    def coef_grad(self, g: np.ndarray) -> np.ndarray:
-        """The per-edge gradient of ``messages``' coefficients for an
-        upstream gradient ``g`` of its output."""
-        half = len(self) // 2
-        out = np.empty(len(self))
-        out[:half] = g.ravel()[self.into_instance]
-        self._label_dots(g[self.num_instances :, : self.feature_dim], out[half:])
-        return out
+    def instance_grad(self, g: np.ndarray) -> np.ndarray:
+        """The gradient of ``into_instances``' coefficients for an upstream
+        gradient ``g`` (n x C) of its output."""
+        return g.ravel()[self.into_instance]
 
 
 # Bytes of one row chunk of a dense label x instance block.  ``DenseBlockPath``
@@ -80,9 +70,9 @@ class _BipartiteEdges:
 # at most this size once it exceeds two, and ``helper_pays`` asks for a
 # helper thread only then.  Milliseconds a call at 800 groups (the 1,168 x
 # 1,210 block of 11.3 MB, 32 features, one BLAS thread, 2-core Xeon VM,
-# best of 60, two rounds), messages / coef_grad: whole 2.3 / 1.7; with the
-# helper, 256 KB chunks 2.3-2.4 / 2.0, 512 KB 1.8 / 1.5-1.6, 1 MB 1.7-1.8 /
-# 1.4, 2 MB 1.6 / 1.4.  512 KB rather than larger: two chunks are alive at
+# best of 60, two rounds), into_labels / label_grad: whole 2.3 / 1.7; with
+# the helper, 256 KB chunks 2.3-2.4 / 2.0, 512 KB 1.8 / 1.5-1.6, 1 MB
+# 1.7-1.8 / 1.4, 2 MB 1.6 / 1.4.  512 KB rather than larger: two chunks are alive at
 # once, and when the chunks multiplied both blocks at the hidden width,
 # six perfbench scale800 samples peaked at 84.9 MB RSS (median) against
 # 86.2 MB with 1 MB chunks, at the same speed.  At 200 groups a block (0.7
@@ -113,9 +103,9 @@ class DenseBlockPath(_BipartiteEdges):
 
     ``R·x`` builds ``R`` (m x n) in row chunks (``row_chunks``), one
     ``np.bincount`` each, and multiplies each chunk by ``x`` into its rows
-    of the output.  The edge dots read their cells of ``x @ g[n:, :d].T``
-    (n x m), taken in the same chunks, of its columns.  Costs O(m * n * d)
-    whatever the edge count, so it pays only on dense paths.
+    of the output.  The edge dots read their cells of ``x @ g.T`` (n x m),
+    taken in the same chunks, of its columns.  Costs O(m * n * d) whatever
+    the edge count, so it pays only on dense paths.
 
     Both ends of an edge are read from the target index: a chunk of all
     label rows takes the second half of the list by slice, any other chunk
@@ -157,20 +147,28 @@ class DenseBlockPath(_BipartiteEdges):
 
         runtime.share(chunk, len(spans))
 
-    def _into_labels(self, coef: np.ndarray, out: np.ndarray):
+    def into_labels(self, coef: np.ndarray) -> np.ndarray:
+        """The labels' messages ``R·x`` (m x d) for the edges into them."""
         n = self.num_instances
+        out = np.empty((self.num_labels, self.feature_dim))
 
         def piece(lo, hi, edges, flat):
             block = np.bincount(flat, weights=coef[edges], minlength=(hi - lo) * n)
             np.matmul(block.reshape(hi - lo, n), self.x, out=out[lo:hi])
 
         self._in_chunks(piece, by_label=True)
+        return out
 
-    def _label_dots(self, g: np.ndarray, out: np.ndarray):
+    def label_grad(self, g: np.ndarray) -> np.ndarray:
+        """The edge dots ``<g[lab], x[inst]>`` for an upstream gradient
+        ``g`` (m x d) of ``into_labels``."""
+        out = np.empty(len(self) // 2)
+
         def piece(lo, hi, edges, flat):
             out[edges] = (self.x @ g[lo:hi].T).ravel()[flat]
 
         self._in_chunks(piece, by_label=False)
+        return out
 
 
 class SparsePath(_BipartiteEdges):
@@ -193,15 +191,16 @@ class SparsePath(_BipartiteEdges):
             self._kept = lab, flat, x_src, np.empty_like(x_src)
         return self._kept
 
-    def _into_labels(self, coef: np.ndarray, out: np.ndarray):
+    def into_labels(self, coef: np.ndarray) -> np.ndarray:
+        m, d = self.num_labels, self.feature_dim
         _, flat, x_src, buf = self._label_side()
         np.multiply(x_src, coef[:, None], out=buf)
-        out[:] = np.bincount(flat, weights=buf.reshape(-1), minlength=out.size).reshape(out.shape)
+        return np.bincount(flat, weights=buf.reshape(-1), minlength=m * d).reshape(m, d)
 
-    def _label_dots(self, g: np.ndarray, out: np.ndarray):
+    def label_grad(self, g: np.ndarray) -> np.ndarray:
         lab, _, x_src, buf = self._label_side()
         np.take(g, lab, axis=0, out=buf)
-        out[:] = (buf[:, None, :] @ x_src[:, :, None]).reshape(-1)
+        return (buf[:, None, :] @ x_src[:, :, None]).reshape(-1)
 
 
 def helper_pays(paths) -> bool:

@@ -1,24 +1,25 @@
 """Dual-path graph convolution autoencoder over the bipartite graphs.
 
-Encoder: one shared propagation transform per head applied to node features
-(instances and label one-hots embedded in a common padded feature space),
-messages weighted by the link weight and, optionally, by masked graph
-attention normalized per node per path; per-path sums are averaged over
-heads, passed through ReLU, concatenated with a transformed raw-feature
-block and projected to the embedding width.
+Encoder: one shared propagation transform per head applied to node
+features (an instance's feature row, a label's class one-hot), messages
+weighted by the link weight and, optionally, by masked graph attention
+normalized per node per path; per-path sums are averaged over heads,
+passed through ReLU, concatenated with a transformed raw-feature block and
+projected to the embedding width.
 
-Message passing aggregates before it transforms, ``(A·X)·W`` for
+Instance rows and label rows stay apart from the kernels to U and V, and
+message passing aggregates before it transforms, ``(A·X)·W`` for
 ``A·(X·W)``: per path and head, one fused ``autodiff.propagate`` sums
-coefficient-weighted rows of the constant node features into each node at
-the feature width ``d + C``, whatever ``gcn_hidden`` is, and
-``autodiff.side_matmul`` multiplies each side by its rows of the head's W;
-no per-edge row is put on the tape.  Without attention, ``prepare_graph``
-takes each path's ``A·X`` once for every head and epoch.  It picks one of
-two kernels per path from the share of instance-label pairs linked: at
-``DENSE_BLOCK_MIN_DENSITY`` or above, the dense label x instance block in
-row chunks (``DenseBlockPath``); below it, flattened ``np.bincount`` over
-the edge list (``SparsePath``).  The choice depends only on the graph, so
-runs stay reproducible.  ``train`` runs each epoch in its own call and
+coefficient-weighted one-hots into the instances (n x C) and features into
+the labels (m x d), whatever ``gcn_hidden`` is, and each side is
+multiplied by its rows of the head's W; no per-edge row is put on the
+tape.  Attention scores too are taken at the feature width.  Without
+attention, ``prepare_graph`` takes each path's ``A·X`` once for every head
+and epoch.  It picks one of two kernels per path from the share of
+instance-label pairs linked: at ``DENSE_BLOCK_MIN_DENSITY`` or above, the
+dense label x instance block in row chunks (``DenseBlockPath``); below
+it, flattened ``np.bincount`` over the edge list (``SparsePath``).  The
+choice depends only on the graph, so runs stay reproducible.  ``train`` runs each epoch in its own call and
 ``autodiff.backward`` consumes the tape, so one epoch's tape is freed
 before the next one is built; the epochs run inside
 ``runtime.keep_freed_memory``, so glibc keeps that freed memory for the
@@ -184,8 +185,9 @@ def _check_checkpoint(params: ModelParams, config: ModelConfig, graph: DualBipar
         got = params.tensors[name].shape if name in params.tensors else "missing"
         if got != shape:
             raise TrainingError(f"checkpoint tensor '{name}' is {got}, expected shape {shape}")
-    for name in params.tensors.keys() - shapes.keys():
-        raise TrainingError(f"checkpoint tensor '{name}' is not a tensor of this model")
+    for name in params.tensors:
+        if name not in shapes:
+            raise TrainingError(f"checkpoint tensor '{name}' is not a tensor of this model")
 
 
 def quantize_levels(weights: np.ndarray, levels) -> np.ndarray:
@@ -231,7 +233,7 @@ class _Path:
     src: ad.MirroredRowIndex
     weight: Tensor  # (E2, 1) constant per directed edge
     edges: kernels.DenseBlockPath | kernels.SparsePath  # propagation kernel
-    weighted: Tensor | None = None  # A·X at the link weights: no_attention's messages
+    weighted: tuple[Tensor, Tensor] | None = None  # both sides of A·X at the link weights
 
 
 def _propagation_kernel(
@@ -245,14 +247,11 @@ def _propagation_kernel(
 
 @dataclass
 class PreparedGraph:
-    node_feats: Tensor
-    x: Tensor
-    l: Tensor
-    inst_rows: RowIndex
-    lab_rows: RowIndex
+    x: Tensor  # instance features (n x d)
+    l: Tensor  # label class one-hots (m x C)
+    # Each label's row of a parameter over features then classes: d + its class.
+    class_rows: RowIndex
     paths: dict[str, _Path]
-    num_nodes: int
-    num_instances: int
     within_src: RowIndex  # the loss's edges: every within edge
     within_dst: RowIndex
     # The rated edges' (instance, label) rows, the graph's own arrays: its
@@ -287,13 +286,7 @@ def _directed(
 
 
 def prepare_graph(graph: DualBipartiteGraph, config: ModelConfig) -> PreparedGraph:
-    n, m = graph.num_instances, graph.num_label_nodes
-    d, C = graph.feature_dim, graph.num_classes
-    onehot = graph.label_onehot()
-    feats = np.zeros((n + m, d + C))
-    feats[:n, :d] = graph.instance_features
-    feats[n:, d:] = onehot
-
+    n = graph.num_instances
     w = graph.within
     if config.variant != "no_dual":
         within_weight = w.weight
@@ -314,14 +307,10 @@ def prepare_graph(graph: DualBipartiteGraph, config: ModelConfig) -> PreparedGra
             path.weighted = ad.propagate(path.weight, path.edges)
 
     return PreparedGraph(
-        node_feats=ad.constant(feats),
         x=ad.constant(graph.instance_features),
-        l=ad.constant(onehot),
-        inst_rows=RowIndex(np.arange(n)),
-        lab_rows=RowIndex(np.arange(n, n + m)),
+        l=ad.constant(graph.label_onehot()),
+        class_rows=RowIndex(graph.feature_dim + graph.label_class),
         paths=paths,
-        num_nodes=n + m,
-        num_instances=n,
         within_src=RowIndex(w.inst),
         within_dst=RowIndex(w.lab),
         rated=((w.inst, w.lab), (x.inst[keep], x.lab[keep])),
@@ -340,24 +329,29 @@ def attention_coefficients(
     """Per-edge attention, softmax-normalized over each node's neighborhood
     separately per path, one fused ``ad.edge_attention`` per path.  Nodes
     with no neighbors on a path contribute no coefficients (empty, never
-    NaN)."""
-    A = ad.matmul(prep.node_feats, params[f"Wa.{head}"])
-    s_self = ad.matmul(A, params[f"a_self.{head}"])
-    s_neigh = ad.matmul(A, params[f"a_neigh.{head}"])
+    NaN).  A node's scores ``(Wa feat)·a`` are taken at the feature width:
+    ``Wa·[a_self | a_neigh]`` once, times an instance's features, or at a
+    label's class row."""
+    a = ad.concat_cols([params[f"a_self.{head}"], params[f"a_neigh.{head}"]])
+    scores = ad.matmul(params[f"Wa.{head}"], a)
+    s_inst = ad.matmul(prep.x, ad.slice_rows(scores, 0, prep.x.cols))
+    s_lab = ad.gather_rows(scores, prep.class_rows)
     return {
-        name: ad.edge_attention(s_self, s_neigh, path.dst, path.src, ATTENTION_SLOPE)
+        name: ad.edge_attention(s_inst, s_lab, path.dst, path.src, ATTENTION_SLOPE)
         for name, path in prep.paths.items()
     }
 
 
 def propagation_messages(
     prep: PreparedGraph, params: ModelParams, config: ModelConfig, head: int
-) -> dict[str, Tensor]:
-    """Per-node message sums of one head, for each path with edges: row d is
-    the sum over d's in-edges of (alpha_ij *) w_ij * W feat_src, taken as
-    ``ad.propagate``'s ``A·X`` (without attention, the path's ``weighted``)
-    times the head's W, shared by the paths (``ad.side_matmul``)."""
+) -> dict[str, tuple[Tensor, Tensor]]:
+    """Per-node message sums of one head, for each path with edges, as
+    (instances, labels): node t's row is the sum over t's in-edges of
+    (alpha_ij *) w_ij * W feat_src, taken as each side of ``ad.propagate``'s
+    ``A·X`` (without attention, the path's ``weighted``) times its W rows."""
     W = params[f"W.{head}"]
+    d = prep.x.cols
+    W_feature, W_class = ad.slice_rows(W, 0, d), ad.slice_rows(W, d, W.rows)
     attend = config.variant != "no_attention"
     alphas = attention_coefficients(prep, params, head) if attend else None
     sums = {}
@@ -365,26 +359,26 @@ def propagation_messages(
         if len(path.dst) == 0:
             continue
         if alphas is None:
-            messages = path.weighted
+            into_inst, into_lab = path.weighted
         else:
-            messages = ad.propagate(alphas[name], path.edges, weight=path.weight.value)
-        sums[name] = ad.side_matmul(messages, W, prep.num_instances, prep.x.cols)
+            into_inst, into_lab = ad.propagate(alphas[name], path.edges, weight=path.weight.value)
+        sums[name] = (ad.matmul(into_inst, W_class), ad.matmul(into_lab, W_feature))
     return sums
 
 
 def aggregate_paths(
     prep: PreparedGraph, params: ModelParams, config: ModelConfig
-) -> dict[str, Tensor]:
-    """Average the per-node message sums over heads and apply ReLU, per path;
-    a path without edges gives zeros."""
-    sums: dict[str, Tensor] = {}
+) -> dict[str, tuple[Tensor, Tensor]]:
+    """Average the per-node message sums over heads and apply ReLU, per path
+    and side (instances, labels); a path without edges gives zeros."""
+    sums: dict[str, tuple[Tensor, Tensor]] = {}
     for head in range(config.num_heads):
-        for name, node_sum in propagation_messages(prep, params, config, head).items():
-            sums[name] = node_sum if name not in sums else ad.add(sums[name], node_sum)
+        for name, sides in propagation_messages(prep, params, config, head).items():
+            sums[name] = sides if name not in sums else tuple(map(ad.add, sums[name], sides))
     return {
-        name: ad.relu(ad.scale(sums[name], 1.0 / config.num_heads))
+        name: tuple(ad.relu(ad.scale(side, 1.0 / config.num_heads)) for side in sums[name])
         if name in sums
-        else ad.constant(np.zeros((prep.num_nodes, params.gcn_hidden)))
+        else tuple(ad.constant(np.zeros((t.rows, params.gcn_hidden))) for t in (prep.x, prep.l))
         for name in prep.paths
     }
 
@@ -394,20 +388,8 @@ def encode(prep: PreparedGraph, params: ModelParams, config: ModelConfig) -> tup
     hidden = aggregate_paths(prep, params, config)
     f = ad.relu(ad.add(ad.matmul(prep.x, params["Wf"]), params["b"]))
     n = ad.relu(ad.add(ad.matmul(prep.l, params["Wn"]), params["b"]))
-    u_in = ad.concat_cols(
-        [
-            ad.gather_rows(hidden["within"], prep.inst_rows),
-            ad.gather_rows(hidden["cross"], prep.inst_rows),
-            f,
-        ]
-    )
-    v_in = ad.concat_cols(
-        [
-            ad.gather_rows(hidden["within"], prep.lab_rows),
-            ad.gather_rows(hidden["cross"], prep.lab_rows),
-            n,
-        ]
-    )
+    u_in = ad.concat_cols([hidden["within"][0], hidden["cross"][0], f])
+    v_in = ad.concat_cols([hidden["within"][1], hidden["cross"][1], n])
     return ad.relu(ad.matmul(u_in, params["Wu"])), ad.relu(ad.matmul(v_in, params["Wv"]))
 
 
@@ -700,6 +682,14 @@ def save_params(params: ModelParams, path):
         json.dump(payload, fh, separators=(",", ":"))
 
 
+def _json_int(value, field: str) -> int:
+    """``value`` if it is a JSON integer, else a SchemaError naming ``field``:
+    ``int()`` would take 2.9 as 2 and true as 1."""
+    if type(value) is not int:
+        raise SchemaError(f"{field} {value!r} is not an integer")
+    return value
+
+
 def load_params(path) -> ModelParams:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -713,7 +703,7 @@ def load_params(path) -> ModelParams:
         meta, records = payload["meta"], payload["tensors"]
         where = "meta"
         dims = {
-            key: int(meta[key])
+            key: _json_int(meta[key], f"{path}: meta '{key}'")
             for key in ("num_heads", "feature_dim", "num_classes", "gcn_hidden", "dense_hidden")
         }
         rating_levels = tuple(float(x) for x in meta["rating_levels"])
@@ -721,7 +711,7 @@ def load_params(path) -> ModelParams:
         tensors = {}
         for name, rec in records.items():
             where = f"tensor '{name}'"
-            shape = tuple(int(x) for x in rec["shape"])
+            shape = tuple(_json_int(x, f"{path}: {where} shape entry") for x in rec["shape"])
             data = np.asarray(rec["data"], dtype=np.float64)
             if len(shape) != 2 or data.shape != (shape[0] * shape[1],):
                 raise SchemaError(f"{path}: {where} data does not match shape {shape}")

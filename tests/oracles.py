@@ -12,8 +12,10 @@ whole-column and row-chunk versions must match exactly; so are the
 LeakyReLU and segment-softmax ops of the attention chain that the fused
 ``edge_attention`` replaced.  The hidden-width message passing, which
 transformed the features before it propagated them, is the reference the
-feature-width ``propagate`` must match to rounding.  The gradient checker,
-with the kink recorder it needs, serves the tests only and lives here too.
+feature-width ``propagate`` must match to rounding, and the encoder over
+one zero-padded node table the reference of the two-sided one.  The
+gradient checker, with the kink recorder it needs, serves the tests only
+and lives here too.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from dbgae.errors import DimensionError, SchemaError
 from dbgae.evaluation import AMBIGUITY_BINS, FREQUENCY_EDGES, BinMetric
 from dbgae.graph import dbscan
 from dbgae.inference import Prediction
+from dbgae.model import ATTENTION_SLOPE
 
 
 def dbscan_reference(points: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
@@ -194,6 +197,55 @@ def hidden_width_reference(feats, W, coef, src, dst, n: int, m: int, g):
     grad_coef = np.einsum("ek,ek->e", g[dst], T[src])
     grad_W = feats.T @ dense_blocks_reference(coef, g, src, dst, n, m, transpose=True)
     return out, grad_coef, grad_W
+
+
+def encode_reference(graph, prep, params, config) -> tuple:
+    """The encoder as it was before instance rows and label rows were kept
+    apart, on the tape: one zero-padded node table ``X`` of rows ``[x | 0]``
+    over ``[0 | onehot]``; per head, attention scores from the projection
+    ``X·Wa`` and the unfused ``attention_chain``, and each path's messages
+    ``(A·X)·W`` with ``A·X`` scattered by a per-edge incidence matrix; the
+    heads' mean through ReLU per path, then the instance and label rows
+    taken back out with ``gather_rows``.  The edges and weights are
+    ``prep``'s paths.  Returns (U, V)."""
+    n, m = graph.num_instances, graph.num_label_nodes
+    d, H = graph.feature_dim, params.gcn_hidden
+    feats = np.zeros((n + m, d + graph.num_classes))
+    feats[:n, :d] = graph.instance_features
+    feats[n:, d:] = graph.label_onehot()
+    X = ad.constant(feats)
+    sums = {}
+    for head in range(config.num_heads):
+        A = ad.matmul(X, params[f"Wa.{head}"])
+        s_self = ad.matmul(A, params[f"a_self.{head}"])
+        s_neigh = ad.matmul(A, params[f"a_neigh.{head}"])
+        for name, path in prep.paths.items():
+            if len(path.dst) == 0:
+                continue
+            if config.variant == "no_attention":
+                coef = path.weight
+            else:
+                alpha = attention_chain(s_self, s_neigh, path.dst, path.src, ATTENTION_SLOPE)
+                coef = ad.mul(alpha, path.weight)
+            incidence = np.zeros((n + m, len(path.dst)))
+            incidence[path.dst.idx, np.arange(len(path.dst))] = 1.0
+            sent = ad.mul(ad.gather_rows(X, path.src.idx), coef)
+            messages = ad.matmul(ad.constant(incidence), sent)
+            out = ad.matmul(messages, params[f"W.{head}"])
+            sums[name] = out if name not in sums else ad.add(sums[name], out)
+    hidden = {
+        name: ad.relu(ad.scale(sums[name], 1.0 / config.num_heads))
+        if name in sums
+        else ad.constant(np.zeros((n + m, H)))
+        for name in prep.paths
+    }
+    within, cross = hidden["within"], hidden["cross"]
+    inst, lab = np.arange(n), np.arange(n, n + m)
+    f = ad.relu(ad.add(ad.matmul(ad.constant(graph.instance_features), params["Wf"]), params["b"]))
+    c = ad.relu(ad.add(ad.matmul(ad.constant(graph.label_onehot()), params["Wn"]), params["b"]))
+    u_in = ad.concat_cols([ad.gather_rows(within, inst), ad.gather_rows(cross, inst), f])
+    v_in = ad.concat_cols([ad.gather_rows(within, lab), ad.gather_rows(cross, lab), c])
+    return ad.relu(ad.matmul(u_in, params["Wu"])), ad.relu(ad.matmul(v_in, params["Wv"]))
 
 
 def label_block_reference(coef, x, inst, lab, m: int, g=None) -> np.ndarray:
@@ -562,10 +614,11 @@ def record_kink_signs():
         _record_kink_signs(a.value > 0.0)
         return out
 
-    def recorded_edge_attention(s_dst, s_src, dst, src, slope):
-        out = edge_attention(s_dst, s_src, dst, src, slope)
+    def recorded_edge_attention(s_inst, s_lab, dst, src, slope):
+        out = edge_attention(s_inst, s_lab, dst, src, slope)
         dst, src = ad._as_rowindex(dst), ad._as_rowindex(src)
-        _record_kink_signs(s_dst.value[dst.idx] + s_src.value[src.idx] > 0.0)
+        scores = np.concatenate([s_inst.value, s_lab.value])
+        _record_kink_signs(scores[dst.idx, 0] + scores[src.idx, 1] > 0.0)
         return out
 
     _kink_signs = []

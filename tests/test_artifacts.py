@@ -146,6 +146,23 @@ def _first_feature(value):
     return edit
 
 
+def _meta(key, value):
+    def edit(obj):
+        obj["meta"][key] = value
+        return obj
+
+    return edit
+
+
+def _first_shape_entry_of(name, convert):
+    def edit(obj):
+        shape = obj["tensors"][name]["shape"]
+        shape[0] = convert(shape[0])
+        return obj
+
+    return edit
+
+
 def _first_weight_of(name, value):
     def edit(obj):
         obj["tensors"][name]["data"][0] = value
@@ -235,6 +252,15 @@ MALFORMED = [
             id=f"params-{value}",
         )
         for value in (float("nan"), float("inf"), float("-inf"))
+    ],
+    *[  # int() would truncate 2.9 to 2, take true as 1 and 4.0 as 4
+        pytest.param("params", 1, edit, SchemaError, fragment, id=f"params-{name}")
+        for name, edit, fragment in [
+            ("num-heads-2.9", _meta("num_heads", 2.9), "meta 'num_heads' 2.9 is not an integer"),
+            ("num-heads-true", _meta("num_heads", True), "meta 'num_heads' True is not an integer"),
+            ("shape-float", _first_shape_entry_of("Wf", float), "tensor 'Wf' shape entry"),
+            ("shape-true", _first_shape_entry_of("Wf", lambda x: True), "tensor 'Wf' shape entry"),
+        ]
     ],
 ]
 

@@ -77,8 +77,8 @@ class TestForwardBasics:
         path = kernels.DenseBlockPath(ad.RowIndex([0, 1]), np.ones((1, 2)), np.array([0]), 1)
         with pytest.raises(DimensionError, match="propagate"):
             ad.propagate(ad.constant([[1.0, 2.0]]), path)
-        with pytest.raises(DimensionError, match="side_matmul"):
-            ad.side_matmul(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 2))), 1, 2)
+        with pytest.raises(DimensionError, match="slice_rows"):
+            ad.slice_rows(ad.constant(np.ones((2, 3))), 1, 3)
 
 
 class TestBackwardBasics:
@@ -95,6 +95,24 @@ class TestBackwardBasics:
         unused = ad.parameter(np.ones((2, 2)))
         ad.backward(ad.scale(used, 3.0))
         np.testing.assert_array_equal(ad.grad_or_zeros(unused), np.zeros((2, 2)))
+
+    def test_slice_rows_adds_into_its_rows_alone(self):
+        rng = np.random.default_rng(3)
+        a = ad.parameter(rng.standard_normal((5, 3)))
+        g1, g2 = rng.standard_normal((2, 3)), rng.standard_normal((3, 3))
+        top, bottom = ad.slice_rows(a, 1, 3), ad.slice_rows(a, 2, 5)
+        np.testing.assert_array_equal(top.value, a.value[1:3])
+        # Overlapping slices, and ``a`` itself: every gradient adds up.
+        ad.backward(
+            ad.add(
+                ad.add(ad.mean_all(ad.mul(top, ad.constant(g1))), ad.mean_all(a)),
+                ad.mean_all(ad.mul(bottom, ad.constant(g2))),
+            )
+        )
+        expected = np.full((5, 3), 1 / 15)
+        expected[1:3] += g1 / 6
+        expected[2:5] += g2 / 9
+        np.testing.assert_allclose(a.grad, expected, rtol=1e-14)
 
     def test_fanout_accumulates(self):
         w = ad.parameter(np.full((1, 1), 1.5))
@@ -395,7 +413,8 @@ def bipartite_paths(draw):
 
 def node_inputs(n, m, d, num_classes, seed):
     """Instance features (n x d) and label classes (m) of a path's nodes,
-    and the node table ``[x | 0]`` over ``[0 | onehot]`` they stand for."""
+    and the zero-padded node table ``[x | 0]`` over ``[0 | onehot]`` they
+    stand for, which the per-edge and hidden-width oracles take."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, d))
     classes = rng.integers(0, num_classes, size=m)
@@ -431,8 +450,19 @@ class TestPropagate:
         coef = rng.standard_normal(len(src))
         out_ref, _, grad_coef_ref = propagate_reference(feats, coef, src, dst, g)
         p = kernel(ad.RowIndex(dst), x, classes, num_classes)
-        np.testing.assert_allclose(p.messages(coef), out_ref, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(p.coef_grad(g), grad_coef_ref, rtol=0, atol=1e-12)
+        half = len(dst) // 2
+        # Each side is its block of the padded table's messages; the other
+        # blocks are zero.
+        sides = [
+            (p.into_instances, p.instance_grad, slice(0, half), np.s_[:n, d:]),
+            (p.into_labels, p.label_grad, slice(half, None), np.s_[n:, :d]),
+        ]
+        for messages, coef_grad, edges, block in sides:
+            np.testing.assert_allclose(messages(coef[edges]), out_ref[block], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                coef_grad(g[block]), grad_coef_ref[edges], rtol=0, atol=1e-12
+            )
+        assert not out_ref[:n, :d].any() and not out_ref[n:, d:].any()
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -475,9 +505,16 @@ class TestPropagate:
         with chunk_bytes(chunk or kernels.DENSE_CHUNK_BYTES):
             p = kernel(ad.RowIndex(dst), x, classes, num_classes)
             W_t, alpha = ad.parameter(W), ad.parameter(coef)
-            out = ad.side_matmul(ad.propagate(alpha, p, weight=weight), W_t, n, d)
-            ad.backward(ad.mean_all(ad.mul(out, ad.constant(g * g.size))))
-        assert close(out.value, ref_out)
+            into_inst, into_lab = ad.propagate(alpha, p, weight=weight)
+            out_inst = ad.matmul(into_inst, ad.slice_rows(W_t, d, d + num_classes))
+            out_lab = ad.matmul(into_lab, ad.slice_rows(W_t, 0, d))
+            ad.backward(
+                ad.add(
+                    ad.mean_all(ad.mul(out_inst, ad.constant(g[:n] * out_inst.value.size))),
+                    ad.mean_all(ad.mul(out_lab, ad.constant(g[n:] * out_lab.value.size))),
+                )
+            )
+        assert close(np.concatenate([out_inst.value, out_lab.value]), ref_out)
         assert close(ad.grad_or_zeros(alpha)[:, 0], ref_coef * weight[:, 0])
         assert close(W_t.grad, ref_W)
 
@@ -491,10 +528,16 @@ class TestPropagate:
         p = kernel(path_index(n, inst, lab), x, classes, 2)
         W = ad.parameter(rng.standard_normal((d + 2, 5)))
         coef = ad.parameter(rng.standard_normal((len(p), 1)))
-        weights = ad.constant(rng.standard_normal((n + m, 5)))
+        weights = rng.standard_normal((n + m, 5))
 
         def loss():
-            return ad.mean_all(ad.mul(ad.side_matmul(ad.propagate(coef, p), W, n, d), weights))
+            into_inst, into_lab = ad.propagate(coef, p)
+            out_inst = ad.matmul(into_inst, ad.slice_rows(W, d, d + 2))
+            out_lab = ad.matmul(into_lab, ad.slice_rows(W, 0, d))
+            return ad.add(
+                ad.mean_all(ad.mul(out_inst, ad.constant(weights[:n]))),
+                ad.mean_all(ad.mul(out_lab, ad.constant(weights[n:]))),
+            )
 
         report = grad_check(loss, {"W": W, "coef": coef}, samples_per_param=64)
         assert report.max_rel_error <= 1e-4
@@ -506,7 +549,10 @@ class TestPropagate:
         p = kernels.SparsePath(ad.RowIndex([0, 1]), np.array([[1.0, -1.0]]), np.array([0]), 1)
         W = ad.parameter(np.ones((3, 3)))
         coef = ad.constant([[2.0], [0.0]])
-        ad.backward(ad.mean_all(ad.side_matmul(ad.propagate(coef, p), W, 1, 2)))
+        into_inst, into_lab = ad.propagate(coef, p)
+        out_inst = ad.matmul(into_inst, ad.slice_rows(W, 2, 3))
+        out_lab = ad.matmul(into_lab, ad.slice_rows(W, 0, 2))
+        ad.backward(ad.mean_all(ad.concat_cols([out_inst, out_lab])))  # one row each
         assert coef.grad is None
         np.testing.assert_allclose(W.grad, [[0.0] * 3, [0.0] * 3, [2.0 / 6] * 3])
 
@@ -515,15 +561,16 @@ class TestPropagate:
         n, m, d = 200, 150, 4
         pairs = rng.choice(n * m, size=n * m // 10, replace=False)
         inst, lab = pairs // m, pairs % m
-        x, classes, feats = node_inputs(n, m, d, 3, seed=9)
+        x, classes, _ = node_inputs(n, m, d, 3, seed=9)
         p = kernels.DenseBlockPath(path_index(n, inst, lab), x, classes, 3)
-        coef = rng.standard_normal(len(p))
-        g = rng.standard_normal(feats.shape)
-        # One block, or its edge-dot product; the output, the node table's
-        # rows or a coefficient per edge; the edges into labels' flat
-        # positions and their share, gathered for np.bincount or from the
-        # product; and 8 KiB of the interpreter's objects.
-        for call, arg, out in ((p.messages, coef, feats.size), (p.coef_grad, g, len(p))):
+        half = len(p) // 2
+        coef = rng.standard_normal(half)
+        g = rng.standard_normal((m, d))
+        # One block, or its edge-dot product; the output, the labels' rows
+        # or a coefficient per edge into a label; the edges into labels'
+        # flat positions and their share, gathered for np.bincount or from
+        # the product; and 8 KiB of the interpreter's objects.
+        for call, arg, out in ((p.into_labels, coef, m * d), (p.label_grad, g, half)):
             bound = n * m * 8 + out * 8 + len(p) * 8 + 8 * 1024
             tracemalloc.start()
             try:
@@ -558,17 +605,23 @@ class TestPropagate:
         p = kernel(path_index(n, inst, lab), x, classes, 2)
         w = rng.standard_normal((d + 2, 3))
         coef, weight = rng.random((len(p), 1)), rng.random((len(p), 1))
-        upstream = ad.constant(rng.standard_normal((n + m, 3)))
+        upstream = rng.standard_normal((n + m, 3))
         results = []
         for fused in (True, False):
             W, alpha = ad.parameter(w.copy()), ad.parameter(coef.copy())
             if fused:
-                messages = ad.propagate(alpha, p, weight=weight)
+                into_inst, into_lab = ad.propagate(alpha, p, weight=weight)
             else:
-                messages = ad.propagate(ad.mul(alpha, ad.constant(weight)), p)
-            out = ad.side_matmul(messages, W, n, d)
-            ad.backward(ad.mean_all(ad.mul(out, upstream)))
-            results.append((out.value, W.grad, alpha.grad))
+                into_inst, into_lab = ad.propagate(ad.mul(alpha, ad.constant(weight)), p)
+            out_inst = ad.matmul(into_inst, ad.slice_rows(W, d, d + 2))
+            out_lab = ad.matmul(into_lab, ad.slice_rows(W, 0, d))
+            ad.backward(
+                ad.add(
+                    ad.mean_all(ad.mul(out_inst, ad.constant(upstream[:n]))),
+                    ad.mean_all(ad.mul(out_lab, ad.constant(upstream[n:]))),
+                )
+            )
+            results.append((out_inst.value, out_lab.value, W.grad, alpha.grad))
         for a, b in zip(*results):
             assert np.array_equal(a, b)
 
@@ -577,23 +630,6 @@ class TestPropagate:
         coef = ad.parameter(np.ones((2, 1)))
         with pytest.raises(DimensionError, match="weights"):
             ad.propagate(coef, p, weight=np.ones((1, 1)))
-
-    def test_side_matmul_equals_matmul_of_the_zero_padded_rows(self):
-        rng = np.random.default_rng(12)
-        n, m, d, C = 4, 3, 2, 3
-        a = rng.standard_normal((n + m, d + C))
-        a[:n, :d] = a[n:, d:] = 0.0
-        b = rng.standard_normal((d + C, 5))
-        g = rng.standard_normal((n + m, 5))
-        grads = []
-        for op in (ad.matmul, lambda a, b: ad.side_matmul(a, b, n, d)):
-            A, B = ad.parameter(a), ad.parameter(b)
-            out = op(A, B)
-            ad.backward(ad.mean_all(ad.mul(out, ad.constant(g))))
-            grads.append((out.value, np.where(a != 0.0, A.grad, 0.0), B.grad))
-        for side, whole in zip(*grads):
-            np.testing.assert_allclose(side, whole, rtol=1e-13, atol=1e-15)
-        assert not A.grad[:n, :d].any() and not A.grad[n:, d:].any()
 
 
 class TestMirroredRowIndex:
@@ -633,17 +669,15 @@ def path_kernel(n, m, inst, lab, d=3, num_classes=3, seed=0):
 
 def whole_block(p, coef, g=None):
     """``label_block_reference`` over the edges of kernel ``p``: ``R·x``, or
-    with ``g`` (the node table's gradient) the edge dots into labels."""
-    n, d, half = p.num_instances, p.feature_dim, len(p) // 2
+    with ``g`` (the labels' gradient, m x d) the edge dots into labels."""
+    n, half = p.num_instances, len(p) // 2
     inst, lab = p.targets.idx[:half], p.targets.idx[half:] - n
-    label_g = None if g is None else g[n:, :d]
-    return label_block_reference(coef[half:], p.x, inst, lab, p.num_labels, label_g)
+    return label_block_reference(coef[half:], p.x, inst, lab, p.num_labels, g)
 
 
 def label_side(p, coef, g):
     """The kernel's ``R·x`` and its edge dots into labels."""
-    n, d, half = p.num_instances, p.feature_dim, len(p) // 2
-    return p.messages(coef)[n:, :d], p.coef_grad(g)[half:]
+    return p.into_labels(coef[len(p) // 2 :]), p.label_grad(g)
 
 
 class TestDenseRowChunks:
@@ -666,7 +700,7 @@ class TestDenseRowChunks:
         inst, lab = (np.array(side, dtype=int) for side in zip(*pairs))
         rng = np.random.default_rng(seed)
         coef = rng.standard_normal(2 * len(pairs))
-        g = rng.standard_normal((n + m, d + 3))
+        g = rng.standard_normal((m, d))
         with chunk_bytes(chunk), runtime.helper_thread() if helper else nullcontext():
             p = path_kernel(n, m, inst, lab, d=d, seed=seed)
             # Chunks hold at least 4 rows, so blocks of 4 rows or fewer are one chunk.
@@ -685,7 +719,7 @@ class TestDenseRowChunks:
         keep = np.concatenate([keep, keep[:50]])  # 50 pairs twice: they add up in their cell
         inst, lab = inst[keep], lab[keep]
         coef = rng.standard_normal(2 * len(inst))
-        g = rng.standard_normal((n + m, d + 3))
+        g = rng.standard_normal((m, d))
         with chunk_bytes(300_000):
             bounds = kernels.row_chunks(m, n)
             p = path_kernel(n, m, inst, lab, d=d)
@@ -718,7 +752,7 @@ class TestDenseRowChunks:
         n, m = 6, 5
         inst, lab = np.arange(n), np.arange(n) % m
         rng = np.random.default_rng(5)
-        coef, g = rng.standard_normal(2 * n), rng.standard_normal((n + m, 6))
+        coef, g = rng.standard_normal(2 * n), rng.standard_normal((m, 3))
         with chunk_bytes(8 * n * m // 2):
             p = path_kernel(n, m, inst, lab)
             assert not p.chunked
@@ -752,7 +786,7 @@ class TestDenseRowChunks:
         assert p.chunked == (groups > 200)
         rng = np.random.default_rng(groups)
         coef = rng.random(len(p))
-        g = rng.standard_normal((p.num_nodes, p.width))
+        g = rng.standard_normal((p.num_labels, p.feature_dim))
         with runtime.helper_thread():
             forward, dots = label_side(p, coef, g)
         assert np.array_equal(forward, whole_block(p, coef))
@@ -765,17 +799,18 @@ class TestDenseRowChunks:
         inst, lab = pairs // m, pairs % m
         with chunk_bytes(16 * 1024), runtime.helper_thread():
             p = path_kernel(n, m, inst, lab, d=d)
-            coef = rng.standard_normal(len(p))
-            g = rng.standard_normal((n + m, p.width))
+            half = len(p) // 2
+            coef = rng.standard_normal(half)
+            g = rng.standard_normal((m, d))
             bounds = kernels.row_chunks(m, n)
             chunk = max(b - a for a, b in zip(bounds, bounds[1:])) * n * 8
             # Per chunk and thread: its edges, their block positions, shifted
             # positions and coefficients.
             edges = 4 * 8 * np.bincount(lab).max() * 16
-            # The output: the node table's rows, or a coefficient per edge.
+            # The output: the labels' rows, or a coefficient per edge into a label.
             for call, arg, out in (
-                (p.messages, coef, (n + m) * p.width * 8),
-                (p.coef_grad, g, len(p) * 8),
+                (p.into_labels, coef, m * d * 8),
+                (p.label_grad, g, half * 8),
             ):
                 bound = 2 * (chunk + edges) + out + 8 * 1024
                 assert bound < n * m * 8  # less than one whole block
@@ -898,16 +933,19 @@ class TestEdgeAttention:
         )
         upstream = ad.constant(rng.standard_normal((1, len(src))))
         dst_rows, src_rows = ad.RowIndex(dst), ad.RowIndex(src)
-        results = []
-        for op in (ad.edge_attention, attention_chain):
-            s_dst, s_src = ad.parameter(scores[:, :1].copy()), ad.parameter(scores[:, 1:].copy())
-            alpha = op(s_dst, s_src, dst_rows, src_rows, 0.2)
-            ad.backward(ad.matmul(upstream, alpha))  # alpha's gradient is upstream.T
-            results.append((alpha.value, ad.grad_or_zeros(s_dst), ad.grad_or_zeros(s_src)))
-        fused, chain = results
-        assert fused[0].shape == (len(src), 1)
-        for a, b in zip(fused, chain):
-            assert np.array_equal(a, b)
+        # The fused op takes each side's two columns; the chain, each
+        # column over both sides.
+        s_inst, s_lab = ad.parameter(scores[:n].copy()), ad.parameter(scores[n:].copy())
+        fused = ad.edge_attention(s_inst, s_lab, dst_rows, src_rows, 0.2)
+        ad.backward(ad.matmul(upstream, fused))  # alpha's gradient is upstream.T
+        s_dst, s_src = ad.parameter(scores[:, :1].copy()), ad.parameter(scores[:, 1:].copy())
+        chain = attention_chain(s_dst, s_src, dst_rows, src_rows, 0.2)
+        ad.backward(ad.matmul(upstream, chain))
+        assert fused.value.shape == (len(src), 1)
+        assert np.array_equal(fused.value, chain.value)
+        fused_grad = np.concatenate([ad.grad_or_zeros(s_inst), ad.grad_or_zeros(s_lab)])
+        chain_grad = np.hstack([ad.grad_or_zeros(s_dst), ad.grad_or_zeros(s_src)])
+        assert np.array_equal(fused_grad, chain_grad)
 
     def test_grad_check_skips_the_kink(self):
         n, m = 2, 3
@@ -916,25 +954,25 @@ class TestEdgeAttention:
         dst = ad.RowIndex(np.concatenate([inst, lab + n]))
         src = ad.RowIndex(np.concatenate([lab + n, inst]))
         rng = np.random.default_rng(10)
-        s_dst = ad.parameter(rng.uniform(0.5, 1.5, size=(n + m, 1)))
-        s_src = ad.parameter(rng.uniform(0.5, 1.5, size=(n + m, 1)))
+        s_inst = ad.parameter(rng.uniform(0.5, 1.5, size=(n, 2)))
+        s_lab = ad.parameter(rng.uniform(0.5, 1.5, size=(m, 2)))
         # Edge 0 (label node row n -> instance row 0) has pre-activation 0.
-        s_dst.value[0, 0], s_src.value[n, 0] = 0.25, -0.25
+        s_inst.value[0, 0], s_lab.value[0, 1] = 0.25, -0.25
         weights = ad.constant(rng.standard_normal((len(dst), 1)))
 
         def loss():
-            return ad.mean_all(ad.mul(ad.edge_attention(s_dst, s_src, dst, src, 0.2), weights))
+            return ad.mean_all(ad.mul(ad.edge_attention(s_inst, s_lab, dst, src, 0.2), weights))
 
-        report = grad_check(loss, {"s_dst": s_dst, "s_src": s_src}, samples_per_param=n + m)
+        report = grad_check(loss, {"s_inst": s_inst, "s_lab": s_lab}, samples_per_param=2 * m)
         assert [e.skipped for e in report.entries] == [1, 1]
-        assert [e.checked for e in report.entries] == [n + m - 1] * 2
+        assert [e.checked for e in report.entries] == [2 * n - 1, 2 * m - 1]
         assert report.max_rel_error <= 1e-6
 
     def test_score_columns_and_indices_are_checked(self):
-        col, wide = ad.constant(np.zeros((3, 1))), ad.constant(np.zeros((3, 2)))
-        with pytest.raises(DimensionError, match="column vectors"):
-            ad.edge_attention(col, wide, [0], [1], 0.2)
+        col, pair = ad.constant(np.zeros((3, 1))), ad.constant(np.zeros((2, 2)))
+        with pytest.raises(DimensionError, match="two score columns"):
+            ad.edge_attention(pair, col, [0], [1], 0.2)
         with pytest.raises(DimensionError, match="2 targets for 1 sources"):
-            ad.edge_attention(col, col, [0, 1], [1], 0.2)
+            ad.edge_attention(pair, pair, [0, 1], [1], 0.2)
         with pytest.raises(DimensionError, match="out of range"):
-            ad.edge_attention(col, col, [3], [1], 0.2)
+            ad.edge_attention(pair, pair, [4], [1], 0.2)

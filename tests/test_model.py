@@ -1,8 +1,13 @@
+import math
 import tracemalloc
 import types
+from contextlib import contextmanager, nullcontext
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbgae import autodiff as ad
 from dbgae import kernels, runtime
@@ -27,7 +32,7 @@ from dbgae.model import (
     save_ratings,
     train,
 )
-from oracles import record_kink_signs
+from oracles import encode_reference, grad_check, record_kink_signs
 
 
 def make_graph(
@@ -169,12 +174,12 @@ class TestPropagation:
         prep = prepare_graph(graph, cfg)
         params = init_params(cfg, graph.feature_dim, graph.num_classes)
         params["W.0"].value = np.eye(4)
-        sums = propagation_messages(prep, params, cfg, head=0)["within"]
-        assert sums.shape == (prep.num_nodes, 4)
-        # row 0, the instance, receives the label one-hot block
-        np.testing.assert_allclose(sums.value[0], [0.0, 0.0, 1.0, 0.0])
-        # row 1, the label, receives the instance features
-        np.testing.assert_allclose(sums.value[1], [0.4, -0.2, 0.0, 0.0])
+        inst, lab = propagation_messages(prep, params, cfg, head=0)["within"]
+        assert inst.shape == (1, 4) and lab.shape == (1, 4)
+        # the instance receives the label one-hot, through W's class rows
+        np.testing.assert_allclose(inst.value[0], [0.0, 0.0, 1.0, 0.0])
+        # the label receives the instance features, through W's feature rows
+        np.testing.assert_allclose(lab.value[0], [0.4, -0.2, 0.0, 0.0])
 
     def test_half_weight_scales_message(self):
         graph = tiny_graph(w=0.5)
@@ -182,8 +187,8 @@ class TestPropagation:
         prep = prepare_graph(graph, cfg)
         params = init_params(cfg, graph.feature_dim, graph.num_classes)
         params["W.0"].value = np.eye(4)
-        sums = propagation_messages(prep, params, cfg, head=0)["within"]
-        np.testing.assert_allclose(sums.value[0], [0.0, 0.0, 0.5, 0.0])
+        inst, _ = propagation_messages(prep, params, cfg, head=0)["within"]
+        np.testing.assert_allclose(inst.value[0], [0.0, 0.0, 0.5, 0.0])
 
     def test_messages_from_two_neighbors_add_up(self):
         graph = make_graph(
@@ -198,10 +203,10 @@ class TestPropagation:
         prep = prepare_graph(graph, cfg)
         params = init_params(cfg, graph.feature_dim, graph.num_classes)
         params["W.0"].value = np.eye(4)
-        sums = propagation_messages(prep, params, cfg, head=0)["within"].value
-        np.testing.assert_allclose(sums[0], [0.0, 0.0, 0.5, 0.25])
-        np.testing.assert_allclose(sums[1], [0.2, -0.1, 0.0, 0.0])
-        np.testing.assert_allclose(sums[2], [0.1, -0.05, 0.0, 0.0])
+        inst, lab = propagation_messages(prep, params, cfg, head=0)["within"]
+        np.testing.assert_allclose(inst.value[0], [0.0, 0.0, 0.5, 0.25])
+        np.testing.assert_allclose(lab.value[0], [0.2, -0.1, 0.0, 0.0])
+        np.testing.assert_allclose(lab.value[1], [0.1, -0.05, 0.0, 0.0])
 
     def test_path_without_edges_has_no_message_sums(self):
         graph = tiny_graph()
@@ -215,8 +220,8 @@ class TestPropagation:
         cfg = small_config(variant="no_attention")
         prep = prepare_graph(graph, cfg)
         params = init_params(cfg, graph.feature_dim, graph.num_classes)
-        hidden = aggregate_paths(prep, params, cfg)
-        np.testing.assert_array_equal(hidden["cross"].value, 0.0)
+        for side in aggregate_paths(prep, params, cfg)["cross"]:
+            np.testing.assert_array_equal(side.value, 0.0)
 
     def test_no_edge_by_width_value_on_the_tape(self):
         graph = make_graph(
@@ -238,13 +243,17 @@ class TestPropagation:
         # No per-edge row at the hidden width, nor at the feature widths that
         # ``propagate`` works at (3 features and 2 classes), per directed
         # edge or per pair.  Four rating levels keep the logits (4 x 4) apart.
+        # No row per node of both kinds either: no padded node table, nor
+        # its messages or hidden rows.
+        n, m = graph.num_instances, graph.num_label_nodes
         forbidden = {(len(path.src), cfg.gcn_hidden) for path in prep.paths.values()} | {
             (edges, width)
             for path in prep.paths.values()
             for edges in (len(path.src), len(path.src) // 2)
             for width in (3, 3 + 2)
         }
-        assert {(8, 7), (4, 7), (8, 5), (4, 3), (2, 5)} <= forbidden and prep.num_nodes == 6
+        forbidden |= {(n + m, 3 + 2), (n + m, cfg.gcn_hidden)}
+        assert {(8, 7), (4, 7), (8, 5), (4, 3), (2, 5), (6, 5), (6, 7)} <= forbidden
         shapes, stack, seen = [], [loss], {id(loss)}
         while stack:
             node = stack.pop()
@@ -254,7 +263,8 @@ class TestPropagation:
                     seen.add(id(parent))
                     stack.append(parent)
         assert [shape for shape in forbidden if shape in shapes] == []
-        assert (prep.num_nodes, cfg.gcn_hidden) in shapes and (prep.num_nodes, 3 + 2) in shapes
+        # Each side's messages, at its feature width, and hidden rows.
+        assert {(n, 2), (m, 3), (n, cfg.gcn_hidden), (m, cfg.gcn_hidden)} <= set(shapes)
 
     def test_no_coefficient_block_reachable_from_a_propagate_closure(self):
         graph = make_graph(
@@ -282,7 +292,7 @@ class TestPropagation:
                 if id(parent) not in seen:
                     seen.add(id(parent))
                     stack.append(parent)
-        assert len(closures) == 2 * cfg.num_heads
+        assert len(closures) == 2 * 2 * cfg.num_heads  # per path and side
         # Everything a closure reaches: its cells, the tensors in them with
         # their values, inputs and closures, and the kernel's fields.
         stack, seen = [cell.cell_contents for f in closures for cell in f.__closure__], set()
@@ -296,6 +306,8 @@ class TestPropagation:
                 stack.append(obj.base)
             elif isinstance(obj, ad.Tensor):
                 stack.extend([obj.value, obj.grad, obj.backward_fn, *obj.parents])
+            elif isinstance(obj, types.MethodType):
+                stack.extend([obj.__self__, obj.__func__])
             elif callable(obj) and getattr(obj, "__closure__", None):
                 stack.extend(cell.cell_contents for cell in obj.__closure__)
             elif isinstance(obj, (tuple, list)):
@@ -305,7 +317,7 @@ class TestPropagation:
             elif isinstance(obj, (kernels.DenseBlockPath, kernels.SparsePath)):
                 stack.extend(vars(obj).values())
         assert (3, 3) in shapes  # the kernel's instance features were reached
-        assert (prep.num_nodes, cfg.gcn_hidden) in shapes
+        assert (3 + 2, cfg.gcn_hidden) in shapes  # and the attention parameters
         assert shapes & blocks == set()
 
     def test_benchmark_graph_picks_dense_cross_and_sparse_within(self):
@@ -381,8 +393,8 @@ class TestPreparedGraph:
         # Per within edge, the loss's: sort position and segment id of each
         # end, and the target level.
         loss = 5 * 8 * within
-        # Per node: features and label one-hot, the gather indexes of both
-        # node kinds and the segments of every index.
+        # Per node: features and label one-hot, the labels' class rows and
+        # the segments of every index.
         nodes = 8 * ((n + m) * (d + C + 11) + m * C)
         assert kept <= edges + loss + nodes + 16 * 1024
 
@@ -401,9 +413,8 @@ class TestPreparedGraph:
             assert np.array_equal(path.dst.idx, np.concatenate([inst, lab + n]))
             assert np.array_equal(path.src.idx, fresh.idx)
             values = rng.standard_normal((len(fresh), 3))
-            assert np.array_equal(
-                path.src.sum_into(values, prep.num_nodes), fresh.sum_into(values, prep.num_nodes)
-            )
+            rows = n + graph.num_label_nodes
+            assert np.array_equal(path.src.sum_into(values, rows), fresh.sum_into(values, rows))
         assert len(prep.paths["cross"].src) == (0 if variant in ("no_cross", "no_dual") else 600)
 
 
@@ -452,7 +463,7 @@ class TestAttention:
             for name, path in prep.paths.items():
                 if len(path.dst) == 0:
                     continue
-                sums = np.zeros(prep.num_nodes)
+                sums = np.zeros(graph.num_instances + graph.num_label_nodes)
                 np.add.at(sums, path.dst.idx, alphas[name].value[:, 0])
                 touched = np.unique(path.dst.idx)
                 np.testing.assert_allclose(sums[touched], 1.0, atol=1e-12)
@@ -469,9 +480,10 @@ class TestAggregate:
         p4 = init_params(cfg4, graph.feature_dim, graph.num_classes)
         for h in range(4):
             p4[f"W.{h}"].value = p1["W.0"].value.copy()
-        h1 = aggregate_paths(prep1, p1, cfg1)["within"].value
-        h4 = aggregate_paths(prep4, p4, cfg4)["within"].value
-        np.testing.assert_allclose(h1, h4, atol=1e-12)
+        h1 = aggregate_paths(prep1, p1, cfg1)["within"]
+        h4 = aggregate_paths(prep4, p4, cfg4)["within"]
+        for side1, side4 in zip(h1, h4):
+            np.testing.assert_allclose(side1.value, side4.value, atol=1e-12)
 
     def test_relu_applied_after_averaging(self):
         graph = make_graph(
@@ -486,8 +498,8 @@ class TestAggregate:
         prep = prepare_graph(graph, cfg)
         params = init_params(cfg, graph.feature_dim, graph.num_classes)
         params["W.0"].value = -np.eye(4)
-        hidden = aggregate_paths(prep, params, cfg)["within"]
-        np.testing.assert_array_equal(hidden.value, 0.0)
+        for side in aggregate_paths(prep, params, cfg)["within"]:
+            np.testing.assert_array_equal(side.value, 0.0)
 
 
 class TestEncode:
@@ -561,11 +573,144 @@ class TestEncode:
         with record_kink_signs() as signs:
             encode(prep, params, cfg)
         assert (ad.relu, ad.edge_attention) == ops
-        n, nodes, H, E = prep.num_instances, prep.num_nodes, cfg.gcn_hidden, cfg.dense_hidden
-        edges = [(len(prep.paths[name].dst), 1) for name in ("within", "cross")]
-        # per head, each path's attention; then the two path hiddens, f, n, U and V
-        relus = [(nodes, H), (nodes, H), (n, H), (nodes - n, H), (n, E), (nodes - n, E)]
+        n, m = graph.num_instances, graph.num_label_nodes
+        H, E = cfg.gcn_hidden, cfg.dense_hidden
+        edges = [(len(prep.paths[name].dst),) for name in ("within", "cross")]
+        # per head, each path's attention; then each path's two sides, f, n, U and V
+        relus = [(n, H), (m, H), (n, H), (m, H), (n, H), (m, H), (n, E), (m, E)]
         assert [mask.shape for mask in signs] == edges * cfg.num_heads + relus
+
+
+@contextmanager
+def every_path(kernel, chunk_bytes=None):
+    """Prepare every path with ``kernel``, and take dense blocks in row
+    chunks of ``chunk_bytes`` (the default when None)."""
+    from dbgae import model
+
+    saved = model.DENSE_BLOCK_MIN_DENSITY, kernels.DENSE_CHUNK_BYTES
+    model.DENSE_BLOCK_MIN_DENSITY = 0.0 if kernel is kernels.DenseBlockPath else math.inf
+    kernels.DENSE_CHUNK_BYTES = chunk_bytes or kernels.DENSE_CHUNK_BYTES
+    try:
+        yield
+    finally:
+        model.DENSE_BLOCK_MIN_DENSITY, kernels.DENSE_CHUNK_BYTES = saved
+
+
+def close(actual, expected, rel=1e-12):
+    """Whether ``actual`` is within ``rel`` of ``expected``, relative to
+    ``expected``'s largest magnitude."""
+    if expected.size == 0:
+        return actual.shape == expected.shape
+    return np.abs(actual - expected).max() <= rel * max(np.abs(expected).max(), 1e-300)
+
+
+class TestPaddedTableReference:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        m=st.integers(1, 6),
+        data=st.data(),
+        d=st.integers(0, 3),
+        num_classes=st.integers(1, 3),
+        variant=st.sampled_from(VARIANTS),
+        heads=st.integers(1, 2),
+        chunk=st.one_of(st.none(), st.integers(8, 200)),
+        helper=st.booleans(),
+        seed=st.integers(0, 10_000),
+    )
+    @pytest.mark.parametrize("kernel", [kernels.DenseBlockPath, kernels.SparsePath])
+    def test_two_sided_encoder_matches_it(
+        self, kernel, n, m, data, d, num_classes, variant, heads, chunk, helper, seed
+    ):
+        # U, V and every parameter's gradient of the two-sided encoder
+        # against the encoder over the zero-padded node table.
+        pairs = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)),
+                min_size=1,
+                max_size=16,
+                unique=True,
+            )
+        )
+        split = data.draw(st.integers(1, len(pairs)))  # within pairs, then cross pairs
+        rng = np.random.default_rng(seed)
+        weights = rng.uniform(0.1, 1.0, size=len(pairs))
+        graph = make_graph(
+            inst_feats=rng.standard_normal((n, d)),
+            inst_group=np.arange(n),
+            label_class=rng.integers(0, num_classes, size=m),
+            label_group=np.arange(m),
+            within=[(i, j, w, 1) for (i, j), w in zip(pairs[:split], weights[:split])],
+            cross=[(i, j, w, 0) for (i, j), w in zip(pairs[split:], weights[split:])],
+            num_classes=num_classes,
+        )
+        cfg = small_config(
+            gcn_hidden=5, dense_hidden=3, num_heads=heads, variant=variant, seed=seed
+        )
+        params = init_params(cfg, d, num_classes)
+        g_u, g_v = rng.standard_normal((n, 3)), rng.standard_normal((m, 3))
+        results = []
+        with every_path(kernel, chunk), runtime.helper_thread() if helper else nullcontext():
+            prep = prepare_graph(graph, cfg)
+            for encoder in (encode, partial(encode_reference, graph)):
+                U, V = encoder(prep, params, cfg)
+                ad.backward(
+                    ad.add(
+                        ad.mean_all(ad.mul(U, ad.constant(g_u))),
+                        ad.mean_all(ad.mul(V, ad.constant(g_v))),
+                    )
+                )
+                results.append((U.value, V.value, {k: g.copy() for k, g in params.grads().items()}))
+                ad.zero_grads(params.tensors.values())
+        (U, V, grads), (U_ref, V_ref, grads_ref) = results
+        assert close(U, U_ref) and close(V, V_ref)
+        # The gradient is one vector over all parameters: relative to its
+        # largest entry, since a parameter's own gradient may cancel to
+        # rounding noise (one class and no features make attention constant).
+        scale = max(np.abs(g).max(initial=0.0) for g in grads_ref.values())
+        for name, g in grads_ref.items():
+            assert np.abs(grads[name] - g).max(initial=0.0) <= 1e-12 * scale, name
+
+
+class TestGradientCheck:
+    @pytest.mark.parametrize("variant", ["no_cross", "no_attention", "no_dual"])
+    def test_each_ablation_variant_passes_c1s_check(self, variant):
+        # Acceptance criterion c1 checks the full model; the same graph,
+        # step and tolerance for the other three variants.
+        from dbgae.data import GeneratorConfig, generate_synthetic
+        from dbgae.graph import build_dual_graph
+
+        ds = generate_synthetic(
+            GeneratorConfig(
+                num_classes=3,
+                feature_dim=4,
+                num_groups=3,
+                min_instances=1,
+                max_instances=2,
+                separation=1.0,
+                noise_scale=0.08,
+                null_rate=0.0,
+                cross_rate=0.2,
+                distractor_rate=0.5,
+                rng_seed=1,
+            )
+        )
+        graph = build_dual_graph(ds, eps=1.0, min_pts=2, threshold=1.0)
+        config = ModelConfig(
+            gcn_hidden=8, dense_hidden=8, num_heads=2, epochs=1, seed=3, variant=variant
+        )
+        prep = prepare_graph(graph, config)
+        params = init_params(config, graph.feature_dim, graph.num_classes)
+
+        def loss_fn():
+            U, V = encode(prep, params, config)
+            return reconstruction_loss(
+                decode_logits(U, V, params, prep.within_src, prep.within_dst), prep.targets
+            )
+
+        report = grad_check(loss_fn, params.tensors, step=1e-4, samples_per_param=64, seed=0)
+        assert sum(e.checked for e in report.entries) > 0
+        assert report.max_rel_error <= 1e-4
 
 
 class TestDecode:
@@ -970,8 +1115,8 @@ class TestTrain:
         cfg = small_config(variant="no_cross")
         prep = prepare_graph(graph, cfg)
         params = init_params(cfg, graph.feature_dim, graph.num_classes)
-        hidden = aggregate_paths(prep, params, cfg)
-        np.testing.assert_array_equal(hidden["cross"].value, 0.0)
+        for side in aggregate_paths(prep, params, cfg)["cross"]:
+            np.testing.assert_array_equal(side.value, 0.0)
 
     def test_no_dual_uses_uniform_averaged_weights(self):
         graph = make_graph(
@@ -1142,6 +1287,39 @@ class TestCheckpointAndRatings:
         params.tensors["junk"] = ad.parameter(np.zeros((2, 2)))
         with pytest.raises(TrainingError, match="tensor 'junk' is not a tensor of this model"):
             train(graph, small_config(epochs=2), initial_params=params)
+
+    def test_the_first_unknown_tensor_in_checkpoint_order_is_named_under_any_hash_seed(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from dbgae import model
+
+        code = "\n".join(
+            [
+                "import types",
+                "from dbgae import autodiff as ad, model",
+                "cfg = model.ModelConfig(gcn_hidden=3, dense_hidden=2, num_heads=1)",
+                "params = model.init_params(cfg, 2, 2)",
+                "for name in ('zz_d', 'zz_a', 'zz_c', 'zz_b'):",
+                "    params.tensors[name] = ad.parameter([[0.0]])",
+                "graph = types.SimpleNamespace(feature_dim=2, num_classes=2)",
+                "try:",
+                "    model._check_checkpoint(params, cfg, graph)",
+                "except model.TrainingError as exc:",
+                "    print(exc)",
+            ]
+        )
+        messages = []
+        for seed in ("1", "2"):  # a set of these names iterates differently under each
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = str(Path(model.__file__).parents[1])
+            run = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True
+            )
+            messages.append(run.stdout.strip() or run.stderr)
+        assert messages == ["checkpoint tensor 'zz_d' is not a tensor of this model"] * 2
 
     def test_checkpoint_for_other_graph_is_training_error(self):
         params = init_params(small_config(), 3, 2)

@@ -615,3 +615,12 @@ class TestScripts:
         assert len(lines) == 1 + 2 * 3 + 2 * 3  # header, variant x method runs, then means
         means = [line.split(",")[:2] for line in lines[7:]]
         assert means == [["full", "mean"]] * 3 + [["no_cross", "mean"]] * 3
+
+    @pytest.mark.parametrize("seeds", ["0,,1", "x"])
+    def test_run_benchmark_rejects_seeds_that_are_not_integers(self, tmp_path, capsys, seeds):
+        script = runpy.run_path(str(Path(__file__).parents[1] / "scripts" / "run_benchmark.py"))
+        with pytest.raises(SystemExit) as info:
+            script["main"](["--seeds", seeds, "--out", str(tmp_path / "benchmark.csv")])
+        assert info.value.code == 2
+        assert f"--seeds {seeds!r} is not a comma-separated list of integers" in capsys.readouterr().err
+        assert not (tmp_path / "benchmark.csv").exists()
