@@ -39,12 +39,11 @@ import itertools
 import json
 import os
 import shutil
-import signal
-import traceback
 import uuid
 
 import numpy as np
 
+from . import runtime
 from .errors import ParseError, SchemaError
 
 _SEPARATORS = (",", ":")
@@ -243,11 +242,13 @@ class _Encoder:
                 self._tails[path] = os.path.join(directory, f".{name}.{uuid.uuid4().hex}.tail.tmp")
                 tails.append(open(self._tails[path], "x", encoding="utf-8", newline=""))
             self._done_fd, done_w = os.pipe()
+
+            def encode():
+                os.close(self._done_fd)
+                _encode([(fh, parts) for fh, (_, parts) in zip(tails, shares)], done_w)
+
             try:
-                self._pid = os.fork()
-                if self._pid == 0:
-                    os.close(self._done_fd)
-                    _encode_and_exit([(fh, parts) for fh, (_, parts) in zip(tails, shares)], done_w)
+                self._pid = runtime.fork(encode)
             finally:
                 os.close(done_w)
         finally:
@@ -272,9 +273,7 @@ class _Encoder:
         while self._done <= self._order.index(path):
             done = os.read(self._done_fd, 64)
             if not done:
-                _, status = os.waitpid(self._pid, 0)
-                self._pid = None
-                status = os.waitstatus_to_exitcode(status)
+                status, self._pid = runtime.reap(self._pid), None
                 raise OSError(f"{path}: the encoder process exited with status {status}")
             self._done += len(done)
         fh.flush()
@@ -284,9 +283,8 @@ class _Encoder:
 
     def stop(self):
         if self._pid is not None:
-            if self._done < len(self._order):  # the caller gave up on a file
-                os.kill(self._pid, signal.SIGKILL)
-            os.waitpid(self._pid, 0)
+            # killed if the caller gave up on a file
+            runtime.reap(self._pid, kill=self._done < len(self._order))
             self._pid = None
         if self._done_fd is not None:
             os.close(self._done_fd)
@@ -297,26 +295,14 @@ class _Encoder:
         self._tails.clear()
 
 
-def _encode_and_exit(shares, done_fd):
-    """The forked encoder: write each (file, parts) share, reporting each
-    finished file by one byte on ``done_fd``, and leave the process by
-    ``os._exit``, never returning into the caller's code.
-
-    Encoding makes no BLAS call, which a child of a process with BLAS
-    threads must not make.  Whatever it raises is printed straight to file
-    descriptor 2 (no inherited buffer is flushed) and ends it with status 1.
-    """
-    status = 1
-    try:
-        for fh, parts in shares:
-            with fh:
-                _write_parts(fh, parts)
-            os.write(done_fd, b".")
-        status = 0
-    except BaseException:  # the process ends here either way
-        os.write(2, traceback.format_exc().encode())
-    finally:
-        os._exit(status)
+def _encode(shares, done_fd):
+    """The forked encoder (``runtime.fork``): write each (file, parts) share,
+    reporting each finished file by one byte on ``done_fd``.  Encoding makes
+    no BLAS call."""
+    for fh, parts in shares:
+        with fh:
+            _write_parts(fh, parts)
+        os.write(done_fd, b".")
 
 
 def records(items):

@@ -204,8 +204,11 @@ class SparsePath(_BipartiteEdges):
 
 
 def helper_pays(paths) -> bool:
-    """Whether a helper thread pays for these propagation kernels: only with
-    a second core, a dense block of more than one row chunk, and BLAS on
-    one thread (``runtime.blas_threads``)."""
+    """Whether a helper thread pays for these propagation kernels: only for
+    a dense block of more than one row chunk, and only where
+    ``runtime.second_core`` holds (two usable cores, BLAS on one thread).
+    Where it pays, the helper also takes ``model.train``'s per-epoch
+    diagnostics; where it does not but ``second_core`` holds, ``train``
+    forks a diagnostics worker for them instead."""
     chunked = any(isinstance(p, DenseBlockPath) and p.chunked for p in paths)
-    return chunked and runtime.usable_cores() >= 2 and runtime.blas_threads() == 1
+    return chunked and runtime.second_core()

@@ -25,12 +25,19 @@ before the next one is built; the epochs run inside
 ``runtime.keep_freed_memory``, so glibc keeps that freed memory for the
 next epoch instead of returning it to the kernel.
 
-On a graph with a block of more than one chunk, a second core and BLAS on
-one thread (``kernels.helper_pays``), ``train`` runs one helper thread
+Each epoch's normalization diagnostics (``decode_diagnostics``) run on
+the second core where one is free (``runtime.second_core``: two usable
+cores, BLAS on one thread), beside the main thread's loss and
+``backward``.  On a graph with a block of more than one chunk
+(``kernels.helper_pays``), ``train`` runs one helper thread
 (``runtime.helper_thread``): it takes its share of the block's row chunks,
-and each epoch it streams the decode behind the normalization diagnostics
-(``decode_diagnostics``) while the main thread takes the loss and runs
-``backward``.
+and each epoch it streams the diagnostic decode.  On any other graph, and
+where the platform has ``os.fork``, ``train`` forks one diagnostics
+worker (``runtime.Worker``) before the first epoch: after each ``encode``
+it sends the worker U, V and the Q values, and the worker decodes.  A
+thread would not help there, since the decode holds the interpreter lock;
+at 800 groups the fork's copy-on-write faults cost more than the worker
+saved.  With neither, the main thread decodes after ``backward``.
 
 Decoder: bilinear score per discrete likelihood level, softmax across
 levels; the refined link weight is the expectation over levels.  Training
@@ -44,7 +51,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from contextlib import nullcontext
+import os
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -559,6 +567,28 @@ def reconstruction_loss(logits_within: Tensor, targets: np.ndarray) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def _diagnostics_worker(prep: PreparedGraph, params: ModelParams, levels: list[str], helper: bool):
+    """The forked worker (``runtime.Worker``) that calls ``decode_diagnostics``
+    on each epoch's U, V and ``levels``' Q values, or None: where the
+    ``helper`` thread takes the diagnostics, and where the worker may not
+    take the second core (no ``os.fork``, one usable core, or BLAS
+    threads: ``runtime.second_core``)."""
+    if helper or not hasattr(os, "fork") or not runtime.second_core():
+        yield None
+        return
+
+    def diagnose(U, V, *Q):
+        for name, value in zip(levels, Q):
+            params[name].value = value  # the worker's own copy of the tensor
+        return decode_diagnostics(U, V, params, prep.rated)
+
+    E = params.dense_hidden
+    shapes = [(prep.x.rows, E), (prep.l.rows, E), *[(E, E)] * len(levels)]
+    with runtime.Worker(diagnose, shapes) as worker:
+        yield worker
+
+
 @dataclass
 class TrainResult:
     params: ModelParams
@@ -598,15 +628,18 @@ def train(
     prob_sum_err = np.zeros(config.epochs)
     mhat_min = np.zeros(config.epochs)
     mhat_max = np.zeros(config.epochs)
+    levels = [f"Q.{r}" for r in range(len(params.rating_levels))]
 
-    def step(epoch: int):
+    def step(epoch: int, worker: runtime.Worker | None):
         """One epoch; its tape is local, consumed by ``backward`` and gone on
         return, so no two epochs' tapes are ever alive at once.
 
         The diagnostics stream the rated edges' decode (no rating array is
-        built): the helper starts on it while this thread takes the loss and
-        runs ``backward``, and this thread decodes after ``backward`` if the
-        helper has not started (or there is none).  The loss and
+        built).  With a worker, U, V and the Q values go to it before the
+        loss, and it decodes while this thread takes the loss and runs
+        ``backward``.  Without one, the helper starts on the decode while
+        this thread does so, and this thread decodes after ``backward`` if
+        the helper has not started (or there is none).  The loss and
         ``backward`` write only the tape and gradients, so U, V and the
         parameters the decode reads stay as they were until Adam."""
         U, V = encode(prep, params, config)
@@ -624,12 +657,17 @@ def train(
             loss_trace[epoch] = value
             ad.backward(loss)
 
-        found = []
-        runtime.share(
-            lambda _: found.append(decode_diagnostics(U.value, V.value, params, prep.rated)),
-            1,
-            meanwhile=loss_and_backward,
-        )
+        if worker is not None:
+            worker.send([U.value, V.value, *(params[name].value for name in levels)])
+            loss_and_backward()
+            found = [worker.receive()]
+        else:
+            found = []
+            runtime.share(
+                lambda _: found.append(decode_diagnostics(U.value, V.value, params, prep.rated)),
+                1,
+                meanwhile=loss_and_backward,
+            )
         prob_sum_err[epoch], mhat_min[epoch], mhat_max[epoch] = found[0]
 
         try:
@@ -639,10 +677,11 @@ def train(
         ad.zero_grads(params.tensors.values())
 
     helper = kernels.helper_pays(p.edges for p in prep.paths.values())
-    with runtime.keep_freed_memory(), runtime.helper_thread() if helper else nullcontext():
-        for epoch in range(config.epochs):
-            step(epoch)
-        U, V = encode(prep, params, config)
+    with runtime.keep_freed_memory(), _diagnostics_worker(prep, params, levels, helper) as worker:
+        with runtime.helper_thread() if helper else nullcontext():
+            for epoch in range(config.epochs):
+                step(epoch, worker)
+            U, V = encode(prep, params, config)
 
     ratings = decode(U.value, V.value, params, *prep.rated_edges())
     return TrainResult(
@@ -663,23 +702,27 @@ _CHECKPOINT_VERSION = 1
 
 
 def save_params(params: ModelParams, path):
-    payload = {
-        "version": _CHECKPOINT_VERSION,
-        "meta": {
-            "num_heads": params.num_heads,
-            "feature_dim": params.feature_dim,
-            "num_classes": params.num_classes,
-            "gcn_hidden": params.gcn_hidden,
-            "dense_hidden": params.dense_hidden,
-            "rating_levels": list(params.rating_levels),
-        },
-        "tensors": {
-            name: {"shape": list(t.value.shape), "data": t.value.ravel().tolist()}
-            for name, t in params.tensors.items()
-        },
+    """Write the checkpoint: the compact JSON of ``{"version", "meta",
+    "tensors": {name: {"shape", "data"}}}``.  Each tensor's record is
+    encoded whole by ``json.dumps`` (``json.dump`` streams through the
+    pure-Python encoder, 1.7 times as slow), one tensor at a time, so only
+    one tensor's floats and text are alive at once."""
+    meta = {
+        "num_heads": params.num_heads,
+        "feature_dim": params.feature_dim,
+        "num_classes": params.num_classes,
+        "gcn_hidden": params.gcn_hidden,
+        "dense_hidden": params.dense_hidden,
+        "rating_levels": list(params.rating_levels),
     }
+    head = json.dumps({"version": _CHECKPOINT_VERSION, "meta": meta}, separators=(",", ":"))
     with jsonl.atomic_open(path) as fh:
-        json.dump(payload, fh, separators=(",", ":"))
+        fh.write(head[:-1] + ',"tensors":{')
+        for k, (name, t) in enumerate(params.tensors.items()):
+            record = {"shape": list(t.value.shape), "data": t.value.ravel().tolist()}
+            fh.write(("," if k else "") + json.dumps(name) + ":")
+            fh.write(json.dumps(record, separators=(",", ":")))
+        fh.write("}}")
 
 
 def _json_int(value, field: str) -> int:

@@ -1,19 +1,33 @@
-"""The process around training: the helper thread and glibc's freed memory.
+"""The process around training: the second core, forked children and
+glibc's freed memory.
 
-``helper_thread`` runs one thread beside the caller's, and ``share`` hands
-it pieces of work (``kernels.DenseBlockPath``'s row chunks, and
-``model.train``'s per-epoch diagnostic decode); ``blas_threads`` says
-whether BLAS already runs threads of its own.  ``keep_freed_memory``
-keeps the memory one epoch frees in the process for the next.
+``second_core`` says whether work beside the caller's may take the second
+core: ``usable_cores`` and ``blas_threads``, whether BLAS already runs
+threads of its own.  ``helper_thread`` runs one thread beside the
+caller's, and ``share`` hands it pieces of work (``kernels.DenseBlockPath``'s
+row chunks, and ``model.train``'s per-epoch diagnostic decode).  ``fork``
+and ``reap`` start and end a child process (``jsonl``'s encoder,
+``Worker``); a ``Worker`` is a forked process that serves calls on arrays,
+``model.train``'s per-epoch diagnostic decode on a graph without a helper
+thread.  ``keep_freed_memory`` keeps the memory one epoch frees in the
+process for the next.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
+import pickle
+import signal
+import struct
 import threading
+import traceback
 from collections import deque
 from contextlib import contextmanager
+
+import numpy as np
+
+from .errors import TrainingError
 
 # ---------------------------------------------------------------------------
 # the helper thread (used by model.train on large graphs)
@@ -62,6 +76,13 @@ def blas_threads() -> int:
     except OSError:  # no /proc (not Linux), or a mapped file that is gone
         pass
     return 1
+
+
+def second_core() -> bool:
+    """Whether work beside the caller's may take a second core: the process
+    may use two, and BLAS runs one thread, so neither oversubscribes the
+    cores and a forked child may call BLAS (``fork``)."""
+    return usable_cores() >= 2 and blas_threads() == 1
 
 
 @contextmanager
@@ -154,6 +175,158 @@ class _Shared:
             self.fn = None  # its closure holds the call's arrays; a late helper never reads it
         if self.error is not None:
             raise self.error
+
+
+# ---------------------------------------------------------------------------
+# forked children (jsonl's encoder, and the Worker of model.train)
+# ---------------------------------------------------------------------------
+
+
+def fork(child) -> int:
+    """Fork a process that runs ``child()`` and leaves by ``os._exit``, never
+    returning into the caller's code; return its pid.
+
+    Its status is 0 when ``child`` returns.  Whatever ``child`` raises is
+    printed straight to file descriptor 2 (no inherited buffer is flushed)
+    and ends it with status 1.  A forked child calls BLAS only when BLAS
+    runs one thread (``second_core``), since the child of a process with
+    BLAS threads must not: ``jsonl``'s encoder makes no BLAS call, and a
+    ``Worker`` is forked only beside one BLAS thread.
+    """
+    pid = os.fork()
+    if pid:
+        return pid
+    status = 1
+    try:
+        child()
+        status = 0
+    except BaseException:  # the process ends here either way
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(status)
+
+
+def reap(pid: int, kill: bool = False) -> int:
+    """Wait for the child ``pid``, killed first if ``kill``; its exit code."""
+    if kill:
+        os.kill(pid, signal.SIGKILL)
+    _, status = os.waitpid(pid, 0)
+    return os.waitstatus_to_exitcode(status)
+
+
+_LENGTH = struct.Struct("<Q")  # the length before each pickled reply
+
+
+class Worker:
+    """A forked process that calls ``fn`` on arrays the caller sends.
+
+    ``send(arrays)`` writes float64 arrays of ``shapes`` to a pipe; the
+    caller may change them as soon as it returns.  The worker reads them
+    into buffers of its own and calls ``fn(*buffers)``, which sees the
+    caller's objects as they were at the fork.  ``receive()`` waits for the
+    return value, pickled back through a second pipe, or raises what the
+    call raised, with its type and message; an exception pickle cannot
+    rebuild comes back as a ``RuntimeError`` naming its type.  A worker
+    that exits without a reply is a ``TrainingError`` naming its exit
+    status.  One call is outstanding at a time.
+
+    As a context manager, the worker is stopped on leaving: after an error,
+    killed and reaped; else its request pipe is closed, which ends it, and
+    it is reaped.  Create it before any thread starts beside the caller's.
+    """
+
+    def __init__(self, fn, shapes):
+        self._shapes = [tuple(shape) for shape in shapes]
+        requests, self._requests = os.pipe()
+        self._replies, replies = os.pipe()
+
+        def serve():
+            os.close(self._requests)
+            os.close(self._replies)
+            # a request is one byte, then the arrays: never empty
+            buffers = [bytearray(1), *(np.empty(shape) for shape in self._shapes)]
+            while _read_into(requests, buffers):
+                try:
+                    reply = pickle.dumps((True, fn(*buffers[1:])))
+                except Exception as exc:  # sent to the caller, who raises it
+                    reply = _pickled_error(exc)
+                _write_all(replies, _LENGTH.pack(len(reply)) + reply)
+
+        try:
+            self._pid = fork(serve)
+        except BaseException:
+            os.close(self._requests)
+            os.close(self._replies)
+            raise
+        finally:
+            os.close(requests)
+            os.close(replies)
+
+    def send(self, arrays):
+        arrays = [np.ascontiguousarray(a, dtype=np.float64) for a in arrays]
+        if [a.shape for a in arrays] != self._shapes:
+            raise ValueError(f"arrays of shapes {[a.shape for a in arrays]}, not {self._shapes}")
+        try:
+            _write_all(self._requests, b"\x01")
+            for a in arrays:
+                _write_all(self._requests, a)
+        except BrokenPipeError:
+            raise self._exited() from None
+
+    def receive(self):
+        head = bytearray(_LENGTH.size)
+        if not _read_into(self._replies, [head]):
+            raise self._exited()
+        reply = bytearray(*_LENGTH.unpack(head))
+        if not _read_into(self._replies, [reply]):
+            raise self._exited()
+        ok, value = pickle.loads(reply)
+        if not ok:
+            raise value
+        return value
+
+    def _exited(self) -> TrainingError:
+        status, self._pid = reap(self._pid), None
+        return TrainingError(f"the worker process exited with status {status} without a result")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, value, tb):
+        os.close(self._requests)  # the worker reads the end of the file and exits
+        os.close(self._replies)
+        if self._pid is not None:
+            reap(self._pid, kill=kind is not None)
+            self._pid = None
+
+
+def _pickled_error(exc: Exception) -> bytes:
+    """``exc`` as a pickled reply, or a ``RuntimeError`` naming it if pickle
+    cannot carry it (a local class, or arguments its class does not take)."""
+    try:
+        reply = pickle.dumps((False, exc))
+        pickle.loads(reply)
+    except Exception:
+        reply = pickle.dumps((False, RuntimeError(f"{type(exc).__qualname__}: {exc}")))
+    return reply
+
+
+def _write_all(fd: int, data):
+    view = memoryview(data).cast("B")
+    while view:
+        view = view[os.write(fd, view) :]
+
+
+def _read_into(fd: int, buffers) -> bool:
+    """Fill ``buffers`` from ``fd``, in order; False if the file ends first."""
+    for buffer in buffers:
+        view = memoryview(buffer).cast("B")
+        while view:
+            got = os.readv(fd, [view])
+            if not got:
+                return False
+            view = view[got:]
+    return True
 
 
 # ---------------------------------------------------------------------------

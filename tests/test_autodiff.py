@@ -919,6 +919,42 @@ class TestHelperThread:
         assert threading.active_count() == 1
 
 
+class TestWorker:
+    def test_each_call_sees_the_arrays_as_sent(self):
+        a, b = np.arange(6.0).reshape(2, 3), np.ones((1, 2))
+        with runtime.Worker(lambda x, y: (x.sum(), y.tolist()), [(2, 3), (1, 2)]) as worker:
+            worker.send([a, b])
+            a += 100.0  # after send returns, the caller's arrays are its own
+            assert worker.receive() == (15.0, [[1.0, 1.0]])
+            worker.send([a, 2 * b])
+            assert worker.receive() == (615.0, [[2.0, 2.0]])
+            with pytest.raises(ValueError, match=r"shapes \[\(2, 3\), \(2, 1\)\]"):
+                worker.send([a, b.T])
+
+    def test_an_exception_pickle_cannot_carry_comes_back_naming_its_type(self):
+        class Local(Exception):
+            pass
+
+        def fail(x):
+            raise Local("in the worker")
+
+        with runtime.Worker(fail, [(1, 1)]) as worker:
+            worker.send([np.zeros((1, 1))])
+            with pytest.raises(RuntimeError, match="Local: in the worker"):
+                worker.receive()
+            worker.send([np.zeros((1, 1))])  # it serves on after an error
+            with pytest.raises(RuntimeError, match="Local"):
+                worker.receive()
+
+    def test_an_error_in_the_body_kills_a_busy_worker(self):
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="in the body"):
+            with runtime.Worker(lambda x: time.sleep(60), [(1, 1)]) as worker:
+                worker.send([np.zeros((1, 1))])
+                raise ValueError("in the body")
+        assert time.monotonic() - start < 30
+
+
 class TestEdgeAttention:
     @settings(max_examples=200, deadline=None)
     @given(path=bipartite_paths(), seed=st.integers(0, 10_000), on_grid=st.booleans())

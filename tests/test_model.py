@@ -117,6 +117,18 @@ def benchmark_run(groups, epochs):
     return graph, replace(benchmark_model_config(0), epochs=epochs)
 
 
+def second_core(monkeypatch, on: bool):
+    """Let ``train`` fork its diagnostics worker (two cores, one BLAS thread)
+    or not (one core)."""
+    monkeypatch.setattr(runtime, "usable_cores", lambda: 2 if on else 1)
+    monkeypatch.setattr(runtime, "blas_threads", lambda: 1)
+
+
+class Boom(Exception):
+    """An error of the tests' own; at module scope, so pickle can carry it
+    back from the diagnostics worker."""
+
+
 def assert_same_training(a, b):
     """Bit-identical loss traces, diagnostics, ratings and parameters."""
     for field in ("loss_trace", "prob_sum_err", "mhat_min", "mhat_max"):
@@ -1030,20 +1042,96 @@ class TestTrain:
     def test_an_error_in_the_diagnostics_reaches_the_caller_with_its_type(self, monkeypatch):
         from dbgae import model
 
-        class Boom(Exception):
-            pass
-
         def failing_diagnostics(*args):
             raise Boom("diagnostics")
 
-        # The helper runs the diagnostics unless this thread finds them not
-        # yet started; either way the error reaches train's caller.
+        # With chunks of 2000 bytes the helper runs the diagnostics unless
+        # this thread finds them not yet started; with whole blocks the
+        # forked worker runs them and sends the error back through its pipe.
+        # Either way the error reaches train's caller.
         monkeypatch.setattr(model, "decode_diagnostics", failing_diagnostics)
-        monkeypatch.setattr(kernels, "DENSE_CHUNK_BYTES", 2000)
         monkeypatch.setattr(runtime, "usable_cores", lambda: 2)
         monkeypatch.setattr(runtime, "blas_threads", lambda: 1)
-        with pytest.raises(Boom, match="diagnostics"):
-            train(random_graph(30, 60, 100, 1000), small_config(epochs=3))
+        for chunk in (2000, kernels.DENSE_CHUNK_BYTES):
+            monkeypatch.setattr(kernels, "DENSE_CHUNK_BYTES", chunk)
+            with pytest.raises(Boom, match="diagnostics"):
+                train(random_graph(30, 60, 100, 1000), small_config(epochs=3))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_the_worker_equals_the_inline_diagnostics_at_200_groups(self, monkeypatch, variant):
+        from dataclasses import replace
+
+        graph, cfg = benchmark_run(200, epochs=5)
+        cfg = replace(cfg, variant=variant)
+        workers = []
+
+        class CountingWorker(runtime.Worker):
+            def __init__(self, *args, **kwargs):
+                workers.append(True)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(runtime, "Worker", CountingWorker)
+        second_core(monkeypatch, True)
+        forked = train(graph, cfg)
+        second_core(monkeypatch, False)
+        inline = train(graph, cfg)
+        assert workers == [True]
+        assert_same_training(forked, inline)
+
+    @pytest.mark.parametrize("chunk_bytes, forks", [(2000, 0), (kernels.DENSE_CHUNK_BYTES, 1)])
+    def test_the_worker_is_forked_only_without_a_helper_thread(
+        self, monkeypatch, chunk_bytes, forks
+    ):
+        """Chunks of 2000 bytes start the helper, which takes the diagnostics;
+        whole blocks fork the worker, with no other thread alive."""
+        import threading
+
+        real_fork, threads_at_fork = runtime.fork, []
+
+        def recording_fork(child):
+            threads_at_fork.append(threading.active_count())
+            return real_fork(child)
+
+        monkeypatch.setattr(runtime, "fork", recording_fork)
+        monkeypatch.setattr(kernels, "DENSE_CHUNK_BYTES", chunk_bytes)
+        second_core(monkeypatch, True)
+        train(random_graph(30, 150, 100, 3500), small_config(epochs=2))
+        assert threads_at_fork == [1] * forks
+
+    def test_a_worker_that_exits_without_a_result_is_a_training_error(self, monkeypatch):
+        import os
+
+        from dbgae import model
+
+        monkeypatch.setattr(model, "decode_diagnostics", lambda *args: os._exit(3))
+        second_core(monkeypatch, True)
+        with pytest.raises(TrainingError, match="worker process exited with status 3 without a result"):
+            train(tiny_graph(), small_config(epochs=2))
+
+    def test_a_non_finite_loss_beside_the_worker_gives_the_inline_error(self, monkeypatch):
+        from dbgae import model
+
+        real_loss = model.reconstruction_loss
+
+        def non_finite_at_epoch_2():
+            calls = []
+
+            def loss(logits, targets):
+                calls.append(True)
+                value = real_loss(logits, targets)
+                return ad.scale(value, math.nan) if len(calls) == 3 else value
+
+            monkeypatch.setattr(model, "reconstruction_loss", loss)
+            with pytest.raises(TrainingError) as raised:
+                train(tiny_graph(), small_config(epochs=4))
+            return str(raised.value)
+
+        second_core(monkeypatch, True)
+        forked = non_finite_at_epoch_2()
+        second_core(monkeypatch, False)
+        inline = non_finite_at_epoch_2()
+        assert forked == inline
+        assert inline.startswith("non-finite loss at epoch 2, last finite loss ")
 
     @pytest.mark.parametrize("groups", [200, 800])
     def test_no_attention_messages_are_built_once_and_equal_building_them_every_epoch(
@@ -1250,6 +1338,30 @@ class TestCheckpointAndRatings:
         for name in params.tensors:
             np.testing.assert_array_equal(loaded[name].value, params[name].value)
         assert loaded.rating_levels == params.rating_levels
+
+    def test_the_checkpoint_is_the_compact_json_of_its_payload(self, tmp_path):
+        import json
+
+        params = init_params(small_config(num_heads=2), 3, 2)
+        params["Wf"].value[0, 0] = -0.0  # its own text, as json.dumps writes it
+        path = tmp_path / "params.json"
+        save_params(params, path)
+        payload = {
+            "version": 1,
+            "meta": {
+                "num_heads": 2,
+                "feature_dim": 3,
+                "num_classes": 2,
+                "gcn_hidden": params.gcn_hidden,
+                "dense_hidden": params.dense_hidden,
+                "rating_levels": list(params.rating_levels),
+            },
+            "tensors": {
+                name: {"shape": list(t.value.shape), "data": t.value.ravel().tolist()}
+                for name, t in params.tensors.items()
+            },
+        }
+        assert path.read_text(encoding="utf-8") == json.dumps(payload, separators=(",", ":"))
 
     def test_ratings_round_trip(self, tmp_path):
         graph = tiny_graph()

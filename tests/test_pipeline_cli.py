@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from dbgae import graph as graph_module
-from dbgae import jsonl
+from dbgae import jsonl, runtime
 from dbgae.cli import main
 from dbgae.data import datasets_equal, generate_synthetic, load_dataset
 from dbgae.errors import ConfigError, PipelineError, SchemaError, TrainingError
@@ -238,7 +238,10 @@ class TestPipeline:
     def test_one_encoder_process_per_run_writes_the_serial_bytes(self, tmp_path, row_block):
         """Blocks of 4 rows put the cut inside the graph or ratings file."""
         config = small_config()
-        with mock.patch.object(jsonl, "ROW_BLOCK", row_block):
+        # no diagnostics worker in train, so the one fork is the encoder's
+        with mock.patch.object(jsonl, "ROW_BLOCK", row_block), mock.patch.object(
+            runtime, "second_core", return_value=False
+        ):
             with mock.patch.object(os, "fork", wraps=os.fork) as fork:
                 _, paths = run_pipeline(config, out_dir=tmp_path / "forked")
             with _without_fork():
@@ -261,6 +264,8 @@ class TestPipeline:
         start = time.monotonic()
         with mock.patch.dict(jsonl._ENCODERS, f=slow_floats), mock.patch(
             "dbgae.pipeline.pool_labels", failing
+        ), mock.patch.object(  # no diagnostics worker: the one fork is the encoder's
+            runtime, "second_core", return_value=False
         ), mock.patch.object(os, "fork", wraps=os.fork) as fork:
             with pytest.raises(PipelineError, match="stage 'predict': no scores"):
                 run_pipeline(small_config(), out_dir=tmp_path / "run")
