@@ -10,7 +10,8 @@ goes and only the leaves keep gradients.
 
 ``propagate`` aggregates a path's constant node features with a kernel of
 ``kernels``, one tensor per side of the path: the messages into instances
-and those into labels.
+and those into labels.  ``edge_attention`` reads each side's scores
+through the two halves of the path's one target index.
 """
 
 from __future__ import annotations
@@ -283,46 +284,8 @@ class RowIndex:
         return ufunc.reduceat(values[self.order], self.starts)
 
 
-def _swap_halves(a: np.ndarray) -> np.ndarray:
-    half = len(a) // 2
-    return np.concatenate([a[half:], a[:half]])
-
-
-class MirroredRowIndex:
-    """The row index of ``base``'s list with its two halves swapped, read
-    through ``base`` instead of stored: ``idx`` is built when read, and
-    ``sum_into`` sums the values, halves swapped, with ``base``'s sort.
-
-    A bipartite path's directed edges are its undirected pairs twice,
-    targets ``[inst | lab + n]`` and sources ``[lab + n | inst]``, so the
-    sources are the targets mirrored.  No row occurs in both halves, so each
-    row's values are summed in the order a ``RowIndex`` of the swapped list
-    would sum them: the same floats.
-    """
-
-    __slots__ = ("base",)
-
-    def __init__(self, base: RowIndex):
-        half = len(base) // 2
-        if len(base) % 2 or (half and base.idx[:half].max() >= base.idx[half:].min()):
-            raise DimensionError(
-                "mirrored index: the first half's rows must all lie below the second half's"
-            )
-        self.base = base
-
-    def __len__(self):
-        return len(self.base)
-
-    @property
-    def idx(self) -> np.ndarray:
-        return _swap_halves(self.base.idx)
-
-    def sum_into(self, values: np.ndarray, num_rows: int) -> np.ndarray:
-        return self.base.sum_into(_swap_halves(values), num_rows)
-
-
-def _as_rowindex(idx) -> RowIndex | MirroredRowIndex:
-    return idx if isinstance(idx, (RowIndex, MirroredRowIndex)) else RowIndex(idx)
+def _as_rowindex(idx) -> RowIndex:
+    return idx if isinstance(idx, RowIndex) else RowIndex(idx)
 
 
 def gather_rows(a: Tensor, idx) -> Tensor:
@@ -406,53 +369,60 @@ def mean_all(a: Tensor) -> Tensor:
     return _result(a.value.mean().reshape(1, 1), (a,), bwd, "mean_all")
 
 
-def edge_attention(s_inst: Tensor, s_lab: Tensor, dst, src, slope: float) -> Tensor:
-    """Per-edge attention ``softmax over e with dst_e = t of
-    leaky_relu(s[dst_e, 0] + s[src_e, 1])``, as one op, where ``s`` stacks
-    the instances' scores ``s_inst`` (n x 2) over the labels' ``s_lab``
-    (m x 2): column 0 holds a node's score as an edge's target, column 1 as
-    its source, and ``dst`` and ``src`` index the stacked rows.
+def edge_attention(s_inst: Tensor, s_lab: Tensor, targets, slope: float) -> Tensor:
+    """Per-edge attention of a bipartite path, as one op: the softmax, over
+    each target's in-edges, of ``leaky_relu`` of the target's score plus
+    the source's.  ``s_inst`` (n x 2) and ``s_lab`` (m x 2) hold each
+    node's score as an edge's target (column 0) and as its source (column
+    1).  ``targets`` is the path's index ``[inst | lab + n]`` (see
+    ``kernels``): an edge into an instance takes ``s_inst[inst, 0] +
+    s_lab[lab, 1]``, an edge into a label ``s_lab[lab, 0] + s_inst[inst, 1]``.
 
     The arithmetic, order included, of the unfused chain (gather both score
     columns, add, LeakyReLU, softmax over each target's edges), so values
     and gradients are those of that chain; the chain's four intermediate
     per-edge columns are neither kept nor put on the tape.  Backward keeps
-    only the coefficients and the LeakyReLU sign mask.  ``src`` may be a
-    ``MirroredRowIndex`` of ``dst``, as for a path's edges.
+    only the coefficients and the LeakyReLU sign mask.  It sums the score
+    gradients through ``targets`` as they are, and with their halves
+    swapped for the sources: no row occurs in both halves, so that is the
+    order, and the floats, of a ``RowIndex`` of the sources.
     """
-    dst, src = _as_rowindex(dst), _as_rowindex(src)
+    targets = _as_rowindex(targets)
     if s_inst.cols != 2 or s_lab.cols != 2:
         raise DimensionError(
             f"edge_attention: expected two score columns, got {s_inst.shape} and {s_lab.shape}"
         )
-    if len(dst) != len(src):
-        raise DimensionError(f"edge_attention: {len(dst)} targets for {len(src)} sources")
-    if len(dst) == 0:
+    if len(targets) % 2:
+        raise DimensionError(f"edge_attention: {len(targets)} targets, not a path's two halves")
+    if len(targets) == 0:
         return _result(np.zeros((0, 1)), (s_inst, s_lab), lambda g: None, "edge_attention")
-    scores = np.concatenate([s_inst.value, s_lab.value])
-    rows, n = len(scores), s_inst.rows
-    dst_idx, src_idx = dst.idx, src.idx
-    for idx in (dst_idx, src_idx):
-        if idx.min() < 0 or idx.max() >= rows:
-            raise DimensionError(f"edge_attention: index out of range for {rows} rows")
-    x = scores[dst_idx, 0] + scores[src_idx, 1]
-    del src_idx
+    n, m, half = s_inst.rows, s_lab.rows, len(targets) // 2
+    inst, lab = targets.idx[:half], targets.idx[half:] - n
+    if inst.min() < 0 or inst.max() >= n or lab.min() < 0 or lab.max() >= m:
+        raise DimensionError(
+            f"edge_attention: every edge must join one of {n} instance rows"
+            f" and one of {m} label rows"
+        )
+    si, sl = s_inst.value, s_lab.value
+    x = np.concatenate([si[inst, 0] + sl[lab, 1], sl[lab, 0] + si[inst, 1]])
+    del lab
     mask = x > 0.0
     v = np.where(mask, x, slope * x)
     del x
-    seg_max = dst.segment_reduce(v, np.maximum)
-    e = np.exp(v - seg_max[dst.segment_of])
-    seg_sum = dst.segment_reduce(e, np.add)
-    out = (e / seg_sum[dst.segment_of]).reshape(-1, 1)
+    seg_max = targets.segment_reduce(v, np.maximum)
+    e = np.exp(v - seg_max[targets.segment_of])
+    seg_sum = targets.segment_reduce(e, np.add)
+    out = (e / seg_sum[targets.segment_of]).reshape(-1, 1)
 
     def bwd(g):
         gs = g[:, 0]
         s = out[:, 0]
-        inner = dst.segment_reduce(s * gs, np.add)
-        g_scores = (s * (gs - inner[dst.segment_of]) * np.where(mask, 1.0, slope)).reshape(-1, 1)
-        g_all = np.hstack([dst.sum_into(g_scores, rows), src.sum_into(g_scores, rows)])
-        _accum(s_inst, g_all[:n])
-        _accum(s_lab, g_all[n:])
+        inner = targets.segment_reduce(s * gs, np.add)
+        g_scores = (s * (gs - inner[targets.segment_of]) * np.where(mask, 1.0, slope)).reshape(-1, 1)
+        as_target = targets.sum_into(g_scores, n + m)
+        as_source = targets.sum_into(np.roll(g_scores, half, axis=0), n + m)
+        _accum(s_inst, np.hstack([as_target[:n], as_source[:n]]))
+        _accum(s_lab, np.hstack([as_target[n:], as_source[n:]]))
 
     return _result(out, (s_inst, s_lab), bwd, "edge_attention")
 

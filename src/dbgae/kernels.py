@@ -1,12 +1,14 @@
 """The two propagation kernels of a bipartite path, and when a helper pays.
 
+A path's kernel owns the path's one edge index, the target ``RowIndex``
+``[inst | lab + n]``: the model reads the pairs from it (``pairs``), and
+``autodiff.edge_attention`` its halves and segments.
 ``autodiff.propagate`` aggregates the constant node features through a
 path's per-edge coefficients, ``A·X``, one side at a time: the label
 one-hots into instances, the instance features into labels with
 ``DenseBlockPath`` (BLAS matmuls in row chunks shared with the helper
 thread) or ``SparsePath`` (flattened ``np.bincount``).  ``helper_pays``
-decides whether ``model.train`` runs the helper thread for a graph's
-kernels.
+says whether a graph's kernels give the helper thread work.
 """
 
 from __future__ import annotations
@@ -35,24 +37,31 @@ class _BipartiteEdges:
     that half's gradient for an upstream gradient of its output.
     """
 
-    def __init__(self, dst: RowIndex, x: np.ndarray, classes: np.ndarray, num_classes: int):
+    def __init__(self, targets: RowIndex, x: np.ndarray, classes: np.ndarray, num_classes: int):
         self.x = x
         self.num_instances, self.feature_dim = x.shape
         self.num_labels, self.num_classes = len(classes), int(num_classes)
-        n, idx, half = self.num_instances, dst.idx, len(dst) // 2
+        n, idx = self.num_instances, targets.idx
         rows = n + self.num_labels
         if len(idx) % 2:
             raise DimensionError(f"propagate: {len(idx)} targets, not a path's two halves")
         if len(idx) and (idx.min() < 0 or idx.max() >= rows):
             raise DimensionError(f"propagate: edge endpoint outside {rows} rows")
-        if np.any(idx[:half] >= n) or np.any(idx[half:] < n):
+        self.targets = targets
+        inst, lab = self.pairs()
+        if np.any(inst >= n) or np.any(lab < n):
             raise DimensionError("propagate: every edge must join an instance row and a label row")
-        self.targets = dst
         # Each edge into an instance, as its flat position in the n x C messages.
-        self.into_instance = idx[:half] * self.num_classes + classes[idx[half:] - n]
+        self.into_instance = inst * self.num_classes + classes[lab - n]
 
     def __len__(self):
         return len(self.targets)
+
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The path's undirected pairs as the target index's two halves,
+        views that copy nothing: (instance rows, label rows + n)."""
+        half = len(self) // 2
+        return self.targets.idx[:half], self.targets.idx[half:]
 
     def into_instances(self, coef: np.ndarray) -> np.ndarray:
         """The instances' messages (n x C) for the edges into them."""
@@ -132,8 +141,8 @@ class DenseBlockPath(_BipartiteEdges):
         """Call ``piece(lo, hi, edges, flat)`` on every row chunk [lo, hi):
         its edges (a slice or positions in the second half) and their cells
         in its rows of the block (``by_label``) or its columns of x @ g.T."""
-        m, n, half = self.num_labels, self.num_instances, len(self) // 2
-        inst, lab = self.targets.idx[:half], self.targets.idx[half:]
+        m, n = self.num_labels, self.num_instances
+        inst, lab = self.pairs()
         spans = list(pairwise(row_chunks(m, n)))
 
         def chunk(c: int):
@@ -184,8 +193,8 @@ class SparsePath(_BipartiteEdges):
     def _label_side(self):
         """(label, flat indices, source features, buffer) of edges into labels."""
         if self._kept is None:
-            n, d, half = self.num_instances, self.feature_dim, len(self) // 2
-            inst, lab = self.targets.idx[:half], self.targets.idx[half:] - n
+            inst, lab = self.pairs()
+            lab, d = lab - self.num_instances, self.feature_dim
             x_src = self.x[inst]
             flat = (lab[:, None] * d + np.arange(d)).ravel()
             self._kept = lab, flat, x_src, np.empty_like(x_src)
@@ -204,11 +213,9 @@ class SparsePath(_BipartiteEdges):
 
 
 def helper_pays(paths) -> bool:
-    """Whether a helper thread pays for these propagation kernels: only for
-    a dense block of more than one row chunk, and only where
-    ``runtime.second_core`` holds (two usable cores, BLAS on one thread).
-    Where it pays, the helper also takes ``model.train``'s per-epoch
-    diagnostics; where it does not but ``second_core`` holds, ``train``
-    forks a diagnostics worker for them instead."""
-    chunked = any(isinstance(p, DenseBlockPath) and p.chunked for p in paths)
-    return chunked and runtime.second_core()
+    """Whether a helper thread has work in these propagation kernels: only a
+    dense block of more than one row chunk gives it any.  ``model.train``
+    runs one only where ``runtime.second_core`` also holds (two usable
+    cores, BLAS on one thread); where it does not but ``second_core`` holds,
+    ``train`` forks a diagnostics worker instead."""
+    return any(isinstance(p, DenseBlockPath) and p.chunked for p in paths)

@@ -13,13 +13,15 @@ message passing aggregates before it transforms, ``(A·X)·W`` for
 coefficient-weighted one-hots into the instances (n x C) and features into
 the labels (m x d), whatever ``gcn_hidden`` is, and each side is
 multiplied by its rows of the head's W; no per-edge row is put on the
-tape.  Attention scores too are taken at the feature width.  Without
-attention, ``prepare_graph`` takes each path's ``A·X`` once for every head
-and epoch.  It picks one of two kernels per path from the share of
-instance-label pairs linked: at ``DENSE_BLOCK_MIN_DENSITY`` or above, the
-dense label x instance block in row chunks (``DenseBlockPath``); below
-it, flattened ``np.bincount`` over the edge list (``SparsePath``).  The
-choice depends only on the graph, so runs stay reproducible.  ``train`` runs each epoch in its own call and
+tape.  Attention scores too are taken at the feature width.  A path
+(``_Path``) is its kernel, which owns its one edge index, and its link
+weights; without attention, ``prepare_graph`` takes each path's ``A·X``
+once for every head and epoch.  It picks one of two kernels per path from
+the share of instance-label pairs linked: at ``DENSE_BLOCK_MIN_DENSITY``
+or above, the dense label x instance block in row chunks
+(``DenseBlockPath``); below it, flattened ``np.bincount`` over the edge
+list (``SparsePath``).  The choice depends only on the graph, so runs
+stay reproducible.  ``train`` runs each epoch in its own call and
 ``autodiff.backward`` consumes the tape, so one epoch's tape is freed
 before the next one is built; the epochs run inside
 ``runtime.keep_freed_memory``, so glibc keeps that freed memory for the
@@ -28,8 +30,8 @@ next epoch instead of returning it to the kernel.
 Each epoch's normalization diagnostics (``decode_diagnostics``) run on
 the second core where one is free (``runtime.second_core``: two usable
 cores, BLAS on one thread), beside the main thread's loss and
-``backward``.  On a graph with a block of more than one chunk
-(``kernels.helper_pays``), ``train`` runs one helper thread
+``backward``; ``train`` asks it once.  On a graph with a block of more
+than one chunk (``kernels.helper_pays``), ``train`` runs one helper thread
 (``runtime.helper_thread``): it takes its share of the block's row chunks,
 and each epoch it streams the diagnostic decode.  On any other graph, and
 where the platform has ``os.fork``, ``train`` forks one diagnostics
@@ -43,7 +45,7 @@ Decoder: bilinear score per discrete likelihood level, softmax across
 levels; the refined link weight is the expectation over levels.  Training
 minimizes mean cross-entropy against quantized within-group weights; cross
 links are decoded but never contribute to the loss.  The rated edges are
-read from the graph's own within and cross arrays.
+read from the paths' kernels (``PreparedGraph.rated``).
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ import csv
 import json
 import math
 import os
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -229,28 +231,25 @@ DENSE_BLOCK_MIN_DENSITY = 0.02
 class _Path:
     """One path's directed edges: each undirected pair (inst, lab) once as
     ``lab + n -> inst`` and once as ``inst -> lab + n``, in that order.
+    The kernel owns their one index, the targets ``[inst | lab + n]``
+    (``edges.targets``), whose halves swapped are the sources."""
 
-    ``dst`` owns the edge index: its rows ``[inst | lab + n]`` are the
-    undirected pairs, stored once, with the target segments attention
-    normalizes over.  ``src`` is ``dst`` mirrored, and the kernel keeps only
-    what its products need (the dense one, each edge's flat block position).
-    """
-
-    name: str
-    dst: RowIndex
-    src: ad.MirroredRowIndex
-    weight: Tensor  # (E2, 1) constant per directed edge
     edges: kernels.DenseBlockPath | kernels.SparsePath  # propagation kernel
+    weight: Tensor  # (E2, 1) constant per directed edge
     weighted: tuple[Tensor, Tensor] | None = None  # both sides of A·X at the link weights
 
 
-def _propagation_kernel(
-    dst: RowIndex, graph: DualBipartiteGraph
-) -> kernels.DenseBlockPath | kernels.SparsePath:
+def _path(inst, lab, weight, graph: DualBipartiteGraph) -> _Path:
+    """The path of the pairs (inst, lab) at their link weights, with the
+    kernel its density picks (``DENSE_BLOCK_MIN_DENSITY``)."""
     n, m = graph.num_instances, graph.num_label_nodes
-    dense = n * m > 0 and len(dst) >= DENSE_BLOCK_MIN_DENSITY * 2 * n * m
+    targets = RowIndex(np.concatenate([inst, lab + n]))
+    dense = n * m > 0 and len(targets) >= DENSE_BLOCK_MIN_DENSITY * 2 * n * m
     kernel = kernels.DenseBlockPath if dense else kernels.SparsePath
-    return kernel(dst, graph.instance_features, graph.label_class, graph.num_classes)
+    return _Path(
+        edges=kernel(targets, graph.instance_features, graph.label_class, graph.num_classes),
+        weight=ad.constant(np.concatenate([weight, weight]).reshape(-1, 1)),
+    )
 
 
 @dataclass
@@ -259,38 +258,30 @@ class PreparedGraph:
     l: Tensor  # label class one-hots (m x C)
     # Each label's row of a parameter over features then classes: d + its class.
     class_rows: RowIndex
-    paths: dict[str, _Path]
+    paths: dict[str, _Path]  # "within" and "cross"
     within_src: RowIndex  # the loss's edges: every within edge
     within_dst: RowIndex
-    # The rated edges' (instance, label) rows, the graph's own arrays: its
-    # within pairs, then its cross pairs (none if the model leaves them out).
-    rated: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     targets: np.ndarray
+
+    @property
+    def rated(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The rated edges' (instance rows, label rows + n), views of the
+        paths' target indices (``pairs``): the within pairs, then the cross
+        pairs (none if the model leaves them out)."""
+        return tuple(self.paths[name].edges.pairs() for name in ("within", "cross"))
 
     def rated_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(instance, label, "within" or "cross") of every rated edge, built
         only for the final ``RatingMatrix``: the kind column costs 24 bytes an
         edge."""
         (w_inst, w_lab), (x_inst, x_lab) = self.rated
+        dst = np.concatenate([w_lab, x_lab])
+        dst -= self.x.rows
         return (
             np.concatenate([w_inst, x_inst]),
-            np.concatenate([w_lab, x_lab]),
+            dst,
             np.concatenate([np.full(len(w_inst), "within"), np.full(len(x_inst), "cross")]),
         )
-
-
-def _directed(
-    inst: np.ndarray, lab: np.ndarray, weight: np.ndarray, graph: DualBipartiteGraph, name: str
-) -> _Path:
-    dst = RowIndex(np.concatenate([inst, lab + graph.num_instances]))
-    w = np.concatenate([weight, weight]).reshape(-1, 1)
-    return _Path(
-        name=name,
-        dst=dst,
-        src=ad.MirroredRowIndex(dst),
-        weight=ad.constant(w),
-        edges=_propagation_kernel(dst, graph),
-    )
 
 
 def prepare_graph(graph: DualBipartiteGraph, config: ModelConfig) -> PreparedGraph:
@@ -307,8 +298,8 @@ def prepare_graph(graph: DualBipartiteGraph, config: ModelConfig) -> PreparedGra
     include_cross = config.variant not in ("no_cross", "no_dual")
     x, keep = graph.cross, slice(None) if include_cross else slice(0)
     paths = {
-        "within": _directed(w.inst, w.lab, within_weight, graph, "within"),
-        "cross": _directed(x.inst[keep], x.lab[keep], x.weight[keep], graph, "cross"),
+        "within": _path(w.inst, w.lab, within_weight, graph),
+        "cross": _path(x.inst[keep], x.lab[keep], x.weight[keep], graph),
     }
     if config.variant == "no_attention":
         for path in paths.values():
@@ -321,7 +312,6 @@ def prepare_graph(graph: DualBipartiteGraph, config: ModelConfig) -> PreparedGra
         paths=paths,
         within_src=RowIndex(w.inst),
         within_dst=RowIndex(w.lab),
-        rated=((w.inst, w.lab), (x.inst[keep], x.lab[keep])),
         targets=quantize_levels(within_weight, config.rating_levels),
     )
 
@@ -345,7 +335,7 @@ def attention_coefficients(
     s_inst = ad.matmul(prep.x, ad.slice_rows(scores, 0, prep.x.cols))
     s_lab = ad.gather_rows(scores, prep.class_rows)
     return {
-        name: ad.edge_attention(s_inst, s_lab, path.dst, path.src, ATTENTION_SLOPE)
+        name: ad.edge_attention(s_inst, s_lab, path.edges.targets, ATTENTION_SLOPE)
         for name, path in prep.paths.items()
     }
 
@@ -364,7 +354,7 @@ def propagation_messages(
     alphas = attention_coefficients(prep, params, head) if attend else None
     sums = {}
     for name, path in prep.paths.items():
-        if len(path.dst) == 0:
+        if len(path.edges) == 0:
             continue
         if alphas is None:
             into_inst, into_lab = path.weighted
@@ -514,7 +504,8 @@ def decode_diagnostics(
     U: np.ndarray, V: np.ndarray, params: ModelParams, rated
 ) -> tuple[float, float, float]:
     """(max |sum_r p - 1|, min m_hat, max m_hat) over the edges of every
-    (instance rows, label rows) pair in ``rated``, decoded one
+    (instance rows, label rows + n) pair in ``rated``, numbered as in a
+    path's target index with n the rows of ``U``, decoded one
     ``DECODE_BLOCK`` at a time into one reused block: no (edges, levels)
     array is built.  A row's distribution does not depend on the rows
     decoded beside it, and maxima and minima do not depend on the blocking,
@@ -527,7 +518,7 @@ def decode_diagnostics(
         for lo in range(0, len(src), DECODE_BLOCK):
             block = slice(lo, min(lo + DECODE_BLOCK, len(src)))
             probs = buffer[: block.stop - lo]
-            _softmax_block(UQ, V, src[block], dst[block], probs)
+            _softmax_block(UQ, V, src[block], dst[block] - len(U), probs)
             worst = max(worst, float(np.abs(level_sums(probs) - 1.0).max()))
             m_hat = expected_weight(probs, levels)
             lowest, highest = min(lowest, float(m_hat.min())), max(highest, float(m_hat.max()))
@@ -567,16 +558,9 @@ def reconstruction_loss(logits_within: Tensor, targets: np.ndarray) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-@contextmanager
-def _diagnostics_worker(prep: PreparedGraph, params: ModelParams, levels: list[str], helper: bool):
-    """The forked worker (``runtime.Worker``) that calls ``decode_diagnostics``
-    on each epoch's U, V and ``levels``' Q values, or None: where the
-    ``helper`` thread takes the diagnostics, and where the worker may not
-    take the second core (no ``os.fork``, one usable core, or BLAS
-    threads: ``runtime.second_core``)."""
-    if helper or not hasattr(os, "fork") or not runtime.second_core():
-        yield None
-        return
+def _diagnostics_worker(prep: PreparedGraph, params: ModelParams, levels: list[str]):
+    """A forked worker (``runtime.Worker``) that calls ``decode_diagnostics``
+    on each epoch's U, V and ``levels``' Q values."""
 
     def diagnose(U, V, *Q):
         for name, value in zip(levels, Q):
@@ -585,8 +569,7 @@ def _diagnostics_worker(prep: PreparedGraph, params: ModelParams, levels: list[s
 
     E = params.dense_hidden
     shapes = [(prep.x.rows, E), (prep.l.rows, E), *[(E, E)] * len(levels)]
-    with runtime.Worker(diagnose, shapes) as worker:
-        yield worker
+    return runtime.Worker(diagnose, shapes)
 
 
 @dataclass
@@ -676,8 +659,14 @@ def train(
             raise TrainingError(f"epoch {epoch}: {exc}") from exc
         ad.zero_grads(params.tensors.values())
 
-    helper = kernels.helper_pays(p.edges for p in prep.paths.values())
-    with runtime.keep_freed_memory(), _diagnostics_worker(prep, params, levels, helper) as worker:
+    # The second core takes the helper thread where a block has row chunks
+    # to share, and else, where the platform forks, the diagnostics worker.
+    second = runtime.second_core()
+    helper = second and kernels.helper_pays(p.edges for p in prep.paths.values())
+    fork = second and not helper and hasattr(os, "fork")
+    with runtime.keep_freed_memory(), (
+        _diagnostics_worker(prep, params, levels) if fork else nullcontext()
+    ) as worker:
         with runtime.helper_thread() if helper else nullcontext():
             for epoch in range(config.epochs):
                 step(epoch, worker)

@@ -413,6 +413,11 @@ class SweepSpec:
             raise ConfigError("sweep needs at least one value")
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
+        if self.param in ("seed", "out_dir"):
+            raise ConfigError(
+                f"sweep param '{self.param}' is set per run by the sweep itself"
+                " (derived seeds, run directories)"
+            )
 
 
 @dataclass
@@ -428,7 +433,9 @@ def run_sweep(spec: SweepSpec, base: RunConfig, out_dir) -> list[SweepRow]:
     """One pipeline run per (value, replicate) with derived seeds.
 
     Values whose run directories would be the same (``full,full``, ``"a b"``
-    and ``ab``, ``0.1`` and ``0.10``) raise ConfigError before any run.
+    and ``ab``, ``0.1`` and ``0.10``), and a sweep over ``seed`` or
+    ``out_dir``, which the sweep sets for each run, raise ConfigError before
+    any run.
     Failures are recorded in ``sweep_errors.csv`` and the sweep continues.
     """
     spec.validate()

@@ -16,6 +16,7 @@ process for the next.
 from __future__ import annotations
 
 import ctypes
+import functools
 import os
 import pickle
 import signal
@@ -61,9 +62,10 @@ def usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def blas_threads() -> int:
-    """The loaded OpenBLAS's thread count, from its ``openblas_get_num_threads``
-    export (numpy's wheels rename it) through ctypes; 1 if none is found."""
+@functools.cache
+def _blas_thread_getter():
+    """The loaded OpenBLAS's ``openblas_get_num_threads`` export (numpy's
+    wheels rename it) through ctypes, or None: looked up once a process."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
@@ -72,10 +74,17 @@ def blas_threads() -> int:
                 get = getattr(ctypes.CDLL(path), name, None)
                 if get is not None:
                     get.argtypes, get.restype = [], ctypes.c_int
-                    return max(1, get())
+                    return get
     except OSError:  # no /proc (not Linux), or a mapped file that is gone
         pass
-    return 1
+    return None
+
+
+def blas_threads() -> int:
+    """The loaded OpenBLAS's thread count, asked on each call (it may
+    change); 1 if no OpenBLAS is found."""
+    get = _blas_thread_getter()
+    return 1 if get is None else max(1, get())
 
 
 def second_core() -> bool:

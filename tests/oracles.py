@@ -207,7 +207,8 @@ def encode_reference(graph, prep, params, config) -> tuple:
     ``(A·X)·W`` with ``A·X`` scattered by a per-edge incidence matrix; the
     heads' mean through ReLU per path, then the instance and label rows
     taken back out with ``gather_rows``.  The edges and weights are
-    ``prep``'s paths.  Returns (U, V)."""
+    ``prep``'s paths: each kernel's targets, and as sources the targets
+    with their halves swapped (``swap_halves``).  Returns (U, V)."""
     n, m = graph.num_instances, graph.num_label_nodes
     d, H = graph.feature_dim, params.gcn_hidden
     feats = np.zeros((n + m, d + graph.num_classes))
@@ -220,16 +221,18 @@ def encode_reference(graph, prep, params, config) -> tuple:
         s_self = ad.matmul(A, params[f"a_self.{head}"])
         s_neigh = ad.matmul(A, params[f"a_neigh.{head}"])
         for name, path in prep.paths.items():
-            if len(path.dst) == 0:
+            dst = path.edges.targets.idx
+            if len(dst) == 0:
                 continue
+            src = swap_halves(dst)
             if config.variant == "no_attention":
                 coef = path.weight
             else:
-                alpha = attention_chain(s_self, s_neigh, path.dst, path.src, ATTENTION_SLOPE)
+                alpha = attention_chain(s_self, s_neigh, dst, src, ATTENTION_SLOPE)
                 coef = ad.mul(alpha, path.weight)
-            incidence = np.zeros((n + m, len(path.dst)))
-            incidence[path.dst.idx, np.arange(len(path.dst))] = 1.0
-            sent = ad.mul(ad.gather_rows(X, path.src.idx), coef)
+            incidence = np.zeros((n + m, len(dst)))
+            incidence[dst, np.arange(len(dst))] = 1.0
+            sent = ad.mul(ad.gather_rows(X, src), coef)
             messages = ad.matmul(ad.constant(incidence), sent)
             out = ad.matmul(messages, params[f"W.{head}"])
             sums[name] = out if name not in sums else ad.add(sums[name], out)
@@ -579,8 +582,16 @@ def segment_softmax(a: ad.Tensor, idx) -> ad.Tensor:
     return ad._result(out, (a,), bwd, "segment_softmax")
 
 
+def swap_halves(targets):
+    """A path's sources: its targets with the two halves swapped."""
+    half = len(targets) // 2
+    return np.concatenate([targets[half:], targets[:half]])
+
+
 def attention_chain(s_dst, s_src, dst, src, slope):
-    """Gather both score columns, add, LeakyReLU, softmax per target."""
+    """Gather both score columns, add, LeakyReLU, softmax per target.  For a
+    path, ``dst`` is its target list and ``src`` that list's ``swap_halves``,
+    each indexing the rows of both sides stacked."""
     e = leaky_relu(ad.add(ad.gather_rows(s_dst, dst), ad.gather_rows(s_src, src)), slope)
     return segment_softmax(e, dst)
 
@@ -614,11 +625,11 @@ def record_kink_signs():
         _record_kink_signs(a.value > 0.0)
         return out
 
-    def recorded_edge_attention(s_inst, s_lab, dst, src, slope):
-        out = edge_attention(s_inst, s_lab, dst, src, slope)
-        dst, src = ad._as_rowindex(dst), ad._as_rowindex(src)
+    def recorded_edge_attention(s_inst, s_lab, targets, slope):
+        out = edge_attention(s_inst, s_lab, targets, slope)
+        dst = ad._as_rowindex(targets).idx
         scores = np.concatenate([s_inst.value, s_lab.value])
-        _record_kink_signs(scores[dst.idx, 0] + scores[src.idx, 1] > 0.0)
+        _record_kink_signs(scores[dst, 0] + scores[swap_halves(dst), 1] > 0.0)
         return out
 
     _kink_signs = []

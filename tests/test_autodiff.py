@@ -20,6 +20,7 @@ from oracles import (
     propagate_reference,
     segment_softmax,
     softmax_reference,
+    swap_halves,
 )
 
 
@@ -362,7 +363,7 @@ KERNELS = (kernels.DenseBlockPath, kernels.SparsePath)
 
 
 @st.composite
-def mirrored_lists(draw):
+def bipartite_paths(draw):
     """(num_left, num_right, targets) of a path's directed list: its
     undirected pairs as targets ``[inst | lab + n]``, whose sources are the
     two halves swapped.  Duplicate pairs, isolated nodes, one-sided and
@@ -379,36 +380,9 @@ def mirrored_lists(draw):
     return n, m, np.concatenate([inst, lab + n])
 
 
-def swap_halves(targets):
-    """A path's sources: its targets with the two halves swapped."""
-    half = len(targets) // 2
-    return np.concatenate([targets[half:], targets[:half]])
-
-
 def path_index(n, inst, lab):
     """A path's target index ``[inst | lab + n]``, as ``prepare_graph`` builds it."""
     return ad.RowIndex(np.concatenate([inst, lab + n]))
-
-
-@st.composite
-def bipartite_paths(draw):
-    """(num_left, num_right, src, dst) of a random bipartite path: duplicate
-    edges, isolated nodes, one-sided and empty paths all occur."""
-    n = draw(st.integers(0, 4))
-    m = draw(st.integers(0, 4))
-    edges = (
-        draw(
-            st.lists(
-                st.tuples(st.integers(0, n - 1), st.integers(0, m - 1), st.booleans()),
-                max_size=14,
-            )
-        )
-        if n and m
-        else []
-    )
-    src = [n + j if into_left else i for i, j, into_left in edges]
-    dst = [i if into_left else n + j for i, j, into_left in edges]
-    return n, m, np.array(src, dtype=int), np.array(dst, dtype=int)
 
 
 def node_inputs(n, m, d, num_classes, seed):
@@ -435,7 +409,7 @@ def close(actual, expected, rel=1e-12):
 class TestPropagate:
     @settings(max_examples=150, deadline=None)
     @given(
-        path=mirrored_lists(),
+        path=bipartite_paths(),
         d=st.integers(1, 4),
         num_classes=st.integers(1, 3),
         seed=st.integers(0, 10_000),
@@ -630,24 +604,6 @@ class TestPropagate:
         coef = ad.parameter(np.ones((2, 1)))
         with pytest.raises(DimensionError, match="weights"):
             ad.propagate(coef, p, weight=np.ones((1, 1)))
-
-
-class TestMirroredRowIndex:
-    @settings(max_examples=150, deadline=None)
-    @given(case=mirrored_lists(), width=st.integers(1, 3), seed=st.integers(0, 10_000))
-    def test_equals_a_fresh_index_of_the_swapped_list(self, case, width, seed):
-        n, m, dst = case
-        rows, src = n + m, swap_halves(dst)
-        mirrored, fresh = ad.MirroredRowIndex(ad.RowIndex(dst)), ad.RowIndex(src)
-        assert len(mirrored) == len(fresh)
-        assert np.array_equal(mirrored.idx, fresh.idx)
-        values = np.random.default_rng(seed).standard_normal((len(src), width))
-        assert np.array_equal(mirrored.sum_into(values, rows), fresh.sum_into(values, rows))
-
-    @pytest.mark.parametrize("dst", [[0, 1, 2], [0, 2, 2, 1], [3, 0]])
-    def test_halves_sharing_or_inverting_rows_are_rejected(self, dst):
-        with pytest.raises(DimensionError, match="mirrored index"):
-            ad.MirroredRowIndex(ad.RowIndex(dst))
 
 
 @contextmanager
@@ -902,15 +858,40 @@ class TestHelperThread:
 
     @pytest.mark.parametrize("cores, threads, helper", [(2, 1, True), (2, 2, False), (1, 1, False)])
     def test_a_helper_pays_only_beside_one_blas_thread(self, monkeypatch, cores, threads, helper):
+        # ``model.train`` runs the helper where both hold (its own test in
+        # test_model, ``test_the_second_core_is_asked_once_a_train``).
         monkeypatch.setattr(runtime, "usable_cores", lambda: cores)
         monkeypatch.setattr(runtime, "blas_threads", lambda: threads)
+        assert runtime.second_core() == helper
         n, m = 6, 5
         inst, lab = np.arange(n), np.arange(n) % m
         with chunk_bytes(8 * n * m // 2 - 1):
             p = path_kernel(n, m, inst, lab)
-            assert p.chunked and kernels.helper_pays([p]) == helper
+            assert p.chunked and kernels.helper_pays([p])
             sparse = kernels.SparsePath(p.targets, p.x, np.zeros(m, int), 3)
             assert not kernels.helper_pays([sparse])
+        assert not kernels.helper_pays([path_kernel(n, m, inst, lab)])  # one chunk
+
+    def test_the_blas_getter_is_looked_up_once_and_asked_every_call(self, monkeypatch):
+        import builtins
+
+        opened = []
+
+        def recording_open(file, *args, **kwargs):
+            opened.append(file)
+            return builtins.open(file, *args, **kwargs)
+
+        runtime._blas_thread_getter.cache_clear()
+        monkeypatch.setattr(runtime, "open", recording_open, raising=False)
+        try:
+            first, second = runtime.blas_threads(), runtime.blas_threads()
+        finally:
+            runtime._blas_thread_getter.cache_clear()
+        assert opened == ["/proc/self/maps"] and first == second >= 1
+        # The count itself is asked on every call: it may change.
+        calls = []
+        monkeypatch.setattr(runtime, "_blas_thread_getter", lambda: lambda: calls.append(1) or 3)
+        assert [runtime.blas_threads(), runtime.blas_threads()] == [3, 3] and len(calls) == 2
 
     def test_the_thread_is_joined_on_error(self):
         with pytest.raises(ValueError):
@@ -959,7 +940,7 @@ class TestEdgeAttention:
     @settings(max_examples=200, deadline=None)
     @given(path=bipartite_paths(), seed=st.integers(0, 10_000), on_grid=st.booleans())
     def test_equals_the_unfused_chain_bit_for_bit(self, path, seed, on_grid):
-        n, m, src, dst = path
+        n, m, dst = path
         rng = np.random.default_rng(seed)
         # On a half-integer grid, pre-activations hit 0 and segment maxima tie.
         scores = (
@@ -967,17 +948,18 @@ class TestEdgeAttention:
             if on_grid
             else rng.standard_normal((n + m, 2))
         )
-        upstream = ad.constant(rng.standard_normal((1, len(src))))
-        dst_rows, src_rows = ad.RowIndex(dst), ad.RowIndex(src)
-        # The fused op takes each side's two columns; the chain, each
-        # column over both sides.
+        upstream = ad.constant(rng.standard_normal((1, len(dst))))
+        # The fused op takes each side's two columns and the path's target
+        # index; the chain, each column over both sides, and a fresh index
+        # of the sources, whose scatter-add is the reference of the fused
+        # op's sum with the halves swapped.
         s_inst, s_lab = ad.parameter(scores[:n].copy()), ad.parameter(scores[n:].copy())
-        fused = ad.edge_attention(s_inst, s_lab, dst_rows, src_rows, 0.2)
+        fused = ad.edge_attention(s_inst, s_lab, ad.RowIndex(dst), 0.2)
         ad.backward(ad.matmul(upstream, fused))  # alpha's gradient is upstream.T
         s_dst, s_src = ad.parameter(scores[:, :1].copy()), ad.parameter(scores[:, 1:].copy())
-        chain = attention_chain(s_dst, s_src, dst_rows, src_rows, 0.2)
+        chain = attention_chain(s_dst, s_src, ad.RowIndex(dst), ad.RowIndex(swap_halves(dst)), 0.2)
         ad.backward(ad.matmul(upstream, chain))
-        assert fused.value.shape == (len(src), 1)
+        assert fused.value.shape == (len(dst), 1)
         assert np.array_equal(fused.value, chain.value)
         fused_grad = np.concatenate([ad.grad_or_zeros(s_inst), ad.grad_or_zeros(s_lab)])
         chain_grad = np.hstack([ad.grad_or_zeros(s_dst), ad.grad_or_zeros(s_src)])
@@ -987,17 +969,16 @@ class TestEdgeAttention:
         n, m = 2, 3
         inst = np.array([0, 0, 1, 1, 1])
         lab = np.array([0, 1, 0, 1, 2])
-        dst = ad.RowIndex(np.concatenate([inst, lab + n]))
-        src = ad.RowIndex(np.concatenate([lab + n, inst]))
+        targets = path_index(n, inst, lab)
         rng = np.random.default_rng(10)
         s_inst = ad.parameter(rng.uniform(0.5, 1.5, size=(n, 2)))
         s_lab = ad.parameter(rng.uniform(0.5, 1.5, size=(m, 2)))
         # Edge 0 (label node row n -> instance row 0) has pre-activation 0.
         s_inst.value[0, 0], s_lab.value[0, 1] = 0.25, -0.25
-        weights = ad.constant(rng.standard_normal((len(dst), 1)))
+        weights = ad.constant(rng.standard_normal((len(targets), 1)))
 
         def loss():
-            return ad.mean_all(ad.mul(ad.edge_attention(s_inst, s_lab, dst, src, 0.2), weights))
+            return ad.mean_all(ad.mul(ad.edge_attention(s_inst, s_lab, targets, 0.2), weights))
 
         report = grad_check(loss, {"s_inst": s_inst, "s_lab": s_lab}, samples_per_param=2 * m)
         assert [e.skipped for e in report.entries] == [1, 1]
@@ -1007,8 +988,16 @@ class TestEdgeAttention:
     def test_score_columns_and_indices_are_checked(self):
         col, pair = ad.constant(np.zeros((3, 1))), ad.constant(np.zeros((2, 2)))
         with pytest.raises(DimensionError, match="two score columns"):
-            ad.edge_attention(pair, col, [0], [1], 0.2)
-        with pytest.raises(DimensionError, match="2 targets for 1 sources"):
-            ad.edge_attention(pair, pair, [0, 1], [1], 0.2)
-        with pytest.raises(DimensionError, match="out of range"):
-            ad.edge_attention(pair, pair, [4], [1], 0.2)
+            ad.edge_attention(pair, col, [0, 2], 0.2)
+        with pytest.raises(DimensionError, match="3 targets, not a path's two halves"):
+            ad.edge_attention(pair, pair, [0, 2, 3], 0.2)
+        with pytest.raises(DimensionError, match="one of 2 instance rows and one of 2 label"):
+            ad.edge_attention(pair, pair, [0, 4], 0.2)
+
+    # Two instances (rows 0, 1) and two labels (rows 2, 3): halves that
+    # invert, share a side or leave the rows.
+    @pytest.mark.parametrize("targets", [[2, 0], [0, 1], [2, 3], [0, 2, 3, 1], [-1, 2], [1, 4]])
+    def test_halves_that_do_not_join_instances_to_labels_are_rejected(self, targets):
+        pair = ad.constant(np.zeros((2, 2)))
+        with pytest.raises(DimensionError, match="every edge must join"):
+            ad.edge_attention(pair, pair, targets, 0.2)

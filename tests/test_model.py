@@ -258,10 +258,10 @@ class TestPropagation:
         # No row per node of both kinds either: no padded node table, nor
         # its messages or hidden rows.
         n, m = graph.num_instances, graph.num_label_nodes
-        forbidden = {(len(path.src), cfg.gcn_hidden) for path in prep.paths.values()} | {
+        forbidden = {(len(path.edges), cfg.gcn_hidden) for path in prep.paths.values()} | {
             (edges, width)
             for path in prep.paths.values()
-            for edges in (len(path.src), len(path.src) // 2)
+            for edges in (len(path.edges), len(path.edges) // 2)
             for width in (3, 3 + 2)
         }
         forbidden |= {(n + m, 3 + 2), (n + m, cfg.gcn_hidden)}
@@ -399,8 +399,8 @@ class TestPreparedGraph:
         assert isinstance(prep.paths["cross"].edges, kernel)
         d, C = graph.feature_dim, graph.num_classes
         # Per directed edge: its target row, sort position and segment id,
-        # its weight, the kernel's block position or source row, and half
-        # of its rated pair's two rows.
+        # its weight, and the kernel's block position or source row, with a
+        # word to spare; the rated pairs are views of the target rows.
         edges = 6 * 8 * 2 * (within + cross)
         # Per within edge, the loss's: sort position and segment id of each
         # end, and the target level.
@@ -412,6 +412,11 @@ class TestPreparedGraph:
 
     @pytest.mark.parametrize("variant", ["full", "no_cross", "no_dual", "no_attention"])
     def test_mirrored_sources_equal_a_fresh_index(self, variant):
+        # Each path's kernel holds its targets ``[inst | lab + n]``; summed
+        # with the values' halves swapped, they give a fresh index of the
+        # sources ``[lab + n | inst]``, as ``edge_attention`` sums them.  The
+        # rated edges read from the kernels are the graph's within pairs,
+        # then its cross pairs.
         graph = random_graph(40, 30, 60, 300, seed=3)
         prep = prepare_graph(graph, small_config(variant=variant))
         n = graph.num_instances
@@ -420,14 +425,20 @@ class TestPreparedGraph:
         pairs = {"within": (w.inst, w.lab), "cross": (x.inst[keep], x.lab[keep])}
         rng = np.random.default_rng(4)
         for name, (inst, lab) in pairs.items():
-            path = prep.paths[name]
+            targets = prep.paths[name].edges.targets
             fresh = ad.RowIndex(np.concatenate([lab + n, inst]))
-            assert np.array_equal(path.dst.idx, np.concatenate([inst, lab + n]))
-            assert np.array_equal(path.src.idx, fresh.idx)
+            assert np.array_equal(targets.idx, np.concatenate([inst, lab + n]))
             values = rng.standard_normal((len(fresh), 3))
+            swapped = np.roll(values, len(values) // 2, axis=0)
             rows = n + graph.num_label_nodes
-            assert np.array_equal(path.src.sum_into(values, rows), fresh.sum_into(values, rows))
-        assert len(prep.paths["cross"].src) == (0 if variant in ("no_cross", "no_dual") else 600)
+            assert np.array_equal(targets.sum_into(swapped, rows), fresh.sum_into(values, rows))
+        assert len(prep.paths["cross"].edges) == (0 if variant in ("no_cross", "no_dual") else 600)
+        for (inst, lab), (want_inst, want_lab) in zip(prep.rated, pairs.values(), strict=True):
+            assert np.array_equal(inst, want_inst) and np.array_equal(lab, want_lab + n)
+        src, dst, kind = prep.rated_edges()
+        assert np.array_equal(src, np.concatenate([w.inst, x.inst[keep]]))
+        assert np.array_equal(dst, np.concatenate([w.lab, x.lab[keep]]))
+        assert kind.tolist() == ["within"] * 60 + ["cross"] * len(x.inst[keep])
 
 
 class TestAttention:
@@ -452,7 +463,7 @@ class TestAttention:
         prep = prepare_graph(graph, cfg)
         params = init_params(cfg, graph.feature_dim, graph.num_classes)
         alphas = attention_coefficients(prep, params, head=0)["within"].value[:, 0]
-        dst = prep.paths["within"].dst.idx
+        dst = prep.paths["within"].edges.targets.idx
         instance_rows = dst == 0
         np.testing.assert_allclose(alphas[instance_rows], 0.5)
 
@@ -473,11 +484,12 @@ class TestAttention:
         for head in range(2):
             alphas = attention_coefficients(prep, params, head=head)
             for name, path in prep.paths.items():
-                if len(path.dst) == 0:
+                dst = path.edges.targets.idx
+                if len(dst) == 0:
                     continue
                 sums = np.zeros(graph.num_instances + graph.num_label_nodes)
-                np.add.at(sums, path.dst.idx, alphas[name].value[:, 0])
-                touched = np.unique(path.dst.idx)
+                np.add.at(sums, dst, alphas[name].value[:, 0])
+                touched = np.unique(dst)
                 np.testing.assert_allclose(sums[touched], 1.0, atol=1e-12)
 
 
@@ -587,7 +599,7 @@ class TestEncode:
         assert (ad.relu, ad.edge_attention) == ops
         n, m = graph.num_instances, graph.num_label_nodes
         H, E = cfg.gcn_hidden, cfg.dense_hidden
-        edges = [(len(prep.paths[name].dst),) for name in ("within", "cross")]
+        edges = [(len(prep.paths[name].edges),) for name in ("within", "cross")]
         # per head, each path's attention; then each path's two sides, f, n, U and V
         relus = [(n, H), (m, H), (n, H), (m, H), (n, H), (m, H), (n, E), (m, E)]
         assert [mask.shape for mask in signs] == edges * cfg.num_heads + relus
@@ -812,14 +824,15 @@ class TestStreamedDiagnostics:
         params = init_params(cfg, 2, 3)
         rng = np.random.default_rng(block)
         U, V = rng.standard_normal((40, 8)) * 3, rng.standard_normal((30, 8)) * 3
+        # Label rows numbered after the 40 instance rows, as in a target index.
         rated = [
-            (rng.integers(0, 40, size=size), rng.integers(0, 30, size=size))
+            (rng.integers(0, 40, size=size), rng.integers(40, 40 + 30, size=size))
             for size in (150, 0, 61)
         ]
         monkeypatch.setattr(model, "DECODE_BLOCK", block)
         streamed = model.decode_diagnostics(U, V, params, rated)
         src = np.concatenate([s for s, _ in rated])
-        dst = np.concatenate([d for _, d in rated])
+        dst = np.concatenate([d for _, d in rated]) - 40
         monkeypatch.setattr(model, "DECODE_BLOCK", 1024)
         probs = model.decode_probs(U, V, params, src, dst)
         m_hat = model.expected_weight(probs, np.asarray(cfg.rating_levels))
@@ -839,7 +852,7 @@ class TestStreamedDiagnostics:
         levels = len(cfg.rating_levels)
         rng = np.random.default_rng(13)
         U, V = rng.standard_normal((n, k)), rng.standard_normal((m, k))
-        rated = [(rng.integers(0, n, size=edges), rng.integers(0, m, size=edges))]
+        rated = [(rng.integers(0, n, size=edges), rng.integers(n, n + m, size=edges))]
         tracemalloc.start()
         try:
             decode_diagnostics(U, V, params, rated)
@@ -1098,6 +1111,48 @@ class TestTrain:
         train(random_graph(30, 150, 100, 3500), small_config(epochs=2))
         assert threads_at_fork == [1] * forks
 
+    @pytest.mark.parametrize(
+        "cores, threads, chunk_bytes, helpers, forks",
+        [
+            (2, 1, 2000, 1, 0),
+            (2, 1, kernels.DENSE_CHUNK_BYTES, 0, 1),
+            (2, 2, 2000, 0, 0),
+            (1, 1, 2000, 0, 0),
+        ],
+    )
+    def test_the_second_core_is_asked_once_a_train(
+        self, monkeypatch, cores, threads, chunk_bytes, helpers, forks
+    ):
+        """One ``second_core`` answer starts the helper thread (a block of
+        row chunks) or forks the worker (whole blocks), or neither."""
+        asked, entered, forked = [], [], []
+        real_second_core, real_helper, real_worker = (
+            runtime.second_core,
+            runtime.helper_thread,
+            runtime.Worker,
+        )
+
+        def counting_second_core():
+            asked.append(True)
+            return real_second_core()
+
+        def counting_helper():
+            entered.append(True)
+            return real_helper()
+
+        def counting_worker(*args, **kwargs):
+            forked.append(True)
+            return real_worker(*args, **kwargs)
+
+        monkeypatch.setattr(runtime, "second_core", counting_second_core)
+        monkeypatch.setattr(runtime, "helper_thread", counting_helper)
+        monkeypatch.setattr(runtime, "Worker", counting_worker)
+        monkeypatch.setattr(runtime, "usable_cores", lambda: cores)
+        monkeypatch.setattr(runtime, "blas_threads", lambda: threads)
+        monkeypatch.setattr(kernels, "DENSE_CHUNK_BYTES", chunk_bytes)
+        train(random_graph(30, 150, 100, 3500), small_config(epochs=2))
+        assert (len(asked), len(entered), len(forked)) == (1, helpers, forks)
+
     def test_a_worker_that_exits_without_a_result_is_a_training_error(self, monkeypatch):
         import os
 
@@ -1219,7 +1274,7 @@ class TestTrain:
         prep = prepare_graph(graph, cfg)
         np.testing.assert_allclose(prep.paths["within"].weight.value[:2, 0], [0.5, 0.5])
         assert "cross" in prep.paths
-        assert len(prep.paths["cross"].src) == 0
+        assert len(prep.paths["cross"].edges) == 0
 
     def test_loss_windows_non_increasing_on_seeded_graph(self):
         from dbgae.data import GeneratorConfig, generate_synthetic

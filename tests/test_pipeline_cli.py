@@ -337,6 +337,13 @@ class TestSweep:
         rows = run_sweep(spec, base, tmp_path / "sweep")
         assert len(rows) == 3
 
+    @pytest.mark.parametrize("param", ["seed", "out_dir"])
+    def test_a_sweep_over_what_the_sweep_sets_is_rejected_before_any_run(self, tmp_path, param):
+        spec = SweepSpec(param=param, values=(1, 2))
+        with pytest.raises(ConfigError, match=f"sweep param '{param}' is set per run"):
+            run_sweep(spec, small_config(), tmp_path / "sweep")
+        assert not (tmp_path / "sweep").exists()
+
 
 class TestCli:
     def test_stagewise_chain(self, tmp_path, capsys):
@@ -598,6 +605,16 @@ class TestCli:
         assert f"sweep values {first} and {second} share the run directory" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("param", ["seed", "out_dir"])
+    def test_sweep_rejects_a_param_the_sweep_sets(self, tmp_path, capsys, param):
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--param", param, "--values", "1,2", "--out-dir", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: sweep param '{param}' is set per run")
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestScripts:
     def test_run_benchmark_writes_rows_and_means_per_variant(self, tmp_path):
@@ -629,3 +646,26 @@ class TestScripts:
         assert info.value.code == 2
         assert f"--seeds {seeds!r} is not a comma-separated list of integers" in capsys.readouterr().err
         assert not (tmp_path / "benchmark.csv").exists()
+
+
+class TestDependencies:
+    def test_the_package_imports_only_the_standard_library_and_numpy(self):
+        # numpy is the one runtime dependency; function-level imports count.
+        import ast
+        import sys
+
+        allowed = set(sys.stdlib_module_names) | {"numpy", "dbgae"}
+        package = Path(__file__).parents[1] / "src" / "dbgae"
+        found = {}
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                for name in names:
+                    found.setdefault(name.split(".")[0], []).append(f"{path.name}:{node.lineno}")
+        assert "numpy" in found and "ctypes" in found  # the walk sees the imports
+        assert {name: at for name, at in found.items() if name not in allowed} == {}
