@@ -12,6 +12,12 @@ goes and only the leaves keep gradients.
 ``kernels``, one tensor per side of the path: the messages into instances
 and those into labels.  ``edge_attention`` reads each side's scores
 through the two halves of the path's one target index.
+
+``edge_attention``, ``head_mean_relu`` (the heads' mean of a side's
+messages, through ReLU) and ``bilinear_logits`` (the decoder's per-level
+scores) each replace a chain of ops with one node, giving the chain's
+floats, value and gradients; the tests hold each against its chain, kept
+in ``tests/oracles.py``, bit for bit.
 """
 
 from __future__ import annotations
@@ -198,26 +204,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _result(a.value + b.value, (a, b), bwd, "add")
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _broadcast_ok(a, b, "mul")
-    av, bv = a.value, b.value
-
-    def bwd(g):
-        _accum(a, _unbroadcast(g * bv, a.shape))
-        _accum(b, _unbroadcast(g * av, b.shape))
-
-    return _result(av * bv, (a, b), bwd, "mul")
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    s = float(s)
-
-    def bwd(g):
-        _accum(a, g * s)
-
-    return _result(a.value * s, (a,), bwd, "scale")
-
-
 def relu(a: Tensor) -> Tensor:
     mask = a.value > 0.0
 
@@ -225,6 +211,47 @@ def relu(a: Tensor) -> Tensor:
         _accum(a, g * mask)
 
     return _result(np.where(mask, a.value, 0.0), (a,), bwd, "relu")
+
+
+def head_mean_relu(pairs: list[tuple[Tensor, Tensor]]) -> Tensor:
+    """ReLU of the mean over heads of the products ``A_h·W_h``, as one op.
+
+    The arithmetic, order included, of the unfused chain (a ``matmul`` per
+    head, their sum in head order, a scale by ``1/heads``, ReLU), so values
+    and gradients are those of that chain; neither the per-head products
+    nor their sums are kept or put on the tape.  Backward keeps only the
+    ReLU sign mask and gives each ``A_h`` and ``W_h`` its ``matmul``
+    gradient of ``(g·mask)·(1/heads)``.
+    """
+    if not pairs:
+        raise DimensionError("head_mean_relu: needs at least one head")
+    shape = (pairs[0][0].rows, pairs[0][1].cols)
+    for A, W in pairs:
+        if A.cols != W.rows:
+            raise DimensionError(f"head_mean_relu: inner dims {A.shape} x {W.shape}")
+        if (A.rows, W.cols) != shape:
+            raise DimensionError(
+                f"head_mean_relu: a head's product is {(A.rows, W.cols)}, another's {shape}"
+            )
+    values = [(A.value, W.value) for A, W in pairs]
+    s = 1.0 / len(pairs)
+    total = values[0][0] @ values[0][1]
+    for av, wv in values[1:]:
+        total += av @ wv
+    total *= s
+    mask = total > 0.0
+
+    def bwd(g):
+        g = g * mask
+        g *= s
+        for (A, W), (av, wv) in zip(pairs, values):
+            if A.requires_grad:
+                _accum(A, g @ wv.T)
+            if W.requires_grad:
+                _accum(W, av.T @ g)
+
+    parents = tuple(t for pair in pairs for t in pair)
+    return _result(np.where(mask, total, 0.0), parents, bwd, "head_mean_relu")
 
 
 def concat_cols(parts: list[Tensor]) -> Tensor:
@@ -348,15 +375,6 @@ def propagate(
     )
 
 
-def row_sum(a: Tensor) -> Tensor:
-    shape = a.shape
-
-    def bwd(g):
-        _accum(a, np.broadcast_to(g, shape))
-
-    return _result(a.value.sum(axis=1, keepdims=True), (a,), bwd, "row_sum")
-
-
 def mean_all(a: Tensor) -> Tensor:
     size = a.value.size
     if size == 0:
@@ -425,6 +443,59 @@ def edge_attention(s_inst: Tensor, s_lab: Tensor, targets, slope: float) -> Tens
         _accum(s_lab, np.hstack([as_target[n:], as_source[n:]]))
 
     return _result(out, (s_inst, s_lab), bwd, "edge_attention")
+
+
+def bilinear_logits(U: Tensor, V: Tensor, Q: list[Tensor], src, dst) -> Tensor:
+    """The bilinear score ``U[src_e]·Q_r·V[dst_e]`` of each edge ``e`` at
+    each level ``r``, shape (edges, levels), as one op.
+
+    The arithmetic, order included, of the unfused chain (gather both rows,
+    then per level a ``matmul`` by ``Q_r``, a product with ``V``'s rows and
+    a row sum, the levels' columns side by side), so values and gradients
+    are those of that chain.  The node keeps only the gathered rows: the
+    per-level products are taken again in backward.  Backward sums the
+    gathered rows' gradients over the levels in level order 0…R−1, as the
+    chain's backward did, then adds them into ``U`` and ``V`` through
+    ``src`` and ``dst``.
+    """
+    src, dst = _as_rowindex(src), _as_rowindex(dst)
+    if not Q:
+        raise DimensionError("bilinear_logits: needs at least one level")
+    if len(src) != len(dst):
+        raise DimensionError(f"bilinear_logits: {len(src)} sources for {len(dst)} targets")
+    for q in Q:
+        if q.shape != (U.cols, V.cols):
+            raise DimensionError(
+                f"bilinear_logits: level matrix {q.shape} between {U.shape} and {V.shape}"
+            )
+    for name, ri, t in (("source", src, U), ("target", dst, V)):
+        if len(ri) and (ri.idx.min() < 0 or ri.idx.max() >= t.rows):
+            raise DimensionError(f"bilinear_logits: {name} index out of range for {t.rows} rows")
+    qs = [q.value for q in Q]
+    Ug, Vg = U.value[src.idx], V.value[dst.idx]
+    out = np.empty((len(src), len(qs)))
+    for r, q in enumerate(qs):
+        out[:, r] = ((Ug @ q) * Vg).sum(axis=1)
+
+    def bwd(g):
+        g_Ug = g_Vg = None
+        for r, (q, Qr) in enumerate(zip(qs, Q)):
+            g_r = g[:, r : r + 1]
+            g_product = g_r * Vg
+            if Qr.requires_grad:
+                _accum(Qr, Ug.T @ g_product)
+            if U.requires_grad:
+                g_level = g_product @ q.T
+                g_Ug = g_level if g_Ug is None else g_Ug + g_level
+            if V.requires_grad:
+                g_level = g_r * (Ug @ q)
+                g_Vg = g_level if g_Vg is None else g_Vg + g_level
+        if g_Ug is not None:
+            _accum(U, src.sum_into(g_Ug, U.rows))
+        if g_Vg is not None:
+            _accum(V, dst.sum_into(g_Vg, V.rows))
+
+    return _result(out, (U, V, *Q), bwd, "bilinear_logits")
 
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:

@@ -13,7 +13,11 @@ message passing aggregates before it transforms, ``(A·X)·W`` for
 coefficient-weighted one-hots into the instances (n x C) and features into
 the labels (m x d), whatever ``gcn_hidden`` is, and each side is
 multiplied by its rows of the head's W; no per-edge row is put on the
-tape.  Attention scores too are taken at the feature width.  A path
+tape.  Those products are taken inside one fused
+``autodiff.head_mean_relu`` per path and side, which also averages them
+over the heads and applies ReLU, so no per-head product is put on the
+tape either (``test_each_sides_heads_and_the_decoder_are_one_node_each``).
+Attention scores too are taken at the feature width.  A path
 (``_Path``) is its kernel, which owns its one edge index, and its link
 weights; without attention, ``prepare_graph`` takes each path's ``A·X``
 once for every head and epoch.  It picks one of two kernels per path from
@@ -42,10 +46,13 @@ at 800 groups the fork's copy-on-write faults cost more than the worker
 saved.  With neither, the main thread decodes after ``backward``.
 
 Decoder: bilinear score per discrete likelihood level, softmax across
-levels; the refined link weight is the expectation over levels.  Training
-minimizes mean cross-entropy against quantized within-group weights; cross
-links are decoded but never contribute to the loss.  The rated edges are
-read from the paths' kernels (``PreparedGraph.rated``).
+levels; the refined link weight is the expectation over levels.  On the
+tape the scores of every level are one fused ``autodiff.bilinear_logits``
+node, the floats of the per-level chain it replaced
+(``TestBilinearLogits``).  Training minimizes mean cross-entropy against
+quantized within-group weights; cross links are decoded but never
+contribute to the loss.  The rated edges are read from the paths' kernels
+(``PreparedGraph.rated``).
 """
 
 from __future__ import annotations
@@ -342,11 +349,12 @@ def attention_coefficients(
 
 def propagation_messages(
     prep: PreparedGraph, params: ModelParams, config: ModelConfig, head: int
-) -> dict[str, tuple[Tensor, Tensor]]:
+) -> dict[str, tuple[tuple[Tensor, Tensor], tuple[Tensor, Tensor]]]:
     """Per-node message sums of one head, for each path with edges, as
     (instances, labels): node t's row is the sum over t's in-edges of
-    (alpha_ij *) w_ij * W feat_src, taken as each side of ``ad.propagate``'s
-    ``A·X`` (without attention, the path's ``weighted``) times its W rows."""
+    (alpha_ij *) w_ij * W feat_src.  Each side is given as its two factors,
+    the side of ``ad.propagate``'s ``A·X`` (without attention, the path's
+    ``weighted``) and its rows of W, for ``aggregate_paths`` to multiply."""
     W = params[f"W.{head}"]
     d = prep.x.cols
     W_feature, W_class = ad.slice_rows(W, 0, d), ad.slice_rows(W, d, W.rows)
@@ -360,7 +368,7 @@ def propagation_messages(
             into_inst, into_lab = path.weighted
         else:
             into_inst, into_lab = ad.propagate(alphas[name], path.edges, weight=path.weight.value)
-        sums[name] = (ad.matmul(into_inst, W_class), ad.matmul(into_lab, W_feature))
+        sums[name] = ((into_inst, W_class), (into_lab, W_feature))
     return sums
 
 
@@ -368,14 +376,15 @@ def aggregate_paths(
     prep: PreparedGraph, params: ModelParams, config: ModelConfig
 ) -> dict[str, tuple[Tensor, Tensor]]:
     """Average the per-node message sums over heads and apply ReLU, per path
-    and side (instances, labels); a path without edges gives zeros."""
-    sums: dict[str, tuple[Tensor, Tensor]] = {}
+    and side (instances, labels), one ``ad.head_mean_relu`` of the heads'
+    factors per side; a path without edges gives zeros."""
+    heads: dict[str, list] = {}
     for head in range(config.num_heads):
         for name, sides in propagation_messages(prep, params, config, head).items():
-            sums[name] = sides if name not in sums else tuple(map(ad.add, sums[name], sides))
+            heads.setdefault(name, []).append(sides)
     return {
-        name: tuple(ad.relu(ad.scale(side, 1.0 / config.num_heads)) for side in sums[name])
-        if name in sums
+        name: tuple(ad.head_mean_relu(list(side)) for side in zip(*heads[name]))
+        if name in heads
         else tuple(ad.constant(np.zeros((t.rows, params.gcn_hidden))) for t in (prep.x, prep.l))
         for name in prep.paths
     }
@@ -400,14 +409,10 @@ def decode_logits(
     U: Tensor, V: Tensor, params: ModelParams, src: RowIndex, dst: RowIndex
 ) -> Tensor:
     """Bilinear score u^T Q_r v per edge per rating level, shape (E, R), on
-    the tape: the training loss is taken on these."""
-    Ug = ad.gather_rows(U, src)
-    Vg = ad.gather_rows(V, dst)
-    cols = [
-        ad.row_sum(ad.mul(ad.matmul(Ug, params[f"Q.{r}"]), Vg))
-        for r in range(len(params.rating_levels))
-    ]
-    return ad.concat_cols(cols)
+    the tape as one ``ad.bilinear_logits`` node: the training loss is taken
+    on these."""
+    Q = [params[f"Q.{r}"] for r in range(len(params.rating_levels))]
+    return ad.bilinear_logits(U, V, Q, src, dst)
 
 
 def expected_weight(probs: np.ndarray, levels: np.ndarray) -> np.ndarray:

@@ -10,10 +10,13 @@ per-pair metric counts and the whole-block dense products are the
 library's earlier implementations, kept as the references its
 whole-column and row-chunk versions must match exactly; so are the
 LeakyReLU and segment-softmax ops of the attention chain that the fused
-``edge_attention`` replaced.  The hidden-width message passing, which
-transformed the features before it propagated them, is the reference the
-feature-width ``propagate`` must match to rounding, and the encoder over
-one zero-padded node table the reference of the two-sided one.  The
+``edge_attention`` replaced, and the ``mul``, ``scale`` and ``row_sum`` ops
+of the heads' aggregation and level decoder chains that the fused
+``head_mean_relu`` and ``bilinear_logits`` replaced.  The hidden-width
+message passing, which transformed the features before it propagated
+them, is the reference the feature-width ``propagate`` must match to
+rounding, and the encoder over one zero-padded node table the reference
+of the two-sided one.  The
 gradient checker, with the kink recorder it needs, serves the tests only
 and lives here too.
 """
@@ -229,15 +232,15 @@ def encode_reference(graph, prep, params, config) -> tuple:
                 coef = path.weight
             else:
                 alpha = attention_chain(s_self, s_neigh, dst, src, ATTENTION_SLOPE)
-                coef = ad.mul(alpha, path.weight)
+                coef = mul(alpha, path.weight)
             incidence = np.zeros((n + m, len(dst)))
             incidence[dst, np.arange(len(dst))] = 1.0
-            sent = ad.mul(ad.gather_rows(X, src), coef)
+            sent = mul(ad.gather_rows(X, src), coef)
             messages = ad.matmul(ad.constant(incidence), sent)
             out = ad.matmul(messages, params[f"W.{head}"])
             sums[name] = out if name not in sums else ad.add(sums[name], out)
     hidden = {
-        name: ad.relu(ad.scale(sums[name], 1.0 / config.num_heads))
+        name: ad.relu(scale(sums[name], 1.0 / config.num_heads))
         if name in sums
         else ad.constant(np.zeros((n + m, H)))
         for name in prep.paths
@@ -539,6 +542,61 @@ def pair_clustering_reference(graph) -> list:
     ]
 
 
+# The library's earlier elementwise ops, on the tape like any op: the
+# unfused chains below, the reference encoder and the tests build on them.
+
+
+def mul(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
+    ad._broadcast_ok(a, b, "mul")
+    av, bv = a.value, b.value
+
+    def bwd(g):
+        ad._accum(a, ad._unbroadcast(g * bv, a.shape))
+        ad._accum(b, ad._unbroadcast(g * av, b.shape))
+
+    return ad._result(av * bv, (a, b), bwd, "mul")
+
+
+def scale(a: ad.Tensor, s: float) -> ad.Tensor:
+    s = float(s)
+
+    def bwd(g):
+        ad._accum(a, g * s)
+
+    return ad._result(a.value * s, (a,), bwd, "scale")
+
+
+def row_sum(a: ad.Tensor) -> ad.Tensor:
+    shape = a.shape
+
+    def bwd(g):
+        ad._accum(a, np.broadcast_to(g, shape))
+
+    return ad._result(a.value.sum(axis=1, keepdims=True), (a,), bwd, "row_sum")
+
+
+# The unfused chains that ``autodiff.head_mean_relu`` and
+# ``autodiff.bilinear_logits`` must equal bit for bit: the encoder's and the
+# decoder's chains of ops as they were before each was fused.
+
+
+def head_mean_relu_chain(pairs) -> ad.Tensor:
+    """A ``matmul`` per head, their sum by ``add`` in head order, ``scale``
+    by ``1/heads``, then ReLU."""
+    total = None
+    for A, W in pairs:
+        product = ad.matmul(A, W)
+        total = product if total is None else ad.add(total, product)
+    return ad.relu(scale(total, 1.0 / len(pairs)))
+
+
+def bilinear_logits_chain(U, V, Q, src, dst) -> ad.Tensor:
+    """Gather both rows, then per level ``row_sum(mul(matmul(Ug, Q_r),
+    Vg))``, and the levels' columns side by side."""
+    Ug, Vg = ad.gather_rows(U, src), ad.gather_rows(V, dst)
+    return ad.concat_cols([row_sum(mul(ad.matmul(Ug, q), Vg)) for q in Q])
+
+
 # The unfused attention chain that ``autodiff.edge_attention`` must equal bit
 # for bit: the library's earlier LeakyReLU and segment-softmax ops, on the
 # tape like any op.
@@ -611,18 +669,26 @@ def _record_kink_signs(mask: np.ndarray):
 @contextmanager
 def record_kink_signs():
     """Collect, in call order, the sign mask of every ``ad.relu``,
-    ``ad.edge_attention`` and oracle ``leaky_relu`` call evaluated inside.
+    ``ad.head_mean_relu``, ``ad.edge_attention`` and oracle ``leaky_relu``
+    call evaluated inside.
 
-    ``ad.relu`` and ``ad.edge_attention`` are wrapped for the body and
-    restored on exit; a wrapper takes its op's mask from the op's inputs
-    with the op's own comparison, after the op has run (so the op's own
-    errors come first)."""
+    The three ``ad`` ops are wrapped for the body and restored on exit; a
+    wrapper takes its op's mask from the op's inputs with the op's own
+    comparison, after the op has run (so the op's own errors come first)."""
     global _kink_signs
-    relu, edge_attention = ad.relu, ad.edge_attention
+    relu, head_mean_relu, edge_attention = ad.relu, ad.head_mean_relu, ad.edge_attention
 
     def recorded_relu(a):
         out = relu(a)
         _record_kink_signs(a.value > 0.0)
+        return out
+
+    def recorded_head_mean_relu(pairs):
+        out = head_mean_relu(pairs)
+        total = pairs[0][0].value @ pairs[0][1].value
+        for A, W in pairs[1:]:
+            total += A.value @ W.value
+        _record_kink_signs(total * (1.0 / len(pairs)) > 0.0)
         return out
 
     def recorded_edge_attention(s_inst, s_lab, targets, slope):
@@ -633,11 +699,12 @@ def record_kink_signs():
         return out
 
     _kink_signs = []
-    ad.relu, ad.edge_attention = recorded_relu, recorded_edge_attention
+    ad.relu, ad.head_mean_relu = recorded_relu, recorded_head_mean_relu
+    ad.edge_attention = recorded_edge_attention
     try:
         yield _kink_signs
     finally:
-        ad.relu, ad.edge_attention = relu, edge_attention
+        ad.relu, ad.head_mean_relu, ad.edge_attention = relu, head_mean_relu, edge_attention
         _kink_signs = None
 
 

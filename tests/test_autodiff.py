@@ -13,11 +13,16 @@ from dbgae import kernels, runtime
 from dbgae.errors import AutodiffError, DimensionError
 from oracles import (
     attention_chain,
+    bilinear_logits_chain,
     grad_check,
+    head_mean_relu_chain,
     hidden_width_reference,
     label_block_reference,
     leaky_relu,
+    mul,
     propagate_reference,
+    row_sum,
+    scale,
     segment_softmax,
     softmax_reference,
     swap_halves,
@@ -88,13 +93,13 @@ class TestBackwardBasics:
         W = ad.parameter(rng.standard_normal((3, 4)))
         x = ad.constant(rng.standard_normal((4, 1)))
         # the mean of the 3 outputs times 3 is their sum
-        ad.backward(ad.scale(ad.mean_all(ad.matmul(W, x)), 3.0))
+        ad.backward(scale(ad.mean_all(ad.matmul(W, x)), 3.0))
         np.testing.assert_allclose(W.grad, np.ones((3, 1)) @ x.value.T)
 
     def test_unused_parameter_gets_zero_gradient(self):
         used = ad.parameter(np.ones((1, 1)))
         unused = ad.parameter(np.ones((2, 2)))
-        ad.backward(ad.scale(used, 3.0))
+        ad.backward(scale(used, 3.0))
         np.testing.assert_array_equal(ad.grad_or_zeros(unused), np.zeros((2, 2)))
 
     def test_slice_rows_adds_into_its_rows_alone(self):
@@ -106,8 +111,8 @@ class TestBackwardBasics:
         # Overlapping slices, and ``a`` itself: every gradient adds up.
         ad.backward(
             ad.add(
-                ad.add(ad.mean_all(ad.mul(top, ad.constant(g1))), ad.mean_all(a)),
-                ad.mean_all(ad.mul(bottom, ad.constant(g2))),
+                ad.add(ad.mean_all(mul(top, ad.constant(g1))), ad.mean_all(a)),
+                ad.mean_all(mul(bottom, ad.constant(g2))),
             )
         )
         expected = np.full((5, 3), 1 / 15)
@@ -117,14 +122,14 @@ class TestBackwardBasics:
 
     def test_fanout_accumulates(self):
         w = ad.parameter(np.full((1, 1), 1.5))
-        loss = ad.add(ad.scale(w, 2.0), ad.scale(w, 3.0))
+        loss = ad.add(scale(w, 2.0), scale(w, 3.0))
         ad.backward(loss)
         assert w.grad[0, 0] == pytest.approx(5.0)
 
     def test_backward_requires_scalar(self):
         w = ad.parameter(np.ones((2, 2)))
         with pytest.raises(AutodiffError, match="scalar"):
-            ad.backward(ad.scale(w, 1.0))
+            ad.backward(scale(w, 1.0))
 
     @staticmethod
     def _two_layer_loss():
@@ -133,7 +138,7 @@ class TestBackwardBasics:
         W2 = ad.parameter(rng.standard_normal((4, 2)))
         x = ad.constant(rng.standard_normal((5, 3)))
         hidden = ad.relu(ad.matmul(x, W1))
-        loss = ad.mean_all(ad.mul(ad.matmul(hidden, W2), ad.matmul(hidden, W2)))
+        loss = ad.mean_all(mul(ad.matmul(hidden, W2), ad.matmul(hidden, W2)))
         return loss, hidden, (W1, W2), x
 
     def test_backward_consumes_the_graph(self):
@@ -207,7 +212,7 @@ class TestPrimitiveGradients:
 
         def loss():
             out = ad.add(ad.matmul(A, B), bias)
-            return ad.mean_all(ad.mul(out, scale_col))
+            return ad.mean_all(mul(out, scale_col))
 
         # The loss is linear in each single coordinate, so the central
         # difference is exact at any step, and a step of 1 divides the
@@ -223,7 +228,7 @@ class TestPrimitiveGradients:
         weights = ad.constant(rng.standard_normal((4, 3)))
 
         def loss():
-            return ad.mean_all(ad.mul(ad.add(ad.relu(X), leaky_relu(X, 0.2)), weights))
+            return ad.mean_all(mul(ad.add(ad.relu(X), leaky_relu(X, 0.2)), weights))
 
         # Every |x| is at least 0.2, so a step of 0.1 stays on one side of the
         # kink, where the loss is linear in the coordinate: the difference is
@@ -240,7 +245,7 @@ class TestPrimitiveGradients:
         weights = ad.constant(rng.standard_normal((3, 5)))
 
         def loss():
-            return ad.mean_all(ad.row_sum(ad.mul(ad.concat_cols([X, Y]), weights)))
+            return ad.mean_all(row_sum(mul(ad.concat_cols([X, Y]), weights)))
 
         # linear in each single coordinate, as in test_matmul_add_mul
         check_all_coords(loss, {"X": X, "Y": Y}, step=1.0)
@@ -254,7 +259,7 @@ class TestPrimitiveGradients:
         weights = ad.constant(rng.standard_normal((8, 3)))
 
         def loss():
-            return ad.mean_all(ad.mul(ad.gather_rows(X, idx), weights))
+            return ad.mean_all(mul(ad.gather_rows(X, idx), weights))
 
         check_all_coords(loss, {"X": X})
 
@@ -267,7 +272,7 @@ class TestPrimitiveGradients:
         weights = ad.constant(rng.standard_normal((8, 1)))
 
         def loss():
-            return ad.mean_all(ad.mul(segment_softmax(X, seg), weights))
+            return ad.mean_all(mul(segment_softmax(X, seg), weights))
 
         check_all_coords(loss, {"X": X})
 
@@ -484,8 +489,8 @@ class TestPropagate:
             out_lab = ad.matmul(into_lab, ad.slice_rows(W_t, 0, d))
             ad.backward(
                 ad.add(
-                    ad.mean_all(ad.mul(out_inst, ad.constant(g[:n] * out_inst.value.size))),
-                    ad.mean_all(ad.mul(out_lab, ad.constant(g[n:] * out_lab.value.size))),
+                    ad.mean_all(mul(out_inst, ad.constant(g[:n] * out_inst.value.size))),
+                    ad.mean_all(mul(out_lab, ad.constant(g[n:] * out_lab.value.size))),
                 )
             )
         assert close(np.concatenate([out_inst.value, out_lab.value]), ref_out)
@@ -509,8 +514,8 @@ class TestPropagate:
             out_inst = ad.matmul(into_inst, ad.slice_rows(W, d, d + 2))
             out_lab = ad.matmul(into_lab, ad.slice_rows(W, 0, d))
             return ad.add(
-                ad.mean_all(ad.mul(out_inst, ad.constant(weights[:n]))),
-                ad.mean_all(ad.mul(out_lab, ad.constant(weights[n:]))),
+                ad.mean_all(mul(out_inst, ad.constant(weights[:n]))),
+                ad.mean_all(mul(out_lab, ad.constant(weights[n:]))),
             )
 
         report = grad_check(loss, {"W": W, "coef": coef}, samples_per_param=64)
@@ -586,13 +591,13 @@ class TestPropagate:
             if fused:
                 into_inst, into_lab = ad.propagate(alpha, p, weight=weight)
             else:
-                into_inst, into_lab = ad.propagate(ad.mul(alpha, ad.constant(weight)), p)
+                into_inst, into_lab = ad.propagate(mul(alpha, ad.constant(weight)), p)
             out_inst = ad.matmul(into_inst, ad.slice_rows(W, d, d + 2))
             out_lab = ad.matmul(into_lab, ad.slice_rows(W, 0, d))
             ad.backward(
                 ad.add(
-                    ad.mean_all(ad.mul(out_inst, ad.constant(upstream[:n]))),
-                    ad.mean_all(ad.mul(out_lab, ad.constant(upstream[n:]))),
+                    ad.mean_all(mul(out_inst, ad.constant(upstream[:n]))),
+                    ad.mean_all(mul(out_lab, ad.constant(upstream[n:]))),
                 )
             )
             results.append((out_inst.value, out_lab.value, W.grad, alpha.grad))
@@ -978,7 +983,7 @@ class TestEdgeAttention:
         weights = ad.constant(rng.standard_normal((len(targets), 1)))
 
         def loss():
-            return ad.mean_all(ad.mul(ad.edge_attention(s_inst, s_lab, targets, 0.2), weights))
+            return ad.mean_all(mul(ad.edge_attention(s_inst, s_lab, targets, 0.2), weights))
 
         report = grad_check(loss, {"s_inst": s_inst, "s_lab": s_lab}, samples_per_param=2 * m)
         assert [e.skipped for e in report.entries] == [1, 1]
@@ -1001,3 +1006,172 @@ class TestEdgeAttention:
         pair = ad.constant(np.zeros((2, 2)))
         with pytest.raises(DimensionError, match="every edge must join"):
             ad.edge_attention(pair, pair, targets, 0.2)
+
+
+def values_on(rng, shape, on_grid):
+    """Normal values, or on a half-integer grid, where sums hit exact zeros
+    (the ReLU kink) and ties."""
+    return rng.integers(-2, 3, size=shape) / 2.0 if on_grid else rng.standard_normal(shape)
+
+
+def fused_and_chain(build, inputs, upstream):
+    """Each of ``build(chain)(fresh copies of inputs)`` for the fused op and
+    its unfused chain, backward with ``upstream`` as the output's gradient,
+    as (value, every input's gradient or None).  Summed by two products
+    with ones, so an output without rows still gives a scalar loss."""
+    results = []
+    rows, cols = upstream.shape
+    for chain in (False, True):
+        tensors = [
+            ad.parameter(value.copy()) if grad else ad.constant(value.copy())
+            for value, grad in inputs
+        ]
+        out = build(chain)(tensors)
+        weighted = mul(out, ad.constant(upstream))
+        ones_row, ones_col = ad.constant(np.ones((1, rows))), ad.constant(np.ones((cols, 1)))
+        ad.backward(ad.matmul(ad.matmul(ones_row, weighted), ones_col))
+        results.append((out.value, [t.grad for t in tensors]))
+    return results
+
+
+def assert_same_bits(fused, chain):
+    (value, grads), (chain_value, chain_grads) = fused, chain
+    assert value.shape == chain_value.shape
+    assert np.array_equal(value, chain_value)
+    for g, cg in zip(grads, chain_grads, strict=True):
+        assert (g is None) == (cg is None)
+        assert g is None or np.array_equal(g, cg)
+
+
+class TestHeadMeanRelu:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        heads=st.integers(1, 4),
+        rows=st.integers(0, 5),
+        inner=st.lists(st.integers(1, 4), min_size=4, max_size=4),
+        cols=st.integers(1, 5),
+        constant_A=st.lists(st.booleans(), min_size=4, max_size=4),
+        seed=st.integers(0, 10_000),
+        on_grid=st.booleans(),
+    )
+    def test_equals_the_unfused_chain_bit_for_bit(
+        self, heads, rows, inner, cols, constant_A, seed, on_grid
+    ):
+        # Each head's A_h may be a constant (as a path's messages without
+        # attention are) or carry a gradient; inner widths differ by head.
+        rng = np.random.default_rng(seed)
+        inputs = []
+        for h in range(heads):
+            inputs.append((values_on(rng, (rows, inner[h]), on_grid), not constant_A[h]))
+            inputs.append((values_on(rng, (inner[h], cols), on_grid), True))
+        upstream = rng.standard_normal((rows, cols))
+
+        def build(chain):
+            op = head_mean_relu_chain if chain else ad.head_mean_relu
+            return lambda t: op(list(zip(t[::2], t[1::2])))
+
+        fused, chain = fused_and_chain(build, inputs, upstream)
+        assert_same_bits(fused, chain)
+
+    def test_grad_check(self):
+        rng = np.random.default_rng(12)
+        A = [ad.parameter(rng.standard_normal((4, 3))) for _ in range(3)]
+        W = [ad.parameter(rng.standard_normal((3, 5))) for _ in range(3)]
+        weights = ad.constant(rng.standard_normal((4, 5)))
+
+        def loss():
+            return ad.mean_all(mul(ad.head_mean_relu(list(zip(A, W))), weights))
+
+        params = {f"{kind}.{h}": t for h in range(3) for kind, t in (("A", A[h]), ("W", W[h]))}
+        report = grad_check(loss, params, samples_per_param=64)
+        assert report.max_rel_error <= 1e-4
+        assert all(e.checked for e in report.entries)
+
+    def test_grad_check_skips_the_kink(self):
+        # One head: A·W is [0, 1], so a step in W[0, 0] crosses the kink and
+        # is skipped; the recorder must see the fused op's mask for that.
+        A = ad.parameter(np.array([[1.0]]))
+        W = ad.parameter(np.array([[0.0, 1.0]]))
+
+        def loss():
+            return ad.mean_all(ad.head_mean_relu([(A, W)]))
+
+        report = grad_check(loss, {"A": A, "W": W})
+        assert [(e.checked, e.skipped) for e in report.entries] == [(1, 0), (1, 1)]
+        assert report.max_rel_error <= 1e-9
+
+    @pytest.mark.parametrize(
+        "shapes, message",
+        [
+            ([], "needs at least one head"),
+            ([((2, 3), (4, 5))], r"inner dims \(2, 3\) x \(4, 5\)"),
+            ([((2, 3), (3, 5)), ((2, 4), (4, 6))], r"a head's product is \(2, 6\), another's \(2, 5\)"),
+            ([((2, 3), (3, 5)), ((3, 3), (3, 5))], r"a head's product is \(3, 5\), another's \(2, 5\)"),
+        ],
+        ids=["no-heads", "inner-dims", "widths-differ", "rows-differ"],
+    )
+    def test_shape_mismatch_names_the_op(self, shapes, message):
+        pairs = [(ad.constant(np.zeros(a)), ad.parameter(np.zeros(w))) for a, w in shapes]
+        with pytest.raises(DimensionError, match="head_mean_relu: " + message):
+            ad.head_mean_relu(pairs)
+
+
+class TestBilinearLogits:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        levels=st.integers(2, 6),
+        n=st.integers(1, 4),
+        m=st.integers(1, 4),
+        k=st.integers(1, 4),
+        data=st.data(),
+        seed=st.integers(0, 10_000),
+        on_grid=st.booleans(),
+    )
+    def test_equals_the_unfused_chain_bit_for_bit(self, levels, n, m, k, data, seed, on_grid):
+        # Up to 12 edges over at most 4 rows a side: rows repeat.
+        edges = data.draw(st.integers(0, 12))
+        src = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=edges, max_size=edges)))
+        dst = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=edges, max_size=edges)))
+        rng = np.random.default_rng(seed)
+        inputs = [(values_on(rng, (n, k), on_grid), True), (values_on(rng, (m, k), on_grid), True)]
+        inputs += [(values_on(rng, (k, k), on_grid), True) for _ in range(levels)]
+        upstream = rng.standard_normal((edges, levels))
+
+        def build(chain):
+            op = bilinear_logits_chain if chain else ad.bilinear_logits
+            return lambda t: op(t[0], t[1], t[2:], ad.RowIndex(src), ad.RowIndex(dst))
+
+        fused, chain = fused_and_chain(build, inputs, upstream)
+        assert_same_bits(fused, chain)
+
+    def test_grad_check(self):
+        rng = np.random.default_rng(13)
+        U, V = ad.parameter(rng.standard_normal((4, 3))), ad.parameter(rng.standard_normal((5, 3)))
+        Q = [ad.parameter(rng.standard_normal((3, 3))) for _ in range(4)]
+        src, dst = ad.RowIndex([0, 1, 1, 3, 3, 2]), ad.RowIndex([4, 0, 4, 2, 2, 1])
+        targets = rng.integers(0, 4, size=6)
+
+        def loss():
+            return ad.mean_all(ad.cross_entropy(ad.bilinear_logits(U, V, Q, src, dst), targets))
+
+        params = {"U": U, "V": V, **{f"Q.{r}": q for r, q in enumerate(Q)}}
+        report = grad_check(loss, params, samples_per_param=64)
+        assert report.max_rel_error <= 1e-4
+        assert all(e.checked for e in report.entries)
+
+    @pytest.mark.parametrize(
+        "q_shapes, src, dst, message",
+        [
+            ([], [0], [0], "needs at least one level"),
+            ([(3, 2)] * 2, [0, 1], [0], "2 sources for 1 targets"),
+            ([(3, 2), (2, 2)], [0], [0], r"level matrix \(2, 2\) between \(2, 3\) and \(3, 2\)"),
+            ([(3, 2)] * 2, [2], [0], "source index out of range for 2 rows"),
+            ([(3, 2)] * 2, [0], [-1], "target index out of range for 3 rows"),
+        ],
+        ids=["no-levels", "edge-counts", "level-shape", "source-range", "target-range"],
+    )
+    def test_shape_mismatch_names_the_op(self, q_shapes, src, dst, message):
+        U, V = ad.parameter(np.zeros((2, 3))), ad.parameter(np.zeros((3, 2)))
+        Q = [ad.parameter(np.zeros(shape)) for shape in q_shapes]
+        with pytest.raises(DimensionError, match="bilinear_logits: " + message):
+            ad.bilinear_logits(U, V, Q, src, dst)

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import types
+from collections import Counter
 from contextlib import contextmanager, nullcontext
 from functools import partial
 
@@ -32,7 +33,7 @@ from dbgae.model import (
     save_ratings,
     train,
 )
-from oracles import encode_reference, grad_check, record_kink_signs
+from oracles import encode_reference, grad_check, mul, record_kink_signs, scale
 
 
 def make_graph(
@@ -178,6 +179,12 @@ class TestQuantize:
         assert quantize_levels(np.array([0.125]), levels)[0] == 1
 
 
+def message_sums(prep, params, cfg, head=0):
+    """Each side's message sums of one head on the within path: the product
+    of the two factors ``propagation_messages`` gives for it."""
+    return [A.value @ W.value for A, W in propagation_messages(prep, params, cfg, head)["within"]]
+
+
 class TestPropagation:
     def test_single_edge_identity_transform_passes_feature(self):
         # attention off, w=1, W=I: a node's message sum is its neighbor's feature
@@ -186,12 +193,12 @@ class TestPropagation:
         prep = prepare_graph(graph, cfg)
         params = init_params(cfg, graph.feature_dim, graph.num_classes)
         params["W.0"].value = np.eye(4)
-        inst, lab = propagation_messages(prep, params, cfg, head=0)["within"]
+        inst, lab = message_sums(prep, params, cfg)
         assert inst.shape == (1, 4) and lab.shape == (1, 4)
         # the instance receives the label one-hot, through W's class rows
-        np.testing.assert_allclose(inst.value[0], [0.0, 0.0, 1.0, 0.0])
+        np.testing.assert_allclose(inst[0], [0.0, 0.0, 1.0, 0.0])
         # the label receives the instance features, through W's feature rows
-        np.testing.assert_allclose(lab.value[0], [0.4, -0.2, 0.0, 0.0])
+        np.testing.assert_allclose(lab[0], [0.4, -0.2, 0.0, 0.0])
 
     def test_half_weight_scales_message(self):
         graph = tiny_graph(w=0.5)
@@ -199,8 +206,8 @@ class TestPropagation:
         prep = prepare_graph(graph, cfg)
         params = init_params(cfg, graph.feature_dim, graph.num_classes)
         params["W.0"].value = np.eye(4)
-        inst, _ = propagation_messages(prep, params, cfg, head=0)["within"]
-        np.testing.assert_allclose(inst.value[0], [0.0, 0.0, 0.5, 0.0])
+        inst, _ = message_sums(prep, params, cfg)
+        np.testing.assert_allclose(inst[0], [0.0, 0.0, 0.5, 0.0])
 
     def test_messages_from_two_neighbors_add_up(self):
         graph = make_graph(
@@ -215,10 +222,10 @@ class TestPropagation:
         prep = prepare_graph(graph, cfg)
         params = init_params(cfg, graph.feature_dim, graph.num_classes)
         params["W.0"].value = np.eye(4)
-        inst, lab = propagation_messages(prep, params, cfg, head=0)["within"]
-        np.testing.assert_allclose(inst.value[0], [0.0, 0.0, 0.5, 0.25])
-        np.testing.assert_allclose(lab.value[0], [0.2, -0.1, 0.0, 0.0])
-        np.testing.assert_allclose(lab.value[1], [0.1, -0.05, 0.0, 0.0])
+        inst, lab = message_sums(prep, params, cfg)
+        np.testing.assert_allclose(inst[0], [0.0, 0.0, 0.5, 0.25])
+        np.testing.assert_allclose(lab[0], [0.2, -0.1, 0.0, 0.0])
+        np.testing.assert_allclose(lab[1], [0.1, -0.05, 0.0, 0.0])
 
     def test_path_without_edges_has_no_message_sums(self):
         graph = tiny_graph()
@@ -277,6 +284,40 @@ class TestPropagation:
         assert [shape for shape in forbidden if shape in shapes] == []
         # Each side's messages, at its feature width, and hidden rows.
         assert {(n, 2), (m, 3), (n, cfg.gcn_hidden), (m, cfg.gcn_hidden)} <= set(shapes)
+
+    def test_each_sides_heads_and_the_decoder_are_one_node_each(self):
+        # On the 2-head benchmark graph, the tape of ``encode`` and the loss:
+        # per path and side, one ``head_mean_relu`` over both heads' factors,
+        # and one ``bilinear_logits`` for every level.  No per-head product
+        # of a side, no scale or sum of the heads, nothing per level; the
+        # two ``add`` nodes are the raw-feature blocks' biases.
+        graph, cfg = benchmark_run(200, epochs=1)
+        assert cfg.num_heads == 2 and len(cfg.rating_levels) == 5
+        prep = prepare_graph(graph, cfg)
+        params = init_params(cfg, graph.feature_dim, graph.num_classes)
+        U, V = encode(prep, params, cfg)
+        loss = reconstruction_loss(
+            decode_logits(U, V, params, prep.within_src, prep.within_dst), prep.targets
+        )
+        nodes, stack = {id(loss): loss}, [loss]
+        while stack:
+            for parent in stack.pop().parents:
+                if id(parent) not in nodes:
+                    nodes[id(parent)] = parent
+                    stack.append(parent)
+        ops = Counter(node.op for node in nodes.values())
+        assert len(nodes) == 65
+        assert ops["head_mean_relu"] == 4 and ops["bilinear_logits"] == 1
+        assert ops.keys().isdisjoint({"scale", "mul", "row_sum"})
+        n, m, H = graph.num_instances, graph.num_label_nodes, cfg.gcn_hidden
+        adds = [node for node in nodes.values() if node.op == "add"]
+        assert sorted(node.shape for node in adds) == sorted([(n, H), (m, H)])
+        assert all(params["b"] in node.parents for node in adds)
+        for node in nodes.values():
+            if node.op == "matmul":
+                assert not any(p.op == "propagate" for p in node.parents)
+            if node.op == "head_mean_relu":
+                assert [p.op for p in node.parents] == ["propagate", "slice_rows"] * 2
 
     def test_no_coefficient_block_reachable_from_a_propagate_closure(self):
         graph = make_graph(
@@ -587,20 +628,22 @@ class TestEncode:
         np.testing.assert_allclose(V_p.value, V.value, atol=1e-9)
 
     def test_the_kink_recorder_sees_every_kink_op_of_an_encode(self):
-        # The gradient checker's recorder wraps ``ad.relu`` and
-        # ``ad.edge_attention``; an op the model reached another way (say, by
-        # ``from .autodiff import relu``) would go unrecorded.
+        # The gradient checker's recorder wraps ``ad.relu``,
+        # ``ad.head_mean_relu`` and ``ad.edge_attention``; an op the model
+        # reached another way (say, by ``from .autodiff import relu``) would
+        # go unrecorded.
         graph, cfg = benchmark_run(200, epochs=1)
         prep = prepare_graph(graph, cfg)
         params = init_params(cfg, graph.feature_dim, graph.num_classes)
-        ops = (ad.relu, ad.edge_attention)
+        ops = (ad.relu, ad.head_mean_relu, ad.edge_attention)
         with record_kink_signs() as signs:
             encode(prep, params, cfg)
-        assert (ad.relu, ad.edge_attention) == ops
+        assert (ad.relu, ad.head_mean_relu, ad.edge_attention) == ops
         n, m = graph.num_instances, graph.num_label_nodes
         H, E = cfg.gcn_hidden, cfg.dense_hidden
         edges = [(len(prep.paths[name].edges),) for name in ("within", "cross")]
-        # per head, each path's attention; then each path's two sides, f, n, U and V
+        # per head, each path's attention; then each path's two sides (the
+        # heads' mean), f, n, U and V
         relus = [(n, H), (m, H), (n, H), (m, H), (n, H), (m, H), (n, E), (m, E)]
         assert [mask.shape for mask in signs] == edges * cfg.num_heads + relus
 
@@ -680,8 +723,8 @@ class TestPaddedTableReference:
                 U, V = encoder(prep, params, cfg)
                 ad.backward(
                     ad.add(
-                        ad.mean_all(ad.mul(U, ad.constant(g_u))),
-                        ad.mean_all(ad.mul(V, ad.constant(g_v))),
+                        ad.mean_all(mul(U, ad.constant(g_u))),
+                        ad.mean_all(mul(V, ad.constant(g_v))),
                     )
                 )
                 results.append((U.value, V.value, {k: g.copy() for k, g in params.grads().items()}))
@@ -1174,7 +1217,7 @@ class TestTrain:
             def loss(logits, targets):
                 calls.append(True)
                 value = real_loss(logits, targets)
-                return ad.scale(value, math.nan) if len(calls) == 3 else value
+                return scale(value, math.nan) if len(calls) == 3 else value
 
             monkeypatch.setattr(model, "reconstruction_loss", loss)
             with pytest.raises(TrainingError) as raised:
