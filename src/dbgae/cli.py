@@ -184,7 +184,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-params", required=True)
     p.add_argument("--out-ratings", required=True)
     p.add_argument("--loss-trace")
-    p.add_argument("--resume", help="parameter checkpoint to resume from")
+    p.add_argument(
+        "--resume",
+        help="parameter checkpoint to start from; Adam restarts at step 0 with zero "
+        "moments, so N epochs and N more differ from 2N epochs in one run",
+    )
     p.set_defaults(fn=_cmd_train)
 
     p = sub.add_parser("predict", help="predict instance labels")

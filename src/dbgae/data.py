@@ -420,10 +420,10 @@ def load_dataset(path) -> GpllDataset:
     seen_inst: set[int] = set()
 
     def on_header(obj):
-        num_classes = int(obj["num_classes"])
+        num_classes = jsonl.json_int(obj["num_classes"], "num_classes")
         if num_classes < 1:
             raise SchemaError(f"num_classes {num_classes} below 1")
-        feature_dim = int(obj["feature_dim"])
+        feature_dim = jsonl.json_int(obj["feature_dim"], "feature_dim")
         if feature_dim < 0:
             raise SchemaError(f"feature_dim {feature_dim} below 0")
         header.update(
@@ -433,18 +433,24 @@ def load_dataset(path) -> GpllDataset:
         )
 
     def on_group(rec):
-        group_id = int(rec["group_id"])
+        group_id = jsonl.json_int(rec["group_id"], "group_id")
         instances = [
             Instance(
-                instance_id=int(ir["id"]),
+                instance_id=jsonl.json_int(ir["id"], "id"),
                 group_id=group_id,
                 features=np.asarray(ir["features"], dtype=np.float64),
-                true_class=int(ir["true_class"]) if "true_class" in ir else None,
+                true_class=(
+                    jsonl.json_int(ir["true_class"], "true_class") if "true_class" in ir else None
+                ),
             )
             for ir in rec["instances"]
         ]
         labels = [
-            LabelOccurrence(class_id=int(lr["class_id"]), group_id=group_id, slot=int(lr["slot"]))
+            LabelOccurrence(
+                class_id=jsonl.json_int(lr["class_id"], "class_id"),
+                group_id=group_id,
+                slot=jsonl.json_int(lr["slot"], "slot"),
+            )
             for lr in rec["labels"]
         ]
         group = Group(group_id=group_id, instances=instances, labels=labels)

@@ -466,8 +466,10 @@ def load_graph(path) -> DualBipartiteGraph:
         nonlocal seen
         if meta.get("section") != "nodes":
             raise SchemaError("first line must open the nodes section")
-        n, m = int(meta["num_instances"]), int(meta["num_label_nodes"])
-        dim, classes = int(meta["feature_dim"]), int(meta["num_classes"])
+        n, m, dim, classes = (
+            jsonl.json_int(meta[key], key)
+            for key in ("num_instances", "num_label_nodes", "feature_dim", "num_classes")
+        )
         if classes < 1:
             raise SchemaError(f"num_classes {classes} below 1")
         if dim < 0:
@@ -501,7 +503,7 @@ def load_graph(path) -> DualBipartiteGraph:
         if rec.get("section") == "edges":
             in_edges = True
         elif in_edges:
-            src, dst = int(rec["src"]), int(rec["dst"]) - n
+            src, dst = jsonl.json_int(rec["src"], "src"), jsonl.json_int(rec["dst"], "dst") - n
             if not (0 <= src < n and 0 <= dst < m):
                 raise SchemaError("edge endpoint out of range")
             if rec["kind"] not in ("within", "cross"):
@@ -510,17 +512,17 @@ def load_graph(path) -> DualBipartiteGraph:
             if not math.isfinite(w):
                 raise SchemaError(f"non-finite edge weight {w!r}")
             if rec["kind"] == "within":
-                count = int(rec["c"])
+                count = jsonl.json_int(rec["c"], "c")
                 if count < 1:
                     raise SchemaError(f"within edge count {count} below 1")
                 within.add(src, dst, w, count)
             else:
-                via = int(rec["via"])
+                via = jsonl.json_int(rec["via"], "via")
                 if not 0 <= via < n:
                     raise SchemaError(f"cross edge via {via} out of range [0, {n})")
                 cross.add(src, dst, w, via)
         elif rec["kind"] == "instance":
-            i = int(rec["node_id"])
+            i = jsonl.json_int(rec["node_id"], "node_id")
             feats = np.asarray(rec["features"], dtype=np.float64)
             dim = nodes["instance_features"].shape[1]
             if not 0 <= i < n:
@@ -530,20 +532,20 @@ def load_graph(path) -> DualBipartiteGraph:
             if not np.all(np.isfinite(feats)):
                 raise SchemaError(f"instance node_id {i} has non-finite features")
             mark_seen(i)
-            nodes["instance_ids"][i] = int(rec["instance_id"])
-            nodes["instance_group"][i] = int(rec["group_id"])
+            nodes["instance_ids"][i] = jsonl.json_int(rec["instance_id"], "instance_id")
+            nodes["instance_group"][i] = jsonl.json_int(rec["group_id"], "group_id")
             nodes["instance_features"][i] = feats
         elif rec["kind"] == "label":
-            j = int(rec["node_id"]) - n
-            cls = int(rec["class_id"])
+            j = jsonl.json_int(rec["node_id"], "node_id") - n
+            cls = jsonl.json_int(rec["class_id"], "class_id")
             if not 0 <= j < m:
                 raise SchemaError("label node_id out of range")
             if not 0 <= cls < nodes["num_classes"]:
                 raise SchemaError("class_id out of range")
             mark_seen(n + j)
-            nodes["label_group"][j] = int(rec["group_id"])
+            nodes["label_group"][j] = jsonl.json_int(rec["group_id"], "group_id")
             nodes["label_class"][j] = cls
-            nodes["label_slot"][j] = int(rec["slot"])
+            nodes["label_slot"][j] = jsonl.json_int(rec["slot"], "slot")
         else:
             raise SchemaError(f"unknown node kind {rec['kind']!r}")
 

@@ -195,14 +195,14 @@ def load_predictions(path) -> tuple[str, list[Prediction]]:
     seen: set[int] = set()
 
     def on_record(rec):
-        instance_id = int(rec["instance_id"])
+        instance_id = jsonl.json_int(rec["instance_id"], "instance_id")
         if instance_id in seen:
             raise SchemaError(f"duplicate instance_id {instance_id}")
         seen.add(instance_id)
         predictions.append(
             Prediction(
                 instance_id=instance_id,
-                predicted_class=int(rec["predicted_class"]),
+                predicted_class=jsonl.json_int(rec["predicted_class"], "predicted_class"),
                 scores={int(c): float(s) for c, s in rec["scores"].items()},
             )
         )

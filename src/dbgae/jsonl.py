@@ -6,7 +6,8 @@ ratings, predictions) uses this format.  Lines are compact JSON
 ignored.  Reading owns every way a file can be malformed, so a loader only
 converts objects: whatever a conversion raises surfaces as ``ParseError`` or
 ``SchemaError`` with the message prefixed by ``"{path}: line {n}: "``.  An
-integer that int64 cannot hold is a ``ParseError`` of its line.
+integer that int64 cannot hold is a ``ParseError`` of its line, and a float
+or boolean where a loader reads an integer (``json_int``) a ``SchemaError``.
 
 Writing has two encoders that give the same bytes for the same values:
 ``records`` dumps one dict per line (for records that are nested or vary in
@@ -51,6 +52,15 @@ _SEPARATORS = (",", ":")
 # What converting a malformed object raises: a missing key, a value of the
 # wrong type or shape, or a string that is not a number.
 _CONVERSION_ERRORS = (AttributeError, IndexError, KeyError, TypeError, ValueError)
+
+
+def json_int(value, field: str) -> int:
+    """``value`` if it is a JSON integer, else a SchemaError naming ``field``:
+    ``int()`` would take 1.9 as 1 and true as 1.  Every loader reads its
+    integer fields through it."""
+    if type(value) is not int:
+        raise SchemaError(f"{field} {value!r} is not an integer")
+    return value
 
 
 def _int64(text: str) -> int:

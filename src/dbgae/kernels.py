@@ -1,4 +1,4 @@
-"""The two propagation kernels of a bipartite path, and when a helper pays.
+"""The two propagation kernels of a bipartite path.
 
 A path's kernel owns the path's one edge index, the target ``RowIndex``
 ``[inst | lab + n]``: the model reads the pairs from it (``pairs``), and
@@ -6,9 +6,8 @@ A path's kernel owns the path's one edge index, the target ``RowIndex``
 ``autodiff.propagate`` aggregates the constant node features through a
 path's per-edge coefficients, ``A·X``, one side at a time: the label
 one-hots into instances, the instance features into labels with
-``DenseBlockPath`` (BLAS matmuls in row chunks shared with the helper
-thread) or ``SparsePath`` (flattened ``np.bincount``).  ``helper_pays``
-says whether a graph's kernels give the helper thread work.
+``DenseBlockPath`` (BLAS matmuls in row chunks, shared with a second
+thread by ``runtime.share``) or ``SparsePath`` (flattened ``np.bincount``).
 """
 
 from __future__ import annotations
@@ -74,18 +73,8 @@ class _BipartiteEdges:
         return g.ravel()[self.into_instance]
 
 
-# Bytes of one row chunk of a dense label x instance block.  ``DenseBlockPath``
-# builds and applies a block, and takes its edge-dot product, in chunks of
-# at most this size once it exceeds two, and ``helper_pays`` asks for a
-# helper thread only then.  Milliseconds a call at 800 groups (the 1,168 x
-# 1,210 block of 11.3 MB, 32 features, one BLAS thread, 2-core Xeon VM,
-# best of 60, two rounds), into_labels / label_grad: whole 2.3 / 1.7; with
-# the helper, 256 KB chunks 2.3-2.4 / 2.0, 512 KB 1.8 / 1.5-1.6, 1 MB
-# 1.7-1.8 / 1.4, 2 MB 1.6 / 1.4.  512 KB rather than larger: two chunks are alive at
-# once, and when the chunks multiplied both blocks at the hidden width,
-# six perfbench scale800 samples peaked at 84.9 MB RSS (median) against
-# 86.2 MB with 1 MB chunks, at the same speed.  At 200 groups a block (0.7
-# MB) is one chunk.
+# Bytes of one row chunk of a dense label x instance block larger than two
+# (``row_chunks``); the timings and peak RSS behind it are in CHANGES.md.
 DENSE_CHUNK_BYTES = 1 << 19
 
 
@@ -121,13 +110,9 @@ class DenseBlockPath(_BipartiteEdges):
     the edges into its rows from the index's stable sort, in list order.
     So a chunk's rows of ``R·x`` and columns of the product are the whole
     product's floats, with OpenBLAS (its rows of that product are not).
-    The calling thread and the helper, if one runs, take chunks from one
-    counter (``runtime.share``), so at most two chunks are alive."""
-
-    @property
-    def chunked(self) -> bool:
-        """Whether the block is applied in more than one row chunk."""
-        return len(row_chunks(self.num_labels, self.num_instances)) > 2
+    The calling thread and, inside ``runtime.sharing(True)``, one thread
+    that ``runtime.share`` starts for the call take chunks from one counter,
+    so at most two chunks are alive."""
 
     def _edges_into(self, lo: int, hi: int) -> np.ndarray:
         """The edges into label rows [lo, hi), in the target index's sort."""
@@ -211,11 +196,3 @@ class SparsePath(_BipartiteEdges):
         np.take(g, lab, axis=0, out=buf)
         return (buf[:, None, :] @ x_src[:, :, None]).reshape(-1)
 
-
-def helper_pays(paths) -> bool:
-    """Whether a helper thread has work in these propagation kernels: only a
-    dense block of more than one row chunk gives it any.  ``model.train``
-    runs one only where ``runtime.second_core`` also holds (two usable
-    cores, BLAS on one thread); where it does not but ``second_core`` holds,
-    ``train`` forks a diagnostics worker instead."""
-    return any(isinstance(p, DenseBlockPath) and p.chunked for p in paths)

@@ -31,19 +31,17 @@ before the next one is built; the epochs run inside
 ``runtime.keep_freed_memory``, so glibc keeps that freed memory for the
 next epoch instead of returning it to the kernel.
 
-Each epoch's normalization diagnostics (``decode_diagnostics``) run on
-the second core where one is free (``runtime.second_core``: two usable
-cores, BLAS on one thread), beside the main thread's loss and
-``backward``; ``train`` asks it once.  On a graph with a block of more
-than one chunk (``kernels.helper_pays``), ``train`` runs one helper thread
-(``runtime.helper_thread``): it takes its share of the block's row chunks,
-and each epoch it streams the diagnostic decode.  On any other graph, and
-where the platform has ``os.fork``, ``train`` forks one diagnostics
-worker (``runtime.Worker``) before the first epoch: after each ``encode``
-it sends the worker U, V and the Q values, and the worker decodes.  A
-thread would not help there, since the decode holds the interpreter lock;
-at 800 groups the fork's copy-on-write faults cost more than the worker
-saved.  With neither, the main thread decodes after ``backward``.
+The second core (``runtime.second_core``: two usable cores, BLAS on one
+thread) has one job per mechanism, and ``train`` asks for it once.  Each
+epoch's normalization diagnostics (``decode_diagnostics``) run in one
+forked worker (``runtime.Worker``) where the platform has ``os.fork``:
+``train`` forks it before the first epoch, and after each ``encode`` sends
+it U, V and the Q values; it decodes beside the main thread's loss and
+``backward``.  A thread would not help there, since the decode holds the
+interpreter lock.  Without the second core or ``os.fork``, the main thread
+decodes after ``backward``.  Inside ``train``, a dense block of more than
+one row chunk shares its chunks with one thread per call where the second
+core is free (``runtime.share`` within ``runtime.sharing``).
 
 Decoder: bilinear score per discrete likelihood level, softmax across
 levels; the refined link weight is the expectation over levels.  On the
@@ -625,38 +623,29 @@ def train(
         The diagnostics stream the rated edges' decode (no rating array is
         built).  With a worker, U, V and the Q values go to it before the
         loss, and it decodes while this thread takes the loss and runs
-        ``backward``.  Without one, the helper starts on the decode while
-        this thread does so, and this thread decodes after ``backward`` if
-        the helper has not started (or there is none).  The loss and
-        ``backward`` write only the tape and gradients, so U, V and the
-        parameters the decode reads stay as they were until Adam."""
+        ``backward``; without one, this thread decodes after ``backward``.
+        The loss and ``backward`` write only the tape and gradients, so U, V
+        and the parameters the decode reads stay as they were until Adam."""
         U, V = encode(prep, params, config)
-
-        def loss_and_backward():
-            loss = reconstruction_loss(
-                decode_logits(U, V, params, prep.within_src, prep.within_dst), prep.targets
-            )
-            value = float(loss.value[0, 0])
-            if not np.isfinite(value):
-                raise TrainingError(
-                    f"non-finite loss at epoch {epoch}"
-                    + (f", last finite loss {loss_trace[epoch - 1]:.6f}" if epoch else "")
-                )
-            loss_trace[epoch] = value
-            ad.backward(loss)
-
         if worker is not None:
             worker.send([U.value, V.value, *(params[name].value for name in levels)])
-            loss_and_backward()
-            found = [worker.receive()]
-        else:
-            found = []
-            runtime.share(
-                lambda _: found.append(decode_diagnostics(U.value, V.value, params, prep.rated)),
-                1,
-                meanwhile=loss_and_backward,
+        loss = reconstruction_loss(
+            decode_logits(U, V, params, prep.within_src, prep.within_dst), prep.targets
+        )
+        value = float(loss.value[0, 0])
+        if not np.isfinite(value):
+            raise TrainingError(
+                f"non-finite loss at epoch {epoch}"
+                + (f", last finite loss {loss_trace[epoch - 1]:.6f}" if epoch else "")
             )
-        prob_sum_err[epoch], mhat_min[epoch], mhat_max[epoch] = found[0]
+        loss_trace[epoch] = value
+        ad.backward(loss)
+        found = (
+            worker.receive()
+            if worker is not None
+            else decode_diagnostics(U.value, V.value, params, prep.rated)
+        )
+        prob_sum_err[epoch], mhat_min[epoch], mhat_max[epoch] = found
 
         try:
             adam_step(params.tensors, params.grads(), state)
@@ -664,18 +653,17 @@ def train(
             raise TrainingError(f"epoch {epoch}: {exc}") from exc
         ad.zero_grads(params.tensors.values())
 
-    # The second core takes the helper thread where a block has row chunks
-    # to share, and else, where the platform forks, the diagnostics worker.
+    # One answer gives the second core both its jobs: the diagnostics worker,
+    # forked before the first epoch while no other thread runs, and a thread
+    # per call for the dense blocks' row chunks (``runtime.share``).
     second = runtime.second_core()
-    helper = second and kernels.helper_pays(p.edges for p in prep.paths.values())
-    fork = second and not helper and hasattr(os, "fork")
+    fork = second and hasattr(os, "fork")
     with runtime.keep_freed_memory(), (
         _diagnostics_worker(prep, params, levels) if fork else nullcontext()
-    ) as worker:
-        with runtime.helper_thread() if helper else nullcontext():
-            for epoch in range(config.epochs):
-                step(epoch, worker)
-            U, V = encode(prep, params, config)
+    ) as worker, runtime.sharing(second):
+        for epoch in range(config.epochs):
+            step(epoch, worker)
+        U, V = encode(prep, params, config)
 
     ratings = decode(U.value, V.value, params, *prep.rated_edges())
     return TrainResult(
@@ -719,14 +707,6 @@ def save_params(params: ModelParams, path):
         fh.write("}}")
 
 
-def _json_int(value, field: str) -> int:
-    """``value`` if it is a JSON integer, else a SchemaError naming ``field``:
-    ``int()`` would take 2.9 as 2 and true as 1."""
-    if type(value) is not int:
-        raise SchemaError(f"{field} {value!r} is not an integer")
-    return value
-
-
 def load_params(path) -> ModelParams:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -740,7 +720,7 @@ def load_params(path) -> ModelParams:
         meta, records = payload["meta"], payload["tensors"]
         where = "meta"
         dims = {
-            key: _json_int(meta[key], f"{path}: meta '{key}'")
+            key: jsonl.json_int(meta[key], f"{path}: meta '{key}'")
             for key in ("num_heads", "feature_dim", "num_classes", "gcn_hidden", "dense_hidden")
         }
         rating_levels = tuple(float(x) for x in meta["rating_levels"])
@@ -748,7 +728,7 @@ def load_params(path) -> ModelParams:
         tensors = {}
         for name, rec in records.items():
             where = f"tensor '{name}'"
-            shape = tuple(_json_int(x, f"{path}: {where} shape entry") for x in rec["shape"])
+            shape = tuple(jsonl.json_int(x, f"{path}: {where} shape entry") for x in rec["shape"])
             data = np.asarray(rec["data"], dtype=np.float64)
             if len(shape) != 2 or data.shape != (shape[0] * shape[1],):
                 raise SchemaError(f"{path}: {where} data does not match shape {shape}")
@@ -807,7 +787,7 @@ def load_ratings(path) -> RatingMatrix:
         problem = _levels_problem(header["levels"])
         if problem:
             raise SchemaError(f"levels {header['levels'].tolist()} {problem}")
-        header["num_instances"] = int(obj["num_instances"])
+        header["num_instances"] = jsonl.json_int(obj["num_instances"], "num_instances")
         levels.extend(header["levels"].tolist())
         rows = jsonl.Blocks((int, ()), (int, ()), (str, ()), (float, (len(levels),)))
 
@@ -820,7 +800,8 @@ def load_ratings(path) -> RatingMatrix:
                 raise SchemaError(f"'p' entry {x!r} outside [0, 1]")
         if rec["kind"] not in ("within", "cross"):
             raise SchemaError(f"unknown rating kind {rec['kind']!r}")
-        src, dst = int(rec["src"]), int(rec["dst"]) - header["num_instances"]
+        src = jsonl.json_int(rec["src"], "src")
+        dst = jsonl.json_int(rec["dst"], "dst") - header["num_instances"]
         if not (0 <= src < header["num_instances"] and dst >= 0):
             raise SchemaError("rating endpoint out of range")
         rows.add(src, dst, rec["kind"], p)

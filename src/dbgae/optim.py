@@ -9,20 +9,22 @@ import numpy as np
 from .autodiff import Tensor
 from .errors import TrainingError
 
+# Adam's moment decay rates and denominator floor (Kingma & Ba's defaults).
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class AdamState:
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
-    def for_params(cls, params: dict[str, Tensor], lr: float = 1e-3, **kwargs) -> "AdamState":
-        state = cls(lr=lr, **kwargs)
+    def for_params(cls, params: dict[str, Tensor], lr: float = 1e-3) -> "AdamState":
+        state = cls(lr=lr)
         for name, p in params.items():
             state.m[name] = np.zeros_like(p.value)
             state.v[name] = np.zeros_like(p.value)
@@ -35,8 +37,8 @@ def adam_step(
     """One in-place Adam update; raises TrainingError on non-finite gradients."""
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.value.shape:
@@ -45,9 +47,9 @@ def adam_step(
             raise TrainingError(f"non-finite gradient for parameter '{name}' at step {t}")
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p.value -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        p.value -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
     return state

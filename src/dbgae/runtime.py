@@ -3,14 +3,15 @@ glibc's freed memory.
 
 ``second_core`` says whether work beside the caller's may take the second
 core: ``usable_cores`` and ``blas_threads``, whether BLAS already runs
-threads of its own.  ``helper_thread`` runs one thread beside the
-caller's, and ``share`` hands it pieces of work (``kernels.DenseBlockPath``'s
-row chunks, and ``model.train``'s per-epoch diagnostic decode).  ``fork``
-and ``reap`` start and end a child process (``jsonl``'s encoder,
-``Worker``); a ``Worker`` is a forked process that serves calls on arrays,
-``model.train``'s per-epoch diagnostic decode on a graph without a helper
-thread.  ``keep_freed_memory`` keeps the memory one epoch frees in the
-process for the next.
+threads of its own.  ``model.train`` asks it once, and the answer decides
+both of the second core's jobs.  ``share`` calls pieces of work
+(``kernels.DenseBlockPath``'s row chunks) on the caller's thread and,
+inside ``sharing(True)``, on one thread it starts for the call and joins
+before it returns.  ``fork`` and ``reap`` start and end a child process
+(``jsonl``'s encoder, ``Worker``); a ``Worker`` is a forked process that
+serves calls on arrays, ``model.train``'s per-epoch diagnostic decode.
+``keep_freed_memory`` keeps the memory one epoch frees in the process for
+the next.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import signal
 import struct
 import threading
 import traceback
-from collections import deque
 from contextlib import contextmanager
 
 import numpy as np
@@ -31,28 +31,8 @@ import numpy as np
 from .errors import TrainingError
 
 # ---------------------------------------------------------------------------
-# the helper thread (used by model.train on large graphs)
+# the second core
 # ---------------------------------------------------------------------------
-
-
-class _Calls:
-    """A queue of calls for the helper thread (``queue.SimpleQueue`` would
-    cost every run 128 KB of RSS for its import)."""
-
-    def __init__(self):
-        self.items = deque()
-        self.ready = threading.Semaphore(0)
-
-    def put(self, call):
-        self.items.append(call)
-        self.ready.release()
-
-    def get(self):
-        self.ready.acquire()
-        return self.items.popleft()
-
-
-_helper: _Calls | None = None  # calls for the helper thread, while one runs
 
 
 def usable_cores() -> int:
@@ -94,96 +74,63 @@ def second_core() -> bool:
     return usable_cores() >= 2 and blas_threads() == 1
 
 
-@contextmanager
-def helper_thread():
-    """Run the body with one helper thread beside this one.
+# ---------------------------------------------------------------------------
+# pieces of work shared with a thread per call (DenseBlockPath's row chunks)
+# ---------------------------------------------------------------------------
 
-    ``share`` hands it pieces of work: ``DenseBlockPath`` its row chunks,
-    and ``model.train`` the epoch's diagnostic decode.  Work given to the
-    helper must not touch ``SparsePath`` (its work buffers are shared) or
-    any function a tracer may wrap.  The thread is joined on exit, after
-    the calls queued for it have run.
-    """
-    global _helper
-    calls = _Calls()
-    thread = threading.Thread(target=_serve, args=(calls,), name="dbgae-helper", daemon=True)
-    thread.start()
-    previous, _helper = _helper, calls
+_threads_allowed = False  # whether ``share`` may start a thread (``sharing``)
+
+
+@contextmanager
+def sharing(allowed: bool):
+    """Run the body with ``share`` allowed to start a thread or not:
+    ``model.train`` passes its ``second_core`` answer.  Outside any
+    ``sharing(True)``, ``share`` starts none."""
+    global _threads_allowed
+    previous, _threads_allowed = _threads_allowed, allowed
     try:
         yield
     finally:
-        _helper = previous
-        calls.put(None)
+        _threads_allowed = previous
+
+
+def share(fn, count: int):
+    """Call ``fn(k)`` for k in range(count), each once.
+
+    Inside ``sharing(True)`` and with more than one piece, this call starts
+    one thread that takes pieces beside the caller's, both from one counter
+    under a lock, and joins it before returning, so no thread outlives the
+    call.  A piece must not touch ``SparsePath`` (its work buffers are
+    shared) or any function a tracer may wrap.  After an error on either
+    thread no more pieces are handed out, and the first error is raised
+    here with its own type.
+    """
+    if not (_threads_allowed and count > 1):
+        for k in range(count):
+            fn(k)
+        return
+    pieces, lock, errors = iter(range(count)), threading.Lock(), []
+
+    def work():
+        try:
+            while True:
+                with lock:
+                    k = None if errors else next(pieces, None)
+                if k is None:
+                    return
+                fn(k)
+        except BaseException as exc:  # raised again below, on the caller's thread
+            with lock:
+                errors.append(exc)
+
+    thread = threading.Thread(target=work, name="dbgae-share", daemon=True)
+    thread.start()
+    try:
+        work()
+    finally:
         thread.join()
-
-
-def _serve(calls: _Calls):
-    while (call := calls.get()) is not None:
-        call()
-        del call  # hold nothing of it while waiting for the next
-
-
-def share(fn, count: int, meanwhile=None):
-    """Call ``fn(k)`` for k in range(count), each once, on this thread and on
-    the helper, if one runs and is free in time: both take pieces from one
-    counter.  ``meanwhile``, if given, is called on this thread first, while
-    the helper starts on the pieces; this thread then takes the pieces left
-    and waits for the helper's.  An error raised on either thread is raised
-    here, with its own type."""
-    _Shared(fn, count).run(meanwhile)
-
-
-class _Shared:
-    """One ``share`` call: its pieces, the counter and the helper's error."""
-
-    def __init__(self, fn, count: int):
-        self.fn, self.count, self.next = fn, count, 0
-        self.lock = threading.Lock()
-        self.helping = False
-        self.helped = threading.Event()
-        self.error = None
-
-    def _take(self) -> int | None:
-        with self.lock:
-            if self.next >= self.count:
-                return None
-            self.next += 1
-            return self.next - 1
-
-    def _work(self):
-        while (k := self._take()) is not None:
-            self.fn(k)
-
-    def _help(self):
-        """The helper's share; a helper that comes late finds no piece left
-        and returns without touching anything."""
-        with self.lock:
-            if self.next >= self.count:
-                return
-            self.helping = True
-        try:
-            self._work()
-        except BaseException as exc:  # raised again by run(), on the caller's thread
-            self.error = exc
-        finally:
-            self.helped.set()
-
-    def run(self, meanwhile=None):
-        if _helper is not None:
-            _helper.put(self._help)
-        try:
-            if meanwhile is not None:
-                meanwhile()
-            self._work()
-        finally:
-            with self.lock:
-                self.next = self.count  # after an error, hand out no more pieces
-                helping = self.helping
-            if helping:
-                self.helped.wait()
-            self.fn = None  # its closure holds the call's arrays; a late helper never reads it
-        if self.error is not None:
-            raise self.error
+    if errors:
+        raise errors[0]
 
 
 # ---------------------------------------------------------------------------

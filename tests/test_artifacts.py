@@ -146,6 +146,14 @@ def _first_feature(value):
     return edit
 
 
+def _first_label(key, value):
+    def edit(obj):
+        obj["labels"][0][key] = value
+        return obj
+
+    return edit
+
+
 def _meta(key, value):
     def edit(obj):
         obj["meta"][key] = value
@@ -260,6 +268,34 @@ MALFORMED = [
             ("num-heads-true", _meta("num_heads", True), "meta 'num_heads' True is not an integer"),
             ("shape-float", _first_shape_entry_of("Wf", float), "tensor 'Wf' shape entry"),
             ("shape-true", _first_shape_entry_of("Wf", lambda x: True), "tensor 'Wf' shape entry"),
+        ]
+    ],
+    *[  # the JSON Lines loaders read every integer field as strictly
+        pytest.param(kind, line, edit, SchemaError, fragment, id=f"{kind}-{name}")
+        for kind, line, name, edit, fragment in [
+            ("ratings", 2, "src-1.9", _set("src", 1.9), "line 2: src 1.9 is not an integer"),
+            ("graph", 40, "c-1.5", _set("c", 1.5), "line 40: c 1.5 is not an integer"),
+            (
+                "graph",
+                1,
+                "num-instances-true",
+                _set("num_instances", True),
+                "line 1: num_instances True is not an integer",
+            ),
+            (
+                "dataset",
+                2,
+                "slot-0.5",
+                _first_label("slot", 0.5),
+                "line 2: slot 0.5 is not an integer",
+            ),
+            (
+                "predictions",
+                2,
+                "predicted-class-2.0",
+                _set("predicted_class", 2.0),
+                "line 2: predicted_class 2.0 is not an integer",
+            ),
         ]
     ],
 ]

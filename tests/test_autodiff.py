@@ -1,7 +1,7 @@
 import threading
 import time
 import tracemalloc
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -621,6 +621,11 @@ def chunk_bytes(value):
         kernels.DENSE_CHUNK_BYTES = saved
 
 
+def chunked(p) -> bool:
+    """Whether dense kernel ``p`` applies its block in more than one row chunk."""
+    return len(kernels.row_chunks(p.num_labels, p.num_instances)) > 2
+
+
 def path_kernel(n, m, inst, lab, d=3, num_classes=3, seed=0):
     """A path's dense kernel as ``prepare_graph`` builds it, over random
     node features."""
@@ -649,11 +654,11 @@ class TestDenseRowChunks:
         data=st.data(),
         chunk=st.integers(8, 400),
         d=st.integers(2, 5),  # one column is a matrix-vector product (see row_chunks)
-        helper=st.booleans(),
+        threads=st.booleans(),
         seed=st.integers(0, 10_000),
     )
     def test_chunks_of_small_blocks_agree_with_whole_blocks(
-        self, n, m, data, chunk, d, helper, seed
+        self, n, m, data, chunk, d, threads, seed
     ):
         pairs = data.draw(
             st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)), min_size=1, max_size=40)
@@ -662,10 +667,10 @@ class TestDenseRowChunks:
         rng = np.random.default_rng(seed)
         coef = rng.standard_normal(2 * len(pairs))
         g = rng.standard_normal((m, d))
-        with chunk_bytes(chunk), runtime.helper_thread() if helper else nullcontext():
+        with chunk_bytes(chunk), runtime.sharing(threads):
             p = path_kernel(n, m, inst, lab, d=d, seed=seed)
             # Chunks hold at least 4 rows, so blocks of 4 rows or fewer are one chunk.
-            assert p.chunked == (8 * n * m > 2 * chunk and m > 4)
+            assert chunked(p) == (8 * n * m > 2 * chunk and m > 4)
             forward, dots = label_side(p, coef, g)
             assert np.array_equal(forward, whole_block(p, coef))
             assert np.array_equal(dots, whole_block(p, coef, g))
@@ -684,9 +689,9 @@ class TestDenseRowChunks:
         with chunk_bytes(300_000):
             bounds = kernels.row_chunks(m, n)
             p = path_kernel(n, m, inst, lab, d=d)
-            assert p.chunked
-            for helper in (nullcontext(), runtime.helper_thread()):
-                with helper:
+            assert chunked(p)
+            for threads in (False, True):
+                with runtime.sharing(threads):
                     forward, dots = label_side(p, coef, g)
                     assert np.array_equal(forward, whole_block(p, coef))
                     assert np.array_equal(dots, whole_block(p, coef, g))
@@ -716,13 +721,13 @@ class TestDenseRowChunks:
         coef, g = rng.standard_normal(2 * n), rng.standard_normal((m, 3))
         with chunk_bytes(8 * n * m // 2):
             p = path_kernel(n, m, inst, lab)
-            assert not p.chunked
+            assert not chunked(p)
             assert kernels.row_chunks(m, n) == [0, m]
             forward, dots = label_side(p, coef, g)
             assert np.array_equal(forward, whole_block(p, coef))
             assert np.array_equal(dots, whole_block(p, coef, g))
         with chunk_bytes(8 * n * m // 2 - 1):
-            assert path_kernel(n, m, inst, lab).chunked
+            assert chunked(path_kernel(n, m, inst, lab))
 
     @pytest.mark.parametrize("groups", [200, 400, 800, 1600])
     def test_benchmark_cross_paths(self, groups):
@@ -744,11 +749,11 @@ class TestDenseRowChunks:
         )
         path = prepare_graph(graph, benchmark_model_config(0)).paths["cross"]
         p = path.edges
-        assert p.chunked == (groups > 200)
+        assert chunked(p) == (groups > 200)
         rng = np.random.default_rng(groups)
         coef = rng.random(len(p))
         g = rng.standard_normal((p.num_labels, p.feature_dim))
-        with runtime.helper_thread():
+        with runtime.sharing(True):
             forward, dots = label_side(p, coef, g)
         assert np.array_equal(forward, whole_block(p, coef))
         assert np.array_equal(dots, whole_block(p, coef, g))
@@ -758,7 +763,7 @@ class TestDenseRowChunks:
         n, m, d = 200, 150, 4
         pairs = rng.choice(n * m, size=n * m // 10, replace=False)
         inst, lab = pairs // m, pairs % m
-        with chunk_bytes(16 * 1024), runtime.helper_thread():
+        with chunk_bytes(16 * 1024), runtime.sharing(True):
             p = path_kernel(n, m, inst, lab, d=d)
             half = len(p) // 2
             coef = rng.standard_normal(half)
@@ -784,66 +789,82 @@ class TestDenseRowChunks:
                 assert peak <= bound, f"{call.__name__}: peak {peak} bytes over {bound}"
 
 
-class TestHelperThread:
-    def test_share_runs_pieces_on_the_helper_while_meanwhile_runs(self):
-        started, ran = threading.Event(), []
+class Boom(Exception):
+    pass
 
-        def piece(k):
-            ran.append((k, threading.current_thread().name))
-            started.set()
 
-        with runtime.helper_thread():
-            runtime.share(piece, 1, meanwhile=lambda: started.wait(timeout=30))
-        assert ran == [(0, "dbgae-helper")]
-        order = []
-        runtime.share(lambda k: order.append(k), 3, meanwhile=lambda: order.append("meanwhile"))
-        assert order == ["meanwhile", 0, 1, 2]
-
-    def test_an_error_on_the_helper_reaches_the_caller_with_its_type(self):
-        class Boom(Exception):
-            pass
-
-        started = threading.Event()
-
-        def fail(k):
-            started.set()
-            raise Boom("on the helper")
-
-        with runtime.helper_thread():
-            with pytest.raises(Boom, match="on the helper"):
-                runtime.share(fail, 1, meanwhile=lambda: started.wait(timeout=30))
-
-    def test_an_error_in_a_helper_chunk_reaches_the_caller_with_its_type(self):
-        class Boom(Exception):
-            pass
-
-        done = []
-
-        def chunk(k):
-            if threading.current_thread() is threading.main_thread():
-                time.sleep(0.05)  # leave the next chunk to the helper
-                done.append(k)
-            else:
-                raise Boom(f"chunk {k}")
-
-        with runtime.helper_thread():
-            with pytest.raises(Boom, match="chunk 1"):
-                runtime.share(chunk, 4)
-        assert done and 1 not in done
-
-    def test_every_chunk_runs_once_under_fast_thread_switching(self):
+class TestSecondCore:
+    @settings(max_examples=60, deadline=None)
+    @given(count=st.integers(0, 300), threads=st.booleans())
+    def test_every_piece_runs_once_under_fast_thread_switching(self, count, threads):
         import sys
 
+        done = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with runtime.helper_thread():
-                for _ in range(50):
-                    done = []
-                    runtime.share(lambda k: done.append((k, threading.current_thread().name)), 200)
-                    assert sorted(k for k, _ in done) == list(range(200))
+            with runtime.sharing(threads):
+                runtime.share(done.append, count)
         finally:
             sys.setswitchinterval(interval)
+        assert sorted(done) == list(range(count))
+        assert threading.active_count() == 1
+
+    def test_a_thread_is_started_only_when_allowed_and_for_two_pieces_or_more(self):
+        def names(count):
+            seen = []
+            runtime.share(lambda k: seen.append(threading.enumerate()), count)
+            return {t.name for alive in seen for t in alive}
+
+        assert "dbgae-share" not in names(5)  # outside ``sharing``
+        with runtime.sharing(False):
+            assert "dbgae-share" not in names(5)
+        with runtime.sharing(True):
+            assert "dbgae-share" not in names(1)
+            with runtime.sharing(False):
+                assert "dbgae-share" not in names(5)
+            ran = {}
+
+            def piece(k):
+                ran[k] = threading.current_thread().name
+                deadline = time.monotonic() + 30  # each piece waits for the other
+                while len(ran) < 2 and time.monotonic() < deadline:
+                    time.sleep(0.001)
+
+            runtime.share(piece, 2)
+            assert sorted(ran.values()) == ["MainThread", "dbgae-share"]
+        assert threading.active_count() == 1
+
+    @pytest.mark.parametrize("on", ["caller", "thread"])
+    def test_an_error_on_either_thread_reaches_the_caller_with_its_type(self, on):
+        done = []
+
+        def piece(k):
+            here = "caller" if threading.current_thread() is threading.main_thread() else "thread"
+            if here == on:
+                raise Boom(f"piece {k} on the {here}")
+            time.sleep(0.05)  # leave the next piece to the other thread
+            done.append(k)
+
+        with runtime.sharing(True):
+            with pytest.raises(Boom, match=f"on the {on}"):
+                runtime.share(piece, 8)
+        # After the error no more pieces are handed out: the other thread
+        # finishes the piece it holds, at most one, and stops.
+        assert len(done) <= 1
+        assert threading.active_count() == 1
+
+    def test_an_error_without_a_thread_stops_the_pieces(self):
+        done = []
+
+        def piece(k):
+            if k == 2:
+                raise Boom("piece 2")
+            done.append(k)
+
+        with pytest.raises(Boom, match="piece 2"):
+            runtime.share(piece, 5)
+        assert done == [0, 1]
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_blas_threads_is_the_loaded_openblas_count(self, threads):
@@ -861,21 +882,14 @@ class TestHelperThread:
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert run.stdout.strip() == threads, run.stderr
 
-    @pytest.mark.parametrize("cores, threads, helper", [(2, 1, True), (2, 2, False), (1, 1, False)])
-    def test_a_helper_pays_only_beside_one_blas_thread(self, monkeypatch, cores, threads, helper):
-        # ``model.train`` runs the helper where both hold (its own test in
-        # test_model, ``test_the_second_core_is_asked_once_a_train``).
+    @pytest.mark.parametrize("cores, threads, on", [(2, 1, True), (2, 2, False), (1, 1, False)])
+    def test_the_second_core_is_free_only_beside_one_blas_thread(
+        self, monkeypatch, cores, threads, on
+    ):
+        # ``model.train`` asks it once (``test_the_second_core_is_asked_once_a_train``).
         monkeypatch.setattr(runtime, "usable_cores", lambda: cores)
         monkeypatch.setattr(runtime, "blas_threads", lambda: threads)
-        assert runtime.second_core() == helper
-        n, m = 6, 5
-        inst, lab = np.arange(n), np.arange(n) % m
-        with chunk_bytes(8 * n * m // 2 - 1):
-            p = path_kernel(n, m, inst, lab)
-            assert p.chunked and kernels.helper_pays([p])
-            sparse = kernels.SparsePath(p.targets, p.x, np.zeros(m, int), 3)
-            assert not kernels.helper_pays([sparse])
-        assert not kernels.helper_pays([path_kernel(n, m, inst, lab)])  # one chunk
+        assert runtime.second_core() == on
 
     def test_the_blas_getter_is_looked_up_once_and_asked_every_call(self, monkeypatch):
         import builtins
@@ -897,12 +911,6 @@ class TestHelperThread:
         calls = []
         monkeypatch.setattr(runtime, "_blas_thread_getter", lambda: lambda: calls.append(1) or 3)
         assert [runtime.blas_threads(), runtime.blas_threads()] == [3, 3] and len(calls) == 2
-
-    def test_the_thread_is_joined_on_error(self):
-        with pytest.raises(ValueError):
-            with runtime.helper_thread():
-                raise ValueError("in the body")
-        assert threading.active_count() == 1
 
 
 class TestWorker:

@@ -1,8 +1,9 @@
 import math
+import threading
 import tracemalloc
 import types
 from collections import Counter
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from functools import partial
 
 import numpy as np
@@ -682,12 +683,12 @@ class TestPaddedTableReference:
         variant=st.sampled_from(VARIANTS),
         heads=st.integers(1, 2),
         chunk=st.one_of(st.none(), st.integers(8, 200)),
-        helper=st.booleans(),
+        threads=st.booleans(),
         seed=st.integers(0, 10_000),
     )
     @pytest.mark.parametrize("kernel", [kernels.DenseBlockPath, kernels.SparsePath])
     def test_two_sided_encoder_matches_it(
-        self, kernel, n, m, data, d, num_classes, variant, heads, chunk, helper, seed
+        self, kernel, n, m, data, d, num_classes, variant, heads, chunk, threads, seed
     ):
         # U, V and every parameter's gradient of the two-sided encoder
         # against the encoder over the zero-padded node table.
@@ -717,7 +718,7 @@ class TestPaddedTableReference:
         params = init_params(cfg, d, num_classes)
         g_u, g_v = rng.standard_normal((n, 3)), rng.standard_normal((m, 3))
         results = []
-        with every_path(kernel, chunk), runtime.helper_thread() if helper else nullcontext():
+        with every_path(kernel, chunk), runtime.sharing(threads):
             prep = prepare_graph(graph, cfg)
             for encoder in (encode, partial(encode_reference, graph)):
                 U, V = encoder(prep, params, cfg)
@@ -1025,75 +1026,37 @@ class TestTrain:
         assert live_at_backward == [[], []]
         assert result.prob_sum_err.max() <= 1e-9 and len(result.ratings) == rated
 
-    def test_no_rating_array_lives_through_backward_with_the_helper(self, monkeypatch):
-        import threading
-
-        from dbgae import model
-
-        decoders = (
-            model.decode_probs,
-            model.decode,
-            model.expected_weight,
-            model.level_sums,
-            model.decode_diagnostics,
-            model._softmax_block,
-            model._level_products,
-        )
-        rating_lines = {line for fn in decoders for line in lines_of(fn)}
-        rated = 100 + 3500
-        live_at_backward, helpers = [], []
-        real_backward = ad.backward
-
-        def backward_checking(loss):
-            helpers.append([t.name for t in threading.enumerate()])
-            snapshot = tracemalloc.take_snapshot()
-            live_at_backward.append(
-                [
-                    stat.size
-                    for stat in snapshot.statistics("traceback")
-                    if stat.size >= 8 * rated
-                    and any(
-                        f.filename == model.__file__ and f.lineno in rating_lines
-                        for f in stat.traceback
-                    )
-                ]
-            )
-            return real_backward(loss)
-
-        monkeypatch.setattr(ad, "backward", backward_checking)
-        monkeypatch.setattr(kernels, "DENSE_CHUNK_BYTES", 2000)
-        monkeypatch.setattr(runtime, "usable_cores", lambda: 2)
-        monkeypatch.setattr(runtime, "blas_threads", lambda: 1)
-        # One block's gathered rows (32 x 5 levels x 4) and the products of the
-        # 30 instances' rows (30 x 5 x 4) hold far fewer floats than rated edges.
-        monkeypatch.setattr(model, "DECODE_BLOCK", 32)
-        graph = random_graph(30, 150, 100, 3500)
-        tracemalloc.start(32)
-        try:
-            result = train(graph, small_config(epochs=3))
-        finally:
-            tracemalloc.stop()
-        assert all("dbgae-helper" in names for names in helpers)
-        assert live_at_backward == [[], [], []]
-        assert result.prob_sum_err.max() <= 1e-9 and len(result.ratings) == rated
-
-    def test_helper_on_equals_helper_off_at_800_groups(self, monkeypatch):
+    def test_the_worker_equals_the_inline_diagnostics_at_800_groups(self, monkeypatch):
+        """The 800-group cross path is a block of row chunks: with the second
+        core its chunks are shared with a thread per call and the worker
+        decodes; without it, neither."""
         graph, cfg = benchmark_run(800, epochs=3)
-        entered = []
-        real_helper = runtime.helper_thread
+        workers, threads = [], []
 
-        def counting_helper():
-            entered.append(True)
-            return real_helper()
+        class CountingWorker(runtime.Worker):
+            def __init__(self, *args, **kwargs):
+                workers.append(True)
+                super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(runtime, "helper_thread", counting_helper)
-        monkeypatch.setattr(runtime, "usable_cores", lambda: 2)
-        monkeypatch.setattr(runtime, "blas_threads", lambda: 1)
-        on = train(graph, cfg)
-        monkeypatch.setattr(runtime, "usable_cores", lambda: 1)
-        off = train(graph, cfg)
-        assert entered == [True]
-        assert_same_training(on, off)
+        real_share = runtime.share
+
+        def recording_share(fn, count):
+            def piece(k):
+                threads.append(threading.current_thread().name)
+                fn(k)
+
+            real_share(piece, count)
+
+        monkeypatch.setattr(runtime, "Worker", CountingWorker)
+        monkeypatch.setattr(runtime, "share", recording_share)
+        second_core(monkeypatch, True)
+        forked = train(graph, cfg)
+        assert workers == [True] and "dbgae-share" in threads
+        threads.clear()
+        second_core(monkeypatch, False)
+        inline = train(graph, cfg)
+        assert workers == [True] and set(threads) == {"MainThread"}
+        assert_same_training(forked, inline)
 
     def test_an_error_in_the_diagnostics_reaches_the_caller_with_its_type(self, monkeypatch):
         from dbgae import model
@@ -1101,14 +1064,13 @@ class TestTrain:
         def failing_diagnostics(*args):
             raise Boom("diagnostics")
 
-        # With chunks of 2000 bytes the helper runs the diagnostics unless
-        # this thread finds them not yet started; with whole blocks the
-        # forked worker runs them and sends the error back through its pipe.
-        # Either way the error reaches train's caller.
+        # With the second core the forked worker runs the diagnostics and
+        # sends the error back through its pipe, beside row chunks or whole
+        # blocks; without it the main thread runs them.  Either way the error
+        # reaches train's caller.
         monkeypatch.setattr(model, "decode_diagnostics", failing_diagnostics)
-        monkeypatch.setattr(runtime, "usable_cores", lambda: 2)
-        monkeypatch.setattr(runtime, "blas_threads", lambda: 1)
-        for chunk in (2000, kernels.DENSE_CHUNK_BYTES):
+        for on, chunk in ((True, 2000), (True, kernels.DENSE_CHUNK_BYTES), (False, 2000)):
+            second_core(monkeypatch, on)
             monkeypatch.setattr(kernels, "DENSE_CHUNK_BYTES", chunk)
             with pytest.raises(Boom, match="diagnostics"):
                 train(random_graph(30, 60, 100, 1000), small_config(epochs=3))
@@ -1134,14 +1096,13 @@ class TestTrain:
         assert workers == [True]
         assert_same_training(forked, inline)
 
-    @pytest.mark.parametrize("chunk_bytes, forks", [(2000, 0), (kernels.DENSE_CHUNK_BYTES, 1)])
-    def test_the_worker_is_forked_only_without_a_helper_thread(
-        self, monkeypatch, chunk_bytes, forks
+    @pytest.mark.parametrize("groups", [200, 800])
+    @pytest.mark.parametrize("chunk_bytes", [2000, kernels.DENSE_CHUNK_BYTES])
+    def test_the_worker_is_forked_wherever_the_second_core_holds(
+        self, monkeypatch, groups, chunk_bytes
     ):
-        """Chunks of 2000 bytes start the helper, which takes the diagnostics;
-        whole blocks fork the worker, with no other thread alive."""
-        import threading
-
+        """Beside row chunks or whole blocks, at both sizes, with no other
+        thread alive at the fork."""
         real_fork, threads_at_fork = runtime.fork, []
 
         def recording_fork(child):
@@ -1151,27 +1112,29 @@ class TestTrain:
         monkeypatch.setattr(runtime, "fork", recording_fork)
         monkeypatch.setattr(kernels, "DENSE_CHUNK_BYTES", chunk_bytes)
         second_core(monkeypatch, True)
-        train(random_graph(30, 150, 100, 3500), small_config(epochs=2))
-        assert threads_at_fork == [1] * forks
+        graph, cfg = benchmark_run(groups, epochs=2)
+        train(graph, cfg)
+        assert threads_at_fork == [1]
 
     @pytest.mark.parametrize(
-        "cores, threads, chunk_bytes, helpers, forks",
+        "cores, threads, chunk_bytes, shared, forks",
         [
-            (2, 1, 2000, 1, 0),
-            (2, 1, kernels.DENSE_CHUNK_BYTES, 0, 1),
-            (2, 2, 2000, 0, 0),
-            (1, 1, 2000, 0, 0),
+            (2, 1, 2000, True, 1),
+            (2, 1, kernels.DENSE_CHUNK_BYTES, False, 1),
+            (2, 2, 2000, False, 0),
+            (1, 1, 2000, False, 0),
         ],
     )
     def test_the_second_core_is_asked_once_a_train(
-        self, monkeypatch, cores, threads, chunk_bytes, helpers, forks
+        self, monkeypatch, cores, threads, chunk_bytes, shared, forks
     ):
-        """One ``second_core`` answer starts the helper thread (a block of
-        row chunks) or forks the worker (whole blocks), or neither."""
-        asked, entered, forked = [], [], []
-        real_second_core, real_helper, real_worker = (
+        """One ``second_core`` answer forks the worker and lets row chunks
+        (2000-byte chunks; whole blocks have none) start a thread per call,
+        or does neither."""
+        asked, started, forked = [], [], []
+        real_second_core, real_thread, real_worker = (
             runtime.second_core,
-            runtime.helper_thread,
+            threading.Thread,
             runtime.Worker,
         )
 
@@ -1179,22 +1142,25 @@ class TestTrain:
             asked.append(True)
             return real_second_core()
 
-        def counting_helper():
-            entered.append(True)
-            return real_helper()
+        class CountingThread(real_thread):
+            def start(self):
+                started.append(self.name)
+                super().start()
 
         def counting_worker(*args, **kwargs):
             forked.append(True)
             return real_worker(*args, **kwargs)
 
         monkeypatch.setattr(runtime, "second_core", counting_second_core)
-        monkeypatch.setattr(runtime, "helper_thread", counting_helper)
+        monkeypatch.setattr(threading, "Thread", CountingThread)
         monkeypatch.setattr(runtime, "Worker", counting_worker)
         monkeypatch.setattr(runtime, "usable_cores", lambda: cores)
         monkeypatch.setattr(runtime, "blas_threads", lambda: threads)
         monkeypatch.setattr(kernels, "DENSE_CHUNK_BYTES", chunk_bytes)
         train(random_graph(30, 150, 100, 3500), small_config(epochs=2))
-        assert (len(asked), len(entered), len(forked)) == (1, helpers, forks)
+        assert (len(asked), bool(started), len(forked)) == (1, shared, forks)
+        assert set(started) <= {"dbgae-share"}
+        assert threading.active_count() == 1
 
     def test_a_worker_that_exits_without_a_result_is_a_training_error(self, monkeypatch):
         import os

@@ -3,7 +3,7 @@ import pytest
 
 from dbgae import autodiff as ad
 from dbgae.errors import TrainingError
-from dbgae.optim import AdamState, adam_step
+from dbgae.optim import BETA1, BETA2, EPS, AdamState, adam_step
 
 
 def make_param(value):
@@ -54,7 +54,7 @@ class TestAdam:
         params = make_param([[0.0]])
         state = AdamState.for_params(params, lr=0.01)
         adam_step(params, {"w": np.full((1, 1), 0.5)}, state)
-        m_hat = (1 - state.beta1) * 0.5 / (1 - state.beta1)
-        v_hat = (1 - state.beta2) * 0.25 / (1 - state.beta2)
-        expected = -0.01 * m_hat / (np.sqrt(v_hat) + state.eps)
+        m_hat = (1 - BETA1) * 0.5 / (1 - BETA1)
+        v_hat = (1 - BETA2) * 0.25 / (1 - BETA2)
+        expected = -0.01 * m_hat / (np.sqrt(v_hat) + EPS)
         assert params["w"].value[0, 0] == pytest.approx(expected)
